@@ -1,27 +1,10 @@
 package fd
 
-import (
-	"context"
-
-	"repro/internal/approx"
-	"repro/internal/core"
-	"repro/internal/rank"
-	"repro/internal/tupleset"
-)
-
-// legacyApproxOptions reproduces the engine configuration the approx
-// wrappers always ran with before Options were plumbed through the
-// approximate family: hash-indexed Complete stores, no join index,
-// tuple-at-a-time scans.
-func legacyApproxOptions() core.Options { return core.Options{UseIndex: true} }
+import "repro/internal/approx"
 
 // Sim supplies pairwise tuple similarities in [0,1] for approximate
-// joins (Section 6).
+// joins (Section 6). Approximate queries name theirs in Query.Sim.
 type Sim = approx.Sim
-
-// ApproxJoin is an acceptable approximate join function A: A(T)=0 for
-// disconnected T and A is non-increasing on connected supersets.
-type ApproxJoin = approx.Join
 
 // ExactSim returns the degenerate similarity: 1 when two tuples are
 // join consistent, 0 otherwise. With it, approximate full disjunctions
@@ -32,91 +15,3 @@ func ExactSim() Sim { return approx.ExactSim{} }
 // similarity over shared attributes — the misspelling model motivating
 // Section 6. Nulls contribute 0.
 func LevenshteinSim() Sim { return approx.LevenshteinSim{} }
-
-// TableSim looks up similarities by tuple-label pair (either order),
-// falling back to ExactSim for unlisted pairs. It reconstructs
-// annotated examples such as the paper's Fig 4.
-func TableSim(entries map[[2]string]float64) Sim { return approx.NewSimTable(entries) }
-
-// Amin builds the paper's Amin approximate join function: the minimum
-// over member probabilities and connected-pair similarities. Amin is
-// acceptable and efficiently computable (Proposition 6.5).
-func Amin(s Sim) ApproxJoin { return &approx.Amin{S: s} }
-
-// Aprod builds the paper's Aprod: the product of connected-pair
-// similarities (1 for singletons). Acceptable, but its maximal-subset
-// step is not known to be polynomial; this implementation falls back to
-// exhaustive search over candidate members (exponential only in the
-// number of relations).
-func Aprod(s Sim) ApproxJoin { return &approx.Aprod{S: s} }
-
-// ApproxFullDisjunction computes AFD(R, A, τ): the maximal tuple sets T
-// with A(T) ≥ τ (Definition 6.2), in incremental polynomial time for
-// acceptable, efficiently computable A (Theorem 6.6).
-//
-// Deprecated: use Open with Query{Mode: ModeApprox, Tau: tau,
-// Sim: "<name>"} and drain the Results cursor. ApproxFullDisjunction
-// remains for join functions a Query cannot name (Aprod, TableSim).
-func ApproxFullDisjunction(db *Database, a ApproxJoin, tau float64) ([]*TupleSet, Stats, error) {
-	return approx.FullDisjunction(db, a, tau, legacyApproxOptions())
-}
-
-// ApproxStream computes AFD(R, A, τ) incrementally; return false from
-// yield to stop early.
-//
-// Deprecated: use Open with Query{Mode: ModeApprox, Tau: tau,
-// Sim: "<name>"} and pull from the Results cursor. ApproxStream
-// remains for join functions a Query cannot name (Aprod, TableSim).
-func ApproxStream(db *Database, a ApproxJoin, tau float64, yield func(*TupleSet) bool) (Stats, error) {
-	return approx.Stream(db, a, tau, legacyApproxOptions(), yield)
-}
-
-// ApproxCursor is the pull-based form of ApproxStream: a suspended
-// enumeration of AFD(R, A, τ) producing one result per Next call, with
-// explicit state and no goroutine.
-type ApproxCursor = approx.Cursor
-
-// NewApproxCursor prepares a pull-based enumeration of AFD(R, A, τ); no
-// work happens until the first Next call.
-//
-// Deprecated: use Open with Query{Mode: ModeApprox, Tau: tau,
-// Sim: "<name>"}; the Results cursor it returns adds context
-// cancellation and engine Options.
-func NewApproxCursor(db *Database, a ApproxJoin, tau float64) (*ApproxCursor, error) {
-	return approx.NewCursor(context.Background(), db, a, tau, legacyApproxOptions())
-}
-
-// ApproxScore evaluates A(T) for a tuple set of db.
-func ApproxScore(db *Database, a ApproxJoin, t *TupleSet) float64 {
-	return a.Score(tupleset.NewUniverse(db), t)
-}
-
-// ApproxStreamRanked combines Sections 5 and 6 (the adaptation the
-// paper sketches at the end of Section 6): the members of AFD(R, A, τ)
-// stream in non-increasing rank order under a monotonically
-// c-determined ranking function.
-//
-// Deprecated: use Open with Query{Mode: ModeApproxRanked, Tau: tau,
-// Rank: "<name>", Sim: "<name>"} and pull from the Results cursor.
-func ApproxStreamRanked(db *Database, a ApproxJoin, tau float64, f RankFunc,
-	yield func(Ranked) bool) (Stats, error) {
-	return rank.ApproxStreamRanked(db, a, tau, f, legacyApproxOptions(), yield)
-}
-
-// ApproxTopK returns the k highest-ranking members of the
-// (A,τ)-approximate full disjunction, in rank order.
-//
-// Deprecated: use Open with Query{Mode: ModeApproxRanked, Tau: tau,
-// Rank: "<name>", K: k} and drain the Results cursor.
-func ApproxTopK(db *Database, a ApproxJoin, tau float64, f RankFunc, k int) ([]Ranked, Stats, error) {
-	return rank.ApproxTopK(db, a, tau, f, k, legacyApproxOptions())
-}
-
-// ApproxThreshold returns every member of AFD(R, A, τ) ranking at least
-// rankTau, in rank order.
-//
-// Deprecated: use Open with Query{Mode: ModeApproxRanked, Tau: tau,
-// Rank: "<name>", RankTau: rankTau} and drain the Results cursor.
-func ApproxThreshold(db *Database, a ApproxJoin, tau, rankTau float64, f RankFunc) ([]Ranked, Stats, error) {
-	return rank.ApproxThreshold(db, a, tau, rankTau, f, legacyApproxOptions())
-}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	fd "repro"
+	"repro/internal/approx"
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/join"
@@ -35,7 +36,7 @@ func chainDB(b *testing.B, n, m int) *fd.Database {
 func BenchmarkE1Tourist(b *testing.B) {
 	db := workload.Tourist()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := fd.FullDisjunction(db, fd.Options{}); err != nil {
+		if _, _, err := drain(db, exactQuery(fd.QueryOptions{})); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,9 +56,11 @@ func BenchmarkE2Seed(b *testing.B) {
 // BenchmarkE3Approx measures the Fig 4 approximate-join evaluation.
 func BenchmarkE3Approx(b *testing.B) {
 	db, sims := workload.TouristApprox()
-	amin := fd.Amin(fd.TableSim(sims))
+	// The Fig 4 similarities are a table, which a Query cannot name, so
+	// this runs the engine directly.
+	amin := &approx.Amin{S: approx.NewSimTable(sims)}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := fd.ApproxFullDisjunction(db, amin, 0.4); err != nil {
+		if _, _, err := approx.FullDisjunction(db, amin, 0.4, core.Options{UseIndex: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,7 +73,7 @@ func BenchmarkE4Total(b *testing.B) {
 		db := chainDB(b, 4, m)
 		b.Run(fmt.Sprintf("incremental/m=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := fd.FullDisjunction(db, fd.Options{UseIndex: true}); err != nil {
+				if _, _, err := drain(db, exactQuery(fd.QueryOptions{UseIndex: true})); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -90,12 +93,9 @@ func BenchmarkE5TimeToK(b *testing.B) {
 	for _, k := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				count := 0
-				_, err := fd.Stream(db, fd.Options{UseIndex: true}, func(*fd.TupleSet) bool {
-					count++
-					return count < k
-				})
-				if err != nil {
+				q := exactQuery(fd.QueryOptions{UseIndex: true})
+				q.K = k
+				if _, _, err := drain(db, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -114,7 +114,8 @@ func BenchmarkE6TopK(b *testing.B) {
 	for _, k := range []int{1, 10} {
 		b.Run(fmt.Sprintf("ranked/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := fd.TopK(db, fd.FMax(), k, fd.Options{UseIndex: true}); err != nil {
+				if _, _, err := drain(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: k,
+					Options: fd.QueryOptions{UseIndex: true}}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -122,7 +123,7 @@ func BenchmarkE6TopK(b *testing.B) {
 	}
 	b.Run("computeAll", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := fd.FullDisjunction(db, fd.Options{UseIndex: true}); err != nil {
+			if _, _, err := drain(db, exactQuery(fd.QueryOptions{UseIndex: true})); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -148,7 +149,8 @@ func BenchmarkE7Hardness(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("fmaxRanked/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := fd.TopK(db, fd.FMax(), 1, fd.Options{UseIndex: true}); err != nil {
+				if _, _, err := drain(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 1,
+					Options: fd.QueryOptions{UseIndex: true}}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -166,11 +168,12 @@ func BenchmarkE8Approx(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	amin := fd.Amin(fd.LevenshteinSim())
 	for _, tau := range []float64{0.9, 0.6, 0.3} {
 		b.Run(fmt.Sprintf("amin/tau=%.1f", tau), func(b *testing.B) {
+			q := fd.Query{Mode: fd.ModeApprox, Tau: tau, Sim: "levenshtein",
+				Options: fd.QueryOptions{UseIndex: true, Workers: 1}}
 			for i := 0; i < b.N; i++ {
-				if _, _, err := fd.ApproxFullDisjunction(db, amin, tau); err != nil {
+				if _, _, err := drain(db, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -181,18 +184,18 @@ func BenchmarkE8Approx(b *testing.B) {
 // BenchmarkE9Ablations measures the §7 engineering options.
 func BenchmarkE9Ablations(b *testing.B) {
 	db := chainDB(b, 4, 28)
-	variants := map[string]fd.Options{
+	variants := map[string]fd.QueryOptions{
 		"noIndex":       {},
 		"index":         {UseIndex: true},
-		"indexSeeded":   {UseIndex: true, Strategy: fd.InitSeeded},
-		"indexProject":  {UseIndex: true, Strategy: fd.InitProjected},
+		"indexSeeded":   {UseIndex: true, Strategy: "seeded"},
+		"indexProject":  {UseIndex: true, Strategy: "projected"},
 		"indexBlock64":  {UseIndex: true, BlockSize: 64},
-		"seededBlock64": {UseIndex: true, Strategy: fd.InitSeeded, BlockSize: 64},
+		"seededBlock64": {UseIndex: true, Strategy: "seeded", BlockSize: 64},
 	}
 	for name, opts := range variants {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := fd.FullDisjunction(db, opts); err != nil {
+				if _, _, err := drain(db, exactQuery(opts)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -213,7 +216,7 @@ func BenchmarkE10Outerjoin(b *testing.B) {
 	})
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := fd.FullDisjunction(db, fd.Options{UseIndex: true}); err != nil {
+			if _, _, err := drain(db, exactQuery(fd.QueryOptions{UseIndex: true})); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -231,7 +234,8 @@ func BenchmarkE11Threshold(b *testing.B) {
 	for _, tau := range []float64{95, 50} {
 		b.Run(fmt.Sprintf("tau=%.0f", tau), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := fd.Threshold(db, fd.FMax(), tau, fd.Options{UseIndex: true}); err != nil {
+				if _, _, err := drain(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", RankTau: tau,
+					Options: fd.QueryOptions{UseIndex: true}}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,7 +48,7 @@ func TestRunGeneratesLoadableCSVs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := fd.FullDisjunction(db, fd.Options{}); err != nil {
+		if err := fullDisjunction(db); err != nil {
 			t.Fatalf("%s: FD over generated data failed: %v", shape, err)
 		}
 		if !strings.Contains(out.String(), "wrote") {
@@ -84,7 +85,7 @@ func TestRunSnapshotOutput(t *testing.T) {
 	if db.NumRelations() != 3 || db.Relation(0).Len() != 5 {
 		t.Fatalf("snapshot shape: %d relations, %d tuples", db.NumRelations(), db.Relation(0).Len())
 	}
-	if _, _, err := fd.FullDisjunction(db, fd.Options{}); err != nil {
+	if err := fullDisjunction(db); err != nil {
 		t.Fatalf("FD over snapshot-loaded data failed: %v", err)
 	}
 	if !strings.Contains(out.String(), "snapshot") {
@@ -129,4 +130,16 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-shape", "chain", "-n", "0"}, &out); err == nil {
 		t.Error("zero relations accepted")
 	}
+}
+
+// fullDisjunction drains an exact query over db.
+func fullDisjunction(db *fd.Database) error {
+	rs, err := fd.Open(context.Background(), db, fd.Query{})
+	if err != nil {
+		return err
+	}
+	defer rs.Close()
+	for _, ok := rs.Next(); ok; _, ok = rs.Next() {
+	}
+	return rs.Err()
 }

@@ -1,6 +1,7 @@
 package fd_test
 
 import (
+	"context"
 	"fmt"
 
 	fd "repro"
@@ -24,16 +25,17 @@ func tourist() *fd.Database {
 	return fd.MustDatabase(climates, acc, sites)
 }
 
-// ExampleFullDisjunction reproduces Table 2 of the paper: the full
-// disjunction of the tourist relations of Table 1.
-func ExampleFullDisjunction() {
+// ExampleOpen reproduces Table 2 of the paper: the full disjunction
+// of the tourist relations of Table 1.
+func ExampleOpen() {
 	db := tourist()
-	results, _, err := fd.FullDisjunction(db, fd.Options{})
+	rs, err := fd.Open(context.Background(), db, fd.Query{Mode: fd.ModeExact})
 	if err != nil {
 		panic(err)
 	}
-	for _, t := range results {
-		fmt.Println(fd.Format(db, t))
+	defer rs.Close()
+	for r, ok := rs.Next(); ok; r, ok = rs.Next() {
+		fmt.Println(fd.Format(db, r.Set))
 	}
 	// Unordered output:
 	// {c1, a1}
@@ -44,56 +46,61 @@ func ExampleFullDisjunction() {
 	// {c3, a3}
 }
 
-// ExampleStream shows incremental consumption: take the first two
+// ExampleOpen_stream shows incremental consumption: take the first two
 // answers and stop — the rest of the full disjunction is never
 // computed (the PINC property, Corollary 4.11 of the paper).
-func ExampleStream() {
+func ExampleOpen_stream() {
 	db := tourist()
-	count := 0
-	_, err := fd.Stream(db, fd.Options{}, func(t *fd.TupleSet) bool {
-		count++
-		return count < 2
-	})
+	// K bounds the query: the cursor stops, and releases its state,
+	// at the second answer.
+	rs, err := fd.Open(context.Background(), db, fd.Query{K: 2})
 	if err != nil {
 		panic(err)
+	}
+	defer rs.Close()
+	count := 0
+	for _, ok := rs.Next(); ok; _, ok = rs.Next() {
+		count++
 	}
 	fmt.Println(count, "answers consumed")
 	// Output:
 	// 2 answers consumed
 }
 
-// ExampleTopK ranks destinations by hotel stars (imp) and returns the
-// best answer only.
-func ExampleTopK() {
+// ExampleOpen_topK ranks destinations by hotel stars (imp) and returns
+// the best answer only.
+func ExampleOpen_topK() {
 	db := tourist()
 	// imp defaults to 1; promote the four-star Plaza tuple.
 	db.Relation(1).MutateTuple(0, func(t *fd.Tuple) { t.Imp = 4 })
-	top, _, err := fd.TopK(db, fd.FMax(), 1, fd.Options{})
+	rs, err := fd.Open(context.Background(), db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 1})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("%s rank %.0f\n", fd.Format(db, top[0].Set), top[0].Rank)
+	defer rs.Close()
+	top, _ := rs.Next()
+	fmt.Printf("%s rank %.0f\n", fd.Format(db, top.Set), top.Rank)
 	// Output:
 	// {c1, a1} rank 4
 }
 
-// ExampleApproxFullDisjunction joins a misspelled country name using
-// Levenshtein similarity: exact joins miss "Cannada", approximate ones
-// recover it.
-func ExampleApproxFullDisjunction() {
+// ExampleOpen_approx joins a misspelled country name using Levenshtein
+// similarity: exact joins miss "Cannada", approximate ones recover it.
+func ExampleOpen_approx() {
 	db := tourist()
 	// Misspell c1's Country, as in Example 6.1 of the paper.
 	cl := db.Relation(0)
 	pos, _ := cl.Schema().Position("Country")
 	cl.Tuple(0).Values[pos] = fd.V("Cannada")
 
-	results, _, err := fd.ApproxFullDisjunction(db, fd.Amin(fd.LevenshteinSim()), 0.8)
+	rs, err := fd.Open(context.Background(), db, fd.Query{Mode: fd.ModeApprox, Tau: 0.8, Sim: "levenshtein"})
 	if err != nil {
 		panic(err)
 	}
-	for _, t := range results {
-		if fd.Format(db, t) == "{c1, a2, s1}" {
-			fmt.Println("recovered:", fd.Format(db, t))
+	defer rs.Close()
+	for r, ok := rs.Next(); ok; r, ok = rs.Next() {
+		if fd.Format(db, r.Set) == "{c1, a2, s1}" {
+			fmt.Println("recovered:", fd.Format(db, r.Set))
 		}
 	}
 	// Output:

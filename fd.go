@@ -37,15 +37,14 @@
 //		fmt.Println(fd.Format(db, r.Set))
 //	}
 //
-// Results is a pull cursor with explicit suspended state — no producer
-// goroutines — and honours ctx cancellation within one enumeration
-// step. The named per-mode functions (FullDisjunction, Stream, TopK,
-// ApproxStream, ...) remain as deprecated wrappers; docs/QUERY_API.md
-// tabulates the old → new mapping.
+// Results is a pull cursor with explicit suspended state and honours
+// ctx cancellation within one enumeration step. Open is the only way
+// to run a query: the per-mode functions of earlier releases
+// (FullDisjunction, Stream, TopK, ApproxStream, ...) are gone, and
+// docs/QUERY_API.md maps each onto the Query that replaces it.
 package fd
 
 import (
-	"context"
 	"io"
 	"os"
 
@@ -214,43 +213,6 @@ type BufferPool = storage.BufferPool
 
 // NewBufferPool creates a pool holding up to capacity pages.
 func NewBufferPool(capacity int) *BufferPool { return storage.NewBufferPool(capacity) }
-
-// FullDisjunction computes FD(R): the set of maximal join-consistent
-// and connected tuple sets over db's relations (Definition 2.1). Total
-// time is O(s·n³·f²) (Corollary 4.9).
-//
-// Deprecated: use Open with Query{Mode: ModeExact} and drain the
-// Results cursor; it adds context cancellation and a uniform result
-// type across all modes.
-func FullDisjunction(db *Database, opts Options) ([]*TupleSet, Stats, error) {
-	return core.FullDisjunction(db, opts)
-}
-
-// Stream computes FD(R) incrementally, invoking yield on each result as
-// soon as it is available; return false from yield to stop early. k
-// results cost O(s²·n⁴·k²) time (Theorem 4.10) — the problem is in
-// PINC (Corollary 4.11).
-//
-// Deprecated: use Open with Query{Mode: ModeExact} (set K to bound the
-// prefix) and pull from the Results cursor.
-func Stream(db *Database, opts Options, yield func(*TupleSet) bool) (Stats, error) {
-	return core.Stream(db, opts, yield)
-}
-
-// Cursor is the pull-based form of Stream: a suspended enumeration of
-// FD(R) producing one result per Next call. A cursor holds explicit
-// state and no goroutine, so abandoning it with Close leaks nothing —
-// the shape internal/service builds its paginated query sessions on.
-type Cursor = core.Cursor
-
-// NewCursor prepares a pull-based enumeration of FD(R); no work happens
-// until the first Next call. Call Close when done (or drain it).
-//
-// Deprecated: use Open with Query{Mode: ModeExact}; the Results cursor
-// it returns adds context cancellation.
-func NewCursor(db *Database, opts Options) (*Cursor, error) {
-	return core.NewCursor(context.Background(), db, opts)
-}
 
 // FDi computes FDi(R): the members of the full disjunction containing a
 // tuple of relation seed (the algorithm INCREMENTALFD of Fig 1).

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPublicAPIApproxRanked(t *testing.T) {
-	db, sims := workload.TouristApprox()
+	db, _ := workload.TouristApprox()
 	imp := map[string]float64{"c1": 1, "c2": 2, "c3": 3, "a1": 4, "a2": 3, "a3": 1}
 	for r := 0; r < db.NumRelations(); r++ {
 		rel := db.Relation(r)
@@ -18,9 +18,10 @@ func TestPublicAPIApproxRanked(t *testing.T) {
 			}
 		}
 	}
-	amin := fd.Amin(fd.TableSim(sims))
+	q := fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.4, Rank: "fmax", Sim: "levenshtein"}
 
-	top, _, err := fd.ApproxTopK(db, amin, 0.4, fd.FMax(), 3)
+	q.K = 3
+	top, _, err := drain(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,8 @@ func TestPublicAPIApproxRanked(t *testing.T) {
 		}
 	}
 
-	thr, _, err := fd.ApproxThreshold(db, amin, 0.4, 3, fd.FMax())
+	q.K, q.RankTau = 0, 3
+	thr, _, err := drain(db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +45,12 @@ func TestPublicAPIApproxRanked(t *testing.T) {
 		}
 	}
 
-	count := 0
-	if _, err := fd.ApproxStreamRanked(db, amin, 0.4, fd.FMax(), func(fd.Ranked) bool {
-		count++
-		return count < 2
-	}); err != nil {
+	q.K, q.RankTau = 2, 0
+	streamed, _, err := drain(db, q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 2 {
-		t.Errorf("streamed %d", count)
+	if len(streamed) != 2 {
+		t.Errorf("streamed %d", len(streamed))
 	}
 }

@@ -35,7 +35,7 @@ func buildTourist(t *testing.T) *fd.Database {
 
 func TestPublicAPIQuickstart(t *testing.T) {
 	db := buildTourist(t)
-	results, stats, err := fd.FullDisjunction(db, fd.Options{})
+	results, stats, err := drainSets(db, exactQuery(fd.QueryOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 func TestPublicAPIPadding(t *testing.T) {
 	db := buildTourist(t)
-	results, _, err := fd.FullDisjunction(db, fd.Options{})
+	results, _, err := drainSets(db, exactQuery(fd.QueryOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +86,14 @@ func TestPublicAPITopKAndThreshold(t *testing.T) {
 			}
 		}
 	}
-	top, _, err := fd.TopK(db, fd.FMax(), 2, fd.Options{})
+	top, _, err := drain(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(top) != 2 || fd.Format(db, top[0].Set) != "{c1, a1}" {
 		t.Errorf("top-2 = %v", top)
 	}
-	thr, _, err := fd.Threshold(db, fd.FMax(), 4, fd.Options{})
+	thr, _, err := drain(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", RankTau: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +112,16 @@ func TestPublicAPITopKAndThreshold(t *testing.T) {
 }
 
 func TestPublicAPIApprox(t *testing.T) {
-	db, sims := workload.TouristApprox()
-	results, _, err := fd.ApproxFullDisjunction(db, fd.Amin(fd.TableSim(sims)), 0.4)
+	db, _ := workload.TouristApprox()
+	results, _, err := drainSets(db, fd.Query{Mode: fd.ModeApprox, Tau: 0.4, Sim: "levenshtein",
+		Options: fd.QueryOptions{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) == 0 {
 		t.Fatal("approximate FD empty")
 	}
-	// The misspelled c1 re-joins a2/s1 under the table similarities.
+	// The misspelled c1 re-joins a2/s1 under edit similarity.
 	found := false
 	for _, s := range results {
 		if fd.Format(db, s) == "{c1, a2, s1}" {
@@ -134,27 +135,18 @@ func TestPublicAPIApprox(t *testing.T) {
 		}
 		t.Errorf("expected {c1, a2, s1} among approximate results: %v", names)
 	}
-	// Score via the facade.
-	if got := fd.ApproxScore(db, fd.Amin(fd.TableSim(sims)), results[0]); got < 0.4 {
-		t.Errorf("reported result below threshold: %v", got)
-	}
 }
 
 func TestPublicAPIStreamEarlyStop(t *testing.T) {
 	db := buildTourist(t)
-	count := 0
-	if _, err := fd.Stream(db, fd.Options{}, func(*fd.TupleSet) bool {
-		count++
-		return count < 2
-	}); err != nil {
+	got, _, err := drain(db, fd.Query{K: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 2 {
-		t.Errorf("streamed %d", count)
+	if len(got) != 2 {
+		t.Errorf("streamed %d", len(got))
 	}
-	if _, err := fd.ApproxStream(db, fd.Amin(fd.ExactSim()), 0.5, func(*fd.TupleSet) bool {
-		return false
-	}); err != nil {
+	if _, _, err := drain(db, fd.Query{Mode: fd.ModeApprox, Tau: 0.5, Sim: "exact", K: 1}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -67,30 +67,9 @@ type Enumerator struct {
 // the Complete store, and — when a is equi-compatible — candidate-only
 // scans over the equi-join posting index.
 func NewEnumerator(db *relation.Database, seed int, a Join, tau float64, opts core.Options) (*Enumerator, error) {
-	if seed < 0 || seed >= db.NumRelations() {
-		return nil, fmt.Errorf("approx: seed relation %d out of range [0,%d)", seed, db.NumRelations())
-	}
-	if a == nil {
-		return nil, fmt.Errorf("approx: nil approximate join function")
-	}
-	if tau <= 0 || tau > 1 {
-		return nil, fmt.Errorf("approx: threshold %v outside (0,1]", tau)
-	}
-	u := tupleset.NewUniverse(db)
-	e := &Enumerator{u: u, seed: seed, a: a, tau: tau,
-		// Always hash-indexed (pre-Options behaviour): UseIndex governs
-		// the §7 lists of the exact engine, not the dup-check store.
-		complete: core.NewCompleteStore(u, true)}
-	e.scan = core.NewScanner(db, ScanOptions(a, opts), 0, &e.stats)
-	rel := db.Relation(seed)
-	for i := 0; i < rel.Len(); i++ {
-		s := u.Singleton(relation.Ref{Rel: int32(seed), Idx: int32(i)})
-		e.stats.JCCChecks++
-		if a.Score(u, s) >= tau {
-			e.incomplete = append(e.incomplete, s)
-		}
-	}
-	return e, nil
+	// Every tuple is "appended" after index 0, so the delta enumeration
+	// from 0 is the full one.
+	return NewDeltaEnumerator(db, seed, 0, a, tau, opts)
 }
 
 // NewDeltaEnumerator prepares the delta enumeration of an append under
@@ -120,6 +99,8 @@ func NewDeltaEnumerator(db *relation.Database, seed, firstNew int, a Join, tau f
 	}
 	u := tupleset.NewUniverse(db)
 	e := &Enumerator{u: u, seed: seed, a: a, tau: tau, minIdx: int32(firstNew),
+		// Always hash-indexed (pre-Options behaviour): UseIndex governs
+		// the §7 lists of the exact engine, not the dup-check store.
 		complete: core.NewCompleteStore(u, true)}
 	e.scan = core.NewScanner(db, ScanOptions(a, opts), 0, &e.stats)
 	for i := firstNew; i < rel.Len(); i++ {
@@ -156,18 +137,9 @@ func (e *Enumerator) Next() (*tupleset.Set, bool) {
 	return result, true
 }
 
-// Pool abstracts the Incomplete container of APPROXGETNEXTRESULT: the
-// FIFO of Fig 5 or a priority queue for the ranked adaptation the paper
-// sketches at the end of Section 6.
-type Pool interface {
-	// TryAbsorb merges t into a stored set S when A(S ∪ t) ≥ τ
-	// (lines 14–15, starred); anchor is t's seed-relation tuple.
-	TryAbsorb(t *tupleset.Set, anchor relation.Ref, stats *core.Stats) bool
-	// Push appends a new tuple set (line 18).
-	Push(t *tupleset.Set)
-}
-
-// fifoPool adapts Enumerator's slice-backed Incomplete list to Pool.
+// fifoPool adapts Enumerator's slice-backed Incomplete list to
+// core.Pool, merging under the starred predicate A(S ∪ t) ≥ τ of
+// lines 14–15.
 type fifoPool Enumerator
 
 func (p *fifoPool) Push(t *tupleset.Set) { p.incomplete = append(p.incomplete, t) }
@@ -209,7 +181,7 @@ func TryMerge(u *tupleset.Universe, a Join, tau float64, s, t *tupleset.Set, sta
 // scans honour opts (block size, buffer pool, join index gated on a's
 // equi-compatibility).
 func GetNextResult(u *tupleset.Universe, seed int, a Join, tau float64, opts core.Options,
-	T *tupleset.Set, pool Pool, complete *core.CompleteStore, stats *core.Stats) *tupleset.Set {
+	T *tupleset.Set, pool core.Pool, complete *core.CompleteStore, stats *core.Stats) *tupleset.Set {
 	scan := core.NewScanner(u.DB, ScanOptions(a, opts), 0, stats)
 	return getNextResult(u, seed, a, tau, scan, 0, T, pool, complete, stats)
 }
@@ -219,7 +191,7 @@ func GetNextResult(u *tupleset.Universe, seed int, a Join, tau float64, opts cor
 // is dropped at line 9 exactly as one with no seed tuple is. With
 // minIdx = 0 this is APPROXGETNEXTRESULT verbatim.
 func getNextResult(u *tupleset.Universe, seed int, a Join, tau float64, scan *core.Scanner,
-	minIdx int32, T *tupleset.Set, pool Pool, complete *core.CompleteStore, stats *core.Stats) *tupleset.Set {
+	minIdx int32, T *tupleset.Set, pool core.Pool, complete *core.CompleteStore, stats *core.Stats) *tupleset.Set {
 
 	// Lines 2–6 (starred): extend T maximally under A(T ∪ {tg}) ≥ τ.
 	// With the join index (equi-compatible a only) each sweep visits the
@@ -291,161 +263,12 @@ func (e *Enumerator) All() []*tupleset.Set {
 	}
 }
 
-// AFDi computes AFDi(R, A, τ) to completion.
-func AFDi(db *relation.Database, seed int, a Join, tau float64, opts core.Options) ([]*tupleset.Set, core.Stats, error) {
-	e, err := NewEnumerator(db, seed, a, tau, opts)
+// FullDisjunction computes AFD(R, A, τ) to completion on the
+// sequential pass driver.
+func FullDisjunction(db *relation.Database, a Join, tau float64, opts core.Options) ([]*tupleset.Set, core.Stats, error) {
+	c, err := NewCursor(context.Background(), db, a, tau, opts)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	out := e.All()
-	return out, e.Stats(), nil
-}
-
-// Cursor is the pull-based form of Stream: a suspended enumeration of
-// AFD(R, A, τ) producing one result per Next call. The suspended state
-// is explicit — the current per-relation pass and its Enumerator — so a
-// cursor holds no goroutine and abandoning one with Close leaks
-// nothing.
-//
-// A Cursor is not safe for concurrent use.
-type Cursor struct {
-	ctx    context.Context
-	db     *relation.Database
-	a      Join
-	tau    float64
-	opts   core.Options
-	total  core.Stats
-	pass   int
-	e      *Enumerator
-	err    error
-	closed bool
-}
-
-// NewCursor prepares a pull-based enumeration of AFD(R, A, τ). No work
-// happens until the first Next call. Cancelling ctx makes the next
-// step fail promptly: Next returns ok=false within one
-// APPROXGETNEXTRESULT iteration and Err reports ctx.Err(). A nil ctx
-// means context.Background().
-func NewCursor(ctx context.Context, db *relation.Database, a Join, tau float64, opts core.Options) (*Cursor, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if a == nil {
-		return nil, fmt.Errorf("approx: nil approximate join function")
-	}
-	if tau <= 0 || tau > 1 {
-		return nil, fmt.Errorf("approx: threshold %v outside (0,1]", tau)
-	}
-	return &Cursor{ctx: ctx, db: db, a: a, tau: tau, opts: opts}, nil
-}
-
-// Next produces the next member of AFD(R, A, τ), or ok=false when the
-// enumeration is exhausted, closed, cancelled, or failed (check Err).
-// A result is emitted once, by the pass of its minimal relation.
-func (c *Cursor) Next() (*tupleset.Set, bool) {
-	if c.closed || c.err != nil {
-		return nil, false
-	}
-	for {
-		if err := c.ctx.Err(); err != nil {
-			c.err = err
-			return nil, false
-		}
-		if c.e == nil {
-			if c.pass >= c.db.NumRelations() {
-				return nil, false
-			}
-			e, err := NewEnumerator(c.db, c.pass, c.a, c.tau, c.opts)
-			if err != nil {
-				c.err = err
-				return nil, false
-			}
-			c.e = e
-		}
-		t, ok := c.e.Next()
-		if !ok {
-			c.foldPass()
-			c.pass++
-			continue
-		}
-		if minRel(t) != c.pass {
-			continue // already emitted by an earlier pass
-		}
-		c.total.Emitted++
-		return t, true
-	}
-}
-
-// foldPass folds the in-flight enumerator's counters into the total;
-// Emitted is zeroed because the cursor counts emissions itself.
-func (c *Cursor) foldPass() {
-	if c.e == nil {
-		return
-	}
-	s := c.e.Stats()
-	s.Emitted = 0
-	c.total.Add(s)
-	c.e = nil
-}
-
-// Stats returns a snapshot of the counters accumulated so far,
-// including the in-flight pass.
-func (c *Cursor) Stats() core.Stats {
-	s := c.total
-	if c.e != nil {
-		es := c.e.Stats()
-		es.Emitted = 0
-		s.Add(es)
-	}
-	return s
-}
-
-// Err returns the error that terminated the enumeration, if any.
-func (c *Cursor) Err() error { return c.err }
-
-// Close abandons the enumeration; idempotent, leaks nothing.
-func (c *Cursor) Close() {
-	if c.closed {
-		return
-	}
-	c.foldPass()
-	c.closed = true
-}
-
-// Stream computes the whole AFD(R, A, τ) incrementally, yielding each
-// result once (a result is emitted by the pass of its minimal
-// relation). Enumeration stops early when yield returns false. It is
-// the push-style rendering of a Cursor.
-func Stream(db *relation.Database, a Join, tau float64, opts core.Options, yield func(*tupleset.Set) bool) (core.Stats, error) {
-	c, err := NewCursor(context.Background(), db, a, tau, opts)
-	if err != nil {
-		return core.Stats{}, err
-	}
-	defer c.Close()
-	for {
-		t, ok := c.Next()
-		if !ok {
-			return c.Stats(), c.Err()
-		}
-		if !yield(t) {
-			return c.Stats(), nil
-		}
-	}
-}
-
-func minRel(t *tupleset.Set) int {
-	for _, ref := range t.Refs() {
-		return int(ref.Rel)
-	}
-	return -1
-}
-
-// FullDisjunction computes AFD(R, A, τ) to completion.
-func FullDisjunction(db *relation.Database, a Join, tau float64, opts core.Options) ([]*tupleset.Set, core.Stats, error) {
-	var out []*tupleset.Set
-	stats, err := Stream(db, a, tau, opts, func(t *tupleset.Set) bool {
-		out = append(out, t)
-		return true
-	})
-	return out, stats, err
+	return c.Drain()
 }

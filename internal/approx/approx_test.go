@@ -47,6 +47,34 @@ func TestExample61(t *testing.T) {
 	}
 }
 
+// TestFig4FullDisjunction runs the engine on the annotated tourist
+// database of Fig 4: under Amin with the figure's similarities and
+// τ = 0.4, the misspelled c1 re-joins a2 and s1, and every result
+// scores at least τ.
+func TestFig4FullDisjunction(t *testing.T) {
+	db, sims := workload.TouristApprox()
+	u := tupleset.NewUniverse(db)
+	amin := &Amin{S: NewSimTable(sims)}
+	results, _, err := FullDisjunction(db, amin, 0.4, core.Options{UseIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range results {
+		names = append(names, s.Format(db))
+		if got := amin.Score(u, s); got < 0.4 {
+			t.Errorf("%s scores %v, below τ = 0.4", s.Format(db), got)
+		}
+	}
+	found := false
+	for _, n := range names {
+		found = found || n == "{c1, a2, s1}"
+	}
+	if !found {
+		t.Errorf("expected {c1, a2, s1} among approximate results: %v", names)
+	}
+}
+
 // TestDisconnectedScoresZero checks acceptability condition (i) on a
 // database whose schema has two relations with no shared attribute
 // reachable only through a middle relation.

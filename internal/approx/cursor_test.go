@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/relation"
-	"repro/internal/tupleset"
 	"repro/internal/workload"
 )
 
@@ -25,23 +24,33 @@ func cursorDB(t *testing.T) *relation.Database {
 	return db
 }
 
-// TestCursorMatchesStream checks that the pull-based approximate cursor
-// reproduces Stream exactly.
+// TestCursorMatchesStream checks that the approximate cursor
+// reproduces the textbook stream exactly — APPROXINCREMENTALFD(R, i)
+// for every i, keeping the results whose minimal relation is i —
+// results, order and counters.
 func TestCursorMatchesStream(t *testing.T) {
 	db := cursorDB(t)
 	a := &Amin{S: LevenshteinSim{}}
 	const tau = 0.7
+	opts := core.Options{UseIndex: true}
 
 	var want []string
-	wantStats, err := Stream(db, a, tau, core.Options{UseIndex: true}, func(s *tupleset.Set) bool {
-		want = append(want, s.Key())
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+	var wantStats core.Stats
+	for pass := 0; pass < db.NumRelations(); pass++ {
+		e, err := NewEnumerator(db, pass, a, tau, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, ok := e.Next(); ok; s, ok = e.Next() {
+			if first := s.Refs()[0]; int(first.Rel) == pass {
+				want = append(want, s.Key())
+			}
+		}
+		wantStats.Add(e.Stats())
 	}
+	wantStats.Emitted = len(want)
 
-	c, err := NewCursor(context.Background(), db, a, tau, core.Options{UseIndex: true})
+	c, err := NewCursor(context.Background(), db, a, tau, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +66,7 @@ func TestCursorMatchesStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("cursor emitted %d results, Stream %d", len(got), len(want))
+		t.Fatalf("cursor emitted %d results, stream %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
@@ -65,12 +74,12 @@ func TestCursorMatchesStream(t *testing.T) {
 		}
 	}
 	if cs := c.Stats(); cs != wantStats {
-		t.Errorf("cursor stats %+v, Stream stats %+v", cs, wantStats)
+		t.Errorf("cursor stats %+v, stream stats %+v", cs, wantStats)
 	}
 	c.Close()
 }
 
-// TestCursorValidation mirrors the Stream argument checks.
+// TestCursorValidation checks the argument validation of NewCursor.
 func TestCursorValidation(t *testing.T) {
 	db := cursorDB(t)
 	if _, err := NewCursor(context.Background(), db, nil, 0.5, core.Options{}); err == nil {

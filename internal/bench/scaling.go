@@ -92,12 +92,8 @@ func E5TimeToK() (*Table, error) {
 			k = batchSets
 		}
 		var incTime time.Duration
-		count := 0
 		incTime = timeIt(func() {
-			_, err = core.Stream(db, core.Options{UseIndex: true}, func(*tupleset.Set) bool {
-				count++
-				return count < k
-			})
+			_, _, err = runQuery(db, fd.Query{K: k, Options: fd.QueryOptions{UseIndex: true, Workers: 1}})
 		})
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -273,7 +274,7 @@ func TestOutputInvariants(t *testing.T) {
 	}
 }
 
-// TestStreamEarlyStop checks PINC behaviour: stopping the stream after
+// TestStreamEarlyStop checks PINC behaviour: closing the cursor after
 // k results returns k distinct members of the full disjunction without
 // computing the rest.
 func TestStreamEarlyStop(t *testing.T) {
@@ -291,12 +292,18 @@ func TestStreamEarlyStop(t *testing.T) {
 		fullKeys[s.Key()] = true
 	}
 	for _, k := range []int{1, 3, 7, len(full)} {
-		var got []*tupleset.Set
-		_, err := Stream(db, Options{}, func(s *tupleset.Set) bool {
-			got = append(got, s)
-			return len(got) < k
-		})
+		c, err := NewCursor(context.Background(), db, Options{})
 		if err != nil {
+			t.Fatal(err)
+		}
+		var got []*tupleset.Set
+		for s, ok := c.Next(); ok; s, ok = c.Next() {
+			if got = append(got, s); len(got) == k {
+				break
+			}
+		}
+		c.Close()
+		if err := c.Err(); err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != k {

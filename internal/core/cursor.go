@@ -7,31 +7,29 @@ import (
 	"repro/internal/tupleset"
 )
 
-// Cursor is the pull-based form of Stream: a suspended full-disjunction
-// enumeration that produces one result per Next call and can be
-// abandoned at any point with Close. The suspended state is explicit —
-// the current per-relation pass, its Enumerator, and (for the seeded
-// strategies) the store of previously printed results — so a cursor
-// holds no goroutine and abandoning one leaks nothing.
+// Cursor is the sequential pass driver of every unranked family: it
+// walks a task list — the partition ExactLayout(db, 1) or ApproxLayout
+// describes, the same []Task that NewTaskCursor runs on its worker
+// pool — in order, in the caller's goroutine, producing one owned
+// result per Next call. The suspended state is explicit (the current
+// task's enumerator and, for the seeded strategies, the store of
+// previously printed results), so a cursor holds no goroutine and
+// abandoning one with Close leaks nothing.
 //
 // A Cursor is not safe for concurrent use; wrap it (as internal/service
 // does) when several goroutines share one enumeration.
 type Cursor struct {
-	ctx  context.Context
-	u    *tupleset.Universe
-	opts Options
-	// total accumulates the counters of finished passes; the counters
-	// of the in-flight pass live in e until foldPass.
-	total Stats
-	pass  int
-	n     int
-	e     *Enumerator
-	// printed is the cross-pass duplicate filter of the seeded
-	// strategies (nil for the restart strategy, which suppresses
-	// duplicates by minimal relation instead).
-	printed *CompleteStore
-	err     error
-	closed  bool
+	ctx   context.Context
+	tasks []Task
+	next  int            // index of the next task to open
+	e     TaskEnumerator // the in-flight task's enumeration
+	owns  func(*tupleset.Set) bool
+	// total accumulates the counters of finished tasks (plus the work
+	// of the seeded strategies' printed filter); the counters of the
+	// in-flight task live in e until foldTask.
+	total  Stats
+	err    error
+	closed bool
 }
 
 // NewCursor prepares a pull-based enumeration of FD(R) with the
@@ -39,20 +37,54 @@ type Cursor struct {
 // first Next call. Cancelling ctx makes the next step fail promptly:
 // Next returns ok=false within one GetNextResult iteration and Err
 // reports ctx.Err(). A nil ctx means context.Background().
+//
+// The restart strategy runs INCREMENTALFD(R, i) for every i,
+// suppressing results whose minimal relation was handled by an earlier
+// pass (the rule below Corollary 4.7). The §7 seeded/projected
+// strategies scan only Ri..Rn in pass i, seed Incomplete from the
+// previously printed results, and suppress results contained in a
+// printed set.
 func NewCursor(ctx context.Context, db *relation.Database, opts Options) (*Cursor, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	u := tupleset.NewUniverse(db)
-	c := &Cursor{ctx: ctx, u: u, opts: opts, n: db.NumRelations()}
-	switch opts.Strategy {
-	case InitSeeded, InitProjected:
-		c.printed = NewCompleteStore(u, true)
+	if opts.Strategy == InitSingletons {
+		return NewSequentialCursor(ctx, exactTasks(u, opts, 1)), nil
+	}
+	c := NewSequentialCursor(ctx, nil)
+	printed := NewCompleteStore(u, true)
+	for _, m := range ExactLayout(db, 1) {
+		pass := m.Pass
+		c.tasks = append(c.tasks, Task{
+			Label: m.Label,
+			Open: func() (TaskEnumerator, error) {
+				init := seedInit(u, pass, opts, printed, &c.total)
+				return NewSeededEnumerator(u, pass, opts, init, pass)
+			},
+			// The printed filter: a result subsumed by a previously
+			// printed set is suppressed (§7).
+			Owns: func(t *tupleset.Set) bool {
+				anchor, _ := t.Member(pass)
+				if printed.ContainsSuperset(t, anchor, &c.total) {
+					return false
+				}
+				printed.Add(t)
+				return true
+			},
+		})
 	}
 	return c, nil
 }
 
-// Next produces the next member of FD(R), or ok=false when the
+// NewSequentialCursor runs tasks one after another in the caller's
+// goroutine, delivering each result its task owns. A nil ctx means
+// context.Background().
+func NewSequentialCursor(ctx context.Context, tasks []Task) *Cursor {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return &Cursor{ctx: ctx, tasks: tasks}
+}
+
+// Next produces the next owned result, or ok=false when the
 // enumeration is exhausted, closed, or failed (check Err).
 func (c *Cursor) Next() (*tupleset.Set, bool) {
 	if c.closed || c.err != nil {
@@ -67,34 +99,24 @@ func (c *Cursor) Next() (*tupleset.Set, bool) {
 			return nil, false
 		}
 		if c.e == nil {
-			if c.pass >= c.n {
+			if c.next >= len(c.tasks) {
 				return nil, false
 			}
-			e, err := c.passEnumerator()
+			task := c.tasks[c.next]
+			c.next++
+			e, err := task.Open()
 			if err != nil {
 				c.err = err
 				return nil, false
 			}
-			c.e = e
+			c.e, c.owns = e, task.Owns
 		}
 		t, ok := c.e.Next()
 		if !ok {
-			c.foldPass()
-			c.pass++
+			c.foldTask()
 			continue
 		}
-		if c.printed != nil {
-			// Seeded strategies: suppress results subsumed by a
-			// previously printed set (§7).
-			anchor, _ := t.Member(c.pass)
-			if c.printed.ContainsSuperset(t, anchor, &c.total) {
-				continue
-			}
-			c.printed.Add(t)
-		} else if minRelation(t) != c.pass {
-			// Restart strategy: a result belongs to the pass of its
-			// minimal relation (duplicate-avoidance rule below
-			// Corollary 4.7).
+		if !c.owns(t) {
 			continue
 		}
 		c.total.Emitted++
@@ -102,19 +124,10 @@ func (c *Cursor) Next() (*tupleset.Set, bool) {
 	}
 }
 
-// passEnumerator builds the enumerator of the current pass.
-func (c *Cursor) passEnumerator() (*Enumerator, error) {
-	if c.printed == nil {
-		return NewEnumerator(c.u, c.pass, c.opts)
-	}
-	init := seedInit(c.u, c.pass, c.opts, c.printed, &c.total)
-	return NewSeededEnumerator(c.u, c.pass, c.opts, init, c.pass)
-}
-
-// foldPass folds the in-flight enumerator's counters into the total.
-// Emitted is zeroed first: the cursor counts emissions itself (per-pass
-// enumerators also count suppressed duplicates).
-func (c *Cursor) foldPass() {
+// foldTask folds the in-flight enumerator's counters into the total.
+// Emitted is zeroed first: the cursor counts deliveries itself (task
+// enumerators also count results another task owns).
+func (c *Cursor) foldTask() {
 	if c.e == nil {
 		return
 	}
@@ -125,7 +138,7 @@ func (c *Cursor) foldPass() {
 }
 
 // Stats returns a snapshot of the counters accumulated so far,
-// including the in-flight pass.
+// including the in-flight task.
 func (c *Cursor) Stats() Stats {
 	s := c.total
 	if c.e != nil {
@@ -141,12 +154,26 @@ func (c *Cursor) Err() error { return c.err }
 
 // Close abandons the enumeration. It is idempotent; Next returns
 // ok=false afterwards. Closing releases no external resources — the
-// cursor holds only heap state — but folds the in-flight pass so Stats
+// cursor holds only heap state — but folds the in-flight task so Stats
 // stays accurate.
 func (c *Cursor) Close() {
 	if c.closed {
 		return
 	}
-	c.foldPass()
+	c.foldTask()
 	c.closed = true
+}
+
+// Drain pulls the cursor dry and closes it, returning every result with
+// the final counters.
+func (c *Cursor) Drain() ([]*tupleset.Set, Stats, error) {
+	defer c.Close()
+	var out []*tupleset.Set
+	for {
+		t, ok := c.Next()
+		if !ok {
+			return out, c.Stats(), c.Err()
+		}
+		out = append(out, t)
+	}
 }

@@ -21,9 +21,12 @@ func cursorDB(t *testing.T) *relation.Database {
 	return db
 }
 
-// TestCursorMatchesStream checks that the pull-based cursor and the
-// push-based Stream produce identical result sequences and counters for
-// every strategy/index combination.
+// TestCursorMatchesStream checks that the task-walking cursor
+// reproduces the textbook streams exactly — results, order and
+// counters — for every strategy/index combination. The restart stream
+// is INCREMENTALFD(R, i) for every i, keeping the results whose minimal
+// relation is i; the §7 seeded/projected streams seed pass i from the
+// printed results and drop those contained in a printed set.
 func TestCursorMatchesStream(t *testing.T) {
 	db := cursorDB(t)
 	variants := []Options{
@@ -34,14 +37,7 @@ func TestCursorMatchesStream(t *testing.T) {
 		{UseIndex: true, UseJoinIndex: true, Strategy: InitProjected},
 	}
 	for _, opts := range variants {
-		var want []string
-		wantStats, err := Stream(db, opts, func(s *tupleset.Set) bool {
-			want = append(want, s.Key())
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, wantStats := textbookStream(t, db, opts)
 
 		c, err := NewCursor(context.Background(), db, opts)
 		if err != nil {
@@ -60,7 +56,7 @@ func TestCursorMatchesStream(t *testing.T) {
 		}
 		c.Close()
 		if len(got) != len(want) {
-			t.Fatalf("%+v: cursor emitted %d results, Stream %d", opts, len(got), len(want))
+			t.Fatalf("%+v: cursor emitted %d results, stream %d", opts, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
@@ -68,9 +64,51 @@ func TestCursorMatchesStream(t *testing.T) {
 			}
 		}
 		if cs := c.Stats(); cs != wantStats {
-			t.Errorf("%+v: cursor stats %+v, Stream stats %+v", opts, cs, wantStats)
+			t.Errorf("%+v: cursor stats %+v, stream stats %+v", opts, cs, wantStats)
 		}
 	}
+}
+
+// textbookStream runs the per-relation passes directly on enumerators,
+// returning the emitted keys and the summed counters.
+func textbookStream(t *testing.T, db *relation.Database, opts Options) ([]string, Stats) {
+	t.Helper()
+	u := tupleset.NewUniverse(db)
+	var total Stats
+	var printed *CompleteStore
+	if opts.Strategy != InitSingletons {
+		printed = NewCompleteStore(u, true)
+	}
+	var keys []string
+	for pass := 0; pass < db.NumRelations(); pass++ {
+		var e *Enumerator
+		var err error
+		if printed == nil {
+			e, err = NewEnumerator(u, pass, opts)
+		} else {
+			e, err = NewSeededEnumerator(u, pass, opts, seedInit(u, pass, opts, printed, &total), pass)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, ok := e.Next(); ok; s, ok = e.Next() {
+			if printed != nil {
+				anchor, _ := s.Member(pass)
+				if printed.ContainsSuperset(s, anchor, &total) {
+					continue
+				}
+				printed.Add(s)
+			} else if minRelation(s) != pass {
+				continue
+			}
+			keys = append(keys, s.Key())
+		}
+		es := e.Stats()
+		es.Emitted = 0
+		total.Add(es)
+	}
+	total.Emitted = len(keys)
+	return keys, total
 }
 
 // TestCursorCloseMidway checks that an abandoned cursor stops emitting

@@ -20,42 +20,14 @@ func FDi(db *relation.Database, seed int, opts Options) ([]*tupleset.Set, Stats,
 }
 
 // FullDisjunction computes FD(R) = ⋃i FDi(R) without duplicates,
-// using the initialisation strategy selected in opts.
+// using the initialisation strategy selected in opts: it drains a
+// Cursor.
 func FullDisjunction(db *relation.Database, opts Options) ([]*tupleset.Set, Stats, error) {
-	var out []*tupleset.Set
-	stats, err := Stream(db, opts, func(t *tupleset.Set) bool {
-		out = append(out, t)
-		return true
-	})
-	return out, stats, err
-}
-
-// Stream computes FD(R) and hands each result to yield as soon as it is
-// produced — the incremental behaviour that places the problem in PINC
-// (Corollary 4.11). Enumeration stops early when yield returns false.
-//
-// Stream is the push-style rendering of a Cursor: the textbook restart
-// driver (INCREMENTALFD(R, i) for every i, suppressing results whose
-// minimal relation was handled by an earlier pass — the rule below
-// Corollary 4.7) or the §7 seeded/projected drivers (pass i scans only
-// Ri..Rn, seeds Incomplete from previously printed results, and
-// suppresses results contained in a printed set; see DESIGN.md for the
-// correctness argument).
-func Stream(db *relation.Database, opts Options, yield func(*tupleset.Set) bool) (Stats, error) {
 	c, err := NewCursor(context.Background(), db, opts)
 	if err != nil {
-		return Stats{}, err
+		return nil, Stats{}, err
 	}
-	defer c.Close()
-	for {
-		t, ok := c.Next()
-		if !ok {
-			return c.Stats(), c.Err()
-		}
-		if !yield(t) {
-			return c.Stats(), nil
-		}
-	}
+	return c.Drain()
 }
 
 // seedInit builds the initial Incomplete contents for pass i of the

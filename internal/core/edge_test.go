@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 		wantStr := formatAll(db, want)
 		for _, workers := range []int{1, 2, 8} {
-			got, stats, err := ParallelFullDisjunction(db, Options{UseIndex: true}, workers)
+			got, stats, err := parallelFD(db, Options{UseIndex: true}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,10 +160,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestParallelRejectsUnsupportedOptions(t *testing.T) {
 	db := workload.Tourist()
-	if _, _, err := ParallelFullDisjunction(db, Options{Strategy: InitSeeded}, 2); err == nil {
+	if _, _, err := parallelFD(db, Options{Strategy: InitSeeded}, 2); err == nil {
 		t.Error("seeded strategy accepted in parallel mode")
 	}
-	if _, _, err := ParallelFullDisjunction(db, Options{Trace: func(int, *tupleset.Set, []*tupleset.Set, []*tupleset.Set) {}}, 2); err == nil {
+	if _, _, err := parallelFD(db, Options{Trace: func(int, *tupleset.Set, []*tupleset.Set, []*tupleset.Set) {}}, 2); err == nil {
 		t.Error("tracing accepted in parallel mode")
 	}
 }
@@ -220,15 +221,29 @@ func TestBufferPoolIntegration(t *testing.T) {
 	}
 }
 
+// parallelFD drains a parallel cursor over db.
+func parallelFD(db *relation.Database, opts Options, workers int) ([]*tupleset.Set, Stats, error) {
+	c, err := NewParallelCursor(context.Background(), db, opts, workers)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	defer c.Close()
+	var out []*tupleset.Set
+	for t, ok := c.Next(); ok; t, ok = c.Next() {
+		out = append(out, t)
+	}
+	return out, c.Stats(), c.Err()
+}
+
 // TestSortedParallelOutputDeterministic: repeated parallel runs return
-// identical (sorted) output.
+// identical output once sorted.
 func TestSortedParallelOutputDeterministic(t *testing.T) {
 	db, err := workload.Star(workload.Config{
 		Relations: 4, TuplesPerRelation: 8, Domain: 3, NullRate: 0.1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, _, err := ParallelFullDisjunction(db, Options{UseIndex: true}, 4)
+	first, _, err := parallelFD(db, Options{UseIndex: true}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +252,7 @@ func TestSortedParallelOutputDeterministic(t *testing.T) {
 		t.Error("helper output not sorted") // formatAll sorts; sanity
 	}
 	for trial := 0; trial < 3; trial++ {
-		again, _, err := ParallelFullDisjunction(db, Options{UseIndex: true}, 4)
+		again, _, err := parallelFD(db, Options{UseIndex: true}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,15 +37,9 @@ type Enumerator struct {
 // initialisation (Fig 1 lines 1–4): Incomplete holds {t} for every
 // tuple t of the seed relation.
 func NewEnumerator(u *tupleset.Universe, seed int, opts Options) (*Enumerator, error) {
-	e, err := newBareEnumerator(u, seed, opts, 0)
-	if err != nil {
-		return nil, err
-	}
-	rel := u.DB.Relation(seed)
-	for i := 0; i < rel.Len(); i++ {
-		e.incomplete.Push(u.Singleton(relation.Ref{Rel: int32(seed), Idx: int32(i)}))
-	}
-	return e, nil
+	// Every tuple is "appended" after index 0, so the delta enumeration
+	// from 0 is the full one.
+	return NewDeltaEnumerator(u, seed, 0, opts)
 }
 
 // NewSeededEnumerator prepares an enumeration whose Incomplete list is

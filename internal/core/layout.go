@@ -4,15 +4,16 @@ import (
 	"fmt"
 
 	"repro/internal/relation"
+	"repro/internal/tupleset"
 )
 
 // TaskMeta describes one planned task of a partitioned enumeration:
 // the per-relation pass it belongs to, the block of seed singletons it
 // is seeded with ([SeedLo, SeedHi) within the pass relation), and its
-// observability label. It is the plan-time shape of a Task: exactTasks
-// and approx.NewParallelCursor build their Task lists from these
-// layouts and fd.Explain reports them, so a plan's task partition
-// cannot drift from what execution runs.
+// observability label. It is the plan-time shape of a Task: LayoutTasks
+// turns these layouts into the Task lists execution runs and
+// fd.Explain reports them, so a plan's task partition cannot drift
+// from what execution runs.
 type TaskMeta struct {
 	// Pass is the seed relation of the per-relation pass.
 	Pass int `json:"pass"`
@@ -77,7 +78,7 @@ func ExactLayout(db *relation.Database, workers int) []TaskMeta {
 // ApproxLayout computes the task partition a parallel approximate
 // enumeration runs with: one task per per-relation pass (passes are
 // never block-split — the approximate walk has no seeded enumerator to
-// restrict, see approx.NewParallelCursor).
+// restrict).
 func ApproxLayout(db *relation.Database) []TaskMeta {
 	layout := make([]TaskMeta, db.NumRelations())
 	for pass := range layout {
@@ -89,4 +90,27 @@ func ApproxLayout(db *relation.Database) []TaskMeta {
 		}
 	}
 	return layout
+}
+
+// LayoutTasks attaches executable closures to a layout: open starts
+// the enumeration of one planned task, and ownership follows the
+// duplicate-avoidance rule below Corollary 4.7 refined to blocks — a
+// result belongs to the pass of its minimal relation and, within that
+// pass, to the block containing its seed-relation member.
+func LayoutTasks(layout []TaskMeta, open func(TaskMeta) (TaskEnumerator, error)) []Task {
+	tasks := make([]Task, len(layout))
+	for i, m := range layout {
+		tasks[i] = Task{
+			Label: m.Label,
+			Open:  func() (TaskEnumerator, error) { return open(m) },
+			Owns: func(t *tupleset.Set) bool {
+				if minRelation(t) != m.Pass {
+					return false
+				}
+				mem, ok := t.Member(m.Pass)
+				return ok && int(mem.Idx) >= m.SeedLo && int(mem.Idx) < m.SeedHi
+			},
+		}
+	}
+	return tasks
 }

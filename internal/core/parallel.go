@@ -47,7 +47,10 @@ type Task struct {
 	// Owns reports whether this task is the unique owner of a result
 	// it produced. Partitions overlap (a task can produce results
 	// seeded outside its block); exactly one task owns each result, so
-	// the merged stream carries no duplicates.
+	// the merged stream carries no duplicates. Owns sees each produced
+	// result once, in production order, so a task list only the
+	// sequential Cursor runs may keep state in it (the seeded
+	// strategies' printed filter).
 	Owns func(*tupleset.Set) bool
 	// Label names the task in observability output ("pass 2",
 	// "pass 0 block 1/4", "approx pass 3"…). Optional.
@@ -274,31 +277,15 @@ const minTaskSeeds = 8
 // of relations, per block of seed singletons within a pass, so one
 // skewed relation doesn't serialise the run. The partition itself
 // comes from ExactLayout — the same layout fd.Explain reports — and
-// this function only attaches the executable Open/Owns closures.
+// each task seeds Incomplete with the singletons of its block.
 func exactTasks(u *tupleset.Universe, opts Options, workers int) []Task {
-	layout := ExactLayout(u.DB, workers)
-	tasks := make([]Task, 0, len(layout))
-	for _, m := range layout {
-		m := m
-		tasks = append(tasks, Task{
-			Label: m.Label,
-			Open: func() (TaskEnumerator, error) {
-				init := make([]*tupleset.Set, 0, m.Seeds())
-				for i := m.SeedLo; i < m.SeedHi; i++ {
-					init = append(init, u.Singleton(relation.Ref{Rel: int32(m.Pass), Idx: int32(i)}))
-				}
-				return NewSeededEnumerator(u, m.Pass, opts, init, 0)
-			},
-			Owns: func(t *tupleset.Set) bool {
-				if minRelation(t) != m.Pass {
-					return false
-				}
-				mem, ok := t.Member(m.Pass)
-				return ok && int(mem.Idx) >= m.SeedLo && int(mem.Idx) < m.SeedHi
-			},
-		})
-	}
-	return tasks
+	return LayoutTasks(ExactLayout(u.DB, workers), func(m TaskMeta) (TaskEnumerator, error) {
+		init := make([]*tupleset.Set, 0, m.Seeds())
+		for i := m.SeedLo; i < m.SeedHi; i++ {
+			init = append(init, u.Singleton(relation.Ref{Rel: int32(m.Pass), Idx: int32(i)}))
+		}
+		return NewSeededEnumerator(u, m.Pass, opts, init, 0)
+	})
 }
 
 // NewParallelCursor starts a parallel streaming enumeration of FD(R)
@@ -323,32 +310,4 @@ func NewParallelCursor(ctx context.Context, db *relation.Database, opts Options,
 	}
 	u := tupleset.NewUniverse(db)
 	return NewTaskCursor(ctx, exactTasks(u, opts, workers), workers, opts.TaskObserver), nil
-}
-
-// ParallelFullDisjunction computes FD(R) on a bounded worker pool and
-// returns the results sorted by their canonical keys, so the output is
-// deterministic and set-identical to the sequential driver.
-//
-// Deprecated: this is the batch form of the streaming executor; use
-// NewParallelCursor, or fd.Open with QueryOptions.Workers, which
-// streams results as they merge instead of materialising the batch.
-func ParallelFullDisjunction(db *relation.Database, opts Options, workers int) ([]*tupleset.Set, Stats, error) {
-	c, err := NewParallelCursor(context.Background(), db, opts, workers)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer c.Close()
-	var out []*tupleset.Set
-	for {
-		t, ok := c.Next()
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	if err := c.Err(); err != nil {
-		return nil, c.Stats(), err
-	}
-	tupleset.SortSets(db, out)
-	return out, c.Stats(), nil
 }

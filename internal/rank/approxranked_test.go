@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -29,13 +30,7 @@ func TestApproxRankedMatchesBruteForce(t *testing.T) {
 		amin := &approx.Amin{S: approx.LevenshteinSim{}}
 		f := FMax{}
 		for _, tau := range []float64{0.4, 0.7} {
-			var got []Result
-			if _, err := ApproxStreamRanked(db, amin, tau, f, core.Options{UseIndex: true}, func(r Result) bool {
-				got = append(got, r)
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
+			got := collect(t, newApproxRanked(t, db, amin, tau, f), 0, 0)
 			want := naive.ApproxFullDisjunction(db, func(s *tupleset.Set) float64 {
 				return amin.Score(u, s)
 			}, tau)
@@ -85,10 +80,7 @@ func TestApproxTopKAndThreshold(t *testing.T) {
 	}
 	amin := &approx.Amin{S: approx.NewSimTable(sims)}
 
-	top, _, err := ApproxTopK(db, amin, 0.4, FMax{}, 2, core.Options{UseIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := collect(t, newApproxRanked(t, db, amin, 0.4, FMax{}), 2, 0)
 	if len(top) != 2 {
 		t.Fatalf("top-2 returned %d", len(top))
 	}
@@ -101,9 +93,9 @@ func TestApproxTopKAndThreshold(t *testing.T) {
 		t.Errorf("top rank = %v, want 4", top[0].Rank)
 	}
 
-	thr, _, err := ApproxThreshold(db, amin, 0.4, 3, FMax{}, core.Options{UseIndex: true})
-	if err != nil {
-		t.Fatal(err)
+	thr := collect(t, newApproxRanked(t, db, amin, 0.4, FMax{}), 0, 3)
+	if len(thr) == 0 {
+		t.Error("threshold 3 returned nothing")
 	}
 	for _, r := range thr {
 		if r.Rank < 3 {
@@ -112,19 +104,25 @@ func TestApproxTopKAndThreshold(t *testing.T) {
 	}
 
 	// Validation paths.
-	if _, _, err := ApproxTopK(db, amin, 0, FMax{}, 1, core.Options{UseIndex: true}); err == nil {
+	ctx := context.Background()
+	if _, err := NewApproxCursor(ctx, db, amin, 0, FMax{}, core.Options{UseIndex: true}); err == nil {
 		t.Error("τ=0 accepted")
 	}
-	if _, _, err := ApproxTopK(db, nil, 0.5, FMax{}, 1, core.Options{UseIndex: true}); err == nil {
+	if _, err := NewApproxCursor(ctx, db, nil, 0.5, FMax{}, core.Options{UseIndex: true}); err == nil {
 		t.Error("nil join accepted")
 	}
-	if _, _, err := ApproxTopK(db, amin, 0.5, FSum{}, 1, core.Options{UseIndex: true}); err == nil {
+	if _, err := NewApproxCursor(ctx, db, amin, 0.5, FSum{}, core.Options{UseIndex: true}); err == nil {
 		t.Error("fsum accepted")
 	}
-	if got, _, err := ApproxTopK(db, amin, 0.5, FMax{}, 0, core.Options{UseIndex: true}); err != nil || len(got) != 0 {
-		t.Error("k=0 misbehaves")
+}
+
+// newApproxRanked opens a ranked approximate cursor with the hash
+// index on, failing the test on error.
+func newApproxRanked(t *testing.T, db *relation.Database, a approx.Join, tau float64, f Func) *Cursor {
+	t.Helper()
+	c, err := NewApproxCursor(context.Background(), db, a, tau, f, core.Options{UseIndex: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := ApproxTopK(db, amin, 0.5, FMax{}, -1, core.Options{UseIndex: true}); err == nil {
-		t.Error("negative k accepted")
-	}
+	return c
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/relation"
 	"repro/internal/workload"
@@ -22,53 +23,30 @@ func cursorDB(t *testing.T) *relation.Database {
 	return db
 }
 
-// TestCursorMatchesStreamRanked checks that the pull-based ranked
-// cursor reproduces StreamRanked exactly: same sets, same ranks, same
-// order, same counters.
+// TestCursorMatchesStreamRanked checks that the two configurations of
+// the ranked cursor agree where their join predicates do: under the
+// exact similarity at τ = 1, A(T) ≥ τ holds exactly for the JCC sets,
+// so the approximate stream must reproduce the exact ranked stream —
+// same sets, same ranks, same order.
 func TestCursorMatchesStreamRanked(t *testing.T) {
 	db := cursorDB(t)
 	for _, f := range []Func{FMax{}, PairSum()} {
 		opts := core.Options{UseIndex: true}
-		var want []Result
-		wantStats, err := StreamRanked(db, f, opts, func(r Result) bool {
-			want = append(want, r)
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		c, err := NewCursor(context.Background(), db, f, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Result
-		for {
-			r, ok := c.Next()
-			if !ok {
-				break
-			}
-			got = append(got, r)
-		}
-		if err := c.Err(); err != nil {
-			t.Fatal(err)
-		}
+		want := collect(t, newRanked(t, db, f, opts), 0, 0)
+		got := collect(t, newApproxRanked(t, db, &approx.Amin{S: approx.ExactSim{}}, 1, f), 0, 0)
 		if len(got) != len(want) {
-			t.Fatalf("%s: cursor emitted %d, StreamRanked %d", f.Name(), len(got), len(want))
+			t.Fatalf("%s: approx cursor emitted %d, exact cursor %d", f.Name(), len(got), len(want))
 		}
 		for i := range got {
 			if got[i].Rank != want[i].Rank || got[i].Set.Key() != want[i].Set.Key() {
 				t.Fatalf("%s: sequence diverges at %d", f.Name(), i)
 			}
 		}
-		if cs := c.Stats(); cs != wantStats {
-			t.Errorf("%s: cursor stats %+v, StreamRanked stats %+v", f.Name(), cs, wantStats)
-		}
-		c.Close()
 	}
 }
 
-// TestCursorRejectsNonDetermined mirrors the StreamRanked validation.
+// TestCursorRejectsNonDetermined checks that a ranking function which is
+// not c-determined is refused.
 func TestCursorRejectsNonDetermined(t *testing.T) {
 	if _, err := NewCursor(context.Background(), cursorDB(t), FSum{}, core.Options{}); err == nil {
 		t.Fatal("NewCursor accepted a non-c-determined function")

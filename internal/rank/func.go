@@ -1,9 +1,10 @@
 // Package rank implements Section 5 of Cohen & Sagiv 2007: ranking
 // functions over tuple sets, the monotonically c-determined class, and
 // PRIORITYINCREMENTALFD (Fig 3), which returns the answers of a full
-// disjunction in ranking order — solving the top-(k,f) full-disjunction
-// problem in polynomial time in the input and k (Theorem 5.5) — plus
-// the (τ,f)-threshold variant of Remark 5.6.
+// disjunction in ranking order. A prefix of k results solves the
+// top-(k,f) full-disjunction problem in polynomial time in the input
+// and k (Theorem 5.5), and stopping at the first result below τ the
+// (τ,f)-threshold variant of Remark 5.6; fd.Open enforces both bounds.
 package rank
 
 import (

@@ -65,22 +65,18 @@ type priorityQueue struct {
 
 var _ core.Pool = (*priorityQueue)(nil)
 
-func newPriorityQueue(u *tupleset.Universe, seed int, f Func) *priorityQueue {
-	q := &priorityQueue{u: u, seed: seed, f: f}
-	q.merge = func(existing, incoming *tupleset.Set, stats *core.Stats) (*tupleset.Set, bool) {
+// jccMerge is the merge of Fig 3: S ∪ T' when the union is JCC.
+func jccMerge(u *tupleset.Universe) mergeFunc {
+	return func(existing, incoming *tupleset.Set, stats *core.Stats) (*tupleset.Set, bool) {
 		stats.JCCChecks++
 		var sig tupleset.SigCounters
 		defer stats.AddSig(&sig)
-		if q.u.UnionJCCCounted(existing, incoming, &sig) {
-			return q.u.Union(existing, incoming), true
+		if u.UnionJCCCounted(existing, incoming, &sig) {
+			return u.Union(existing, incoming), true
 		}
 		return nil, false
 	}
-	return q
 }
-
-// Len returns the number of queued sets.
-func (q *priorityQueue) Len() int { return len(q.h) }
 
 // Push implements core.Pool (line 18): insert a tuple set with its
 // rank.
@@ -103,12 +99,6 @@ func (q *priorityQueue) PopSet() (*tupleset.Set, bool) {
 	}
 	return heap.Pop(&q.h).(*item).set, true
 }
-
-// Items exposes the queued sets (for the initialisation merge loop).
-func (q *priorityQueue) Items() []*item { return q.h }
-
-// RemoveAt deletes the item at heap position pos.
-func (q *priorityQueue) RemoveAt(pos int) { heap.Remove(&q.h, pos) }
 
 // ReplaceSet swaps the tuple set of an item and re-heapifies.
 func (q *priorityQueue) ReplaceSet(it *item, s *tupleset.Set) {

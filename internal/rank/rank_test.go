@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -11,6 +12,36 @@ import (
 	"repro/internal/tupleset"
 	"repro/internal/workload"
 )
+
+// newRanked opens an exact ranked cursor, failing the test on error.
+func newRanked(t *testing.T, db *relation.Database, f Func, opts core.Options) *Cursor {
+	t.Helper()
+	c, err := NewCursor(context.Background(), db, f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// collect pulls c's rank-ordered results and closes it: at most k of
+// them when k > 0 (the top-(k,f) problem), stopping at the first one
+// ranked below tau (the (τ,f)-threshold problem, Remark 5.6).
+func collect(t *testing.T, c *Cursor, k int, tau float64) []Result {
+	t.Helper()
+	defer c.Close()
+	var out []Result
+	for k <= 0 || len(out) < k {
+		r, ok := c.Next()
+		if !ok || r.Rank < tau {
+			break
+		}
+		out = append(out, r)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func TestFMaxAndFSum(t *testing.T) {
 	db := workload.TouristRanked()
@@ -65,10 +96,7 @@ func TestMaxOverConnectedMonotone(t *testing.T) {
 // the Bahamas result first.
 func TestRankedOrderTourist(t *testing.T) {
 	db := workload.TouristRanked()
-	got, _, err := TopK(db, FMax{}, 6, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collect(t, newRanked(t, db, FMax{}, core.Options{}), 6, 0)
 	if len(got) != 6 {
 		t.Fatalf("got %d results", len(got))
 	}
@@ -98,10 +126,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 		for _, f := range []Func{FMax{}, PairSum(), PaperTriple()} {
 			rankOf := func(s *tupleset.Set) float64 { return f.Rank(u, s) }
 			for _, k := range []int{1, 3, 100} {
-				got, _, err := TopK(db, f, k, core.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := collect(t, newRanked(t, db, f, core.Options{}), k, 0)
 				want := naive.TopK(db, rankOf, k)
 				if len(got) != len(want) {
 					t.Fatalf("seed %d %s k=%d: got %d results, oracle %d",
@@ -130,12 +155,8 @@ func TestRankedStreamIsWholeFD(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	_, err = StreamRanked(db, PairSum(), core.Options{}, func(r Result) bool {
+	for _, r := range collect(t, newRanked(t, db, PairSum(), core.Options{}), 0, 0) {
 		got = append(got, r.Set.Format(db))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	var want []string
 	for _, s := range naive.FullDisjunction(db) {
@@ -155,10 +176,7 @@ func TestRankedStreamIsWholeFD(t *testing.T) {
 
 func TestThreshold(t *testing.T) {
 	db := workload.TouristRanked()
-	got, _, err := Threshold(db, FMax{}, 3, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collect(t, newRanked(t, db, FMax{}, core.Options{}), 0, 3)
 	// Results with fmax ≥ 3: {c1,a1} (4), {c1,a2,s1} (3), {c3,a3} (3).
 	if len(got) != 3 {
 		var names []string
@@ -173,10 +191,7 @@ func TestThreshold(t *testing.T) {
 		}
 	}
 	// τ above every rank: nothing.
-	none, _, err := Threshold(db, FMax{}, 100, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	none := collect(t, newRanked(t, db, FMax{}, core.Options{}), 0, 100)
 	if len(none) != 0 {
 		t.Errorf("τ=100 returned %d results", len(none))
 	}
@@ -184,20 +199,14 @@ func TestThreshold(t *testing.T) {
 
 func TestTopKEdgeCases(t *testing.T) {
 	db := workload.TouristRanked()
-	if got, _, err := TopK(db, FMax{}, 0, core.Options{}); err != nil || len(got) != 0 {
-		t.Errorf("k=0: %v, %v", got, err)
+	if got := collect(t, newRanked(t, db, FMax{}, core.Options{}), 1, 0); len(got) != 1 {
+		t.Errorf("k=1 returned %d", len(got))
 	}
-	if _, _, err := TopK(db, FMax{}, -1, core.Options{}); err == nil {
-		t.Error("negative k accepted")
-	}
-	if _, _, err := TopK(db, FSum{}, 1, core.Options{}); err == nil {
+	if _, err := NewCursor(context.Background(), db, FSum{}, core.Options{}); err == nil {
 		t.Error("fsum accepted by ranked enumeration")
 	}
 	// k beyond |FD|: all six results.
-	got, _, err := TopK(db, FMax{}, 50, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collect(t, newRanked(t, db, FMax{}, core.Options{}), 50, 0)
 	if len(got) != 6 {
 		t.Errorf("k=50 returned %d", len(got))
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/naive"
 	"repro/internal/relation"
@@ -16,26 +17,31 @@ type Result struct {
 	Rank float64
 }
 
-// Cursor is the pull-based form of StreamRanked: a suspended
-// PRIORITYINCREMENTALFD enumeration producing one result per Next call,
-// in non-increasing rank order. The suspended state is explicit (the
-// per-relation priority queues and the Complete store), so a cursor
-// holds no goroutine and abandoning one with Close leaks nothing.
+// Cursor is a suspended PRIORITYINCREMENTALFD enumeration (Fig 3)
+// producing one result per Next call, in non-increasing rank order.
+// The same cursor runs the ranked approximate adaptation the paper
+// sketches at the end of Section 6: the two differ only in the join
+// predicate — JCC or A(T) ≥ τ — which selects the small seed sets, the
+// queue merge and the GETNEXTRESULT each extraction runs. The
+// suspended state is explicit (the per-relation priority queues and
+// the Complete store), so a cursor holds no goroutine and abandoning
+// one with Close leaks nothing.
 //
 // A Cursor is not safe for concurrent use.
 type Cursor struct {
 	ctx      context.Context
 	u        *tupleset.Universe
 	f        Func
-	opts     core.Options
 	queues   []*priorityQueue
 	complete *core.CompleteStore
-	stats    core.Stats
-	err      error
-	closed   bool
+	// step is GETNEXTRESULT for a set T popped from queue seed.
+	step   func(seed int, T *tupleset.Set) *tupleset.Set
+	stats  core.Stats
+	err    error
+	closed bool
 }
 
-// NewCursor prepares a pull-based ranked enumeration. The Fig 3
+// NewCursor prepares a ranked enumeration of FD(R). The Fig 3
 // initialisation (lines 1–8: enumerate the JCC connected tuple sets of
 // size ≤ c and merge each queue to a fixpoint) happens here, so the
 // constructor carries the polynomial preprocessing cost of Lemma 5.3
@@ -44,21 +50,71 @@ type Cursor struct {
 // within one queue extraction with Err() == ctx.Err(). A nil ctx means
 // context.Background().
 func NewCursor(ctx context.Context, db *relation.Database, f Func, opts core.Options) (*Cursor, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := Validate(f); err != nil {
 		return nil, err
 	}
-	u := tupleset.NewUniverse(db)
-	n := db.NumRelations()
-	c := f.C()
-	cur := &Cursor{ctx: ctx, u: u, f: f, opts: opts}
+	c := newCursor(ctx, db, f)
+	c.step = func(seed int, T *tupleset.Set) *tupleset.Set {
+		return core.GetNextResult(c.u, seed, opts, 0, T, c.queues[seed], c.complete, &c.stats)
+	}
+	if err := c.init(func(s *tupleset.Set) bool { return c.u.JCC(s) }, jccMerge(c.u)); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
 
-	// Lines 1–4: enumerate every JCC connected tuple set of size ≤ c
-	// and distribute it to the queue of each relation it touches.
-	small := naive.EnumerateConnected(u, func(s *tupleset.Set) bool {
-		return s.Len() <= c && u.JCC(s)
+// NewApproxCursor prepares a ranked enumeration of AFD(R, A, τ). The
+// initialisation enumerates the connected tuple sets of size ≤ c with
+// A(S) ≥ τ (valid because A is acceptable, so qualifying sets are
+// closed under connected subsets) and merges queue pairs under the
+// A-threshold predicate. Database scans honour opts (block size,
+// buffer pool, join index gated on a's equi-compatibility).
+func NewApproxCursor(ctx context.Context, db *relation.Database, a approx.Join, tau float64,
+	f Func, opts core.Options) (*Cursor, error) {
+	if err := Validate(f); err != nil {
+		return nil, err
+	}
+	if a == nil {
+		return nil, fmt.Errorf("rank: nil approximate join function")
+	}
+	if tau <= 0 || tau > 1 {
+		return nil, fmt.Errorf("rank: threshold %v outside (0,1]", tau)
+	}
+	c := newCursor(ctx, db, f)
+	c.step = func(seed int, T *tupleset.Set) *tupleset.Set {
+		return approx.GetNextResult(c.u, seed, a, tau, opts, T, c.queues[seed], c.complete, &c.stats)
+	}
+	merge := func(existing, incoming *tupleset.Set, st *core.Stats) (*tupleset.Set, bool) {
+		return approx.TryMerge(c.u, a, tau, existing, incoming, st)
+	}
+	if err := c.init(func(s *tupleset.Set) bool { return a.Score(c.u, s) >= tau }, merge); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+func newCursor(ctx context.Context, db *relation.Database, f Func) *Cursor {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	u := tupleset.NewUniverse(db)
+	// The duplicate-check store is always hash-indexed: UseIndex governs
+	// the §7 lists of the exact engine, not this internal structure, and
+	// an unindexed store degrades every emission to a linear
+	// ContainsSuperset scan.
+	return &Cursor{ctx: ctx, u: u, f: f, complete: core.NewCompleteStore(u, true)}
+}
+
+// init runs Fig 3 lines 1–8. Lines 1–4 enumerate every connected tuple
+// set of size ≤ c satisfying the join predicate qualifies and
+// distribute it to the queue of each relation it touches; lines 5–8
+// merge each queue to a fixpoint under merge, establishing
+// initialisation condition (iii) of Lemma 5.2. The queues keep merge
+// for the absorb step of lines 14–15.
+func (c *Cursor) init(qualifies func(*tupleset.Set) bool, merge mergeFunc) error {
+	n, k := c.u.DB.NumRelations(), c.f.C()
+	small := naive.EnumerateConnected(c.u, func(s *tupleset.Set) bool {
+		return s.Len() <= k && qualifies(s)
 	})
 	perSeed := make([][]*tupleset.Set, n)
 	for _, s := range small {
@@ -66,33 +122,25 @@ func NewCursor(ctx context.Context, db *relation.Database, f Func, opts core.Opt
 			perSeed[ref.Rel] = append(perSeed[ref.Rel], s.Clone())
 		}
 	}
-
-	// Lines 5–8: merge mergeable pairs within each queue to a fixpoint,
-	// establishing initialisation condition (iii) of Lemma 5.2.
-	cur.queues = make([]*priorityQueue, n)
+	c.queues = make([]*priorityQueue, n)
 	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if err := c.ctx.Err(); err != nil {
+			return err
 		}
-		merged := mergeFixpoint(u, perSeed[i], &cur.stats)
-		cur.queues[i] = newPriorityQueue(u, i, f)
-		for _, s := range merged {
-			cur.queues[i].Push(s)
+		q := &priorityQueue{u: c.u, seed: i, f: c.f, merge: merge}
+		for _, s := range mergeFixpoint(perSeed[i], merge, &c.stats) {
+			q.Push(s)
 		}
+		c.queues[i] = q
 	}
-	// The duplicate-check store is always hash-indexed (as it was before
-	// Options reached this family): UseIndex governs the §7 lists of the
-	// exact engine, not this internal structure, and an unindexed store
-	// degrades every emission to a linear ContainsSuperset scan.
-	cur.complete = core.NewCompleteStore(u, true)
-	return cur, nil
+	return nil
 }
 
 // Next produces the next result in rank order, or ok=false when the
-// enumeration is exhausted, closed, or failed (check Err). It performs
-// one iteration of Fig 3 lines 9–18: extract from the queue whose top
-// ranks highest, extend it to a result, and emit it unless it was
-// already printed via another queue.
+// enumeration is exhausted, closed, cancelled, or failed (check Err).
+// It performs one iteration of Fig 3 lines 9–18: extract from the
+// queue whose top ranks highest, extend it to a result, and emit it
+// unless it was already printed via another queue.
 func (c *Cursor) Next() (Result, bool) {
 	if c.closed || c.err != nil {
 		return Result{}, false
@@ -117,10 +165,10 @@ func (c *Cursor) Next() (Result, bool) {
 			}
 		}
 		if best < 0 {
-			return Result{}, false // all queues empty: FD exhausted
+			return Result{}, false // all queues empty: enumeration exhausted
 		}
 		T, _ := c.queues[best].PopSet()
-		result := core.GetNextResult(c.u, best, c.opts, 0, T, c.queues[best], c.complete, &c.stats)
+		result := c.step(best, T)
 		c.stats.Iterations++
 		anchor, ok := result.Member(best)
 		if !ok {
@@ -145,44 +193,17 @@ func (c *Cursor) Err() error { return c.err }
 // Close abandons the enumeration; idempotent, leaks nothing.
 func (c *Cursor) Close() { c.closed = true }
 
-// StreamRanked implements PRIORITYINCREMENTALFD (Fig 3): it yields the
-// tuple sets of FD(R) in non-increasing rank order under the
-// monotonically c-determined ranking function f, stopping early when
-// yield returns false. Lemma 5.4 guarantees the order; Lemma 5.3
-// guarantees that the first k results cost time polynomial in the input
-// and k. It is the push-style rendering of a Cursor.
-func StreamRanked(db *relation.Database, f Func, opts core.Options, yield func(Result) bool) (core.Stats, error) {
-	c, err := NewCursor(context.Background(), db, f, opts)
-	if err != nil {
-		return core.Stats{}, err
-	}
-	defer c.Close()
-	for {
-		r, ok := c.Next()
-		if !ok {
-			return c.Stats(), c.Err()
-		}
-		if !yield(r) {
-			return c.Stats(), nil
-		}
-	}
-}
-
 // mergeFixpoint repeatedly replaces mergeable pairs by their union
 // until no pair can merge (Fig 3, lines 5–8). Containment pairs merge
 // too (the union is the larger set), so the result is containment-free.
-func mergeFixpoint(u *tupleset.Universe, sets []*tupleset.Set, stats *core.Stats) []*tupleset.Set {
-	var sig tupleset.SigCounters
-	defer stats.AddSig(&sig)
+func mergeFixpoint(sets []*tupleset.Set, merge mergeFunc, stats *core.Stats) []*tupleset.Set {
 	out := append([]*tupleset.Set(nil), sets...)
 	for {
 		merged := false
 	scan:
 		for i := 0; i < len(out); i++ {
 			for j := i + 1; j < len(out); j++ {
-				stats.JCCChecks++
-				if u.UnionJCCCounted(out[i], out[j], &sig) {
-					union := u.Union(out[i], out[j])
+				if union, ok := merge(out[i], out[j], stats); ok {
 					out[i] = union
 					out = append(out[:j], out[j+1:]...)
 					merged = true
@@ -194,37 +215,4 @@ func mergeFixpoint(u *tupleset.Universe, sets []*tupleset.Set, stats *core.Stats
 			return out
 		}
 	}
-}
-
-// TopK solves the top-(k,f) full-disjunction problem (Theorem 5.5):
-// the k highest-ranking tuple sets of FD(R), in rank order.
-func TopK(db *relation.Database, f Func, k int, opts core.Options) ([]Result, core.Stats, error) {
-	if k < 0 {
-		return nil, core.Stats{}, fmt.Errorf("rank: negative k")
-	}
-	if k == 0 {
-		return nil, core.Stats{}, nil
-	}
-	var out []Result
-	stats, err := StreamRanked(db, f, opts, func(r Result) bool {
-		out = append(out, r)
-		return len(out) < k
-	})
-	return out, stats, err
-}
-
-// Threshold solves the (τ,f)-threshold full-disjunction problem
-// (Remark 5.6): every tuple set T of FD(R) with f(T) ≥ τ, in rank
-// order. Because results stream in non-increasing rank order, the
-// enumeration stops at the first result below the threshold.
-func Threshold(db *relation.Database, f Func, tau float64, opts core.Options) ([]Result, core.Stats, error) {
-	var out []Result
-	stats, err := StreamRanked(db, f, opts, func(r Result) bool {
-		if r.Rank < tau {
-			return false
-		}
-		out = append(out, r)
-		return true
-	})
-	return out, stats, err
 }

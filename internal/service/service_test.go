@@ -106,18 +106,29 @@ func TestPagingMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestRankedPagingOrder checks that ranked pages arrive in the same
-// order as StreamRanked, ranks included.
-func TestRankedPagingOrder(t *testing.T) {
-	db := testDB(t, "star", 13)
-	var want []rank.Result
-	if _, err := rank.StreamRanked(db, rank.FMax{}, core.Options{UseIndex: true},
-		func(r rank.Result) bool {
-			want = append(want, r)
-			return true
-		}); err != nil {
+// rankedDrain pulls a ranked engine cursor dry.
+func rankedDrain(t *testing.T, c *rank.Cursor, err error) []rank.Result {
+	t.Helper()
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
+	var out []rank.Result
+	for r, ok := c.Next(); ok; r, ok = c.Next() {
+		out = append(out, r)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRankedPagingOrder checks that ranked pages arrive in the same
+// order as the ranked engine cursor emits them, ranks included.
+func TestRankedPagingOrder(t *testing.T) {
+	db := testDB(t, "star", 13)
+	c, err := rank.NewCursor(context.Background(), db, rank.FMax{}, core.Options{UseIndex: true})
+	want := rankedDrain(t, c, err)
 
 	svc := New(Config{})
 	defer svc.Close()
@@ -657,9 +668,9 @@ func TestPadAcrossUniverses(t *testing.T) {
 	}
 }
 
-// TestApproxRankedPaging is the approx-ranked serving path (previously
-// unexposed): pages arrive in the order and with the ranks of
-// rank.ApproxStreamRanked.
+// TestApproxRankedPaging is the approx-ranked serving path: pages
+// arrive in the order and with the ranks of the ranked approximate
+// engine cursor.
 func TestApproxRankedPaging(t *testing.T) {
 	db, err := workload.DirtyChain(workload.DirtyConfig{
 		Config:    workload.Config{Relations: 3, TuplesPerRelation: 8, Domain: 3, Seed: 71},
@@ -668,14 +679,9 @@ func TestApproxRankedPaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []rank.Result
-	if _, err := rank.ApproxStreamRanked(db, &approx.Amin{S: approx.LevenshteinSim{}}, 0.6,
-		rank.FMax{}, core.Options{UseIndex: true}, func(r rank.Result) bool {
-			want = append(want, r)
-			return true
-		}); err != nil {
-		t.Fatal(err)
-	}
+	c, err := rank.NewApproxCursor(context.Background(), db,
+		&approx.Amin{S: approx.LevenshteinSim{}}, 0.6, rank.FMax{}, core.Options{UseIndex: true})
+	want := rankedDrain(t, c, err)
 	if len(want) == 0 {
 		t.Fatal("workload yields no approx-ranked results")
 	}

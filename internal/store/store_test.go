@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -381,64 +382,35 @@ func TestPropertySnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// enumerate drains one cursor family and returns a sorted multiset
-// rendering of the results (padded rows plus rank when ranked).
+// enumerate drains one query mode through fd.Open and returns a sorted
+// multiset rendering of the results (padded rows plus rank when
+// ranked).
 func enumerate(t *testing.T, db *relation.Database, mode string) []string {
 	t.Helper()
+	queries := map[string]fd.Query{
+		"exact":  {Mode: fd.ModeExact, Options: fd.QueryOptions{UseIndex: true, UseJoinIndex: true, Workers: 1}},
+		"ranked": {Mode: fd.ModeRanked, Rank: "fmax", Options: fd.QueryOptions{UseIndex: true}},
+		"approx": {Mode: fd.ModeApprox, Tau: 0.8, Options: fd.QueryOptions{UseIndex: true, Workers: 1}},
+	}
+	q, ok := queries[mode]
+	if !ok {
+		t.Fatalf("unknown mode %s", mode)
+	}
+	rs, err := fd.Open(context.Background(), db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
 	var sets []*fd.TupleSet
 	var ranks []float64
-	switch mode {
-	case "exact":
-		cur, err := fd.NewCursor(db, fd.Options{UseIndex: true, UseJoinIndex: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cur.Close()
-		for {
-			s, ok := cur.Next()
-			if !ok {
-				break
-			}
-			sets = append(sets, s)
-		}
-		if err := cur.Err(); err != nil {
-			t.Fatal(err)
-		}
-	case "ranked":
-		cur, err := fd.NewRankedCursor(db, fd.FMax(), fd.Options{UseIndex: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cur.Close()
-		for {
-			r, ok := cur.Next()
-			if !ok {
-				break
-			}
-			sets = append(sets, r.Set)
+	for r, ok := rs.Next(); ok; r, ok = rs.Next() {
+		sets = append(sets, r.Set)
+		if r.Ranked {
 			ranks = append(ranks, r.Rank)
 		}
-		if err := cur.Err(); err != nil {
-			t.Fatal(err)
-		}
-	case "approx":
-		cur, err := fd.NewApproxCursor(db, fd.Amin(fd.LevenshteinSim()), 0.8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cur.Close()
-		for {
-			s, ok := cur.Next()
-			if !ok {
-				break
-			}
-			sets = append(sets, s)
-		}
-		if err := cur.Err(); err != nil {
-			t.Fatal(err)
-		}
-	default:
-		t.Fatalf("unknown mode %s", mode)
+	}
+	if err := rs.Err(); err != nil {
+		t.Fatal(err)
 	}
 
 	attrs, rows := fd.PadAll(db, sets)

@@ -117,62 +117,30 @@ func Open(ctx context.Context, db *Database, q Query) (Results, error) {
 	switch n.Mode {
 	case ModeExact:
 		if workers > 1 {
-			c, err := core.NewParallelCursor(ctx, db, opts, workers)
-			if err != nil {
-				return nil, err
-			}
-			base = exactResults{c}
-			break
+			base, err = unranked(core.NewParallelCursor(ctx, db, opts, workers))
+		} else {
+			base, err = unranked(core.NewCursor(ctx, db, opts))
 		}
-		c, err := core.NewCursor(ctx, db, opts)
-		if err != nil {
-			return nil, err
-		}
-		base = exactResults{c}
-	case ModeRanked:
-		f, err := RankByName(n.Rank)
-		if err != nil {
-			return nil, err
-		}
-		c, err := rank.NewCursor(ctx, db, f, opts)
-		if err != nil {
-			return nil, err
-		}
-		base = rankedResults{c}
 	case ModeApprox:
-		s, err := SimByName(n.Sim)
-		if err != nil {
-			return nil, err
-		}
+		s, _ := SimByName(n.Sim) // resolved by Validate
+		a := &approx.Amin{S: s}
 		if workers > 1 {
-			c, err := approx.NewParallelCursor(ctx, db, &approx.Amin{S: s}, n.Tau, opts, workers)
-			if err != nil {
-				return nil, err
-			}
-			base = approxResults{c}
-			break
+			base, err = unranked(approx.NewParallelCursor(ctx, db, a, n.Tau, opts, workers))
+		} else {
+			base, err = unranked(approx.NewCursor(ctx, db, a, n.Tau, opts))
 		}
-		c, err := approx.NewCursor(ctx, db, &approx.Amin{S: s}, n.Tau, opts)
-		if err != nil {
-			return nil, err
-		}
-		base = approxResults{c}
+	case ModeRanked:
+		f, _ := RankByName(n.Rank) // resolved by Validate
+		base, err = ranked(rank.NewCursor(ctx, db, f, opts))
 	case ModeApproxRanked:
-		f, err := RankByName(n.Rank)
-		if err != nil {
-			return nil, err
-		}
-		s, err := SimByName(n.Sim)
-		if err != nil {
-			return nil, err
-		}
-		c, err := rank.NewApproxCursor(ctx, db, &approx.Amin{S: s}, n.Tau, f, opts)
-		if err != nil {
-			return nil, err
-		}
-		base = approxRankedResults{c}
+		f, _ := RankByName(n.Rank)
+		s, _ := SimByName(n.Sim)
+		base, err = ranked(rank.NewApproxCursor(ctx, db, &approx.Amin{S: s}, n.Tau, f, opts))
 	default:
 		return nil, fmt.Errorf("fd: unknown query mode %q", n.Mode)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	if n.K > 0 || n.RankTau > 0 {
@@ -195,61 +163,35 @@ type setCursor interface {
 	Close()
 }
 
-// exactResults adapts an exact-mode engine cursor to Results.
-type exactResults struct{ c setCursor }
+// setResults adapts an unranked engine cursor to Results.
+type setResults struct{ setCursor }
 
-func (r exactResults) Next() (Result, bool) {
-	t, ok := r.c.Next()
-	if !ok {
-		return Result{}, false
+func unranked[C setCursor](c C, err error) (Results, error) {
+	if err != nil {
+		return nil, err
 	}
-	return Result{Set: t}, true
+	return setResults{c}, nil
 }
-func (r exactResults) Err() error   { return r.c.Err() }
-func (r exactResults) Stats() Stats { return r.c.Stats() }
-func (r exactResults) Close()       { r.c.Close() }
 
-// rankedResults adapts rank.Cursor to Results.
-type rankedResults struct{ c *rank.Cursor }
+func (r setResults) Next() (Result, bool) {
+	t, ok := r.setCursor.Next()
+	return Result{Set: t}, ok
+}
+
+// rankedResults adapts the ranked engine cursor to Results.
+type rankedResults struct{ *rank.Cursor }
+
+func ranked(c *rank.Cursor, err error) (Results, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rankedResults{c}, nil
+}
 
 func (r rankedResults) Next() (Result, bool) {
-	res, ok := r.c.Next()
-	if !ok {
-		return Result{}, false
-	}
-	return Result{Set: res.Set, Rank: res.Rank, Ranked: true}, true
+	res, ok := r.Cursor.Next()
+	return Result{Set: res.Set, Rank: res.Rank, Ranked: ok}, ok
 }
-func (r rankedResults) Err() error   { return r.c.Err() }
-func (r rankedResults) Stats() Stats { return r.c.Stats() }
-func (r rankedResults) Close()       { r.c.Close() }
-
-// approxResults adapts an approx-mode engine cursor to Results.
-type approxResults struct{ c setCursor }
-
-func (r approxResults) Next() (Result, bool) {
-	t, ok := r.c.Next()
-	if !ok {
-		return Result{}, false
-	}
-	return Result{Set: t}, true
-}
-func (r approxResults) Err() error   { return r.c.Err() }
-func (r approxResults) Stats() Stats { return r.c.Stats() }
-func (r approxResults) Close()       { r.c.Close() }
-
-// approxRankedResults adapts rank.ApproxCursor to Results.
-type approxRankedResults struct{ c *rank.ApproxCursor }
-
-func (r approxRankedResults) Next() (Result, bool) {
-	res, ok := r.c.Next()
-	if !ok {
-		return Result{}, false
-	}
-	return Result{Set: res.Set, Rank: res.Rank, Ranked: true}, true
-}
-func (r approxRankedResults) Err() error   { return r.c.Err() }
-func (r approxRankedResults) Stats() Stats { return r.c.Stats() }
-func (r approxRankedResults) Close()       { r.c.Close() }
 
 // boundedResults enforces the query's K and RankTau bounds over an
 // unbounded cursor. Once a bound trips, the underlying enumeration is

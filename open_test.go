@@ -2,29 +2,57 @@ package fd_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	fd "repro"
+	"repro/internal/approx"
+	"repro/internal/core"
+	"repro/internal/rank"
 	"repro/internal/workload"
 )
 
-// openDrain pulls an Open cursor dry and returns the sequence plus
-// final stats.
-func openDrain(t *testing.T, db *fd.Database, q fd.Query) ([]fd.Result, fd.Stats) {
-	t.Helper()
+// drain pulls an fd.Open cursor dry and returns the result sequence
+// with the final stats — the one drain the tests, examples and
+// benchmarks of this package run their queries through.
+func drain(db *fd.Database, q fd.Query) ([]fd.Result, fd.Stats, error) {
 	rs, err := fd.Open(context.Background(), db, q)
 	if err != nil {
-		t.Fatalf("Open(%+v): %v", q, err)
+		return nil, fd.Stats{}, err
 	}
 	defer rs.Close()
 	var out []fd.Result
 	for r, ok := rs.Next(); ok; r, ok = rs.Next() {
 		out = append(out, r)
 	}
-	if err := rs.Err(); err != nil {
-		t.Fatalf("Open(%+v) drain: %v", q, err)
+	return out, rs.Stats(), rs.Err()
+}
+
+// drainSets is drain keeping only the result sets.
+func drainSets(db *fd.Database, q fd.Query) ([]*fd.TupleSet, fd.Stats, error) {
+	rs, stats, err := drain(db, q)
+	sets := make([]*fd.TupleSet, len(rs))
+	for i, r := range rs {
+		sets[i] = r.Set
 	}
-	return out, rs.Stats()
+	return sets, stats, err
+}
+
+// openDrain is drain failing the test on error.
+func openDrain(t testing.TB, db *fd.Database, q fd.Query) ([]fd.Result, fd.Stats) {
+	t.Helper()
+	out, stats, err := drain(db, q)
+	if err != nil {
+		t.Fatalf("Open(%+v): %v", q, err)
+	}
+	return out, stats
+}
+
+// exactQuery is the exact query over o on the sequential path
+// (Workers 1), whose result order is reproducible.
+func exactQuery(o fd.QueryOptions) fd.Query {
+	o.Workers = 1
+	return fd.Query{Mode: fd.ModeExact, Options: o}
 }
 
 // equivDB is a chain workload small enough to drain in every mode but
@@ -51,29 +79,116 @@ func dirtyDB(t *testing.T) *fd.Database {
 	return db
 }
 
-func sameSequence(t *testing.T, label string, got []fd.Result, wantSets []*fd.TupleSet, wantRanks []float64) {
+// pinnedCase is one Workers-1 fd.Open drain whose full engine Stats
+// are pinned to literal values. The counters are deterministic on the
+// sequential paths, so any drift means the engine did different work.
+type pinnedCase struct {
+	name  string
+	db    func(*testing.T) *fd.Database
+	q     fd.Query
+	stats fd.Stats
+}
+
+var pinnedIdx = fd.QueryOptions{UseIndex: true, UseJoinIndex: true, Workers: 1}
+
+func withStrategy(o fd.QueryOptions, s string) fd.QueryOptions { o.Strategy = s; return o }
+
+var pinnedCases = []pinnedCase{
+	{"exact/singletons", equivDB, fd.Query{Options: withStrategy(pinnedIdx, "singletons")},
+		fd.Stats{Iterations: 403, Emitted: 103, JCCChecks: 11746, TuplesScanned: 7539, ListScans: 15627, PageReads: 7539, IndexProbes: 1878, TuplesSkipped: 20685, SigHits: 5888, SigRebuilds: 2070, MaxResident: 103}},
+	{"exact/seeded", equivDB, fd.Query{Options: withStrategy(pinnedIdx, "seeded")},
+		fd.Stats{Iterations: 403, Emitted: 103, JCCChecks: 8192, TuplesScanned: 5134, ListScans: 11307, PageReads: 5134, IndexProbes: 920, TuplesSkipped: 11554, SigHits: 4081, SigRebuilds: 1808, MaxResident: 103}},
+	{"exact/projected", equivDB, fd.Query{Options: withStrategy(pinnedIdx, "projected")},
+		fd.Stats{Iterations: 155, Emitted: 103, JCCChecks: 3603, TuplesScanned: 2573, ListScans: 4587, PageReads: 2573, IndexProbes: 635, TuplesSkipped: 11443, SigHits: 1586, SigRebuilds: 806, MaxResident: 100}},
+	{"exact/blocks", equivDB, fd.Query{Options: fd.QueryOptions{BlockSize: 4, Workers: 1}},
+		fd.Stats{Iterations: 403, Emitted: 103, JCCChecks: 51648, TuplesScanned: 27872, ListScans: 179167, PageReads: 6968, IndexProbes: 0, TuplesSkipped: 0, SigHits: 27443, SigRebuilds: 2070, MaxResident: 103}},
+	{"approx", dirtyDB, fd.Query{Mode: fd.ModeApprox, Tau: 0.7,
+		Options: fd.QueryOptions{UseIndex: true, Workers: 1}},
+		fd.Stats{Iterations: 30, Emitted: 12, JCCChecks: 531, TuplesScanned: 1680, ListScans: 260, PageReads: 1680, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 12}},
+	{"approx/exact-sim", equivDB, fd.Query{Mode: fd.ModeApprox, Tau: 1, Sim: "exact", Options: pinnedIdx},
+		fd.Stats{Iterations: 403, Emitted: 103, JCCChecks: 6711, TuplesScanned: 7522, ListScans: 16232, PageReads: 7522, IndexProbes: 1866, TuplesSkipped: 20190, SigHits: 0, SigRebuilds: 0, MaxResident: 103}},
+	{"ranked/fmax", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "fmax",
+		Options: fd.QueryOptions{UseIndex: true}},
+		fd.Stats{Iterations: 120, Emitted: 103, JCCChecks: 9686, TuplesScanned: 9024, ListScans: 4636, PageReads: 9024, IndexProbes: 0, TuplesSkipped: 0, SigHits: 1930, SigRebuilds: 513, MaxResident: 0}},
+	{"ranked/pairsum", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "pairsum", Options: pinnedIdx},
+		fd.Stats{Iterations: 213, Emitted: 103, JCCChecks: 17327, TuplesScanned: 3916, ListScans: 9804, PageReads: 3916, IndexProbes: 958, TuplesSkipped: 12084, SigHits: 14329, SigRebuilds: 776, MaxResident: 0}},
+	{"approx-ranked/fmax", dirtyDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax",
+		Options: fd.QueryOptions{UseIndex: true}},
+		fd.Stats{Iterations: 44, Emitted: 32, JCCChecks: 996, TuplesScanned: 2616, ListScans: 911, PageReads: 2616, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},
+	{"approx-ranked/pairsum", dirtyDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "pairsum",
+		Options: fd.QueryOptions{UseIndex: true}},
+		fd.Stats{Iterations: 69, Emitted: 32, JCCChecks: 1525, TuplesScanned: 3720, ListScans: 1322, PageReads: 3720, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},
+	{"exact/K", equivDB, fd.Query{K: 5, Options: fd.QueryOptions{UseIndex: true, Workers: 1}},
+		fd.Stats{Iterations: 5, Emitted: 5, JCCChecks: 465, TuplesScanned: 384, ListScans: 144, PageReads: 384, IndexProbes: 0, TuplesSkipped: 0, SigHits: 135, SigRebuilds: 59, MaxResident: 34}},
+	{"ranked/K", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 4,
+		Options: fd.QueryOptions{UseIndex: true}},
+		fd.Stats{Iterations: 4, Emitted: 4, JCCChecks: 453, TuplesScanned: 320, ListScans: 84, PageReads: 320, IndexProbes: 0, TuplesSkipped: 0, SigHits: 179, SigRebuilds: 40, MaxResident: 0}},
+	{"ranked/RankTau", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", RankTau: 9,
+		Options: fd.QueryOptions{UseIndex: true}},
+		fd.Stats{Iterations: 60, Emitted: 59, JCCChecks: 5160, TuplesScanned: 4224, ListScans: 2380, PageReads: 4224, IndexProbes: 0, TuplesSkipped: 0, SigHits: 1504, SigRebuilds: 415, MaxResident: 0}},
+	{"approx-ranked/K", dirtyDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax", K: 3,
+		Options: fd.QueryOptions{UseIndex: true}},
+		fd.Stats{Iterations: 3, Emitted: 3, JCCChecks: 83, TuplesScanned: 168, ListScans: 20, PageReads: 168, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},
+	{"approx-ranked/RankTau", equivDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax", RankTau: 9,
+		Options: fd.QueryOptions{UseIndex: true}},
+		fd.Stats{Iterations: 60, Emitted: 59, JCCChecks: 2074, TuplesScanned: 4224, ListScans: 2380, PageReads: 4224, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},
+}
+
+// TestOpenPinnedStats pins the engine work of every mode: the full
+// Stats of a Workers-1 drain for exact (each init strategy), approx,
+// ranked and approx-ranked queries, and for K- and RankTau-bounded
+// ones. A bounded drain must also be exactly the matching prefix of
+// its unbounded drain, ranks included.
+func TestOpenPinnedStats(t *testing.T) {
+	for _, c := range pinnedCases {
+		t.Run(c.name, func(t *testing.T) {
+			db := c.db(t)
+			got, stats := openDrain(t, db, c.q)
+			if stats != c.stats {
+				t.Errorf("stats drifted:\n got  %#v\n want %#v", stats, c.stats)
+			}
+			// A RankTau bound reads one result past its cut off the
+			// engine; every other drain delivers all the engine emitted.
+			if c.q.RankTau == 0 && stats.Emitted != len(got) {
+				t.Errorf("Emitted = %d, drained %d", stats.Emitted, len(got))
+			}
+			if c.q.K == 0 && c.q.RankTau == 0 {
+				return
+			}
+			unbounded := c.q
+			unbounded.K, unbounded.RankTau = 0, 0
+			all, _ := openDrain(t, db, unbounded)
+			n := 0
+			for n < len(all) && (c.q.K == 0 || n < c.q.K) && all[n].Rank >= c.q.RankTau {
+				n++
+			}
+			if n == 0 || n == len(all) {
+				t.Fatalf("bound keeps %d of %d results; pick one that cuts the sequence", n, len(all))
+			}
+			sameSequence(t, c.name, got, all[:n])
+		})
+	}
+}
+
+func sameSequence(t *testing.T, label string, got, want []fd.Result) {
 	t.Helper()
-	if len(got) != len(wantSets) {
-		t.Fatalf("%s: %d results via Open, %d via wrapper", label, len(got), len(wantSets))
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
 	}
 	for i := range got {
-		if got[i].Set.Key() != wantSets[i].Key() {
-			t.Fatalf("%s: sequence differs at %d: %q vs %q", label, i, got[i].Set.Key(), wantSets[i].Key())
+		if got[i].Set.Key() != want[i].Set.Key() {
+			t.Fatalf("%s: sequence differs at %d: %q vs %q", label, i, got[i].Set.Key(), want[i].Set.Key())
 		}
-		if wantRanks != nil {
-			if !got[i].Ranked {
-				t.Fatalf("%s: result %d not marked ranked", label, i)
-			}
-			if got[i].Rank != wantRanks[i] {
-				t.Fatalf("%s: rank differs at %d: %v vs %v", label, i, got[i].Rank, wantRanks[i])
-			}
+		if got[i].Ranked != want[i].Ranked || got[i].Rank != want[i].Rank {
+			t.Fatalf("%s: rank differs at %d: %v vs %v", label, i, got[i], want[i])
 		}
 	}
 }
 
-// TestOpenEquivalentToExactWrappers proves the deprecated exact-mode
-// wrappers and their fd.Open forms produce identical sequences and
-// stats.
+// TestOpenEquivalentToExactWrappers proves fd.Open coincides with the
+// exact engine entry points the removed FullDisjunction and Stream
+// wrappers delegated to: the full drain under every init strategy,
+// stats included, and the K-bounded prefix.
 func TestOpenEquivalentToExactWrappers(t *testing.T) {
 	db := equivDB(t)
 	for _, strategy := range []string{"singletons", "seeded", "projected"} {
@@ -81,154 +196,163 @@ func TestOpenEquivalentToExactWrappers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := fd.Options{UseIndex: true, UseJoinIndex: true, Strategy: strat}
-		wantSets, wantStats, err := fd.FullDisjunction(db, opts)
+		opts := core.Options{UseIndex: true, UseJoinIndex: true, Strategy: strat}
+		wantSets, wantStats, err := core.FullDisjunction(db, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Workers pinned to 1: the wrappers are sequential, and on a
-		// multicore box Workers 0 would resolve to a parallel cursor
+		// Workers pinned to 1: the engine cursor is sequential, and on
+		// a multicore box Workers 0 would resolve to a parallel cursor
 		// whose arrival order is not the canonical sequence.
-		got, gotStats := openDrain(t, db, fd.Query{Mode: fd.ModeExact,
-			Options: fd.QueryOptions{UseIndex: true, UseJoinIndex: true, Strategy: strategy, Workers: 1}})
-		sameSequence(t, "exact/"+strategy, got, wantSets, nil)
+		got, gotStats := openDrain(t, db, exactQuery(fd.QueryOptions{UseIndex: true, UseJoinIndex: true, Strategy: strategy}))
+		sameSequence(t, "exact/"+strategy, got, unrankedResults(wantSets))
 		if gotStats != wantStats {
-			t.Errorf("exact/%s stats differ:\n open    %+v\n wrapper %+v", strategy, gotStats, wantStats)
+			t.Errorf("exact/%s stats differ:\n open   %+v\n engine %+v", strategy, gotStats, wantStats)
 		}
 	}
 
-	// K-bounded prefix ≡ Stream with early stop.
-	var prefix []*fd.TupleSet
-	if _, err := fd.Stream(db, fd.Options{UseIndex: true}, func(s *fd.TupleSet) bool {
-		prefix = append(prefix, s)
-		return len(prefix) < 5
-	}); err != nil {
+	// K-bounded prefix ≡ the engine cursor stopped after K results.
+	c, err := core.NewCursor(context.Background(), db, core.Options{UseIndex: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := openDrain(t, db, fd.Query{K: 5, Options: fd.QueryOptions{UseIndex: true, Workers: 1}})
-	sameSequence(t, "exact/K", got, prefix, nil)
+	var prefix []*fd.TupleSet
+	for len(prefix) < 5 {
+		s, ok := c.Next()
+		if !ok {
+			break
+		}
+		prefix = append(prefix, s)
+	}
+	c.Close()
+	qk := exactQuery(fd.QueryOptions{UseIndex: true})
+	qk.K = 5
+	got, gotStats := openDrain(t, db, qk)
+	sameSequence(t, "exact/K", got, unrankedResults(prefix))
+	if wantStats := c.Stats(); gotStats != wantStats {
+		t.Errorf("exact/K stats differ:\n open   %+v\n engine %+v", gotStats, wantStats)
+	}
 }
 
-// TestOpenEquivalentToRankedWrappers proves StreamRanked / TopK /
-// Threshold and their fd.Open forms coincide, ranks included.
+// TestOpenEquivalentToRankedWrappers proves fd.Open coincides with the
+// ranked engine cursor the removed StreamRanked, TopK and Threshold
+// wrappers delegated to, ranks and stats included.
 func TestOpenEquivalentToRankedWrappers(t *testing.T) {
 	db := equivDB(t)
-	opts := fd.Options{UseIndex: true}
+	open := func() *rank.Cursor {
+		c, err := rank.NewCursor(context.Background(), db, rank.FMax{}, core.Options{UseIndex: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 	qopts := fd.QueryOptions{UseIndex: true}
 
-	var wantSets []*fd.TupleSet
-	var wantRanks []float64
-	wantStats, err := fd.StreamRanked(db, fd.FMax(), opts, func(r fd.Ranked) bool {
-		wantSets = append(wantSets, r.Set)
-		wantRanks = append(wantRanks, r.Rank)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantStats := rankedPrefix(open(), -1, 0)
 	got, gotStats := openDrain(t, db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", Options: qopts})
-	sameSequence(t, "ranked", got, wantSets, wantRanks)
+	sameSequence(t, "ranked", got, want)
 	if gotStats != wantStats {
-		t.Errorf("ranked stats differ:\n open    %+v\n wrapper %+v", gotStats, wantStats)
+		t.Errorf("ranked stats differ:\n open   %+v\n engine %+v", gotStats, wantStats)
 	}
 
-	top, topStats, err := fd.TopK(db, fd.FMax(), 4, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top, topStats := rankedPrefix(open(), 4, 0)
 	gotTop, gotTopStats := openDrain(t, db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 4, Options: qopts})
-	sameSequence(t, "ranked/K", gotTop, setsOf(top), ranksOf(top))
+	sameSequence(t, "ranked/K", gotTop, top)
 	if gotTopStats != topStats {
-		t.Errorf("top-k stats differ:\n open    %+v\n wrapper %+v", gotTopStats, topStats)
+		t.Errorf("top-k stats differ:\n open   %+v\n engine %+v", gotTopStats, topStats)
 	}
 
-	tau := wantRanks[len(wantRanks)/2]
-	thr, thrStats, err := fd.Threshold(db, fd.FMax(), tau, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tau := want[len(want)/2].Rank
+	thr, thrStats := rankedPrefix(open(), -1, tau)
 	gotThr, gotThrStats := openDrain(t, db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", RankTau: tau, Options: qopts})
-	sameSequence(t, "ranked/RankTau", gotThr, setsOf(thr), ranksOf(thr))
+	sameSequence(t, "ranked/RankTau", gotThr, thr)
 	if gotThrStats != thrStats {
-		t.Errorf("threshold stats differ:\n open    %+v\n wrapper %+v", gotThrStats, thrStats)
+		t.Errorf("threshold stats differ:\n open   %+v\n engine %+v", gotThrStats, thrStats)
 	}
 }
 
-// TestOpenEquivalentToApproxWrappers proves the approx family wrappers
-// and their fd.Open forms coincide.
+// TestOpenEquivalentToApproxWrappers proves fd.Open coincides with the
+// approximate engine cursors the removed ApproxStream,
+// ApproxStreamRanked, ApproxTopK and ApproxThreshold wrappers
+// delegated to.
 func TestOpenEquivalentToApproxWrappers(t *testing.T) {
 	db := dirtyDB(t)
-	amin := fd.Amin(fd.LevenshteinSim())
+	amin := &approx.Amin{S: approx.LevenshteinSim{}}
+	// The wrappers ran with the hash index on; the equivalent query
+	// spells it out.
+	opts := core.Options{UseIndex: true}
 
-	var wantSets []*fd.TupleSet
-	wantStats, err := fd.ApproxStream(db, amin, 0.7, func(s *fd.TupleSet) bool {
-		wantSets = append(wantSets, s)
-		return true
-	})
+	c, err := approx.NewCursor(context.Background(), db, amin, 0.7, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The wrappers run with the historical engine configuration
-	// (hash index on); the equivalent query spells it out.
+	wantSets, wantStats, err := c.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Workers pinned to 1 so the arrival order matches the sequential
-	// wrapper on any GOMAXPROCS.
+	// engine cursor on any GOMAXPROCS.
 	q := fd.Query{Mode: fd.ModeApprox, Tau: 0.7, Options: fd.QueryOptions{UseIndex: true, Workers: 1}}
 	got, gotStats := openDrain(t, db, q)
-	sameSequence(t, "approx", got, wantSets, nil)
+	sameSequence(t, "approx", got, unrankedResults(wantSets))
 	if gotStats != wantStats {
-		t.Errorf("approx stats differ:\n open    %+v\n wrapper %+v", gotStats, wantStats)
+		t.Errorf("approx stats differ:\n open   %+v\n engine %+v", gotStats, wantStats)
 	}
 
-	var wantRanked []fd.Ranked
-	wantRankedStats, err := fd.ApproxStreamRanked(db, amin, 0.6, fd.FMax(), func(r fd.Ranked) bool {
-		wantRanked = append(wantRanked, r)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+	open := func() *rank.Cursor {
+		c, err := rank.NewApproxCursor(context.Background(), db, amin, 0.6, rank.FMax{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
+	wantRanked, wantRankedStats := rankedPrefix(open(), -1, 0)
 	qr := fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax",
 		Options: fd.QueryOptions{UseIndex: true}}
 	gotRanked, gotRankedStats := openDrain(t, db, qr)
-	sameSequence(t, "approx-ranked", gotRanked, setsOf(wantRanked), ranksOf(wantRanked))
+	sameSequence(t, "approx-ranked", gotRanked, wantRanked)
 	if gotRankedStats != wantRankedStats {
-		t.Errorf("approx-ranked stats differ:\n open    %+v\n wrapper %+v", gotRankedStats, wantRankedStats)
+		t.Errorf("approx-ranked stats differ:\n open   %+v\n engine %+v", gotRankedStats, wantRankedStats)
 	}
 
-	top, _, err := fd.ApproxTopK(db, amin, 0.6, fd.FMax(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top, _ := rankedPrefix(open(), 3, 0)
 	qk := qr
 	qk.K = 3
 	gotTop, _ := openDrain(t, db, qk)
-	sameSequence(t, "approx-ranked/K", gotTop, setsOf(top), ranksOf(top))
+	sameSequence(t, "approx-ranked/K", gotTop, top)
 
 	if len(wantRanked) > 1 {
 		tau := wantRanked[len(wantRanked)/2].Rank
-		thr, _, err := fd.ApproxThreshold(db, amin, 0.6, tau, fd.FMax())
-		if err != nil {
-			t.Fatal(err)
-		}
+		thr, _ := rankedPrefix(open(), -1, tau)
 		qt := qr
 		qt.RankTau = tau
 		gotThr, _ := openDrain(t, db, qt)
-		sameSequence(t, "approx-ranked/RankTau", gotThr, setsOf(thr), ranksOf(thr))
+		sameSequence(t, "approx-ranked/RankTau", gotThr, thr)
 	}
 }
 
-func setsOf(rs []fd.Ranked) []*fd.TupleSet {
-	out := make([]*fd.TupleSet, len(rs))
-	for i, r := range rs {
-		out[i] = r.Set
+// rankedPrefix pulls c until k results (k < 0: no bound) or the first
+// rank below tau, the way a K- or RankTau-bounded query stops, and
+// returns the results with the cursor's stats at that point.
+func rankedPrefix(c *rank.Cursor, k int, tau float64) ([]fd.Result, fd.Stats) {
+	defer c.Close()
+	var out []fd.Result
+	for k != 0 {
+		r, ok := c.Next()
+		if !ok || (tau > 0 && r.Rank < tau) {
+			break
+		}
+		out = append(out, fd.Result{Set: r.Set, Rank: r.Rank, Ranked: true})
+		k--
 	}
-	return out
+	return out, c.Stats()
 }
 
-func ranksOf(rs []fd.Ranked) []float64 {
-	out := make([]float64, len(rs))
-	for i, r := range rs {
-		out[i] = r.Rank
+// unrankedResults lifts an unranked engine sequence to Results.
+func unrankedResults(sets []*fd.TupleSet) []fd.Result {
+	out := make([]fd.Result, len(sets))
+	for i, s := range sets {
+		out[i] = fd.Result{Set: s}
 	}
 	return out
 }
@@ -254,5 +378,48 @@ func TestOpenRuntimeHooks(t *testing.T) {
 	}
 	if pool.Hits()+pool.Misses() == 0 {
 		t.Error("buffer pool never consulted through fd.Open")
+	}
+}
+
+// TestOpenTraceExactOnly pins where the Trace hook is honoured: the
+// exact enumerator reports every iteration, and the other modes, which
+// have no per-iteration list state to report, reject the hook instead
+// of silently never calling it.
+func TestOpenTraceExactOnly(t *testing.T) {
+	db, _ := workload.TouristApprox()
+	calls := 0
+	trace := func(int, *fd.TupleSet, []*fd.TupleSet, []*fd.TupleSet) { calls++ }
+	for _, q := range []fd.Query{
+		{Mode: fd.ModeExact},
+		{Mode: fd.ModeRanked, Rank: "fmax"},
+		{Mode: fd.ModeApprox, Tau: 0.4},
+		{Mode: fd.ModeApproxRanked, Tau: 0.4, Rank: "fmax"},
+	} {
+		q.Options.Trace = trace
+		calls = 0
+		rs, err := fd.Open(context.Background(), db, q)
+		if q.Mode != fd.ModeExact {
+			if err == nil {
+				rs.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), "trace") {
+				t.Errorf("%s: Open with a Trace hook = %v, want a trace error", q.Mode, err)
+			}
+			if q.Validate() == nil {
+				t.Errorf("%s: Validate accepted a Trace hook", q.Mode)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, ok := rs.Next(); ok; _, ok = rs.Next() {
+			n++
+		}
+		rs.Close()
+		if calls == 0 || calls < n {
+			t.Errorf("exact: %d trace calls for %d results", calls, n)
+		}
 	}
 }

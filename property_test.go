@@ -30,7 +30,7 @@ func randomConfig(relations, tuples, domain uint8, nullRate float64, seed int64)
 	}
 }
 
-// TestPropertyFDMatchesOracle drives FullDisjunction against the
+// TestPropertyFDMatchesOracle drives the exact query against the
 // definitional oracle on quick-generated workload configurations across
 // all generator shapes and execution options.
 func TestPropertyFDMatchesOracle(t *testing.T) {
@@ -46,14 +46,14 @@ func TestPropertyFDMatchesOracle(t *testing.T) {
 		if err != nil {
 			return true // star needs ≥2 relations etc.; skip invalid configs
 		}
-		opts := fd.Options{
+		opts := fd.QueryOptions{
 			UseIndex:     useIndex,
 			UseJoinIndex: useJoinIndex,
-			Strategy:     []fd.InitStrategy{fd.InitSingletons, fd.InitSeeded, fd.InitProjected}[int(strat)%3],
+			Strategy:     []string{"singletons", "seeded", "projected"}[int(strat)%3],
 		}
-		got, _, err := fd.FullDisjunction(db, opts)
+		got, _, err := drainSets(db, exactQuery(opts))
 		if err != nil {
-			t.Logf("FullDisjunction error: %v", err)
+			t.Logf("full disjunction error: %v", err)
 			return false
 		}
 		want := naive.FullDisjunction(db)
@@ -78,7 +78,7 @@ func TestPropertyFDMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestPropertyStreamPrefixStable: for every k, stopping the stream at k
+// TestPropertyStreamPrefixStable: for every k, a K-bounded query
 // yields k distinct members of the full full disjunction.
 func TestPropertyStreamPrefixStable(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {
@@ -87,7 +87,7 @@ func TestPropertyStreamPrefixStable(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		full, _, err := fd.FullDisjunction(db, fd.Options{})
+		full, _, err := drainSets(db, exactQuery(fd.QueryOptions{}))
 		if err != nil {
 			return false
 		}
@@ -99,11 +99,10 @@ func TestPropertyStreamPrefixStable(t *testing.T) {
 		for _, s := range full {
 			keys[s.Key()] = true
 		}
-		var got []*fd.TupleSet
-		if _, err := fd.Stream(db, fd.Options{}, func(s *fd.TupleSet) bool {
-			got = append(got, s)
-			return len(got) < k
-		}); err != nil {
+		q := exactQuery(fd.QueryOptions{})
+		q.K = k
+		got, _, err := drainSets(db, q)
+		if err != nil {
 			return false
 		}
 		if len(got) != k {
@@ -123,7 +122,7 @@ func TestPropertyStreamPrefixStable(t *testing.T) {
 	}
 }
 
-// TestPropertyRankedOrder: StreamRanked emits non-increasing ranks and
+// TestPropertyRankedOrder: a ranked query emits non-increasing ranks and
 // exactly the full disjunction, for random importance assignments.
 func TestPropertyRankedOrder(t *testing.T) {
 	f := func(seed int64) bool {
@@ -133,21 +132,22 @@ func TestPropertyRankedOrder(t *testing.T) {
 		if err != nil {
 			return true
 		}
+		results, _, err := drain(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax"})
+		if err != nil {
+			return false
+		}
 		var ranks []float64
 		count := 0
-		if _, err := fd.StreamRanked(db, fd.FMax(), fd.Options{}, func(r fd.Ranked) bool {
+		for _, r := range results {
 			ranks = append(ranks, r.Rank)
 			count++
-			return true
-		}); err != nil {
-			return false
 		}
 		for i := 1; i < len(ranks); i++ {
 			if ranks[i-1] < ranks[i]-1e-9 {
 				return false
 			}
 		}
-		want, _, err := fd.FullDisjunction(db, fd.Options{})
+		want, _, err := drainSets(db, exactQuery(fd.QueryOptions{}))
 		if err != nil {
 			return false
 		}
@@ -218,7 +218,7 @@ func TestPropertyPaddedSubsumptionFree(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		sets, _, err := fd.FullDisjunction(db, fd.Options{})
+		sets, _, err := drainSets(db, exactQuery(fd.QueryOptions{}))
 		if err != nil {
 			return false
 		}
@@ -256,11 +256,12 @@ func TestPropertyApproxContainsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		tau := 0.05 + rng.Float64()*0.9
-		exact, _, err := fd.FullDisjunction(db, fd.Options{})
+		exact, _, err := drainSets(db, exactQuery(fd.QueryOptions{}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		approxSets, _, err := fd.ApproxFullDisjunction(db, fd.Amin(fd.LevenshteinSim()), tau)
+		approxSets, _, err := drainSets(db, fd.Query{Mode: fd.ModeApprox, Tau: tau, Sim: "levenshtein",
+			Options: fd.QueryOptions{UseIndex: true, Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +433,7 @@ func TestPropertySignatureCountersMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := fd.FullDisjunction(db, fd.Options{UseIndex: true, UseJoinIndex: true})
+	_, stats, err := drainSets(db, exactQuery(fd.QueryOptions{UseIndex: true, UseJoinIndex: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,12 +465,12 @@ func TestPropertyJoinIndexEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, strat := range []fd.InitStrategy{fd.InitSingletons, fd.InitSeeded, fd.InitProjected} {
-				sweep, _, err := fd.FullDisjunction(db, fd.Options{Strategy: strat})
+			for _, strat := range []string{"singletons", "seeded", "projected"} {
+				sweep, _, err := drainSets(db, exactQuery(fd.QueryOptions{Strategy: strat}))
 				if err != nil {
 					t.Fatal(err)
 				}
-				indexed, stats, err := fd.FullDisjunction(db, fd.Options{Strategy: strat, UseJoinIndex: true})
+				indexed, stats, err := drainSets(db, exactQuery(fd.QueryOptions{Strategy: strat, UseJoinIndex: true}))
 				if err != nil {
 					t.Fatal(err)
 				}

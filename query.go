@@ -68,7 +68,8 @@ type QueryOptions struct {
 	// buffer pool. Runtime-only: never serialised, never keyed.
 	Pool *BufferPool `json:"-"`
 	// Trace, when non-nil, snapshots enumerator state per iteration.
-	// Runtime-only: never serialised, never keyed.
+	// Exact mode only (Validate rejects it elsewhere). Runtime-only:
+	// never serialised, never keyed.
 	Trace TraceFunc `json:"-"`
 	// TaskObserver, when non-nil, receives a TaskSpan each time a
 	// parallel enumeration task finishes — the observability hook the
@@ -304,6 +305,9 @@ func (q Query) Validate() error {
 	}
 	if _, err := ParseInitStrategy(q.Options.Strategy); err != nil {
 		return err
+	}
+	if (ranked || approxMode) && q.Options.Trace != nil {
+		return fmt.Errorf("fd: trace hook given for mode %q (only the exact enumerator reports per-iteration state)", q.Mode)
 	}
 	if (ranked || approxMode) && q.Options.Strategy != "" && q.Options.Strategy != "singletons" {
 		return fmt.Errorf("fd: init strategy %q given for mode %q (only the exact driver has per-pass initialisation strategies)", q.Options.Strategy, q.Mode)

@@ -1,10 +1,6 @@
 package fd
 
-import (
-	"context"
-
-	"repro/internal/rank"
-)
+import "repro/internal/rank"
 
 // RankFunc is a ranking function over tuple sets (Section 5). Built-in
 // implementations: FMax (monotonically 1-determined), PairSum
@@ -12,9 +8,6 @@ import (
 // c-determined; usable only with brute force — top-(1,fsum) is NP-hard,
 // Proposition 5.1).
 type RankFunc = rank.Func
-
-// Ranked pairs a result with its rank.
-type Ranked = rank.Result
 
 // FMax returns the ranking function fmax(T) = max{imp(t) | t ∈ T}.
 func FMax() RankFunc { return rank.FMax{} }
@@ -29,49 +22,3 @@ func PairSum() RankFunc { return rank.PairSum() }
 // PaperTriple returns the paper's 3-determined example
 // f(T) = max{imp(t1) + imp(t2)·imp(t3) | {t1,t2,t3} ⊆ T connected}.
 func PaperTriple() RankFunc { return rank.PaperTriple() }
-
-// StreamRanked yields the members of FD(R) in non-increasing rank order
-// under a monotonically c-determined ranking function
-// (PRIORITYINCREMENTALFD, Fig 3); return false from yield to stop.
-//
-// Deprecated: use Open with Query{Mode: ModeRanked, Rank: "<name>"}
-// and pull from the Results cursor. StreamRanked remains for custom
-// (unnamed) RankFunc implementations.
-func StreamRanked(db *Database, f RankFunc, opts Options, yield func(Ranked) bool) (Stats, error) {
-	return rank.StreamRanked(db, f, opts, yield)
-}
-
-// RankedCursor is the pull-based form of StreamRanked: results arrive
-// one per Next call, in non-increasing rank order. Like Cursor it holds
-// explicit state and no goroutine.
-type RankedCursor = rank.Cursor
-
-// NewRankedCursor prepares a pull-based ranked enumeration. The Fig 3
-// preprocessing (small-set enumeration and queue merging) happens here;
-// each Next call is then one priority-queue extraction.
-//
-// Deprecated: use Open with Query{Mode: ModeRanked, Rank: "<name>"};
-// the Results cursor it returns adds context cancellation.
-func NewRankedCursor(db *Database, f RankFunc, opts Options) (*RankedCursor, error) {
-	return rank.NewCursor(context.Background(), db, f, opts)
-}
-
-// TopK solves the top-(k,f) full-disjunction problem: the k highest
-// ranking members of FD(R), in rank order, in time polynomial in the
-// input and k (Theorem 5.5).
-//
-// Deprecated: use Open with Query{Mode: ModeRanked, Rank: "<name>",
-// K: k} and drain the Results cursor.
-func TopK(db *Database, f RankFunc, k int, opts Options) ([]Ranked, Stats, error) {
-	return rank.TopK(db, f, k, opts)
-}
-
-// Threshold solves the (τ,f)-threshold full-disjunction problem
-// (Remark 5.6): every member of FD(R) ranking at least tau, in rank
-// order.
-//
-// Deprecated: use Open with Query{Mode: ModeRanked, Rank: "<name>",
-// RankTau: tau} and drain the Results cursor.
-func Threshold(db *Database, f RankFunc, tau float64, opts Options) ([]Ranked, Stats, error) {
-	return rank.Threshold(db, f, tau, opts)
-}

@@ -1,0 +1,56 @@
+#!/usr/bin/env bash
+# Counter gate: reruns the E9 ablation and the E12 append benchmark and
+# compares the deterministic engine counters of every variant against
+# the committed BENCH_e9.json and BENCH_append.json. The counters count
+# work (predicate evaluations, scanned tuples, list scans, page reads),
+# not time, so they repeat exactly on any machine: a mismatch means the
+# engine does different work, and the fix is either the code or a
+# regenerated BENCH file in the same change. Wall time, allocations and
+# delay are never compared.
+#
+# Run from the repository root:
+#
+#   ./scripts/check_bench.sh
+set -euo pipefail
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+go build -o "$tmp/fdbench" ./cmd/fdbench
+"$tmp/fdbench" -e E9,E12 -json "$tmp/run.json" >/dev/null
+
+python3 - "$tmp/run.json" BENCH_e9.json BENCH_append.json <<'EOF'
+import json
+import sys
+
+FIELDS = ["results", "jcc_checks", "sig_hits", "sig_rebuilds", "tuples_scanned",
+          "tuples_skipped", "index_probes", "list_scans", "page_reads"]
+
+
+def variants(path):
+    out = {}
+    for rec in json.load(open(path))["records"]:
+        for v in rec["variants"]:
+            out[(rec["workload"], v["name"])] = v
+    return out
+
+
+run = variants(sys.argv[1])
+failures = checked = 0
+for committed in sys.argv[2:]:
+    for key, want in variants(committed).items():
+        workload, name = key
+        got = run.get(key)
+        if got is None:
+            print(f"FAIL: {committed}: {workload} variant {name!r} missing from the rerun")
+            failures += 1
+            continue
+        checked += 1
+        for field in FIELDS:
+            if got.get(field) != want.get(field):
+                print(f"FAIL: {committed}: {workload} variant {name!r}: {field} = {got.get(field)}, committed {want.get(field)}")
+                failures += 1
+if failures:
+    sys.exit(1)
+print(f"PASS: {checked} variants match the committed counters")
+EOF
