@@ -16,9 +16,9 @@ import (
 // POST /explain and fdcli prints it with -explain.
 //
 // The strategy section is not a guess: the task layout comes from the
-// same core.ExactLayout / core.ApproxLayout computation the parallel
-// executor partitions with, so a plan's task list is what an execution
-// of the same query over the same database runs.
+// same core.Layout computation the parallel executor partitions both
+// exact and approximate passes with, so a plan's task list is what an
+// execution of the same query over the same database runs.
 type Plan struct {
 	// Query is the normalised spec the engine would execute.
 	Query Query `json:"query"`
@@ -119,15 +119,15 @@ type PlanStrategy struct {
 // PlanTask is one planned unit of a partitioned enumeration.
 type PlanTask struct {
 	// Label names the task as observability output will ("pass 2",
-	// "pass 0 block 1/4", "approx pass 3").
+	// "pass 0 block 1/4").
 	Label string `json:"label"`
 	// Pass is the seed relation index.
 	Pass int `json:"pass"`
 	// Block of Blocks places the task within its pass.
 	Block  int `json:"block"`
 	Blocks int `json:"blocks"`
-	// Seeds is the number of seed singletons, indices [SeedLo, SeedHi)
-	// of the pass relation.
+	// Seeds is the number of seed singletons: the task's anchor window,
+	// indices [SeedLo, SeedHi) of the pass relation.
 	Seeds  int `json:"seeds"`
 	SeedLo int `json:"seed_lo"`
 	SeedHi int `json:"seed_hi"`
@@ -212,13 +212,7 @@ func Explain(db *Database, q Query) (*Plan, error) {
 	}
 	workers := q.ParallelWorkers()
 	if workers > 1 {
-		var layout []core.TaskMeta
-		switch n.Mode {
-		case ModeExact:
-			layout = core.ExactLayout(db, workers)
-		case ModeApprox:
-			layout = core.ApproxLayout(db)
-		}
+		layout := core.Layout(db, workers)
 		if workers > len(layout) {
 			// The worker pool never exceeds the task count.
 			workers = len(layout)

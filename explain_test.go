@@ -3,9 +3,11 @@ package fd_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"sort"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	fd "repro"
@@ -67,88 +69,131 @@ func TestExplainJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExplainStrategyPrediction checks the plan's strategy section
-// against the execution it predicts, across the three workload shapes
-// and Workers ∈ {1, 4}: a sequential plan carries a reason, a parallel
-// plan's task list matches — task for task — the spans an actual run
-// reports through the TaskObserver.
-func TestExplainStrategyPrediction(t *testing.T) {
-	for _, shape := range []string{"chain", "star", "clique"} {
-		db := explainDB(t, shape)
-		for _, workers := range []int{1, 4} {
-			q := fd.Query{Mode: fd.ModeExact, Options: fd.QueryOptions{
-				UseIndex: true, Workers: workers}}
-			plan, err := fd.Explain(db, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if workers == 1 {
-				if plan.Strategy.Execution != "sequential" || plan.Strategy.Workers != 1 {
-					t.Fatalf("%s workers=1: strategy %+v, want sequential", shape, plan.Strategy)
-				}
-				if plan.Strategy.Reason == "" {
-					t.Errorf("%s: sequential plan gives no reason", shape)
-				}
-				if len(plan.Strategy.Tasks) != 0 {
-					t.Errorf("%s: sequential plan lists %d tasks", shape, len(plan.Strategy.Tasks))
-				}
-				continue
-			}
-			if plan.Strategy.Execution != "parallel" {
-				t.Fatalf("%s workers=4: execution %q, want parallel", shape, plan.Strategy.Execution)
-			}
-			if plan.Strategy.Workers < 2 || plan.Strategy.Workers > workers {
-				t.Errorf("%s: effective workers %d outside [2, %d]", shape, plan.Strategy.Workers, workers)
-			}
-			if len(plan.Strategy.Tasks) < plan.Strategy.Passes {
-				t.Errorf("%s: %d tasks for %d passes", shape, len(plan.Strategy.Tasks), plan.Strategy.Passes)
-			}
-			seeds := 0
-			for _, task := range plan.Strategy.Tasks {
-				if task.Seeds != task.SeedHi-task.SeedLo || task.Seeds <= 0 {
-					t.Errorf("%s: task %q has seed range [%d, %d) but Seeds=%d",
-						shape, task.Label, task.SeedLo, task.SeedHi, task.Seeds)
-				}
-				seeds += task.Seeds
-			}
-			if seeds != plan.Database.Tuples {
-				t.Errorf("%s: task seed counts sum to %d, want every tuple once (%d)",
-					shape, seeds, plan.Database.Tuples)
-			}
+// emptyMiddleDB builds a three-relation chain whose middle relation
+// has no tuples: the passes of the outer relations block-split at
+// eight workers, the empty one contributes no task.
+func emptyMiddleDB(t *testing.T) *fd.Database {
+	t.Helper()
+	r0 := fd.MustRelation("R0", fd.MustSchema("A", "B"))
+	r1 := fd.MustRelation("R1", fd.MustSchema("B", "C"))
+	r2 := fd.MustRelation("R2", fd.MustSchema("C", "D"))
+	for i := 0; i < 20; i++ {
+		r0.MustAppend("", map[fd.Attribute]fd.Value{"A": fd.V(fmt.Sprint(i % 4)), "B": fd.V(fmt.Sprint(i % 3))})
+		r2.MustAppend("", map[fd.Attribute]fd.Value{"C": fd.V(fmt.Sprint(i % 3)), "D": fd.V(fmt.Sprint(i % 5))})
+	}
+	return fd.MustDatabase(r0, r1, r2)
+}
 
-			// The plan is the execution: a real run reports exactly the
-			// planned tasks, label for label.
-			var ran atomic.Int64
-			planned := make(map[string]bool, len(plan.Strategy.Tasks))
-			for _, task := range plan.Strategy.Tasks {
-				planned[task.Label] = true
-			}
-			var unplanned atomic.Int64
-			run := q
-			run.Options.TaskObserver = func(ts fd.TaskSpan) {
-				ran.Add(1)
-				if !planned[ts.Label] {
-					unplanned.Add(1)
-				}
-			}
-			rs, err := fd.Open(context.Background(), db, run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ok := rs.Next(); ok; _, ok = rs.Next() {
-			}
-			if err := rs.Err(); err != nil {
-				t.Fatal(err)
-			}
-			rs.Close()
-			if int(ran.Load()) != len(plan.Strategy.Tasks) {
-				t.Errorf("%s: plan promised %d tasks, execution ran %d",
-					shape, len(plan.Strategy.Tasks), ran.Load())
-			}
-			if unplanned.Load() != 0 {
-				t.Errorf("%s: %d executed tasks missing from the plan", shape, unplanned.Load())
+// TestExplainStrategyPrediction checks the plan's strategy section
+// against the execution it predicts, for the exact and approximate
+// modes across the three workload shapes and a database with an empty
+// relation, and Workers ∈ {1, 4, 8}: a sequential plan carries a
+// reason, a parallel plan plans only tasks with seeds, and its task
+// list matches — label for label — the spans an actual run reports
+// through the TaskObserver.
+func TestExplainStrategyPrediction(t *testing.T) {
+	exact := []fd.Mode{fd.ModeExact}
+	both := []fd.Mode{fd.ModeExact, fd.ModeApprox}
+	dbs := []struct {
+		name  string
+		db    *fd.Database
+		modes []fd.Mode
+	}{
+		// The approximate drains of the 24-tuple chain and star take
+		// seconds; the layout under test is the same for both modes.
+		{"chain", explainDB(t, "chain"), exact},
+		{"star", explainDB(t, "star"), exact},
+		{"clique", explainDB(t, "clique"), both},
+		{"dirty", dirtyDB(t), both},
+		{"empty-middle", emptyMiddleDB(t), both},
+	}
+	for _, c := range dbs {
+		for _, mode := range c.modes {
+			for _, workers := range []int{1, 4, 8} {
+				checkStrategyPrediction(t, fmt.Sprintf("%s/%s/workers=%d", c.name, mode, workers), c.db,
+					fd.Query{Mode: mode, Tau: 0.7, Options: fd.QueryOptions{UseIndex: true, Workers: workers}})
 			}
 		}
+	}
+}
+
+// checkStrategyPrediction checks one plan against one run (see
+// TestExplainStrategyPrediction).
+func checkStrategyPrediction(t *testing.T, label string, db *fd.Database, q fd.Query) {
+	t.Helper()
+	if q.Mode == fd.ModeExact {
+		q.Tau = 0
+	}
+	plan, err := fd.Explain(db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Options.Workers == 1 {
+		if plan.Strategy.Execution != "sequential" || plan.Strategy.Workers != 1 {
+			t.Fatalf("%s: strategy %+v, want sequential", label, plan.Strategy)
+		}
+		if plan.Strategy.Reason == "" {
+			t.Errorf("%s: sequential plan gives no reason", label)
+		}
+		if len(plan.Strategy.Tasks) != 0 {
+			t.Errorf("%s: sequential plan lists %d tasks", label, len(plan.Strategy.Tasks))
+		}
+		return
+	}
+	if plan.Strategy.Execution != "parallel" {
+		t.Fatalf("%s: execution %q, want parallel", label, plan.Strategy.Execution)
+	}
+	if plan.Strategy.Workers < 2 || plan.Strategy.Workers > q.Options.Workers {
+		t.Errorf("%s: effective workers %d outside [2, %d]", label, plan.Strategy.Workers, q.Options.Workers)
+	}
+	nonEmpty := 0
+	for _, rel := range plan.Database.Relations {
+		if rel.Tuples > 0 {
+			nonEmpty++
+		}
+	}
+	if len(plan.Strategy.Tasks) < nonEmpty {
+		t.Errorf("%s: %d tasks for %d non-empty passes", label, len(plan.Strategy.Tasks), nonEmpty)
+	}
+	seeds := 0
+	var planned []string
+	for _, task := range plan.Strategy.Tasks {
+		if task.Seeds != task.SeedHi-task.SeedLo || task.Seeds <= 0 {
+			t.Errorf("%s: task %q has seed range [%d, %d) but Seeds=%d",
+				label, task.Label, task.SeedLo, task.SeedHi, task.Seeds)
+		}
+		seeds += task.Seeds
+		planned = append(planned, task.Label)
+	}
+	if seeds != plan.Database.Tuples {
+		t.Errorf("%s: task seed counts sum to %d, want every tuple once (%d)",
+			label, seeds, plan.Database.Tuples)
+	}
+
+	// The plan is the execution: a real run reports exactly the
+	// planned tasks, label for label.
+	var mu sync.Mutex
+	var ran []string
+	run := q
+	run.Options.TaskObserver = func(ts fd.TaskSpan) {
+		mu.Lock()
+		ran = append(ran, ts.Label)
+		mu.Unlock()
+	}
+	rs, err := fd.Open(context.Background(), db, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ok := rs.Next(); ok; _, ok = rs.Next() {
+	}
+	if err := rs.Err(); err != nil {
+		t.Fatal(err)
+	}
+	rs.Close()
+	sort.Strings(planned)
+	sort.Strings(ran)
+	if !reflect.DeepEqual(ran, planned) {
+		t.Errorf("%s: plan promised tasks %q, execution ran %q", label, planned, ran)
 	}
 }
 

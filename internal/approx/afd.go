@@ -53,37 +53,31 @@ type Enumerator struct {
 	scan       *core.Scanner
 	incomplete []*tupleset.Set
 	complete   *core.CompleteStore
-	// minIdx is the delta-mode anchor floor (see core.Enumerator):
-	// NewDeltaEnumerator restricts the enumeration to results whose
-	// seed-relation member is an appended tuple. Zero enumerates all of
-	// AFDi(R, A, τ).
-	minIdx int32
+	// lo and hi bound the anchor window (see NewWindowEnumerator).
+	lo, hi int32
 }
 
-// NewEnumerator prepares the enumeration. Incomplete is initialised
-// with {t} for every seed-relation tuple t with A({t}) ≥ τ (Fig 5,
-// line 3 — the starred initialisation change). Database scans honour
-// the engine knobs of opts: block size, buffer pool, hash index for
-// the Complete store, and — when a is equi-compatible — candidate-only
-// scans over the equi-join posting index.
+// NewEnumerator prepares the enumeration of AFDi(R, A, τ): the full
+// anchor window [0, Len) of NewWindowEnumerator.
 func NewEnumerator(db *relation.Database, seed int, a Join, tau float64, opts core.Options) (*Enumerator, error) {
-	// Every tuple is "appended" after index 0, so the delta enumeration
-	// from 0 is the full one.
-	return NewDeltaEnumerator(db, seed, 0, a, tau, opts)
+	return NewWindowEnumerator(db, seed, 0, core.SeedLen(db, seed), a, tau, opts)
 }
 
-// NewDeltaEnumerator prepares the delta enumeration of an append under
-// an approximate join: db is the extended database, whose relation
-// seed received appended tuples at indices firstNew..Len-1, and the
-// enumeration produces exactly the members of AFD(R, A, τ) that
-// contain an appended tuple. The argument mirrors core's
-// NewDeltaEnumerator: a qualifying set holds at most one seed-relation
-// tuple, its anchor is invariant under extension and TryAbsorb merges
-// (two seed-relation tuples always conflict), so seeding with the
-// qualifying appended singletons and flooring discovered anchors at
-// firstNew restricts Fig 5/6 to the new anchors without disturbing
-// their maximality or uniqueness guarantees.
-func NewDeltaEnumerator(db *relation.Database, seed, firstNew int, a Join, tau float64, opts core.Options) (*Enumerator, error) {
+// NewWindowEnumerator prepares the enumeration of the members of
+// AFDi(R, A, τ) whose seed-relation member has index in [lo, hi).
+// Incomplete is initialised with {t} for every such tuple t with
+// A({t}) ≥ τ (Fig 5, line 3 — the starred initialisation change).
+// The argument of core.NewWindowEnumerator carries over: a qualifying
+// set holds at most one seed-relation tuple, and its anchor is
+// invariant under extension and TryAbsorb merges (two seed-relation
+// tuples always conflict), so seeding with the window's qualifying
+// singletons and dropping discovered candidates anchored outside it
+// restricts Figs 5–6 to the window without disturbing their maximality
+// or uniqueness guarantees. Database scans honour the engine knobs of
+// opts: block size, buffer pool, hash index for the Complete store,
+// and — when a is equi-compatible — candidate-only scans over the
+// equi-join posting index.
+func NewWindowEnumerator(db *relation.Database, seed, lo, hi int, a Join, tau float64, opts core.Options) (*Enumerator, error) {
 	if seed < 0 || seed >= db.NumRelations() {
 		return nil, fmt.Errorf("approx: seed relation %d out of range [0,%d)", seed, db.NumRelations())
 	}
@@ -93,17 +87,16 @@ func NewDeltaEnumerator(db *relation.Database, seed, firstNew int, a Join, tau f
 	if tau <= 0 || tau > 1 {
 		return nil, fmt.Errorf("approx: threshold %v outside (0,1]", tau)
 	}
-	rel := db.Relation(seed)
-	if firstNew < 0 || firstNew > rel.Len() {
-		return nil, fmt.Errorf("approx: delta first-new index %d out of range [0,%d]", firstNew, rel.Len())
+	if err := core.CheckWindow(db, seed, lo, hi); err != nil {
+		return nil, err
 	}
 	u := tupleset.NewUniverse(db)
-	e := &Enumerator{u: u, seed: seed, a: a, tau: tau, minIdx: int32(firstNew),
+	e := &Enumerator{u: u, seed: seed, a: a, tau: tau, lo: int32(lo), hi: int32(hi),
 		// Always hash-indexed (pre-Options behaviour): UseIndex governs
 		// the §7 lists of the exact engine, not the dup-check store.
 		complete: core.NewCompleteStore(u, true)}
 	e.scan = core.NewScanner(db, ScanOptions(a, opts), 0, &e.stats)
-	for i := firstNew; i < rel.Len(); i++ {
+	for i := lo; i < hi; i++ {
 		s := u.Singleton(relation.Ref{Rel: int32(seed), Idx: int32(i)})
 		e.stats.JCCChecks++
 		if a.Score(u, s) >= tau {
@@ -127,7 +120,7 @@ func (e *Enumerator) Next() (*tupleset.Set, bool) {
 	e.incomplete = e.incomplete[1:]
 	e.stats.Iterations++
 
-	result := getNextResult(e.u, e.seed, e.a, e.tau, e.scan, e.minIdx, T, (*fifoPool)(e), e.complete, &e.stats)
+	result := getNextResult(e.u, e.seed, e.a, e.tau, e.scan, e.lo, e.hi, T, (*fifoPool)(e), e.complete, &e.stats)
 
 	e.complete.Add(result)
 	e.stats.Emitted++
@@ -183,15 +176,15 @@ func TryMerge(u *tupleset.Universe, a Join, tau float64, s, t *tupleset.Set, sta
 func GetNextResult(u *tupleset.Universe, seed int, a Join, tau float64, opts core.Options,
 	T *tupleset.Set, pool core.Pool, complete *core.CompleteStore, stats *core.Stats) *tupleset.Set {
 	scan := core.NewScanner(u.DB, ScanOptions(a, opts), 0, stats)
-	return getNextResult(u, seed, a, tau, scan, 0, T, pool, complete, stats)
+	return getNextResult(u, seed, a, tau, scan, 0, int32(u.DB.Relation(seed).Len()), T, pool, complete, stats)
 }
 
-// getNextResult additionally takes minIdx, the delta-mode anchor floor:
-// a discovered candidate whose seed-relation tuple has index < minIdx
-// is dropped at line 9 exactly as one with no seed tuple is. With
-// minIdx = 0 this is APPROXGETNEXTRESULT verbatim.
+// getNextResult additionally takes the anchor window [lo, hi): a
+// discovered candidate whose seed-relation tuple has an index outside
+// it is dropped at line 9 exactly as one with no seed tuple is. With
+// the full window [0, Len) this is APPROXGETNEXTRESULT verbatim.
 func getNextResult(u *tupleset.Universe, seed int, a Join, tau float64, scan *core.Scanner,
-	minIdx int32, T *tupleset.Set, pool core.Pool, complete *core.CompleteStore, stats *core.Stats) *tupleset.Set {
+	lo, hi int32, T *tupleset.Set, pool core.Pool, complete *core.CompleteStore, stats *core.Stats) *tupleset.Set {
 
 	// Lines 2–6 (starred): extend T maximally under A(T ∪ {tg}) ≥ τ.
 	// With the join index (equi-compatible a only) each sweep visits the
@@ -226,8 +219,8 @@ func getNextResult(u *tupleset.Universe, seed int, a Join, tau float64, scan *co
 		for _, tPrime := range a.MaximalSubsets(u, T, tb, tau) {
 			stats.JCCChecks++
 			anchor, hasSeed := tPrime.Member(seed)
-			if !hasSeed || anchor.Idx < minIdx {
-				continue // line 9: T' lacks a (delta-mode: new) tuple of Ri
+			if !hasSeed || anchor.Idx < lo || anchor.Idx >= hi {
+				continue // line 9: T' lacks a tuple of Ri in the window
 			}
 			if complete.ContainsSuperset(tPrime, anchor, stats) {
 				continue // line 11

@@ -8,20 +8,21 @@ import (
 	"repro/internal/relation"
 )
 
-// tasks partitions the enumeration of AFD(R, A, τ) by ApproxLayout —
-// the same layout fd.Explain reports — into the per-relation passes of
-// APPROXINCREMENTALFD. The passes are independent (each builds
-// AFDi(R, A, τ) from scratch), and a result is owned by the pass of
-// its minimal relation.
-func tasks(db *relation.Database, a Join, tau float64, opts core.Options) ([]core.Task, error) {
+// tasks partitions the enumeration of AFD(R, A, τ) by core.Layout —
+// the same layout the exact passes and fd.Explain use — into anchor
+// windows of the per-relation passes of APPROXINCREMENTALFD. The
+// passes are independent (each builds AFDi(R, A, τ) from scratch), the
+// windows of a pass partition its results, and a result is owned by
+// the pass of its minimal relation.
+func tasks(db *relation.Database, a Join, tau float64, opts core.Options, workers int) ([]core.Task, error) {
 	if a == nil {
 		return nil, fmt.Errorf("approx: nil approximate join function")
 	}
 	if tau <= 0 || tau > 1 {
 		return nil, fmt.Errorf("approx: threshold %v outside (0,1]", tau)
 	}
-	return core.LayoutTasks(core.ApproxLayout(db), func(m core.TaskMeta) (core.TaskEnumerator, error) {
-		return NewEnumerator(db, m.Pass, a, tau, opts)
+	return core.LayoutTasks(core.Layout(db, workers), func(m core.TaskMeta) (core.TaskEnumerator, error) {
+		return NewWindowEnumerator(db, m.Pass, m.SeedLo, m.SeedHi, a, tau, opts)
 	}), nil
 }
 
@@ -32,7 +33,7 @@ func tasks(db *relation.Database, a Join, tau float64, opts core.Options) ([]cor
 // APPROXGETNEXTRESULT iteration and Err reports ctx.Err(). A nil ctx
 // means context.Background().
 func NewCursor(ctx context.Context, db *relation.Database, a Join, tau float64, opts core.Options) (*core.Cursor, error) {
-	ts, err := tasks(db, a, tau, opts)
+	ts, err := tasks(db, a, tau, opts, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -41,7 +42,8 @@ func NewCursor(ctx context.Context, db *relation.Database, a Join, tau float64, 
 
 // NewParallelCursor starts a parallel streaming enumeration of
 // AFD(R, A, τ) on a pool of at most workers goroutines (≤0 selects
-// GOMAXPROCS), running the same passes as NewCursor. A shared buffer
+// GOMAXPROCS), running the passes of NewCursor — split into anchor
+// windows when workers exceed the relation count. A shared buffer
 // Pool is rejected rather than raced over.
 //
 // The returned cursor has the core.ParallelCursor contract: merged
@@ -51,7 +53,7 @@ func NewParallelCursor(ctx context.Context, db *relation.Database, a Join, tau f
 	if opts.Pool != nil {
 		return nil, fmt.Errorf("approx: parallel execution does not support a shared buffer pool")
 	}
-	ts, err := tasks(db, a, tau, opts)
+	ts, err := tasks(db, a, tau, opts, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -8,10 +8,11 @@ import (
 )
 
 // Cursor is the sequential pass driver of every unranked family: it
-// walks a task list — the partition ExactLayout(db, 1) or ApproxLayout
-// describes, the same []Task that NewTaskCursor runs on its worker
-// pool — in order, in the caller's goroutine, producing one owned
-// result per Next call. The suspended state is explicit (the current
+// walks a task list in order, in the caller's goroutine, producing one
+// owned result per Next call. For the restart strategy and the
+// approximate passes the list is built from Layout(db, 1) — one
+// full-window task per pass, the same []Task shape NewTaskCursor runs
+// on its worker pool. The suspended state is explicit (the current
 // task's enumerator and, for the seeded strategies, the store of
 // previously printed results), so a cursor holds no goroutine and
 // abandoning one with Close leaks nothing.
@@ -51,7 +52,7 @@ func NewCursor(ctx context.Context, db *relation.Database, opts Options) (*Curso
 	}
 	c := NewSequentialCursor(ctx, nil)
 	printed := NewCompleteStore(u, true)
-	for _, m := range ExactLayout(db, 1) {
+	for _, m := range Layout(db, 1) {
 		pass := m.Pass
 		c.tasks = append(c.tasks, Task{
 			Label: m.Label,

@@ -24,22 +24,17 @@ type Enumerator struct {
 	incomplete *IncompleteQueue
 	complete   *CompleteStore
 	scan       Scanner
-	// minIdx restricts the enumeration to results anchored at a
-	// seed-relation tuple with index ≥ minIdx. Zero enumerates all of
-	// FDi(R); NewDeltaEnumerator sets it to the first appended index so
-	// candidates whose seed-relation member predates the append are
-	// discarded instead of enqueued (their results exist in the old
-	// full disjunction already).
-	minIdx int32
+	// lo and hi bound the anchor window: only results whose
+	// seed-relation member has index in [lo, hi) are enumerated (see
+	// NewWindowEnumerator).
+	lo, hi int32
 }
 
 // NewEnumerator prepares an enumeration of FDi(R) with the textbook
 // initialisation (Fig 1 lines 1–4): Incomplete holds {t} for every
-// tuple t of the seed relation.
+// tuple t of the seed relation — the full anchor window [0, Len).
 func NewEnumerator(u *tupleset.Universe, seed int, opts Options) (*Enumerator, error) {
-	// Every tuple is "appended" after index 0, so the delta enumeration
-	// from 0 is the full one.
-	return NewDeltaEnumerator(u, seed, 0, opts)
+	return NewWindowEnumerator(u, seed, 0, SeedLen(u.DB, seed), opts)
 }
 
 // NewSeededEnumerator prepares an enumeration whose Incomplete list is
@@ -76,6 +71,7 @@ func newBareEnumerator(u *tupleset.Universe, seed int, opts Options, minRel int)
 	}
 	e.scan = Scanner{db: u.DB, block: opts.blockSize(), minRel: minRel, stats: &e.stats,
 		pool: opts.Pool, useJoinIndex: opts.UseJoinIndex}
+	e.hi = int32(u.DB.Relation(seed).Len())
 	return e, nil
 }
 
@@ -98,7 +94,7 @@ func (e *Enumerator) Next() (*tupleset.Set, bool) {
 	if !ok {
 		return nil, false
 	}
-	result := getNextResult(e.u, e.seed, &e.scan, e.minIdx, T, e.incomplete, e.complete, &e.stats)
+	result := getNextResult(e.u, e.seed, &e.scan, e.lo, e.hi, T, e.incomplete, e.complete, &e.stats)
 	e.complete.Add(result)
 	e.stats.Iterations++
 	e.stats.Emitted++
@@ -158,14 +154,14 @@ func GetNextResult(u *tupleset.Universe, seed int, opts Options, minRel int, T *
 	incomplete Pool, complete *CompleteStore, stats *Stats) *tupleset.Set {
 	scan := Scanner{db: u.DB, block: opts.blockSize(), minRel: minRel, stats: stats,
 		pool: opts.Pool, useJoinIndex: opts.UseJoinIndex}
-	return getNextResult(u, seed, &scan, 0, T, incomplete, complete, stats)
+	return getNextResult(u, seed, &scan, 0, int32(u.DB.Relation(seed).Len()), T, incomplete, complete, stats)
 }
 
-// getNextResult additionally takes minIdx, the delta-mode anchor floor:
-// a discovered candidate whose seed-relation tuple has index < minIdx
-// is dropped at line 9, exactly as a candidate with no seed tuple is.
-// With minIdx = 0 this is GETNEXTRESULT verbatim.
-func getNextResult(u *tupleset.Universe, seed int, scan *Scanner, minIdx int32, T *tupleset.Set,
+// getNextResult additionally takes the anchor window [lo, hi): a
+// discovered candidate whose seed-relation tuple has an index outside
+// it is dropped at line 9, exactly as a candidate with no seed tuple
+// is. With the full window [0, Len) this is GETNEXTRESULT verbatim.
+func getNextResult(u *tupleset.Universe, seed int, scan *Scanner, lo, hi int32, T *tupleset.Set,
 	incomplete Pool, complete *CompleteStore, stats *Stats) *tupleset.Set {
 
 	var sig tupleset.SigCounters
@@ -205,8 +201,8 @@ func getNextResult(u *tupleset.Universe, seed int, scan *Scanner, minIdx int32, 
 		u.MaximalSubsetInto(tPrime, T, tb, &sig)
 		stats.JCCChecks++
 		anchor, hasSeed := tPrime.Member(seed)
-		if !hasSeed || anchor.Idx < minIdx {
-			return true // line 9: T' has no (delta-mode: no new) tuple of Ri
+		if !hasSeed || anchor.Idx < lo || anchor.Idx >= hi {
+			return true // line 9: T' has no tuple of Ri in the window
 		}
 		if complete.ContainsSuperset(tPrime, anchor, stats) {
 			return true // line 11: already represented in Complete

@@ -8,9 +8,10 @@ import (
 )
 
 // TaskMeta describes one planned task of a partitioned enumeration:
-// the per-relation pass it belongs to, the block of seed singletons it
-// is seeded with ([SeedLo, SeedHi) within the pass relation), and its
-// observability label. It is the plan-time shape of a Task: LayoutTasks
+// the per-relation pass it belongs to, its anchor window ([SeedLo,
+// SeedHi) within the pass relation: the seed singletons it starts from
+// and the anchors of the results it produces), and its observability
+// label. It is the plan-time shape of a Task: LayoutTasks
 // turns these layouts into the Task lists execution runs and
 // fd.Explain reports them, so a plan's task partition cannot drift
 // from what execution runs.
@@ -21,8 +22,8 @@ type TaskMeta struct {
 	// Blocks (Blocks is 1 when the pass is not split).
 	Block  int `json:"block"`
 	Blocks int `json:"blocks"`
-	// SeedLo and SeedHi bound the task's seed tuple indices:
-	// [SeedLo, SeedHi) of the pass relation.
+	// SeedLo and SeedHi bound the task's anchor window: seed tuple
+	// indices [SeedLo, SeedHi) of the pass relation.
 	SeedLo int `json:"seed_lo"`
 	SeedHi int `json:"seed_hi"`
 	// Label names the task in observability output.
@@ -32,13 +33,14 @@ type TaskMeta struct {
 // Seeds returns the number of seed singletons the task starts from.
 func (m TaskMeta) Seeds() int { return m.SeedHi - m.SeedLo }
 
-// ExactLayout computes the task partition a parallel exact enumeration
-// runs with: one task per per-relation pass and, when workers exceed
-// the number of relations, per block of seed singletons within a pass
-// (never smaller than minTaskSeeds, see the package comment in
-// parallel.go). Relations without tuples contribute no task — they
-// seed no pass and own no results.
-func ExactLayout(db *relation.Database, workers int) []TaskMeta {
+// Layout computes the task partition a parallel enumeration runs
+// with, for the exact and the approximate passes alike: one task per
+// per-relation pass and, when workers exceed the number of relations,
+// per anchor window of the pass relation (never smaller than
+// minTaskSeeds, see the package comment in parallel.go). Relations
+// without tuples contribute no task — they seed no pass and anchor no
+// results.
+func Layout(db *relation.Database, workers int) []TaskMeta {
 	n := db.NumRelations()
 	blocksPerPass := 1
 	if n > 0 && workers > n {
@@ -75,41 +77,19 @@ func ExactLayout(db *relation.Database, workers int) []TaskMeta {
 	return layout
 }
 
-// ApproxLayout computes the task partition a parallel approximate
-// enumeration runs with: one task per per-relation pass (passes are
-// never block-split — the approximate walk has no seeded enumerator to
-// restrict).
-func ApproxLayout(db *relation.Database) []TaskMeta {
-	layout := make([]TaskMeta, db.NumRelations())
-	for pass := range layout {
-		layout[pass] = TaskMeta{
-			Pass:   pass,
-			Blocks: 1,
-			SeedHi: db.Relation(pass).Len(),
-			Label:  fmt.Sprintf("approx pass %d", pass),
-		}
-	}
-	return layout
-}
-
 // LayoutTasks attaches executable closures to a layout: open starts
-// the enumeration of one planned task, and ownership follows the
-// duplicate-avoidance rule below Corollary 4.7 refined to blocks — a
-// result belongs to the pass of its minimal relation and, within that
-// pass, to the block containing its seed-relation member.
+// the enumeration of one planned task — the anchor window [SeedLo,
+// SeedHi) of its pass, so a block task produces only the results
+// anchored in its block — and ownership follows the duplicate-
+// avoidance rule below Corollary 4.7: a result belongs to the pass of
+// its minimal relation.
 func LayoutTasks(layout []TaskMeta, open func(TaskMeta) (TaskEnumerator, error)) []Task {
 	tasks := make([]Task, len(layout))
 	for i, m := range layout {
 		tasks[i] = Task{
 			Label: m.Label,
 			Open:  func() (TaskEnumerator, error) { return open(m) },
-			Owns: func(t *tupleset.Set) bool {
-				if minRelation(t) != m.Pass {
-					return false
-				}
-				mem, ok := t.Member(m.Pass)
-				return ok && int(mem.Idx) >= m.SeedLo && int(mem.Idx) < m.SeedHi
-			},
+			Owns:  func(t *tupleset.Set) bool { return minRelation(t) == m.Pass },
 		}
 	}
 	return tasks

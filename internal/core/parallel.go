@@ -14,21 +14,15 @@ import (
 
 // The per-relation passes of Fig 1 are independent by construction —
 // each computes FDi(R) from scratch — and within one pass the seed
-// singletons of Fig 1 lines 1–4 can be split into blocks: an
-// enumeration seeded with the singletons of a block produces every
-// result whose seed-relation member lies in the block (the extension
-// and discovery walks of Fig 2 never depend on which other singletons
-// were enqueued). Results produced by more than one task are
-// deduplicated by ownership, the duplicate-avoidance rule below
-// Corollary 4.7 refined to blocks: a result belongs to the pass of its
-// minimal relation and, within that pass, to the block containing its
-// seed-relation member.
+// relation splits into anchor windows: the enumeration of the window
+// [lo, hi) produces exactly the results of FDi(R) whose seed-relation
+// member lies in it (NewWindowEnumerator), so disjoint windows divide
+// a pass's work without overlap. A result produced by more than one
+// pass is deduplicated by ownership, the duplicate-avoidance rule
+// below Corollary 4.7: it belongs to the pass of its minimal relation.
 //
-// Splitting a pass does not divide its work the way splitting passes
-// does — each block's enumeration still discovers candidates anchored
-// anywhere in the seed relation — so blocks are cut only when there
-// are more workers than relations, and never smaller than
-// minTaskSeeds tuples.
+// Windows are cut only when there are more workers than relations, and
+// never smaller than minTaskSeeds tuples.
 
 // TaskEnumerator is one suspended enumeration run by a parallel
 // worker: a source of tuple sets plus its execution counters. Both
@@ -45,15 +39,16 @@ type Task struct {
 	// database, a Universe) or task-local.
 	Open func() (TaskEnumerator, error)
 	// Owns reports whether this task is the unique owner of a result
-	// it produced. Partitions overlap (a task can produce results
-	// seeded outside its block); exactly one task owns each result, so
-	// the merged stream carries no duplicates. Owns sees each produced
+	// it produced. The passes overlap (a result with tuples of several
+	// relations is produced by each of their passes, in the window of
+	// its member); exactly one task owns each result, so the merged
+	// stream carries no duplicates. Owns sees each produced
 	// result once, in production order, so a task list only the
 	// sequential Cursor runs may keep state in it (the seeded
 	// strategies' printed filter).
 	Owns func(*tupleset.Set) bool
 	// Label names the task in observability output ("pass 2",
-	// "pass 0 block 1/4", "approx pass 3"…). Optional.
+	// "pass 0 block 1/4"…). Optional.
 	Label string
 }
 
@@ -267,24 +262,17 @@ func (c *ParallelCursor) Close() {
 	<-c.done
 }
 
-// minTaskSeeds is the smallest seed block a pass is split into: below
-// this the per-task fixed costs (stores, scanner, duplicated discovery
-// work) outweigh the parallelism.
+// minTaskSeeds is the smallest anchor window a pass is split into:
+// below this the per-task fixed costs (stores, scanner) outweigh the
+// parallelism.
 const minTaskSeeds = 8
 
-// exactTasks partitions the restart-strategy enumeration of FD(R):
-// one task per per-relation pass and, when workers exceed the number
-// of relations, per block of seed singletons within a pass, so one
-// skewed relation doesn't serialise the run. The partition itself
-// comes from ExactLayout — the same layout fd.Explain reports — and
-// each task seeds Incomplete with the singletons of its block.
+// exactTasks partitions the restart-strategy enumeration of FD(R) by
+// Layout — the same layout fd.Explain reports — into anchor-window
+// enumerations, so one skewed relation doesn't serialise the run.
 func exactTasks(u *tupleset.Universe, opts Options, workers int) []Task {
-	return LayoutTasks(ExactLayout(u.DB, workers), func(m TaskMeta) (TaskEnumerator, error) {
-		init := make([]*tupleset.Set, 0, m.Seeds())
-		for i := m.SeedLo; i < m.SeedHi; i++ {
-			init = append(init, u.Singleton(relation.Ref{Rel: int32(m.Pass), Idx: int32(i)}))
-		}
-		return NewSeededEnumerator(u, m.Pass, opts, init, 0)
+	return LayoutTasks(Layout(u.DB, workers), func(m TaskMeta) (TaskEnumerator, error) {
+		return NewWindowEnumerator(u, m.Pass, m.SeedLo, m.SeedHi, opts)
 	})
 }
 

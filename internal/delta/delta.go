@@ -12,15 +12,17 @@
 //	FD(R') = { T ∈ FD(R) : no D ∈ Δ strictly contains T } ∪ Δ
 //
 // where Δ is the set of maximal JCC sets of R' containing an appended
-// tuple. Δ is enumerated directly by the seeded delta enumerators
-// (core.NewDeltaEnumerator, approx.NewDeltaEnumerator): Incomplete is
-// seeded with the appended singletons only, and discovered candidates
-// whose relation-r member predates the append are discarded, so the
-// enumeration does O(Δ-neighbourhood) work rather than O(FD). The same
-// identity holds for the (A,τ)-approximate full disjunction with any
-// acceptable monotone join function: a qualifying superset of an old
-// maximal T must contain an appended tuple (T was maximal before), and
-// its maximal qualifying superset is a member of Δ.
+// tuple. A tuple set holds at most one tuple of r, so Δ is exactly the
+// anchor window [firstNew, Len) of the relation-r pass, enumerated
+// directly by the window enumerators (core.NewWindowEnumerator,
+// approx.NewWindowEnumerator): Incomplete is seeded with the appended
+// singletons only, and discovered candidates whose relation-r member
+// predates the append are discarded, so the enumeration does
+// O(Δ-neighbourhood) work rather than O(FD). The same identity holds
+// for the (A,τ)-approximate full disjunction with any acceptable
+// monotone join function: a qualifying superset of an old maximal T
+// must contain an appended tuple (T was maximal before), and its
+// maximal qualifying superset is a member of Δ.
 //
 // Subsumption (the "no D strictly contains T" filter) is the existing
 // signature/bitset containment check, Set.ContainsAll, which walks
@@ -56,7 +58,7 @@ type Delta struct {
 // extended database whose relation relIdx received appended tuples at
 // indices firstNew..Len-1.
 func Exact(u *tupleset.Universe, relIdx, firstNew int, opts core.Options) (*Delta, error) {
-	e, err := core.NewDeltaEnumerator(u, relIdx, firstNew, opts)
+	e, err := core.NewWindowEnumerator(u, relIdx, firstNew, core.SeedLen(u.DB, relIdx), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +70,7 @@ func Exact(u *tupleset.Universe, relIdx, firstNew int, opts core.Options) (*Delt
 // Approx computes the delta of an (a,tau)-approximate family over the
 // extended database db.
 func Approx(db *relation.Database, relIdx, firstNew int, a approx.Join, tau float64, opts core.Options) (*Delta, error) {
-	e, err := approx.NewDeltaEnumerator(db, relIdx, firstNew, a, tau, opts)
+	e, err := approx.NewWindowEnumerator(db, relIdx, firstNew, core.SeedLen(db, relIdx), a, tau, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -97,12 +97,7 @@ func Open(ctx context.Context, db *Database, q Query) (Results, error) {
 			// The parallel paths run the partitioned layout; publish its
 			// task count and count completions through the observer chain
 			// (one atomic add per finished task).
-			switch n.Mode {
-			case ModeExact:
-				prog.SetTasksTotal(len(core.ExactLayout(db, workers)))
-			case ModeApprox:
-				prog.SetTasksTotal(len(core.ApproxLayout(db)))
-			}
+			prog.SetTasksTotal(len(core.Layout(db, workers)))
 			inner := opts.TaskObserver
 			opts.TaskObserver = func(ts TaskSpan) {
 				prog.TaskDone()

@@ -6,7 +6,10 @@
 # not time, so they repeat exactly on any machine: a mismatch means the
 # engine does different work, and the fix is either the code or a
 # regenerated BENCH file in the same change. Wall time, allocations and
-# delay are never compared.
+# delay are never compared. Every E9 "parallel ×N" rung must also
+# deliver the results of the sequential "+ join-candidate index" rung
+# it partitions, with no more jcc_checks and list_scans: the anchor
+# windows of a block split divide a pass's work, never repeat it.
 #
 # Run from the repository root:
 #
@@ -50,6 +53,19 @@ for committed in sys.argv[2:]:
             if got.get(field) != want.get(field):
                 print(f"FAIL: {committed}: {workload} variant {name!r}: {field} = {got.get(field)}, committed {want.get(field)}")
                 failures += 1
+
+e9 = {name: v for (workload, name), v in run.items() if workload == "e9"}
+seq = next(v for name, v in e9.items() if name.startswith("+ join-candidate index"))
+for name, v in e9.items():
+    if not name.startswith("parallel"):
+        continue
+    if v["results"] != seq["results"]:
+        print(f"FAIL: e9 variant {name!r}: results = {v['results']}, sequential rung {seq['results']}")
+        failures += 1
+    for field in ("jcc_checks", "list_scans"):
+        if v[field] > seq[field]:
+            print(f"FAIL: e9 variant {name!r}: {field} = {v[field]}, above the sequential rung's {seq[field]}")
+            failures += 1
 if failures:
     sys.exit(1)
 print(f"PASS: {checked} variants match the committed counters")
