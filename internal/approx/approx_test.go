@@ -409,6 +409,74 @@ func TestLevenshtein(t *testing.T) {
 	}
 }
 
+// levenshteinRef is the straightforward two-row DP that Levenshtein
+// must agree with on both sides of its stack-row cutoff.
+func levenshteinRef(a, b string) int {
+	if a == b {
+		return 0
+	}
+	if len(a) == 0 {
+		return len(b)
+	}
+	if len(b) == 0 {
+		return len(a)
+	}
+	prev := make([]int, len(b)+1)
+	cur := make([]int, len(b)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		cur[0] = i
+		for j := 1; j <= len(b); j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			m := prev[j] + 1
+			if v := cur[j-1] + 1; v < m {
+				m = v
+			}
+			if v := prev[j-1] + cost; v < m {
+				m = v
+			}
+			cur[j] = m
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(b)]
+}
+
+// TestLevenshteinMatchesReference compares Levenshtein with the
+// reference DP on random strings of lengths 0–40 over a small alphabet
+// (so edits, not just mismatches, decide the distance), covering both
+// the stack rows and the heap fallback.
+func TestLevenshteinMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	word := func() string {
+		b := make([]byte, rng.Intn(41))
+		for i := range b {
+			b[i] = "abc"[rng.Intn(3)]
+		}
+		return string(b)
+	}
+	for i := 0; i < 5000; i++ {
+		a, b := word(), word()
+		if got, want := Levenshtein(a, b), levenshteinRef(a, b); got != want {
+			t.Fatalf("Levenshtein(%q, %q) = %d, reference %d", a, b, got, want)
+		}
+	}
+}
+
+// TestLevenshteinNoAllocs asserts that strings below the stack cutoff
+// are compared without allocating.
+func TestLevenshteinNoAllocs(t *testing.T) {
+	a, b := "value_03_misspelled_country_x", "valeu_30_misspeled_cuontry_y"
+	if allocs := testing.AllocsPerRun(100, func() { Levenshtein(a, b) }); allocs != 0 {
+		t.Fatalf("Levenshtein on %d/%d-byte strings allocated %.0f times, want 0", len(a), len(b), allocs)
+	}
+}
+
 func TestLevenshteinSimMisspelledCountry(t *testing.T) {
 	db, _ := workload.TouristApprox() // c1.Country = "Cannada"
 	refs := refsByLabel(db)

@@ -109,6 +109,11 @@ func codeSim(dict *relation.Dict, ca, cb int32) float64 {
 	return 1 - float64(Levenshtein(sa, sb))/float64(maxLen)
 }
 
+// levStack is the longest DP row Levenshtein keeps on the stack, so
+// comparing against a value shorter than levStack bytes allocates
+// nothing; longer values fall back to heap rows.
+const levStack = 33
+
 // Levenshtein computes the classic edit distance (insert, delete,
 // substitute, unit costs) between two strings, byte-wise.
 func Levenshtein(a, b string) int {
@@ -121,8 +126,13 @@ func Levenshtein(a, b string) int {
 	if len(b) == 0 {
 		return len(a)
 	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
+	var buf [2 * levStack]int
+	n := len(b) + 1
+	prev, cur := buf[:levStack], buf[levStack:]
+	if n > levStack {
+		prev, cur = make([]int, n), make([]int, n)
+	}
+	prev, cur = prev[:n], cur[:n]
 	for j := range prev {
 		prev[j] = j
 	}

@@ -5,7 +5,9 @@
 // natural join. They exist to validate the polynomial algorithms on
 // small instances in unit and property tests, and to demonstrate the
 // NP-hardness result of Proposition 5.1 empirically. They must never be
-// used on large inputs.
+// used on large inputs: scripts/check_no_oracle.sh, a CI step, fails
+// when the library or fdserve, fdcli or fdgen links this package (only
+// fdbench does, for its brute-force comparisons).
 //
 // The oracles deliberately enumerate by full database sweeps (no
 // candidate index), but their join-consistency checks go through the

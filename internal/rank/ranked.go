@@ -3,10 +3,11 @@ package rank
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/approx"
 	"repro/internal/core"
-	"repro/internal/naive"
 	"repro/internal/relation"
 	"repro/internal/tupleset"
 )
@@ -45,10 +46,12 @@ type Cursor struct {
 // initialisation (lines 1–8: enumerate the JCC connected tuple sets of
 // size ≤ c and merge each queue to a fixpoint) happens here, so the
 // constructor carries the polynomial preprocessing cost of Lemma 5.3
-// and every Next call is one queue extraction. Cancelling ctx aborts
-// the preprocessing between queue merges and makes a later Next fail
-// within one queue extraction with Err() == ctx.Err(). A nil ctx means
-// context.Background().
+// and every Next call is one queue extraction. For a c-determined f
+// the seeds are the O(|D|^c) qualifying sets of at most c tuples (the
+// singletons for fmax), found without visiting larger sets. Cancelling
+// ctx aborts the preprocessing between queue merges and makes a later
+// Next fail within one queue extraction with Err() == ctx.Err(). A nil
+// ctx means context.Background().
 func NewCursor(ctx context.Context, db *relation.Database, f Func, opts core.Options) (*Cursor, error) {
 	if err := Validate(f); err != nil {
 		return nil, err
@@ -106,20 +109,24 @@ func newCursor(ctx context.Context, db *relation.Database, f Func) *Cursor {
 }
 
 // init runs Fig 3 lines 1–8. Lines 1–4 enumerate every connected tuple
-// set of size ≤ c satisfying the join predicate qualifies and
-// distribute it to the queue of each relation it touches; lines 5–8
-// merge each queue to a fixpoint under merge, establishing
-// initialisation condition (iii) of Lemma 5.2. The queues keep merge
+// set of size ≤ c satisfying the join predicate qualifies (smallSets:
+// O(|D|^c) sets, in key order) and distribute it to the queue of each
+// relation it touches; lines 5–8 merge each queue to a fixpoint under
+// merge, establishing initialisation condition (iii) of Lemma 5.2. The queues keep merge
 // for the absorb step of lines 14–15.
 func (c *Cursor) init(qualifies func(*tupleset.Set) bool, merge mergeFunc) error {
-	n, k := c.u.DB.NumRelations(), c.f.C()
-	small := naive.EnumerateConnected(c.u, func(s *tupleset.Set) bool {
-		return s.Len() <= k && qualifies(s)
-	})
+	n := c.u.DB.NumRelations()
 	perSeed := make([][]*tupleset.Set, n)
-	for _, s := range small {
-		for _, ref := range s.Refs() {
-			perSeed[ref.Rel] = append(perSeed[ref.Rel], s.Clone())
+	for _, s := range smallSets(c.u, c.f.C(), qualifies) {
+		// Each queue may extend its copy in place; the last queue
+		// takes the original, which nothing else holds.
+		refs := s.Refs()
+		for i, ref := range refs {
+			t := s
+			if i < len(refs)-1 {
+				t = s.Clone()
+			}
+			perSeed[ref.Rel] = append(perSeed[ref.Rel], t)
 		}
 	}
 	c.queues = make([]*priorityQueue, n)
@@ -134,6 +141,64 @@ func (c *Cursor) init(qualifies func(*tupleset.Set) bool, merge mergeFunc) error
 		c.queues[i] = q
 	}
 	return nil
+}
+
+// smallSets returns every connected tuple set of at most c tuples that
+// satisfies qualifies, sorted by Key: the seeds of Fig 3 lines 1–4. It
+// grows the qualifying singletons breadth-first, one connected tuple at
+// a time, and never extends a set that already has c members, so it
+// keeps O(|D|^c) sets and makes O(|D|^c) extension attempts in all.
+// Completeness needs qualifies to be downward closed on connected
+// subsets, as JCC and A(T) ≥ τ for an acceptable A are: every
+// qualifying connected set is then reached through a chain of
+// qualifying connected subsets, one tuple apart.
+func smallSets(u *tupleset.Universe, c int, qualifies func(*tupleset.Set) bool) []*tupleset.Set {
+	type keyed struct {
+		key string
+		set *tupleset.Set
+	}
+	var all, frontier []keyed
+	// admit keeps s if it qualifies and is new, and recycles it
+	// otherwise. The predicate runs first: most extensions fail it, and
+	// a failed one then costs neither a key nor a map entry.
+	seen := make(map[string]struct{})
+	admit := func(s *tupleset.Set, into *[]keyed) {
+		if qualifies(s) {
+			key := s.Key()
+			if _, dup := seen[key]; !dup {
+				seen[key] = struct{}{}
+				*into = append(*into, keyed{key, s})
+				return
+			}
+		}
+		u.ReleaseSet(s)
+	}
+	u.DB.ForEachRef(func(ref relation.Ref) bool {
+		admit(u.Singleton(ref), &frontier)
+		return true
+	})
+	for size := 1; len(frontier) > 0; size++ {
+		all = append(all, frontier...)
+		if size == c {
+			break
+		}
+		var next []keyed
+		for _, k := range frontier {
+			u.DB.ForEachRef(func(ref relation.Ref) bool {
+				if !k.set.HasRelation(int(ref.Rel)) && u.ConnectedWith(k.set, ref) {
+					admit(k.set.Clone().Add(ref), &next)
+				}
+				return true
+			})
+		}
+		frontier = next
+	}
+	slices.SortFunc(all, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	out := make([]*tupleset.Set, len(all))
+	for i, k := range all {
+		out[i] = k.set
+	}
+	return out
 }
 
 // Next produces the next result in rank order, or ok=false when the
