@@ -47,7 +47,7 @@ func BenchmarkE1Tourist(b *testing.B) {
 func BenchmarkE2Seed(b *testing.B) {
 	db := workload.Tourist()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := fd.FDi(db, 0, fd.Options{}); err != nil {
+		if _, _, err := core.FDi(db, 0, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -185,12 +185,10 @@ func BenchmarkE8Approx(b *testing.B) {
 func BenchmarkE9Ablations(b *testing.B) {
 	db := chainDB(b, 4, 28)
 	variants := map[string]fd.QueryOptions{
-		"noIndex":       {},
-		"index":         {UseIndex: true},
-		"indexSeeded":   {UseIndex: true, Strategy: "seeded"},
-		"indexProject":  {UseIndex: true, Strategy: "projected"},
-		"indexBlock64":  {UseIndex: true, BlockSize: 64},
-		"seededBlock64": {UseIndex: true, Strategy: "seeded", BlockSize: 64},
+		"noIndex":      {},
+		"index":        {UseIndex: true},
+		"indexSeeded":  {UseIndex: true, Strategy: "seeded"},
+		"indexProject": {UseIndex: true, Strategy: "projected"},
 	}
 	for name, opts := range variants {
 		b.Run(name, func(b *testing.B) {

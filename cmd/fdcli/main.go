@@ -69,7 +69,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		simName  = fs.String("sim", "", "with -approx: similarity, levenshtein (default) or exact")
 		index    = fs.Bool("index", true, "use the §7 hash index")
 		joinIdx  = fs.Bool("joinindex", false, "use the equi-join candidate index")
-		block    = fs.Int("block", 1, "block size for block-based execution")
 		strategy = fs.String("strategy", "", "init strategy: singletons (default), seeded or projected")
 		workers  = fs.Int("workers", 0, "parallel enumeration workers: 0 = GOMAXPROCS, 1 = sequential (exact restart and approx modes; ranked runs sequential)")
 		stats    = fs.Bool("stats", false, "print execution counters to stderr")
@@ -133,12 +132,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *appendTo != "" {
-		if *approxT > 0 || *rankName != "" {
-			return fmt.Errorf("-append maintains the exact full disjunction (drop -approx/-rank)")
+		// The maintained full disjunction is exact, unbounded and
+		// sequential: reject the query flags it would otherwise drop.
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "k", "rank", "tau", "approx", "sim", "strategy", "workers", "explain":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fmt.Errorf("-append maintains the exact full disjunction (drop %s)", strings.Join(ignored, ", "))
 		}
-		return runAppend(db, *appendTo, core.Options{
-			UseIndex: *index, UseJoinIndex: *joinIdx, BlockSize: *block,
-		}, stdout, stderr)
+		return runAppend(db, *appendTo, core.Options{UseIndex: *index, UseJoinIndex: *joinIdx}, stdout, stderr)
 	}
 
 	// Flags → the declarative query spec.
@@ -147,7 +153,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Options: fd.QueryOptions{
 			UseIndex:     *index,
 			UseJoinIndex: *joinIdx,
-			BlockSize:    *block,
 			Strategy:     *strategy,
 			Workers:      *workers,
 		},

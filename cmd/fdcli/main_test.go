@@ -156,6 +156,39 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), append([]string{"-rank", "fmax"}, paths...), &out, &out); err == nil {
 		t.Error("-rank without -k or -tau accepted")
 	}
+	// The simulated page size is an fdbench E9 knob, not a query flag.
+	if err := run(context.Background(), append([]string{"-block", "4"}, paths...), &out, &out); err == nil {
+		t.Error("-block accepted")
+	}
+}
+
+// TestRunAppendRejectsQueryFlags: -append maintains the exact, unbounded
+// full disjunction, so every query flag it would silently drop is an
+// error naming the flag, while a plain -append run succeeds.
+func TestRunAppendRejectsQueryFlags(t *testing.T) {
+	paths := writeTouristCSVs(t)
+	name := strings.TrimSuffix(filepath.Base(paths[0]), ".csv")
+	appendArgs := []string{"-append", name + "=" + paths[0]}
+	var out bytes.Buffer
+	if err := run(context.Background(), append(appendArgs, paths...), &out, &out); err != nil {
+		t.Fatalf("plain -append: %v", err)
+	}
+	for _, flags := range [][]string{
+		{"-k", "2"},
+		{"-tau", "3"},
+		{"-sim", "exact"},
+		{"-strategy", "seeded"},
+		{"-workers", "2"},
+		{"-explain"},
+		{"-approx", "0.8"},
+		{"-rank", "fmax"},
+	} {
+		args := append(append(append([]string{}, flags...), appendArgs...), paths...)
+		err := run(context.Background(), args, &out, &out)
+		if err == nil || !strings.Contains(err.Error(), flags[0]) {
+			t.Errorf("-append with %v: err = %v, want a rejection naming %s", flags, err, flags[0])
+		}
+	}
 }
 
 // TestRunTrace: -trace prints the span-tree JSON to stderr with the

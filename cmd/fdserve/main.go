@@ -42,6 +42,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -365,22 +366,32 @@ type server struct {
 	panics atomic.Int64
 }
 
-// decodeBody decodes the request body as JSON into v under the body
-// size cap, writing the HTTP error (413 for an oversized body, 400
-// otherwise) itself; the caller just returns on false.
+// decodeBody decodes the request body as exactly one JSON value into v
+// under the body size cap, writing the HTTP error (413 for an
+// oversized body, 400 otherwise — including a field v does not declare
+// and data after the value) itself; the caller just returns on false.
 func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return false
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	var tooBig *http.MaxBytesError
+	err := dec.Decode(v)
+	if err == nil {
+		// Only whitespace may follow the value.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		if !errors.As(err, &tooBig) {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
 		return false
 	}
-	return true
+	writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	return false
 }
 
 // writeOverloaded maps service.ErrOverloaded to 503 + Retry-After: the
@@ -450,7 +461,6 @@ type createQueryRequest struct {
 type queryOptionsRequest struct {
 	UseIndex     *bool  `json:"use_index"`
 	UseJoinIndex *bool  `json:"use_join_index"`
-	BlockSize    int    `json:"block_size"`
 	Strategy     string `json:"strategy"`
 	Workers      int    `json:"workers"`
 }
@@ -461,7 +471,6 @@ func (o queryOptionsRequest) resolve() fd.QueryOptions {
 	opts := fd.QueryOptions{
 		UseIndex:     true,
 		UseJoinIndex: true,
-		BlockSize:    o.BlockSize,
 		Strategy:     o.Strategy,
 		Workers:      o.Workers,
 	}

@@ -9,11 +9,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	fd "repro"
 	"repro/internal/service"
 )
 
@@ -32,22 +35,65 @@ func rawCall(t *testing.T, method, url, body string) *http.Response {
 	return resp
 }
 
+// TestMalformedBodies checks that every undecodable body is a 400 with
+// a JSON error naming the problem. Decoding is strict: a field the
+// request shape does not declare (the removed block_size option
+// included) and any data after the JSON value are rejected, where a
+// lenient decoder would run the query without them.
 func TestMalformedBodies(t *testing.T) {
 	ts, _ := startServer(t)
-	for _, tc := range []struct{ method, path, body string }{
-		{"POST", "/databases", `{"name": "x", "workload": `},
-		{"POST", "/databases", `not json at all`},
-		{"POST", "/queries", `{"database": 42`},
-		{"POST", "/databases/w/rows", `[]`},
+	call(t, "POST", ts.URL+"/databases",
+		map[string]any{"name": "w", "workload": map[string]any{"kind": "chain",
+			"relations": 2, "tuples": 2, "domain": 2}}, http.StatusCreated, nil)
+	for _, tc := range []struct{ path, body, want string }{
+		{"/databases", `{"name": "x", "workload": `, "unexpected EOF"},
+		{"/databases", `not json at all`, "invalid character"},
+		{"/queries", `{"database": 42`, "unexpected EOF"},
+		{"/databases/w/rows", `[]`, "cannot unmarshal array"},
+		{"/queries", `{"database":"w","options":{"block_size":4}}`, `unknown field "block_size"`},
+		{"/explain", `{"database":"w","options":{"block_size":4}}`, `unknown field "block_size"`},
+		{"/queries", `{"database":"w","options":{"use_idnex":false}}`, `unknown field "use_idnex"`},
+		{"/queries", `{"database":"w","mdoe":"exact"}`, `unknown field "mdoe"`},
+		{"/databases", `{"name":"x","workload":{"kind":"chain","tupels":2}}`, `unknown field "tupels"`},
+		{"/queries", `{"database":"w"} garbage`, "trailing data"},
+		{"/queries", `{"database":"w"} {"mode":"bogus"}`, "trailing data"},
+		{"/queries", `{"database":"w"}}`, "trailing data"},
 	} {
-		resp := rawCall(t, tc.method, ts.URL+tc.path, tc.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s %s with body %q: status %d, want 400", tc.method, tc.path, tc.body, resp.StatusCode)
-		}
+		resp := rawCall(t, "POST", ts.URL+tc.path, tc.body)
 		var e errorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
-			t.Fatalf("%s %s: error body not JSON (%v)", tc.method, tc.path, err)
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("POST %s %s: error body not JSON (%v)", tc.path, tc.body, err)
 		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("POST %s %s: status %d, error %q; want 400 mentioning %q",
+				tc.path, tc.body, resp.StatusCode, e.Error, tc.want)
+		}
+	}
+	// Known fields and trailing whitespace are fine.
+	body := "{\"database\":\"w\",\"mode\":\"exact\",\"options\":{\"use_index\":false,\"workers\":1}}\n\t "
+	if resp := rawCall(t, "POST", ts.URL+"/queries", body); resp.StatusCode != http.StatusCreated {
+		t.Errorf("valid body: status %d, want 201", resp.StatusCode)
+	}
+}
+
+// TestQueryOptionsMirror checks that the wire options mirror carries
+// exactly the serialisable fields of fd.QueryOptions, so a field added
+// to one cannot be forgotten in the other (strict decoding would 400
+// it).
+func TestQueryOptionsMirror(t *testing.T) {
+	tags := func(typ reflect.Type) []string {
+		var out []string
+		for i := range typ.NumField() {
+			if name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ","); name != "" && name != "-" {
+				out = append(out, name)
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	lib, wire := tags(reflect.TypeFor[fd.QueryOptions]()), tags(reflect.TypeFor[queryOptionsRequest]())
+	if !slices.Equal(lib, wire) {
+		t.Errorf("fd.QueryOptions JSON fields %v, queryOptionsRequest %v", lib, wire)
 	}
 }
 

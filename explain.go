@@ -106,8 +106,6 @@ type PlanStrategy struct {
 	Workers int `json:"workers"`
 	// Init is the per-pass initialisation strategy of exact mode.
 	Init string `json:"init"`
-	// BlockSize is the simulated page size of database scans.
-	BlockSize int `json:"block_size"`
 	// Passes is the number of per-relation passes the enumeration
 	// consists of.
 	Passes int `json:"passes"`
@@ -139,10 +137,6 @@ type PlanTask struct {
 // and the cache key the results would be filed under. Like a first
 // query, Explain freezes db (the fingerprint and dictionary statistics
 // require the encoded form).
-//
-// The runtime-only hooks of q (Trace, Pool) participate: they force
-// the sequential path exactly as they do under Open, and the plan says
-// so.
 func Explain(db *Database, q Query) (*Plan, error) {
 	if db == nil {
 		return nil, fmt.Errorf("fd: nil database")
@@ -206,9 +200,8 @@ func Explain(db *Database, q Query) (*Plan, error) {
 	}
 
 	p.Strategy = PlanStrategy{
-		Init:      n.Options.Strategy,
-		BlockSize: n.Options.BlockSize,
-		Passes:    db.NumRelations(),
+		Init:   n.Options.Strategy,
+		Passes: db.NumRelations(),
 	}
 	workers := q.ParallelWorkers()
 	if workers > 1 {
@@ -237,8 +230,6 @@ func Explain(db *Database, q Query) (*Plan, error) {
 	p.Strategy.Execution = "sequential"
 	p.Strategy.Workers = 1
 	switch {
-	case q.Options.Trace != nil || q.Options.Pool != nil:
-		p.Strategy.Reason = "per-iteration hooks (Trace, Pool) force the sequential path"
 	case n.Mode == ModeRanked || n.Mode == ModeApproxRanked:
 		p.Strategy.Reason = "ranked enumeration is inherently serial (the Fig 3 priority-queue order)"
 	case n.Mode == ModeExact && n.Options.Strategy != "singletons":

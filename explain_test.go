@@ -198,8 +198,9 @@ func checkStrategyPrediction(t *testing.T, label string, db *fd.Database, q fd.Q
 }
 
 // TestExplainSequentialReasons checks the plan explains each forced
-// sequential path: ranked modes, non-singleton initialisations and the
-// per-iteration hooks all override a parallel worker request.
+// sequential path: ranked modes and non-singleton initialisations
+// override a parallel worker request, and one worker is reported as
+// such.
 func TestExplainSequentialReasons(t *testing.T) {
 	db := explainDB(t, "chain")
 	cases := []struct {
@@ -211,9 +212,6 @@ func TestExplainSequentialReasons(t *testing.T) {
 			Options: fd.QueryOptions{UseIndex: true, Workers: 4}}, "serial"},
 		{"seeded", fd.Query{Mode: fd.ModeExact,
 			Options: fd.QueryOptions{UseIndex: true, Strategy: "seeded", Workers: 4}}, "seeded"},
-		{"trace-hook", fd.Query{Mode: fd.ModeExact,
-			Options: fd.QueryOptions{UseIndex: true, Workers: 4,
-				Trace: func(int, *fd.TupleSet, []*fd.TupleSet, []*fd.TupleSet) {}}}, "sequential path"},
 		{"one-worker", fd.Query{Mode: fd.ModeExact,
 			Options: fd.QueryOptions{UseIndex: true, Workers: 1}}, "one worker"},
 	}

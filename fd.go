@@ -51,7 +51,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/relation"
-	"repro/internal/storage"
 	"repro/internal/tupleset"
 )
 
@@ -201,24 +200,6 @@ const (
 	// InitProjected projects and extends previous results (§7, option 3).
 	InitProjected = core.InitProjected
 )
-
-// Options configures full-disjunction evaluation.
-type Options = core.Options
-
-// BufferPool simulates a database buffer: with Options.Pool set and a
-// block size chosen, page fetches go through LRU caching and only
-// misses count as Stats.PageReads (block-based execution, §7 of the
-// paper).
-type BufferPool = storage.BufferPool
-
-// NewBufferPool creates a pool holding up to capacity pages.
-func NewBufferPool(capacity int) *BufferPool { return storage.NewBufferPool(capacity) }
-
-// FDi computes FDi(R): the members of the full disjunction containing a
-// tuple of relation seed (the algorithm INCREMENTALFD of Fig 1).
-func FDi(db *Database, seed int, opts Options) ([]*TupleSet, Stats, error) {
-	return core.FDi(db, seed, opts)
-}
 
 // Format renders a tuple set as {label, label, ...} in the notation of
 // the paper's Table 2.

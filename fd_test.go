@@ -165,15 +165,3 @@ func TestPublicAPICSVRoundTrip(t *testing.T) {
 		t.Errorf("round trip lost tuples: %d", back.Len())
 	}
 }
-
-func TestPublicAPIFDi(t *testing.T) {
-	db := buildTourist(t)
-	perSeed, _, err := fd.FDi(db, 1, fd.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// FD_Accommodations: results containing a hotel tuple.
-	if len(perSeed) != 3 {
-		t.Errorf("FD_1 has %d results, want 3", len(perSeed))
-	}
-}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/relation"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -90,6 +91,17 @@ func TestCursorValidation(t *testing.T) {
 	}
 	if _, err := NewCursor(context.Background(), db, &Amin{S: ExactSim{}}, 1.5, core.Options{}); err == nil {
 		t.Error("NewCursor accepted τ>1")
+	}
+}
+
+// TestParallelRejectsSharedPool checks that the parallel cursor refuses
+// a buffer pool its workers would race over.
+func TestParallelRejectsSharedPool(t *testing.T) {
+	db := cursorDB(t)
+	opts := core.Options{BlockSize: 2, Pool: storage.NewBufferPool(4)}
+	if c, err := NewParallelCursor(context.Background(), db, &Amin{S: ExactSim{}}, 0.5, opts, 2); err == nil {
+		c.Close()
+		t.Error("shared buffer pool accepted in parallel mode")
 	}
 }
 

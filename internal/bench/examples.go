@@ -51,30 +51,21 @@ func E2Trace() (*Table, error) {
 		Title:  "Table 3 — trace of IncrementalFD(R, 1)",
 		Header: []string{"iteration", "printed", "Incomplete", "Complete"},
 	}
-	opts := core.Options{Trace: func(iter int, printed *tupleset.Set, inc, comp []*tupleset.Set) {
-		incStr := make([]string, len(inc))
-		for i, s := range inc {
-			incStr[i] = s.Format(db)
-		}
-		compStr := make([]string, len(comp))
-		for i, s := range comp {
-			compStr[i] = s.Format(db)
+	e, err := core.NewEnumerator(u, 0, core.Options{})
+	if err != nil {
+		return nil, err
+	}
+	for iter := 1; ; iter++ {
+		printed, ok := e.Next()
+		if !ok {
+			break
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", iter),
 			printed.Format(db),
-			joinList(incStr),
-			joinList(compStr),
+			formatSetList(db, e.Incomplete()),
+			formatSetList(db, e.Complete().Sets()),
 		})
-	}}
-	e, err := core.NewEnumerator(u, 0, opts)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		if _, ok := e.Next(); !ok {
-			break
-		}
 	}
 	t.Notes = append(t.Notes,
 		"Matches Table 3 of the paper column for column (list discipline: pop front, new sets grouped at the front).")

@@ -69,17 +69,7 @@ func TestTable3Trace(t *testing.T) {
 		complete   []string
 	}
 	var got []snapshot
-	opts := Options{Trace: func(iter int, printed *tupleset.Set, inc, comp []*tupleset.Set) {
-		snap := snapshot{}
-		for _, s := range inc {
-			snap.incomplete = append(snap.incomplete, s.Format(db))
-		}
-		for _, s := range comp {
-			snap.complete = append(snap.complete, s.Format(db))
-		}
-		got = append(got, snap)
-	}}
-	e, err := NewEnumerator(u, 0, opts)
+	e, err := NewEnumerator(u, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +77,14 @@ func TestTable3Trace(t *testing.T) {
 		if _, ok := e.Next(); !ok {
 			break
 		}
+		snap := snapshot{}
+		for _, s := range e.Incomplete() {
+			snap.incomplete = append(snap.incomplete, s.Format(db))
+		}
+		for _, s := range e.Complete().Sets() {
+			snap.complete = append(snap.complete, s.Format(db))
+		}
+		got = append(got, snap)
 	}
 
 	// Table 3 columns Iteration 1..6, compared in the exact top-to-

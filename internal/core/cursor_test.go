@@ -173,3 +173,28 @@ func assertNoExtraGoroutines(t *testing.T, before int) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestBlocksPinnedStats pins the engine work of a block-based drain
+// (§7, BlockSize 4, no indexes) to literal Stats, so PageReads and
+// every other counter of the block path stay fixed.
+func TestBlocksPinnedStats(t *testing.T) {
+	db, err := workload.Chain(workload.Config{
+		Relations: 4, TuplesPerRelation: 8, Domain: 3, NullRate: 0.1, ImpMax: 10, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCursor(context.Background(), db, Options{BlockSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, ok := c.Next(); ok; _, ok = c.Next() {
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{Iterations: 403, Emitted: 103, JCCChecks: 51648, TuplesScanned: 27872, ListScans: 179167, PageReads: 6968, IndexProbes: 0, TuplesSkipped: 0, SigHits: 27443, SigRebuilds: 2070, MaxResident: 103}
+	if got := c.Stats(); got != want {
+		t.Errorf("stats = %+v\nwant    %+v", got, want)
+	}
+}

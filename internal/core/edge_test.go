@@ -163,8 +163,8 @@ func TestParallelRejectsUnsupportedOptions(t *testing.T) {
 	if _, _, err := parallelFD(db, Options{Strategy: InitSeeded}, 2); err == nil {
 		t.Error("seeded strategy accepted in parallel mode")
 	}
-	if _, _, err := parallelFD(db, Options{Trace: func(int, *tupleset.Set, []*tupleset.Set, []*tupleset.Set) {}}, 2); err == nil {
-		t.Error("tracing accepted in parallel mode")
+	if _, _, err := parallelFD(db, Options{BlockSize: 2, Pool: storage.NewBufferPool(4)}, 2); err == nil {
+		t.Error("shared buffer pool accepted in parallel mode")
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 type Enumerator struct {
 	u          *tupleset.Universe
 	seed       int
-	opts       Options
 	stats      Stats
 	incomplete *IncompleteQueue
 	complete   *CompleteStore
@@ -65,7 +64,6 @@ func newBareEnumerator(u *tupleset.Universe, seed int, opts Options, minRel int)
 	e := &Enumerator{
 		u:          u,
 		seed:       seed,
-		opts:       opts,
 		incomplete: NewIncompleteQueue(u, seed, opts.UseIndex),
 		complete:   NewCompleteStore(u, opts.UseIndex),
 	}
@@ -80,6 +78,10 @@ func (e *Enumerator) Stats() Stats { return e.stats }
 
 // Complete exposes the store of already-produced results.
 func (e *Enumerator) Complete() *CompleteStore { return e.complete }
+
+// Incomplete snapshots the tuple sets awaiting extension in
+// front-to-back order (the Incomplete column of Table 3).
+func (e *Enumerator) Incomplete() []*tupleset.Set { return e.incomplete.Snapshot() }
 
 // Pending returns the number of tuple sets currently awaiting
 // extension.
@@ -101,9 +103,6 @@ func (e *Enumerator) Next() (*tupleset.Set, bool) {
 	if resident := e.complete.Len() + e.incomplete.Len(); resident > e.stats.MaxResident {
 		e.stats.MaxResident = resident
 	}
-	if e.opts.Trace != nil {
-		e.opts.Trace(e.stats.Iterations, result.Clone(), e.incomplete.Snapshot(), snapshotComplete(e.complete))
-	}
 	return result, true
 }
 
@@ -117,14 +116,6 @@ func (e *Enumerator) All() []*tupleset.Set {
 		}
 		out = append(out, t)
 	}
-}
-
-func snapshotComplete(cs *CompleteStore) []*tupleset.Set {
-	out := make([]*tupleset.Set, cs.Len())
-	for i, s := range cs.Sets() {
-		out[i] = s.Clone()
-	}
-	return out
 }
 
 // Pool abstracts the Incomplete container of GETNEXTRESULT: the FIFO

@@ -47,11 +47,6 @@ func (s InitStrategy) String() string {
 	}
 }
 
-// TraceFunc observes the state of the lists after each GetNextResult
-// call; it reproduces Table 3 of the paper. The slices are snapshots
-// and may be retained.
-type TraceFunc func(iteration int, printed *tupleset.Set, incomplete, complete []*tupleset.Set)
-
 // Options configures the algorithms.
 type Options struct {
 	// UseIndex enables the §7 hash index: Complete and Incomplete are
@@ -81,14 +76,11 @@ type Options struct {
 	// Strategy selects the Incomplete initialisation of the
 	// full-disjunction driver.
 	Strategy InitStrategy
-	// Trace, when non-nil, receives a snapshot after every
-	// GetNextResult call of a single-seed enumeration.
-	Trace TraceFunc
 	// TaskObserver, when non-nil, receives a TaskSpan each time a
 	// parallel enumeration task finishes (label, wall-clock extent,
 	// and the task's folded counters). Called from worker goroutines.
-	// Unlike Trace and Pool it is compatible with parallel execution —
-	// it exists to observe it — and is ignored on the sequential path.
+	// Unlike Pool it is compatible with parallel execution — it exists
+	// to observe it — and is ignored on the sequential path.
 	TaskObserver TaskObserver
 }
 

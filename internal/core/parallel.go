@@ -280,15 +280,11 @@ func exactTasks(u *tupleset.Universe, opts Options, workers int) []Task {
 // on a pool of at most workers goroutines (≤0 selects GOMAXPROCS) and
 // returns the merged cursor. Only the restart strategy partitions
 // (the seeded/projected initialisations feed each pass from the
-// previous one, which is inherently sequential), and the per-iteration
-// hooks — Trace, a shared buffer Pool — are rejected rather than raced
-// over.
+// previous one, which is inherently sequential), and a shared buffer
+// Pool is rejected rather than raced over.
 func NewParallelCursor(ctx context.Context, db *relation.Database, opts Options, workers int) (*ParallelCursor, error) {
 	if opts.Strategy != InitSingletons {
 		return nil, fmt.Errorf("core: parallel execution requires the restart strategy (got %s)", opts.Strategy)
-	}
-	if opts.Trace != nil {
-		return nil, fmt.Errorf("core: parallel execution does not support tracing")
 	}
 	if opts.Pool != nil {
 		return nil, fmt.Errorf("core: parallel execution does not support a shared buffer pool")

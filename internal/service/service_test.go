@@ -578,9 +578,10 @@ func TestAdmissionSingleWorker(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Distinct specs so nobody is served from cache.
+			// Distinct specs (the 2×2 index flags) so nobody is served
+			// from cache.
 			q, err := svc.StartQuery(context.Background(), "w", fd.Query{
-				Options: fd.QueryOptions{UseIndex: true, BlockSize: w + 1}})
+				Options: fd.QueryOptions{UseIndex: w&1 != 0, UseJoinIndex: w&2 != 0}})
 			if err != nil {
 				return
 			}

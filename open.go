@@ -75,13 +75,12 @@ func Open(ctx context.Context, db *Database, q Query) (Results, error) {
 		return nil, err
 	}
 	n := q.normalize()
-	opts, err := n.Options.engine()
+	// The raw options, not n's: normalize strips the runtime-only
+	// TaskObserver, which still has to reach execution.
+	opts, err := q.Options.engine()
 	if err != nil {
 		return nil, err
 	}
-	// normalize strips the runtime-only hooks (they must not reach the
-	// canonical form); they still have to reach execution.
-	opts.Pool, opts.Trace, opts.TaskObserver = q.Options.Pool, q.Options.Trace, q.Options.TaskObserver
 
 	// The parallelisable modes route through the streaming executor
 	// when the query's effective worker count exceeds one (Workers 0

@@ -2,7 +2,6 @@ package fd_test
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	fd "repro"
@@ -100,8 +99,6 @@ var pinnedCases = []pinnedCase{
 		fd.Stats{Iterations: 403, Emitted: 103, JCCChecks: 8192, TuplesScanned: 5134, ListScans: 11307, PageReads: 5134, IndexProbes: 920, TuplesSkipped: 11554, SigHits: 4081, SigRebuilds: 1808, MaxResident: 103}},
 	{"exact/projected", equivDB, fd.Query{Options: withStrategy(pinnedIdx, "projected")},
 		fd.Stats{Iterations: 155, Emitted: 103, JCCChecks: 3603, TuplesScanned: 2573, ListScans: 4587, PageReads: 2573, IndexProbes: 635, TuplesSkipped: 11443, SigHits: 1586, SigRebuilds: 806, MaxResident: 100}},
-	{"exact/blocks", equivDB, fd.Query{Options: fd.QueryOptions{BlockSize: 4, Workers: 1}},
-		fd.Stats{Iterations: 403, Emitted: 103, JCCChecks: 51648, TuplesScanned: 27872, ListScans: 179167, PageReads: 6968, IndexProbes: 0, TuplesSkipped: 0, SigHits: 27443, SigRebuilds: 2070, MaxResident: 103}},
 	{"approx", dirtyDB, fd.Query{Mode: fd.ModeApprox, Tau: 0.7,
 		Options: fd.QueryOptions{UseIndex: true, Workers: 1}},
 		fd.Stats{Iterations: 30, Emitted: 12, JCCChecks: 531, TuplesScanned: 1680, ListScans: 260, PageReads: 1680, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 12}},
@@ -355,71 +352,4 @@ func unrankedResults(sets []*fd.TupleSet) []fd.Result {
 		out[i] = fd.Result{Set: s}
 	}
 	return out
-}
-
-// TestOpenRuntimeHooks pins that the runtime-only options — stripped
-// from the canonical form by normalisation — still reach execution:
-// the trace hook fires per iteration and the buffer pool absorbs page
-// fetches.
-func TestOpenRuntimeHooks(t *testing.T) {
-	db := equivDB(t)
-	traced := 0
-	pool := fd.NewBufferPool(16)
-	_, _ = openDrain(t, db, fd.Query{
-		Mode: fd.ModeExact,
-		Options: fd.QueryOptions{
-			BlockSize: 8,
-			Pool:      pool,
-			Trace:     func(int, *fd.TupleSet, []*fd.TupleSet, []*fd.TupleSet) { traced++ },
-		},
-	})
-	if traced == 0 {
-		t.Error("Trace hook never fired through fd.Open")
-	}
-	if pool.Hits()+pool.Misses() == 0 {
-		t.Error("buffer pool never consulted through fd.Open")
-	}
-}
-
-// TestOpenTraceExactOnly pins where the Trace hook is honoured: the
-// exact enumerator reports every iteration, and the other modes, which
-// have no per-iteration list state to report, reject the hook instead
-// of silently never calling it.
-func TestOpenTraceExactOnly(t *testing.T) {
-	db, _ := workload.TouristApprox()
-	calls := 0
-	trace := func(int, *fd.TupleSet, []*fd.TupleSet, []*fd.TupleSet) { calls++ }
-	for _, q := range []fd.Query{
-		{Mode: fd.ModeExact},
-		{Mode: fd.ModeRanked, Rank: "fmax"},
-		{Mode: fd.ModeApprox, Tau: 0.4},
-		{Mode: fd.ModeApproxRanked, Tau: 0.4, Rank: "fmax"},
-	} {
-		q.Options.Trace = trace
-		calls = 0
-		rs, err := fd.Open(context.Background(), db, q)
-		if q.Mode != fd.ModeExact {
-			if err == nil {
-				rs.Close()
-			}
-			if err == nil || !strings.Contains(err.Error(), "trace") {
-				t.Errorf("%s: Open with a Trace hook = %v, want a trace error", q.Mode, err)
-			}
-			if q.Validate() == nil {
-				t.Errorf("%s: Validate accepted a Trace hook", q.Mode)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, ok := rs.Next(); ok; _, ok = rs.Next() {
-			n++
-		}
-		rs.Close()
-		if calls == 0 || calls < n {
-			t.Errorf("exact: %d trace calls for %d results", calls, n)
-		}
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	fd "repro"
+	"repro/internal/core"
 	"repro/internal/naive"
 	"repro/internal/tupleset"
 	"repro/internal/workload"
@@ -291,7 +292,7 @@ func TestPropertyStatsConsistency(t *testing.T) {
 			return true
 		}
 		i := int(seedRel) % db.NumRelations()
-		sets, stats, err := fd.FDi(db, i, fd.Options{})
+		sets, stats, err := core.FDi(db, i, core.Options{})
 		if err != nil {
 			return false
 		}

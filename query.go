@@ -31,15 +31,11 @@ const (
 	ModeApproxRanked Mode = "approx-ranked"
 )
 
-// TraceFunc observes enumerator state after each GetNextResult call
-// (the reproduction hook behind the paper's Table 3).
-type TraceFunc = core.TraceFunc
-
 // QueryOptions carries the engine knobs of a Query. The serialisable
 // fields travel in the Query's JSON encoding and participate in its
 // canonical form (they can change the emission order, which a cached
-// result list replays); Pool and Trace are process-local hooks that do
-// neither.
+// result list replays); TaskObserver, Delay and Progress are
+// process-local observers that do neither.
 type QueryOptions struct {
 	// UseIndex enables the §7 hash index over the Complete and
 	// Incomplete lists.
@@ -49,9 +45,6 @@ type QueryOptions struct {
 	// similarity is exact (a graded similarity admits matches that
 	// never equi-join, so candidate scans would lose results).
 	UseJoinIndex bool `json:"use_join_index,omitempty"`
-	// BlockSize is the simulated page size of database scans; 0 or 1
-	// means tuple-at-a-time.
-	BlockSize int `json:"block_size,omitempty"`
 	// Strategy names the Incomplete initialisation of exact mode:
 	// "singletons" (default), "seeded" or "projected" (§7).
 	Strategy string `json:"strategy,omitempty"`
@@ -64,24 +57,15 @@ type QueryOptions struct {
 	// the seeded/projected initialisations feed each pass from the
 	// previous one, so there Workers is ignored and normalised away.
 	Workers int `json:"workers,omitempty"`
-	// Pool, when non-nil, routes simulated page fetches through an LRU
-	// buffer pool. Runtime-only: never serialised, never keyed.
-	Pool *BufferPool `json:"-"`
-	// Trace, when non-nil, snapshots enumerator state per iteration.
-	// Exact mode only (Validate rejects it elsewhere). Runtime-only:
-	// never serialised, never keyed.
-	Trace TraceFunc `json:"-"`
 	// TaskObserver, when non-nil, receives a TaskSpan each time a
 	// parallel enumeration task finishes — the observability hook the
 	// service layer uses to attach per-task spans to a query trace.
-	// Runtime-only like Pool and Trace, but unlike them it does not
-	// force the sequential path: it exists to observe the parallel one.
+	// Runtime-only: never serialised, never keyed.
 	TaskObserver TaskObserver `json:"-"`
 	// Delay, when non-nil, receives the gap between consecutive results
 	// of the opened cursor — the measured form of the paper's
-	// polynomial-delay guarantee. Runtime-only, and like TaskObserver it
-	// observes whichever path runs rather than forcing the sequential
-	// one.
+	// polynomial-delay guarantee. Runtime-only like TaskObserver; it
+	// observes whichever path runs.
 	Delay *Delay `json:"-"`
 	// Progress, when non-nil, is kept current with the enumeration's
 	// live counters (phase, task completion, tuples scanned, results
@@ -100,10 +84,7 @@ func (o QueryOptions) engine() (core.Options, error) {
 	return core.Options{
 		UseIndex:     o.UseIndex,
 		UseJoinIndex: o.UseJoinIndex,
-		BlockSize:    o.BlockSize,
 		Strategy:     strat,
-		Pool:         o.Pool,
-		Trace:        o.Trace,
 		TaskObserver: o.TaskObserver,
 	}, nil
 }
@@ -189,7 +170,7 @@ type Query struct {
 	Options QueryOptions `json:"options,omitzero"`
 }
 
-// normalize resolves defaults (mode, similarity, strategy, block size)
+// normalize resolves defaults (mode, similarity, strategy)
 // so that queries meaning the same computation compare equal in
 // Canonical.
 func (q Query) normalize() Query {
@@ -198,9 +179,6 @@ func (q Query) normalize() Query {
 	}
 	if q.Options.Strategy == "" {
 		q.Options.Strategy = "singletons"
-	}
-	if q.Options.BlockSize < 1 {
-		q.Options.BlockSize = 1 // 0 and 1 are both tuple-at-a-time
 	}
 	if (q.Mode == ModeApprox || q.Mode == ModeApproxRanked) && q.Sim == "" {
 		q.Sim = "levenshtein"
@@ -215,21 +193,17 @@ func (q Query) normalize() Query {
 		// so spellings that cannot differ share one canonical key.
 		q.Options.Workers = 0
 	}
-	q.Options.Pool, q.Options.Trace, q.Options.TaskObserver = nil, nil, nil
-	q.Options.Delay, q.Options.Progress = nil, nil
+	q.Options.TaskObserver, q.Options.Delay, q.Options.Progress = nil, nil, nil
 	return q
 }
 
 // ParallelWorkers reports the worker count Open would actually run q
 // with: 1 on the sequential paths (ranked modes, seeded/projected
-// strategies, a Trace hook or buffer Pool attached), otherwise the
+// strategies), otherwise the
 // requested Workers with 0 resolved to GOMAXPROCS. Admission layers
 // (internal/service) use it to budget intra-query parallelism before
 // opening the cursor.
 func (q Query) ParallelWorkers() int {
-	if q.Options.Trace != nil || q.Options.Pool != nil {
-		return 1
-	}
 	n := q.normalize()
 	switch n.Mode {
 	case ModeRanked, ModeApproxRanked:
@@ -297,17 +271,11 @@ func (q Query) Validate() error {
 	if q.RankTau < 0 {
 		return fmt.Errorf("fd: negative rank threshold %v", q.RankTau)
 	}
-	if q.Options.BlockSize < 0 {
-		return fmt.Errorf("fd: negative block size %d", q.Options.BlockSize)
-	}
 	if q.Options.Workers < 0 {
 		return fmt.Errorf("fd: negative workers %d", q.Options.Workers)
 	}
 	if _, err := ParseInitStrategy(q.Options.Strategy); err != nil {
 		return err
-	}
-	if (ranked || approxMode) && q.Options.Trace != nil {
-		return fmt.Errorf("fd: trace hook given for mode %q (only the exact enumerator reports per-iteration state)", q.Mode)
 	}
 	if (ranked || approxMode) && q.Options.Strategy != "" && q.Options.Strategy != "singletons" {
 		return fmt.Errorf("fd: init strategy %q given for mode %q (only the exact driver has per-pass initialisation strategies)", q.Options.Strategy, q.Mode)
@@ -329,12 +297,11 @@ func (q Query) Validate() error {
 // caches together with a database content fingerprint: engine knobs are
 // included because they may change the emission order a cached list
 // replays, the mode parameters because they change the result sequence
-// itself. Runtime-only options (Pool, Trace, TaskObserver) affect
+// itself. Runtime-only options (TaskObserver, Delay, Progress) affect
 // neither and are excluded.
 func (q Query) Canonical() string {
 	n := q.normalize()
-	return fmt.Sprintf("fdq2|mode=%s|rank=%s|k=%d|tau=%g|ranktau=%g|sim=%s|idx=%t|jidx=%t|blk=%d|strat=%s|wrk=%d",
+	return fmt.Sprintf("fdq3|mode=%s|rank=%s|k=%d|tau=%g|ranktau=%g|sim=%s|idx=%t|jidx=%t|strat=%s|wrk=%d",
 		n.Mode, n.Rank, n.K, n.Tau, n.RankTau, n.Sim,
-		n.Options.UseIndex, n.Options.UseJoinIndex, n.Options.BlockSize, n.Options.Strategy,
-		n.Options.Workers)
+		n.Options.UseIndex, n.Options.UseJoinIndex, n.Options.Strategy, n.Options.Workers)
 }

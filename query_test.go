@@ -19,7 +19,6 @@ func randomQuery(rng *rand.Rand) Query {
 		Options: QueryOptions{
 			UseIndex:     rng.Intn(2) == 0,
 			UseJoinIndex: rng.Intn(2) == 0,
-			BlockSize:    rng.Intn(3),
 			Workers:      rng.Intn(3),
 		},
 	}
@@ -78,9 +77,8 @@ func TestQueryCanonicalNormalisation(t *testing.T) {
 	same := [][2]Query{
 		{{}, {Mode: ModeExact}},
 		{{Mode: ModeExact}, {Mode: ModeExact, Options: QueryOptions{Strategy: "singletons"}}},
-		{{Mode: ModeExact}, {Mode: ModeExact, Options: QueryOptions{BlockSize: 1}}},
 		{{Mode: ModeApprox, Tau: 0.5}, {Mode: ModeApprox, Tau: 0.5, Sim: "levenshtein"}},
-		{{Mode: ModeExact, Options: QueryOptions{Pool: NewBufferPool(4)}}, {Mode: ModeExact}},
+		{{Mode: ModeExact, Options: QueryOptions{Delay: NewDelay(4)}}, {Mode: ModeExact}},
 		// Workers is meaningless on paths that always run sequentially,
 		// so it must not fragment their cache keys.
 		{{Mode: ModeRanked, Rank: "fmax", Options: QueryOptions{Workers: 4}}, {Mode: ModeRanked, Rank: "fmax"}},
@@ -100,7 +98,6 @@ func TestQueryCanonicalNormalisation(t *testing.T) {
 		{Mode: ModeExact, K: 3},
 		{Mode: ModeExact, Options: QueryOptions{UseIndex: true}},
 		{Mode: ModeExact, Options: QueryOptions{UseJoinIndex: true}},
-		{Mode: ModeExact, Options: QueryOptions{BlockSize: 4}},
 		{Mode: ModeExact, Options: QueryOptions{Strategy: "seeded"}},
 		{Mode: ModeRanked, Rank: "fmax"},
 		{Mode: ModeRanked, Rank: "pairsum"},
@@ -142,7 +139,6 @@ func TestQueryValidate(t *testing.T) {
 		{Mode: ModeRanked, Rank: "fmax", Tau: 0.5}, // approx tau on ranked
 		{Mode: ModeApprox, Tau: 0.5, RankTau: 1},   // rank threshold on approx
 		{Mode: ModeExact, K: -1},                   // negative k
-		{Mode: ModeExact, Options: QueryOptions{BlockSize: -1}},
 		{Mode: ModeExact, Options: QueryOptions{Strategy: "bogus"}},
 		// Only the exact driver has initialisation strategies; a
 		// non-default one anywhere else would be silently ignored.
@@ -171,5 +167,15 @@ func TestQueryValidate(t *testing.T) {
 		if err := q.Validate(); err != nil {
 			t.Errorf("Validate rejected %+v: %v", q, err)
 		}
+	}
+}
+
+// TestQueryCanonicalForm pins the key layout: cache entries written
+// under one version must never be read back under another.
+func TestQueryCanonicalForm(t *testing.T) {
+	got := Query{}.Canonical()
+	want := "fdq3|mode=exact|rank=|k=0|tau=0|ranktau=0|sim=|idx=false|jidx=false|strat=singletons|wrk=0"
+	if got != want {
+		t.Errorf("Canonical() = %q, want %q", got, want)
 	}
 }
