@@ -53,6 +53,10 @@ type Enumerator struct {
 	scan       *core.Scanner
 	incomplete []*tupleset.Set
 	complete   *core.CompleteStore
+	// prefix, set on a pass enumerator (NewPassEnumerator), walks the
+	// relations before the pass: a result one of their tuples extends
+	// enters Complete but is not emitted.
+	prefix *core.Scanner
 	// lo and hi bound the anchor window (see NewWindowEnumerator).
 	lo, hi int32
 }
@@ -78,6 +82,28 @@ func NewEnumerator(db *relation.Database, seed int, a Join, tau float64, opts co
 // and — when a is equi-compatible — candidate-only scans over the
 // equi-join posting index.
 func NewWindowEnumerator(db *relation.Database, seed, lo, hi int, a Join, tau float64, opts core.Options) (*Enumerator, error) {
+	return newWindowEnumerator(db, seed, lo, hi, a, tau, opts, 0)
+}
+
+// NewPassEnumerator prepares the anchor window [lo, hi) of pass i (the
+// relation pass) of APPROXINCREMENTALFD: it produces exactly the
+// members of AFD(R, A, τ) whose minimal relation is i and whose Ri
+// member has index in [lo, hi). Figs 5–6 run over relations Ri..Rn
+// only, and a result is emitted unless one tuple of a relation before
+// i extends it to a qualifying set. The argument of
+// core.NewPassEnumerator carries over verbatim: it uses only that a
+// connected subset of a qualifying set qualifies, which every
+// acceptable (monotone) join function guarantees.
+func NewPassEnumerator(db *relation.Database, pass, lo, hi int, a Join, tau float64, opts core.Options) (*Enumerator, error) {
+	e, err := newWindowEnumerator(db, pass, lo, hi, a, tau, opts, pass)
+	if err != nil {
+		return nil, err
+	}
+	e.prefix = e.scan.Prefix()
+	return e, nil
+}
+
+func newWindowEnumerator(db *relation.Database, seed, lo, hi int, a Join, tau float64, opts core.Options, minRel int) (*Enumerator, error) {
 	if seed < 0 || seed >= db.NumRelations() {
 		return nil, fmt.Errorf("approx: seed relation %d out of range [0,%d)", seed, db.NumRelations())
 	}
@@ -95,7 +121,7 @@ func NewWindowEnumerator(db *relation.Database, seed, lo, hi int, a Join, tau fl
 		// Always hash-indexed (pre-Options behaviour): UseIndex governs
 		// the §7 lists of the exact engine, not the dup-check store.
 		complete: core.NewCompleteStore(u, true)}
-	e.scan = core.NewScanner(db, ScanOptions(a, opts), 0, &e.stats)
+	e.scan = core.NewScanner(db, ScanOptions(a, opts), minRel, &e.stats)
 	for i := lo; i < hi; i++ {
 		s := u.Singleton(relation.Ref{Rel: int32(seed), Idx: int32(i)})
 		e.stats.JCCChecks++
@@ -110,24 +136,55 @@ func NewWindowEnumerator(db *relation.Database, seed, lo, hi int, a Join, tau fl
 func (e *Enumerator) Stats() core.Stats { return e.stats }
 
 // Next produces the next result of AFDi(R, A, τ), or ok=false when the
-// enumeration is done.
+// enumeration is done. A pass enumerator runs further iterations while
+// a tuple of an earlier relation extends the result.
 func (e *Enumerator) Next() (*tupleset.Set, bool) {
-	if len(e.incomplete) == 0 {
-		return nil, false
-	}
-	// Line 1: remove a tuple set from Incomplete.
-	T := e.incomplete[0]
-	e.incomplete = e.incomplete[1:]
-	e.stats.Iterations++
+	for len(e.incomplete) > 0 {
+		// Line 1: remove a tuple set from Incomplete.
+		T := e.incomplete[0]
+		e.incomplete = e.incomplete[1:]
+		e.stats.Iterations++
 
-	result := getNextResult(e.u, e.seed, e.a, e.tau, e.scan, e.lo, e.hi, T, (*fifoPool)(e), e.complete, &e.stats)
+		result := getNextResult(e.u, e.seed, e.a, e.tau, e.scan, e.lo, e.hi, T, (*fifoPool)(e), e.complete, &e.stats)
 
-	e.complete.Add(result)
-	e.stats.Emitted++
-	if resident := len(e.incomplete) + e.complete.Len(); resident > e.stats.MaxResident {
-		e.stats.MaxResident = resident
+		e.complete.Add(result)
+		if resident := len(e.incomplete) + e.complete.Len(); resident > e.stats.MaxResident {
+			e.stats.MaxResident = resident
+		}
+		if e.prefix != nil && e.extendsIntoPrefix(result) {
+			continue
+		}
+		e.stats.Emitted++
+		return result, true
 	}
-	return result, true
+	return nil, false
+}
+
+// extendsIntoPrefix reports whether a tuple of a relation before the
+// pass extends result to a qualifying set: the extension walk of lines
+// 2–6 over the prefix scope, stopping at the first such tuple.
+func (e *Enumerator) extendsIntoPrefix(result *tupleset.Set) bool {
+	extended := false
+	e.prefix.ForEachExtension(result, func(ref relation.Ref) bool {
+		extended = extension(e.u, e.a, e.tau, result, ref, &e.stats) != nil
+		return !extended
+	})
+	return extended
+}
+
+// extension returns T ∪ {ref} when ref lies on a relation T lacks, is
+// connected to T, and the union qualifies (A ≥ τ) — the starred test
+// of lines 2–6 — and nil otherwise.
+func extension(u *tupleset.Universe, a Join, tau float64, T *tupleset.Set, ref relation.Ref, stats *core.Stats) *tupleset.Set {
+	if T.HasRelation(int(ref.Rel)) || !u.ConnectedWith(T, ref) {
+		return nil
+	}
+	ext := T.Clone().Add(ref)
+	stats.JCCChecks++
+	if a.Score(u, ext) >= tau {
+		return ext
+	}
+	return nil
 }
 
 // fifoPool adapts Enumerator's slice-backed Incomplete list to
@@ -181,8 +238,10 @@ func GetNextResult(u *tupleset.Universe, seed int, a Join, tau float64, opts cor
 
 // getNextResult additionally takes the anchor window [lo, hi): a
 // discovered candidate whose seed-relation tuple has an index outside
-// it is dropped at line 9 exactly as one with no seed tuple is. With
-// the full window [0, Len) this is APPROXGETNEXTRESULT verbatim.
+// it is dropped at line 9 exactly as one with no seed tuple is. A
+// seed-relation tb outside the window is skipped before its subsets
+// are formed, since each of them holds tb and would be dropped there.
+// With the full window [0, Len) this is APPROXGETNEXTRESULT verbatim.
 func getNextResult(u *tupleset.Universe, seed int, a Join, tau float64, scan *core.Scanner,
 	lo, hi int32, T *tupleset.Set, pool core.Pool, complete *core.CompleteStore, stats *core.Stats) *tupleset.Set {
 
@@ -194,15 +253,7 @@ func getNextResult(u *tupleset.Universe, seed int, a Join, tau float64, scan *co
 	for changed := true; changed; {
 		changed = false
 		scan.ForEachExtension(T, func(ref relation.Ref) bool {
-			if T.Has(ref) || T.HasRelation(int(ref.Rel)) {
-				return true
-			}
-			if !u.ConnectedWith(T, ref) {
-				return true
-			}
-			ext := T.Clone().Add(ref)
-			stats.JCCChecks++
-			if a.Score(u, ext) >= tau {
+			if ext := extension(u, a, tau, T, ref, stats); ext != nil {
 				T = ext
 				changed = true
 			}
@@ -213,7 +264,7 @@ func getNextResult(u *tupleset.Universe, seed int, a Join, tau float64, scan *co
 	// Lines 7–18 (starred): candidate discovery over every maximal
 	// qualifying subset of T ∪ {tb} containing tb.
 	scan.ForEachDiscovery(T, seed, func(tb relation.Ref) bool {
-		if T.Has(tb) {
+		if T.Has(tb) || int(tb.Rel) == seed && (tb.Idx < lo || tb.Idx >= hi) {
 			return true
 		}
 		for _, tPrime := range a.MaximalSubsets(u, T, tb, tau) {

@@ -10,10 +10,11 @@ import (
 
 // tasks partitions the enumeration of AFD(R, A, τ) by core.Layout —
 // the same layout the exact passes and fd.Explain use — into anchor
-// windows of the per-relation passes of APPROXINCREMENTALFD. The
-// passes are independent (each builds AFDi(R, A, τ) from scratch), the
-// windows of a pass partition its results, and a result is owned by
-// the pass of its minimal relation.
+// windows of the suffix passes of APPROXINCREMENTALFD. The passes are
+// independent (pass i enumerates over Ri..Rn from scratch and keeps
+// the results whose minimal relation is i, NewPassEnumerator) and the
+// windows of a pass partition its results, so every result comes from
+// exactly one task.
 func tasks(db *relation.Database, a Join, tau float64, opts core.Options, workers int) ([]core.Task, error) {
 	if a == nil {
 		return nil, fmt.Errorf("approx: nil approximate join function")
@@ -22,7 +23,7 @@ func tasks(db *relation.Database, a Join, tau float64, opts core.Options, worker
 		return nil, fmt.Errorf("approx: threshold %v outside (0,1]", tau)
 	}
 	return core.LayoutTasks(core.Layout(db, workers), func(m core.TaskMeta) (core.TaskEnumerator, error) {
-		return NewWindowEnumerator(db, m.Pass, m.SeedLo, m.SeedHi, a, tau, opts)
+		return NewPassEnumerator(db, m.Pass, m.SeedLo, m.SeedHi, a, tau, opts)
 	}), nil
 }
 

@@ -2,8 +2,8 @@ package approx
 
 import (
 	"context"
-
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,30 +26,43 @@ func cursorDB(t *testing.T) *relation.Database {
 }
 
 // TestCursorMatchesStream checks that the approximate cursor
-// reproduces the textbook stream exactly — APPROXINCREMENTALFD(R, i)
-// for every i, keeping the results whose minimal relation is i —
-// results, order and counters.
+// reproduces the stream of the suffix pass enumerators run directly —
+// results, order and counters — and that this stream is multiset-equal
+// to the full-database passes APPROXINCREMENTALFD(R, i) filtered to
+// the results whose minimal relation is i.
 func TestCursorMatchesStream(t *testing.T) {
 	db := cursorDB(t)
 	a := &Amin{S: LevenshteinSim{}}
 	const tau = 0.7
 	opts := core.Options{UseIndex: true}
 
-	var want []string
+	var want, full []string
 	var wantStats core.Stats
 	for pass := 0; pass < db.NumRelations(); pass++ {
-		e, err := NewEnumerator(db, pass, a, tau, opts)
+		e, err := NewPassEnumerator(db, pass, 0, db.Relation(pass).Len(), a, tau, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for s, ok := e.Next(); ok; s, ok = e.Next() {
-			if first := s.Refs()[0]; int(first.Rel) == pass {
-				want = append(want, s.Key())
-			}
+			want = append(want, s.Key())
 		}
 		wantStats.Add(e.Stats())
+
+		fe, err := NewEnumerator(db, pass, a, tau, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, ok := fe.Next(); ok; s, ok = fe.Next() {
+			if first := s.Refs()[0]; int(first.Rel) == pass {
+				full = append(full, s.Key())
+			}
+		}
 	}
 	wantStats.Emitted = len(want)
+	sorted := func(keys []string) []string { return slices.Sorted(slices.Values(keys)) }
+	if !slices.Equal(sorted(want), sorted(full)) {
+		t.Fatalf("suffix passes give %d results, full passes %d, or the multisets differ", len(want), len(full))
+	}
 
 	c, err := NewCursor(context.Background(), db, a, tau, opts)
 	if err != nil {

@@ -39,9 +39,10 @@ type Cursor struct {
 // Next returns ok=false within one GetNextResult iteration and Err
 // reports ctx.Err(). A nil ctx means context.Background().
 //
-// The restart strategy runs INCREMENTALFD(R, i) for every i,
-// suppressing results whose minimal relation was handled by an earlier
-// pass (the rule below Corollary 4.7). The §7 seeded/projected
+// The restart strategy runs INCREMENTALFD over Ri..Rn for every i and
+// keeps the results no tuple of R1..Ri-1 extends — those whose minimal
+// relation is i, the rule below Corollary 4.7 — so its passes need no
+// ownership filter (NewPassEnumerator). The §7 seeded/projected
 // strategies scan only Ri..Rn in pass i, seed Incomplete from the
 // previously printed results, and suppress results contained in a
 // printed set.
@@ -117,7 +118,7 @@ func (c *Cursor) Next() (*tupleset.Set, bool) {
 			c.foldTask()
 			continue
 		}
-		if !c.owns(t) {
+		if c.owns != nil && !c.owns(t) {
 			continue
 		}
 		c.total.Emitted++
@@ -126,8 +127,9 @@ func (c *Cursor) Next() (*tupleset.Set, bool) {
 }
 
 // foldTask folds the in-flight enumerator's counters into the total.
-// Emitted is zeroed first: the cursor counts deliveries itself (task
-// enumerators also count results another task owns).
+// Emitted is zeroed first: the cursor counts deliveries itself (a
+// seeded task's enumerator also counts results its printed filter
+// suppresses).
 func (c *Cursor) foldTask() {
 	if c.e == nil {
 		return

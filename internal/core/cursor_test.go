@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -24,9 +25,11 @@ func cursorDB(t *testing.T) *relation.Database {
 // TestCursorMatchesStream checks that the task-walking cursor
 // reproduces the textbook streams exactly — results, order and
 // counters — for every strategy/index combination. The restart stream
-// is INCREMENTALFD(R, i) for every i, keeping the results whose minimal
-// relation is i; the §7 seeded/projected streams seed pass i from the
-// printed results and drop those contained in a printed set.
+// runs the suffix pass enumerators directly; the §7 seeded/projected
+// streams seed pass i from the printed results and drop those
+// contained in a printed set. The restart stream must also be
+// multiset-equal to the full-database passes filtered by minimal
+// relation (fullPassStream).
 func TestCursorMatchesStream(t *testing.T) {
 	db := cursorDB(t)
 	variants := []Options{
@@ -66,6 +69,49 @@ func TestCursorMatchesStream(t *testing.T) {
 		if cs := c.Stats(); cs != wantStats {
 			t.Errorf("%+v: cursor stats %+v, stream stats %+v", opts, cs, wantStats)
 		}
+		if opts.Strategy == InitSingletons {
+			assertSameMultiset(t, fmt.Sprintf("%+v", opts), got, fullPassStream(t, db, opts))
+		}
+	}
+}
+
+// fullPassStream is the restart strategy before suffix passes:
+// INCREMENTALFD(R, i) over the whole database for every i, keeping the
+// results whose minimal relation is i. It returns the kept keys in
+// order.
+func fullPassStream(t *testing.T, db *relation.Database, opts Options) []string {
+	t.Helper()
+	u := tupleset.NewUniverse(db)
+	var keys []string
+	for pass := 0; pass < db.NumRelations(); pass++ {
+		e, err := NewEnumerator(u, pass, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, ok := e.Next(); ok; s, ok = e.Next() {
+			if int(s.Refs()[0].Rel) == pass {
+				keys = append(keys, s.Key())
+			}
+		}
+	}
+	return keys
+}
+
+// assertSameMultiset fails t unless got and want hold the same keys
+// with the same multiplicities.
+func assertSameMultiset(t *testing.T, label string, got, want []string) {
+	t.Helper()
+	count := make(map[string]int, len(want))
+	for _, k := range want {
+		count[k]++
+	}
+	for _, k := range got {
+		count[k]--
+	}
+	for k, n := range count {
+		if n != 0 {
+			t.Fatalf("%s: multiplicity of %s differs by %d (got %d results, want %d)", label, k, -n, len(got), len(want))
+		}
 	}
 }
 
@@ -84,7 +130,7 @@ func textbookStream(t *testing.T, db *relation.Database, opts Options) ([]string
 		var e *Enumerator
 		var err error
 		if printed == nil {
-			e, err = NewEnumerator(u, pass, opts)
+			e, err = NewPassEnumerator(u, pass, 0, db.Relation(pass).Len(), opts)
 		} else {
 			e, err = NewSeededEnumerator(u, pass, opts, seedInit(u, pass, opts, printed, &total), pass)
 		}
@@ -98,8 +144,6 @@ func textbookStream(t *testing.T, db *relation.Database, opts Options) ([]string
 					continue
 				}
 				printed.Add(s)
-			} else if minRelation(s) != pass {
-				continue
 			}
 			keys = append(keys, s.Key())
 		}
@@ -193,7 +237,7 @@ func TestBlocksPinnedStats(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
-	want := Stats{Iterations: 403, Emitted: 103, JCCChecks: 51648, TuplesScanned: 27872, ListScans: 179167, PageReads: 6968, IndexProbes: 0, TuplesSkipped: 0, SigHits: 27443, SigRebuilds: 2070, MaxResident: 103}
+	want := Stats{Iterations: 155, Emitted: 103, JCCChecks: 15373, TuplesScanned: 9545, ListScans: 49311, PageReads: 2410, IndexProbes: 0, TuplesSkipped: 0, SigHits: 7174, SigRebuilds: 792, MaxResident: 100}
 	if got := c.Stats(); got != want {
 		t.Errorf("stats = %+v\nwant    %+v", got, want)
 	}

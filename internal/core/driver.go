@@ -91,8 +91,7 @@ func projectSuffix(u *tupleset.Universe, s *tupleset.Set, i int) *tupleset.Set {
 // extendSuffix maximally extends s with tuples of relations i..n-1
 // (the loop of GETNEXTRESULT lines 2–6 restricted to the suffix).
 func extendSuffix(u *tupleset.Universe, s *tupleset.Set, i int, opts Options, stats *Stats) {
-	sc := Scanner{db: u.DB, block: opts.blockSize(), minRel: i, stats: stats,
-		pool: opts.Pool, useJoinIndex: opts.UseJoinIndex}
+	sc := NewScanner(u.DB, opts, i, stats)
 	var sig tupleset.SigCounters
 	defer stats.AddSig(&sig)
 	for changed := true; changed; {
@@ -133,14 +132,4 @@ func dedupContained(sets []*tupleset.Set) []*tupleset.Set {
 		}
 	}
 	return out
-}
-
-// minRelation returns the smallest relation index with a member in t.
-// The drivers use it for cross-pass duplicate suppression: a result is
-// emitted only by the pass of its minimal relation.
-func minRelation(t *tupleset.Set) int {
-	for _, ref := range t.Refs() {
-		return int(ref.Rel) // Refs is in relation order
-	}
-	return -1
 }

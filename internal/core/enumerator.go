@@ -22,7 +22,11 @@ type Enumerator struct {
 	stats      Stats
 	incomplete *IncompleteQueue
 	complete   *CompleteStore
-	scan       Scanner
+	scan       *Scanner
+	// prefix, set on a pass enumerator (NewPassEnumerator), walks the
+	// relations before the pass: a result one of their tuples extends
+	// enters Complete but is not emitted.
+	prefix *Scanner
 	// lo and hi bound the anchor window: only results whose
 	// seed-relation member has index in [lo, hi) are enumerated (see
 	// NewWindowEnumerator).
@@ -67,8 +71,7 @@ func newBareEnumerator(u *tupleset.Universe, seed int, opts Options, minRel int)
 		incomplete: NewIncompleteQueue(u, seed, opts.UseIndex),
 		complete:   NewCompleteStore(u, opts.UseIndex),
 	}
-	e.scan = Scanner{db: u.DB, block: opts.blockSize(), minRel: minRel, stats: &e.stats,
-		pool: opts.Pool, useJoinIndex: opts.UseJoinIndex}
+	e.scan = NewScanner(u.DB, opts, minRel, &e.stats)
 	e.hi = int32(u.DB.Relation(seed).Len())
 	return e, nil
 }
@@ -91,19 +94,41 @@ func (e *Enumerator) Pending() int { return e.incomplete.Len() }
 // enumeration is finished. It performs one iteration of the while loop
 // of Fig 1: pop a tuple set from Incomplete, extend it maximally, emit
 // it, and enqueue the new candidate subsets discovered along the way.
+// A pass enumerator runs further iterations while a tuple of an
+// earlier relation extends the result (NewPassEnumerator).
 func (e *Enumerator) Next() (*tupleset.Set, bool) {
-	T, ok := e.incomplete.Pop()
-	if !ok {
-		return nil, false
+	for {
+		T, ok := e.incomplete.Pop()
+		if !ok {
+			return nil, false
+		}
+		result := getNextResult(e.u, e.seed, e.scan, e.lo, e.hi, T, e.incomplete, e.complete, &e.stats)
+		e.complete.Add(result)
+		e.stats.Iterations++
+		if resident := e.complete.Len() + e.incomplete.Len(); resident > e.stats.MaxResident {
+			e.stats.MaxResident = resident
+		}
+		if e.prefix != nil && e.extendsIntoPrefix(result) {
+			continue
+		}
+		e.stats.Emitted++
+		return result, true
 	}
-	result := getNextResult(e.u, e.seed, &e.scan, e.lo, e.hi, T, e.incomplete, e.complete, &e.stats)
-	e.complete.Add(result)
-	e.stats.Iterations++
-	e.stats.Emitted++
-	if resident := e.complete.Len() + e.incomplete.Len(); resident > e.stats.MaxResident {
-		e.stats.MaxResident = resident
-	}
-	return result, true
+}
+
+// extendsIntoPrefix reports whether a tuple of a relation before the
+// pass extends result: the extension walk of lines 2–6 over the prefix
+// scope, stopping at the first tuple that keeps the union JCC.
+func (e *Enumerator) extendsIntoPrefix(result *tupleset.Set) bool {
+	var sig tupleset.SigCounters
+	defer e.stats.AddSig(&sig)
+	extended := false
+	e.prefix.ForEachExtension(result, func(ref relation.Ref) bool {
+		e.stats.JCCChecks++
+		extended = e.u.JCCWithTupleCounted(result, ref, &sig)
+		return !extended
+	})
+	return extended
 }
 
 // All drains the enumeration and returns every tuple set of FDi(R).
@@ -143,15 +168,15 @@ type Pool interface {
 // everything); opts supplies the block size for simulated page reads.
 func GetNextResult(u *tupleset.Universe, seed int, opts Options, minRel int, T *tupleset.Set,
 	incomplete Pool, complete *CompleteStore, stats *Stats) *tupleset.Set {
-	scan := Scanner{db: u.DB, block: opts.blockSize(), minRel: minRel, stats: stats,
-		pool: opts.Pool, useJoinIndex: opts.UseJoinIndex}
-	return getNextResult(u, seed, &scan, 0, int32(u.DB.Relation(seed).Len()), T, incomplete, complete, stats)
+	return getNextResult(u, seed, NewScanner(u.DB, opts, minRel, stats), 0, int32(u.DB.Relation(seed).Len()), T, incomplete, complete, stats)
 }
 
 // getNextResult additionally takes the anchor window [lo, hi): a
 // discovered candidate whose seed-relation tuple has an index outside
 // it is dropped at line 9, exactly as a candidate with no seed tuple
-// is. With the full window [0, Len) this is GETNEXTRESULT verbatim.
+// is. A seed-relation tb outside the window is skipped before its T'
+// is formed, since T' holds tb and would be dropped there. With the
+// full window [0, Len) this is GETNEXTRESULT verbatim.
 func getNextResult(u *tupleset.Universe, seed int, scan *Scanner, lo, hi int32, T *tupleset.Set,
 	incomplete Pool, complete *CompleteStore, stats *Stats) *tupleset.Set {
 
@@ -186,7 +211,7 @@ func getNextResult(u *tupleset.Universe, seed int, scan *Scanner, lo, hi int32, 
 	// survives every filter and enters Incomplete.
 	tPrime := u.NewSet()
 	scan.ForEachDiscovery(T, seed, func(tb relation.Ref) bool {
-		if T.Has(tb) {
+		if T.Has(tb) || int(tb.Rel) == seed && (tb.Idx < lo || tb.Idx >= hi) {
 			return true
 		}
 		u.MaximalSubsetInto(tPrime, T, tb, &sig)

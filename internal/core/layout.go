@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/relation"
-	"repro/internal/tupleset"
 )
 
 // TaskMeta describes one planned task of a partitioned enumeration:
@@ -80,16 +79,15 @@ func Layout(db *relation.Database, workers int) []TaskMeta {
 // LayoutTasks attaches executable closures to a layout: open starts
 // the enumeration of one planned task — the anchor window [SeedLo,
 // SeedHi) of its pass, so a block task produces only the results
-// anchored in its block — and ownership follows the duplicate-
-// avoidance rule below Corollary 4.7: a result belongs to the pass of
-// its minimal relation.
+// anchored in its block. The pass enumerators keep only the results
+// whose minimal relation is their pass, so the tasks' outputs are
+// disjoint and no task needs an ownership filter.
 func LayoutTasks(layout []TaskMeta, open func(TaskMeta) (TaskEnumerator, error)) []Task {
 	tasks := make([]Task, len(layout))
 	for i, m := range layout {
 		tasks[i] = Task{
 			Label: m.Label,
 			Open:  func() (TaskEnumerator, error) { return open(m) },
-			Owns:  func(t *tupleset.Set) bool { return minRelation(t) == m.Pass },
 		}
 	}
 	return tasks

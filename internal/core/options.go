@@ -15,10 +15,12 @@ import (
 type InitStrategy int
 
 const (
-	// InitSingletons is the textbook initialisation of Fig 1: pass i
-	// seeds Incomplete with {t} for every t ∈ Ri and scans the whole
-	// database. Results containing a tuple of an earlier relation are
-	// suppressed by the driver (they were printed by an earlier pass).
+	// InitSingletons is the restart initialisation of Fig 1: pass i
+	// seeds Incomplete with {t} for every t ∈ Ri. It scans only
+	// relations Ri..Rn and drops each result a tuple of an earlier
+	// relation extends (that result's superset was printed by an
+	// earlier pass), so every result it keeps has minimal relation i
+	// and the passes are independent (NewPassEnumerator).
 	InitSingletons InitStrategy = iota
 	// InitSeeded is the second §7 option: pass i seeds Incomplete with
 	// the previously printed tuple sets that contain a tuple of Ri,
@@ -92,9 +94,10 @@ func (o Options) blockSize() int {
 }
 
 // Scanner walks database tuples in deterministic order while counting
-// tuples and simulated page reads. minRel restricts the scan to
-// relations minRel..n-1 (used by the seeded/projected strategies).
-// With a buffer pool attached, only buffer misses count as page reads.
+// tuples and simulated page reads. Its scope is the relations
+// [minRel, maxRel): a pass scans the suffix [i, n) and its prefix walk
+// (Prefix) the relations [0, i) before it. With a buffer pool
+// attached, only buffer misses count as page reads.
 //
 // With useJoinIndex set, the extension and discovery walks consult the
 // dictionary-code posting index and visit only equi-match candidates;
@@ -105,6 +108,7 @@ type Scanner struct {
 	db           *relation.Database
 	block        int
 	minRel       int
+	maxRel       int
 	stats        *Stats
 	pool         *storage.BufferPool
 	useJoinIndex bool
@@ -121,13 +125,22 @@ type Scanner struct {
 // constructing: the candidate walks are only exhaustive for predicates
 // that force an equi-match.
 func NewScanner(db *relation.Database, opts Options, minRel int, stats *Stats) *Scanner {
-	return &Scanner{db: db, block: opts.blockSize(), minRel: minRel, stats: stats,
-		pool: opts.Pool, useJoinIndex: opts.UseJoinIndex}
+	return &Scanner{db: db, block: opts.blockSize(), minRel: minRel, maxRel: db.NumRelations(),
+		stats: stats, pool: opts.Pool, useJoinIndex: opts.UseJoinIndex}
+}
+
+// Prefix returns a scanner over the relations [0, minRel) that sc's
+// scope leaves out, with sc's knobs and counters: the walk a pass
+// enumerator uses to test whether a tuple of an earlier relation
+// extends one of its results.
+func (sc *Scanner) Prefix() *Scanner {
+	return &Scanner{db: sc.db, block: sc.block, maxRel: sc.minRel, stats: sc.stats,
+		pool: sc.pool, useJoinIndex: sc.useJoinIndex}
 }
 
 // ForEach visits every tuple in scope; fn returning false stops early.
 func (sc *Scanner) ForEach(fn func(relation.Ref) bool) {
-	for r := sc.minRel; r < sc.db.NumRelations(); r++ {
+	for r := sc.minRel; r < sc.maxRel; r++ {
 		n := sc.db.Relation(r).Len()
 		for i := 0; i < n; i++ {
 			sc.page(r, int(i))
@@ -162,7 +175,7 @@ func (sc *Scanner) pageBlock(rel, blk int) {
 // scopeTuples returns the number of tuples a full sweep would visit.
 func (sc *Scanner) scopeTuples() int64 {
 	var n int64
-	for r := sc.minRel; r < sc.db.NumRelations(); r++ {
+	for r := sc.minRel; r < sc.maxRel; r++ {
 		n += int64(sc.db.Relation(r).Len())
 	}
 	return n
@@ -216,7 +229,7 @@ func (sc *Scanner) forEachCandidate(T *tupleset.Set, seedAll int, includeInT boo
 	}
 	for _, m := range T.Refs() {
 		for _, r2 := range db.Adjacent(int(m.Rel)) {
-			if r2 < sc.minRel || r2 == seedAll {
+			if r2 < sc.minRel || r2 >= sc.maxRel || r2 == seedAll {
 				continue // out of scan scope / already visited in full
 			}
 			if !includeInT && T.HasRelation(r2) {
@@ -235,7 +248,7 @@ func (sc *Scanner) forEachCandidate(T *tupleset.Set, seedAll int, includeInT boo
 	defer func() {
 		sc.stats.TuplesSkipped += sc.scopeTuples() - visited
 	}()
-	for r := sc.minRel; r < n; r++ {
+	for r := sc.minRel; r < sc.maxRel; r++ {
 		if r == seedAll {
 			m := db.Relation(r).Len()
 			for i := 0; i < m; i++ {

@@ -12,14 +12,15 @@ import (
 	"repro/internal/tupleset"
 )
 
-// The per-relation passes of Fig 1 are independent by construction —
-// each computes FDi(R) from scratch — and within one pass the seed
-// relation splits into anchor windows: the enumeration of the window
-// [lo, hi) produces exactly the results of FDi(R) whose seed-relation
-// member lies in it (NewWindowEnumerator), so disjoint windows divide
-// a pass's work without overlap. A result produced by more than one
-// pass is deduplicated by ownership, the duplicate-avoidance rule
-// below Corollary 4.7: it belongs to the pass of its minimal relation.
+// The per-relation passes of Fig 1 are independent by construction:
+// pass i enumerates over relations Ri..Rn from scratch and keeps the
+// results no tuple of an earlier relation extends — exactly the
+// results of FD(R) whose minimal relation is i, the duplicate-avoidance
+// rule below Corollary 4.7 (NewPassEnumerator). Within one pass the
+// seed relation splits into anchor windows: the enumeration of the
+// window [lo, hi) produces exactly the pass's results whose
+// seed-relation member lies in it, so disjoint windows divide a pass's
+// work without overlap, and every result is produced by one task.
 //
 // Windows are cut only when there are more workers than relations, and
 // never smaller than minTaskSeeds tuples.
@@ -38,11 +39,9 @@ type Task struct {
 	// goroutine; everything it touches must be shareable (a frozen
 	// database, a Universe) or task-local.
 	Open func() (TaskEnumerator, error)
-	// Owns reports whether this task is the unique owner of a result
-	// it produced. The passes overlap (a result with tuples of several
-	// relations is produced by each of their passes, in the window of
-	// its member); exactly one task owns each result, so the merged
-	// stream carries no duplicates. Owns sees each produced
+	// Owns, when non-nil, reports whether the task delivers a result
+	// it produced; nil delivers everything. The pass tasks of Layout
+	// need none, their outputs being disjoint. Owns sees each produced
 	// result once, in production order, so a task list only the
 	// sequential Cursor runs may keep state in it (the seeded
 	// strategies' printed filter).
@@ -54,8 +53,8 @@ type Task struct {
 
 // TaskSpan reports one finished parallel task to a TaskObserver: its
 // label, wall-clock extent, and the enumerator's own counters (Emitted
-// here counts what the task's enumerator produced, before the
-// ownership filter — the merged cursor's Emitted counts deliveries).
+// here counts what the task's enumerator emitted — the merged cursor's
+// Emitted counts deliveries).
 type TaskSpan struct {
 	Label      string
 	Start, End time.Time
@@ -80,7 +79,7 @@ type TaskObserver func(TaskSpan)
 //
 // Arrival order is whatever the interleaving produced — run-to-run
 // nondeterministic — but the delivered set is exactly the union of the
-// owned task outputs. Per-worker counters accumulate in task-local
+// task outputs that pass each task's Owns filter. Per-worker counters accumulate in task-local
 // Stats and are folded under a lock once per finished task, never on
 // the per-result path.
 //
@@ -158,7 +157,7 @@ func NewTaskCursor(ctx context.Context, tasks []Task, workers int, obs TaskObser
 			if !ok {
 				return nil
 			}
-			if !t.Owns(r) {
+			if t.Owns != nil && !t.Owns(r) {
 				continue
 			}
 			select {
@@ -268,11 +267,11 @@ func (c *ParallelCursor) Close() {
 const minTaskSeeds = 8
 
 // exactTasks partitions the restart-strategy enumeration of FD(R) by
-// Layout — the same layout fd.Explain reports — into anchor-window
-// enumerations, so one skewed relation doesn't serialise the run.
+// Layout — the same layout fd.Explain reports — into anchor windows of
+// the suffix passes, so one skewed relation doesn't serialise the run.
 func exactTasks(u *tupleset.Universe, opts Options, workers int) []Task {
 	return LayoutTasks(Layout(u.DB, workers), func(m TaskMeta) (TaskEnumerator, error) {
-		return NewWindowEnumerator(u, m.Pass, m.SeedLo, m.SeedHi, opts)
+		return NewPassEnumerator(u, m.Pass, m.SeedLo, m.SeedHi, opts)
 	})
 }
 

@@ -109,7 +109,6 @@ func TestParallelWorkerPoolBound(t *testing.T) {
 				}
 				return &fakeEnum{sets: []*tupleset.Set{u.NewSet()}, active: &active, maxSeen: &maxSeen}, nil
 			},
-			Owns: func(*tupleset.Set) bool { return true },
 		}
 	}
 	c := NewTaskCursor(context.Background(), tasks, workers, nil)
@@ -192,7 +191,6 @@ func TestParallelTaskOpenError(t *testing.T) {
 	boom := fmt.Errorf("boom")
 	tasks := []Task{{
 		Open: func() (TaskEnumerator, error) { return nil, boom },
-		Owns: func(*tupleset.Set) bool { return true },
 	}}
 	c := NewTaskCursor(context.Background(), tasks, 2, nil)
 	if _, ok := c.Next(); ok {

@@ -11,7 +11,9 @@ import (
 // of relying purely on wall-clock time.
 type Stats struct {
 	// Iterations counts calls to GetNextResult (the while loop of
-	// Fig 1, line 5). By Corollary 4.7 it equals the number of results.
+	// Fig 1, line 5). By Corollary 4.7 one enumeration of FDi(R) runs
+	// one per result; a suffix pass also counts the results it drops
+	// because a tuple of an earlier relation extends them.
 	Iterations int
 	// Emitted counts tuple sets returned to the caller.
 	Emitted int

@@ -32,7 +32,54 @@ import (
 // with "tuples of Ri" read as "tuples of Ri in [lo, hi)" throughout.
 // Disjoint windows covering [0, Len) thus partition FDi(R).
 func NewWindowEnumerator(u *tupleset.Universe, seed, lo, hi int, opts Options) (*Enumerator, error) {
-	e, err := newBareEnumerator(u, seed, opts, 0)
+	return newWindowEnumerator(u, seed, lo, hi, opts, 0)
+}
+
+// NewPassEnumerator prepares the anchor window [lo, hi) of pass i (the
+// relation pass) of the restart strategy: it produces exactly the results of
+// FD(R) whose minimal relation is i and whose Ri member has index in
+// [lo, hi). The enumeration runs Fig 1 over the relations Ri..Rn only
+// (its scans start at relation i); each result enters Complete, and is
+// emitted unless a tuple of a relation before i extends it
+// (extendsIntoPrefix, counted in Stats like every other walk).
+//
+// Why this is exact. Write R≥i for the relations Ri..Rn and R<i for
+// the rest. S ∈ FD(R) has minimal relation i exactly when S is a
+// maximal JCC set over R≥i, holds an Ri tuple, and no single tuple of
+// R<i extends it. Forward: S lies in R≥i and is maximal in R, hence in R≥i, and
+// a JCC S ∪ {t} would contradict that maximality. Backward: if S is not
+// maximal in R, some JCC S ∪ X with X non-empty exists; it is
+// connected, so some x ∈ X sits on a relation adjacent to one of S's,
+// and S ∪ {x} is connected and, as a subset of a join-consistent set,
+// join consistent. S is maximal over R≥i, so x is a tuple of R<i that
+// extends S. The kept results of pass i are therefore exactly the
+// members of FD(R) with minimal relation i: the passes partition FD(R)
+// with no ownership filter. The anchor-window argument of
+// NewWindowEnumerator applies unchanged within the suffix.
+//
+// A pass never does more iterations than the full-database pass. Write
+// FDi(R≥i) for the maximal JCC sets over R≥i holding an Ri tuple. Each
+// of them extends to a maximal set of FD(R), which holds its Ri
+// tuple; two sets mapped to one result share that tuple, so their
+// union is connected and, inside the result, join consistent — a JCC
+// set over R≥i containing both, so by maximality they are equal. The
+// map FDi(R≥i) → FDi(R) is therefore injective and the iterations (one
+// per member of FDi(R≥i)) are at most |FDi(R)|.
+//
+// Both facts use only that a subset of a qualifying connected set that
+// is itself connected qualifies — monotonicity — so they carry over to
+// every acceptable approximate join (approx.NewPassEnumerator).
+func NewPassEnumerator(u *tupleset.Universe, pass, lo, hi int, opts Options) (*Enumerator, error) {
+	e, err := newWindowEnumerator(u, pass, lo, hi, opts, pass)
+	if err != nil {
+		return nil, err
+	}
+	e.prefix = e.scan.Prefix()
+	return e, nil
+}
+
+func newWindowEnumerator(u *tupleset.Universe, seed, lo, hi int, opts Options, minRel int) (*Enumerator, error) {
+	e, err := newBareEnumerator(u, seed, opts, minRel)
 	if err != nil {
 		return nil, err
 	}

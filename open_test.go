@@ -94,16 +94,16 @@ func withStrategy(o fd.QueryOptions, s string) fd.QueryOptions { o.Strategy = s;
 
 var pinnedCases = []pinnedCase{
 	{"exact/singletons", equivDB, fd.Query{Options: withStrategy(pinnedIdx, "singletons")},
-		fd.Stats{Iterations: 403, Emitted: 103, JCCChecks: 11746, TuplesScanned: 7539, ListScans: 15627, PageReads: 7539, IndexProbes: 1878, TuplesSkipped: 20685, SigHits: 5888, SigRebuilds: 2070, MaxResident: 103}},
+		fd.Stats{Iterations: 155, Emitted: 103, JCCChecks: 3615, TuplesScanned: 2650, ListScans: 4073, PageReads: 2650, IndexProbes: 700, TuplesSkipped: 7526, SigHits: 1586, SigRebuilds: 792, MaxResident: 100}},
 	{"exact/seeded", equivDB, fd.Query{Options: withStrategy(pinnedIdx, "seeded")},
 		fd.Stats{Iterations: 403, Emitted: 103, JCCChecks: 8192, TuplesScanned: 5134, ListScans: 11307, PageReads: 5134, IndexProbes: 920, TuplesSkipped: 11554, SigHits: 4081, SigRebuilds: 1808, MaxResident: 103}},
 	{"exact/projected", equivDB, fd.Query{Options: withStrategy(pinnedIdx, "projected")},
 		fd.Stats{Iterations: 155, Emitted: 103, JCCChecks: 3603, TuplesScanned: 2573, ListScans: 4587, PageReads: 2573, IndexProbes: 635, TuplesSkipped: 11443, SigHits: 1586, SigRebuilds: 806, MaxResident: 100}},
 	{"approx", dirtyDB, fd.Query{Mode: fd.ModeApprox, Tau: 0.7,
 		Options: fd.QueryOptions{UseIndex: true, Workers: 1}},
-		fd.Stats{Iterations: 30, Emitted: 12, JCCChecks: 531, TuplesScanned: 1680, ListScans: 260, PageReads: 1680, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 12}},
+		fd.Stats{Iterations: 25, Emitted: 12, JCCChecks: 395, TuplesScanned: 1094, ListScans: 199, PageReads: 1094, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 12}},
 	{"approx/exact-sim", equivDB, fd.Query{Mode: fd.ModeApprox, Tau: 1, Sim: "exact", Options: pinnedIdx},
-		fd.Stats{Iterations: 403, Emitted: 103, JCCChecks: 6711, TuplesScanned: 7522, ListScans: 16232, PageReads: 7522, IndexProbes: 1866, TuplesSkipped: 20190, SigHits: 0, SigRebuilds: 0, MaxResident: 103}},
+		fd.Stats{Iterations: 155, Emitted: 103, JCCChecks: 2434, TuplesScanned: 2650, ListScans: 4446, PageReads: 2650, IndexProbes: 700, TuplesSkipped: 7526, SigHits: 0, SigRebuilds: 0, MaxResident: 100}},
 	{"ranked/fmax", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "fmax",
 		Options: fd.QueryOptions{UseIndex: true}},
 		fd.Stats{Iterations: 120, Emitted: 103, JCCChecks: 9686, TuplesScanned: 9024, ListScans: 4636, PageReads: 9024, IndexProbes: 0, TuplesSkipped: 0, SigHits: 1930, SigRebuilds: 513, MaxResident: 0}},
