@@ -230,6 +230,11 @@ func TryMerge(u *tupleset.Universe, a Join, tau float64, s, t *tupleset.Set, sta
 // returned; newly discovered candidate subsets land in pool. Database
 // scans honour opts (block size, buffer pool, join index gated on a's
 // equi-compatibility).
+//
+// Precondition, as for core.GetNextResult: every seed-relation tuple t
+// with A({t}) ≥ τ lies in a set of pool or of complete, and the caller
+// adds each returned result, or a superset of it, to complete; the
+// join-index discovery walk relies on it (core.Scanner.ForEachDiscovery).
 func GetNextResult(u *tupleset.Universe, seed int, a Join, tau float64, opts core.Options,
 	T *tupleset.Set, pool core.Pool, complete *core.CompleteStore, stats *core.Stats) *tupleset.Set {
 	scan := core.NewScanner(u.DB, ScanOptions(a, opts), 0, stats)
@@ -263,7 +268,7 @@ func getNextResult(u *tupleset.Universe, seed int, a Join, tau float64, scan *co
 
 	// Lines 7–18 (starred): candidate discovery over every maximal
 	// qualifying subset of T ∪ {tb} containing tb.
-	scan.ForEachDiscovery(T, seed, func(tb relation.Ref) bool {
+	scan.ForEachDiscovery(T, func(tb relation.Ref) bool {
 		if T.Has(tb) || int(tb.Rel) == seed && (tb.Idx < lo || tb.Idx >= hi) {
 			return true
 		}

@@ -89,6 +89,24 @@ type e9Cursor interface {
 	Close()
 }
 
+// e9Run is what one phased E9 drain measured.
+type e9Run struct {
+	sets   []*tupleset.Set
+	stats  core.Stats
+	phases map[string]float64
+	delays obs.DelaySummary
+	// delayWork is the largest engine work (JCC checks + list scans +
+	// tuples scanned) between consecutive results, from cursor
+	// construction on: the deterministic, work-unit form of the delay.
+	// Only sequential rungs record it; a parallel rung's interleaving
+	// of tasks is not repeatable.
+	delayWork int64
+}
+
+// workUnits is the engine work measure of the delay: the same sum as
+// perfbench's core.delay_work_max.
+func workUnits(s core.Stats) int64 { return s.JCCChecks + s.ListScans + s.TuplesScanned }
+
 // drainPhased runs one E9 rung to exhaustion under an execution trace:
 // "init" (cursor construction), "enumerate" (the Next loop) and
 // "drain" (error check, close, and — for parallel rungs — the
@@ -97,28 +115,31 @@ type e9Cursor interface {
 // The -json phases therefore come from the same span machinery a
 // served query's GET /queries/{id}/trace uses, not a parallel set of
 // stopwatches. The enumerate loop also feeds an obs.Delay tracker, so
-// each rung carries its measured inter-result delay profile.
-func drainPhased(db *relation.Database, v e9Variant) ([]*tupleset.Set, core.Stats, map[string]float64, obs.DelaySummary, error) {
+// each rung carries its measured inter-result delay profile, and on a
+// sequential rung it tracks the work-unit delay.
+func drainPhased(db *relation.Database, v e9Variant) (e9Run, error) {
 	tr := obs.NewTrace("e9", nil)
 	root := tr.Root()
 	sp := root.Start("init")
 	var (
 		c   e9Cursor
 		err error
+		run e9Run
 	)
-	if v.workers > 1 {
+	sequential := v.workers <= 1
+	if !sequential {
 		c, err = core.NewParallelCursor(context.Background(), db, v.opts, v.workers)
 	} else {
 		c, err = core.NewCursor(context.Background(), db, v.opts)
 	}
 	sp.End()
 	if err != nil {
-		return nil, core.Stats{}, nil, obs.DelaySummary{}, err
+		return run, err
 	}
 	delay := obs.NewDelay(0)
 	sp = root.Start("enumerate")
-	var out []*tupleset.Set
 	last := time.Now()
+	prevWork := workUnits(c.Stats())
 	for {
 		t, ok := c.Next()
 		if !ok {
@@ -127,22 +148,28 @@ func drainPhased(db *relation.Database, v e9Variant) ([]*tupleset.Set, core.Stat
 		now := time.Now()
 		delay.Observe(now.Sub(last))
 		last = now
-		out = append(out, t)
+		if sequential {
+			w := workUnits(c.Stats())
+			run.delayWork = max(run.delayWork, w-prevWork)
+			prevWork = w
+		}
+		run.sets = append(run.sets, t)
 	}
 	sp.End()
 	sp = root.Start("drain")
 	err = c.Err()
-	stats := c.Stats()
+	run.stats = c.Stats()
 	c.Close()
-	if err == nil && v.workers > 1 {
-		tupleset.SortSets(db, out)
+	if err == nil && !sequential {
+		tupleset.SortSets(db, run.sets)
 	}
 	sp.End()
 	root.End()
 	if err != nil {
-		return nil, stats, nil, obs.DelaySummary{}, err
+		return run, err
 	}
-	return out, stats, phaseMillis(tr.Snapshot()), delay.Snapshot(), nil
+	run.phases, run.delays = phaseMillis(tr.Snapshot()), delay.Snapshot()
+	return run, nil
 }
 
 // phaseMillis folds the trace's phase spans into name → milliseconds.
@@ -172,16 +199,14 @@ func e9Table(rec *Record) (*Table, error) {
 	}
 	var baseline int
 	for i, v := range e9Variants() {
-		var sets []*tupleset.Set
-		var stats core.Stats
-		var phases map[string]float64
-		var delays obs.DelaySummary
+		var run e9Run
 		d, mallocs, bytes := measure(func() {
-			sets, stats, phases, delays, err = drainPhased(db, v)
+			run, err = drainPhased(db, v)
 		})
 		if err != nil {
 			return nil, err
 		}
+		sets, stats := run.sets, run.stats
 		if i == 0 {
 			baseline = len(sets)
 		} else if len(sets) != baseline {
@@ -207,9 +232,10 @@ func e9Table(rec *Record) (*Table, error) {
 				PageReads:      stats.PageReads,
 				Mallocs:        mallocs,
 				BytesAlloc:     bytes,
-				DelayMaxMillis: delays.MaxMillis,
-				DelayP99Millis: delays.P99Millis,
-				Phases:         phases,
+				DelayMaxMillis: run.delays.MaxMillis,
+				DelayP99Millis: run.delays.P99Millis,
+				DelayWorkMax:   run.delayWork,
+				Phases:         run.phases,
 			})
 		}
 		t.Rows = append(t.Rows, []string{

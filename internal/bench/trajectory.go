@@ -37,6 +37,11 @@ type Metric struct {
 	// service exports as fd_result_delay_seconds.
 	DelayMaxMillis float64 `json:"delay_max_ms"`
 	DelayP99Millis float64 `json:"delay_p99_ms"`
+	// DelayWorkMax is the largest engine work (JCC checks + list scans
+	// + tuples scanned) between consecutive results, from cursor
+	// construction on: the delay in deterministic work units, recorded
+	// on sequential E9 rungs only (absent elsewhere).
+	DelayWorkMax int64 `json:"delay_work_max,omitempty"`
 	// Phases breaks WallMillis into the trace-span phases of the run:
 	// init (cursor construction), enumerate (the Next loop) and drain
 	// (error check, close, canonical sort). Recorded from the same span

@@ -166,6 +166,13 @@ type Pool interface {
 //
 // minRel restricts database scans to relations minRel..n-1 (zero scans
 // everything); opts supplies the block size for simulated page reads.
+//
+// Precondition (Remark 4.3's coverage): every tuple of the seed
+// relation lies in a set of incomplete or of complete, and the caller
+// adds each returned result, or a superset of it, to complete. With
+// opts.UseJoinIndex the discovery walk relies on it to skip the
+// singleton candidates {tb} that line 11 or 14 would discard
+// (Scanner.ForEachDiscovery).
 func GetNextResult(u *tupleset.Universe, seed int, opts Options, minRel int, T *tupleset.Set,
 	incomplete Pool, complete *CompleteStore, stats *Stats) *tupleset.Set {
 	return getNextResult(u, seed, NewScanner(u.DB, opts, minRel, stats), 0, int32(u.DB.Relation(seed).Len()), T, incomplete, complete, stats)
@@ -210,7 +217,7 @@ func getNextResult(u *tupleset.Universe, seed int, scan *Scanner, lo, hi int32, 
 	// probes do not retain it — and is replaced only when a candidate
 	// survives every filter and enters Incomplete.
 	tPrime := u.NewSet()
-	scan.ForEachDiscovery(T, seed, func(tb relation.Ref) bool {
+	scan.ForEachDiscovery(T, func(tb relation.Ref) bool {
 		if T.Has(tb) || int(tb.Rel) == seed && (tb.Idx < lo || tb.Idx >= hi) {
 			return true
 		}

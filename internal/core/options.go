@@ -59,12 +59,12 @@ type Options struct {
 	// UseJoinIndex enables candidate-only database scans backed by the
 	// dictionary-code posting index: instead of sweeping every tuple,
 	// GETNEXTRESULT visits only the tuples that equi-match a member of
-	// the current set on a shared attribute (plus, in the discovery
-	// phase, every tuple of the seed relation — the only tuples that
-	// can yield a new candidate subset without such a match). The
-	// produced full disjunction is identical as a set; the enumeration
-	// order of individual results may differ from the sweep. Stats
-	// records the probes and the tuples the sweep would have visited.
+	// the current set on a shared attribute, in the extension and the
+	// discovery phase alike (Scanner.ForEachDiscovery argues why no
+	// other tuple can yield a new candidate subset). The produced full
+	// disjunction is identical as a set; the enumeration order of
+	// individual results may differ from the sweep. Stats records the
+	// probes and the tuples the sweep would have visited.
 	UseJoinIndex bool
 	// BlockSize is the number of tuples fetched per simulated page read
 	// during database scans (block-based execution, §7). Zero or one
@@ -192,32 +192,50 @@ func (sc *Scanner) ForEachExtension(T *tupleset.Set, fn func(relation.Ref) bool)
 		sc.ForEach(fn)
 		return
 	}
-	sc.forEachCandidate(T, -1, false, fn)
+	sc.forEachCandidate(T, false, fn)
 }
 
 // ForEachDiscovery drives the candidate-subset walk of GETNEXTRESULT
-// lines 7–18: it visits every tuple tb whose maximal subset T' of
-// T∪{tb} (footnote 3) can contain a tuple of the seed relation. For
-// tb not of the seed relation, T' reaches the seed tuple only through
-// a member whose relation is adjacent to tb's and that survives the
-// join-consistency filter — forcing an equi-match with that member, so
-// the posting candidates plus the full seed relation cover every tb
-// the sweep would not skip at line 9.
-func (sc *Scanner) ForEachDiscovery(T *tupleset.Set, seed int, fn func(relation.Ref) bool) {
+// lines 7–18: it visits the posting candidates of T's members on every
+// adjacent relation in scope, the seed relation included, and skips
+// every other tuple tb. The skip is exact, because a skipped tb yields
+// no candidate the sweep could keep:
+//
+//   - tb not of the seed relation: T' (footnote 3) reaches a seed
+//     tuple only through a member on a relation adjacent to tb's that
+//     is join consistent with tb, which forces a non-null code match on
+//     their first shared position, so tb is a posting candidate.
+//   - (i) tb of the seed relation with T' ≠ {tb}: T' is connected, so
+//     it holds a member on a relation adjacent to tb's that is join
+//     consistent with tb; the same match makes tb a posting candidate.
+//   - (ii) tb of the seed relation with T' = {tb}: line 11 or line 14
+//     always discards it, because every tuple of the window stays in a
+//     live Incomplete set or in a Complete set. Window and pass
+//     enumerators seed every window singleton; seeded enumerators cover
+//     the seed relation by NewSeededEnumerator's contract; Fig 3 queues
+//     (c ≥ 1) seed every qualifying singleton; and under an approximate
+//     join a {tb} that does not qualify has no qualifying superset, so
+//     it is never a T'. A popped set's result, a superset, enters
+//     Complete.
+//
+// A skipped {tb} never pushed or merged anything (a merge of {tb} into
+// a set that holds tb leaves it unchanged), so results and emission
+// order match a walk that visits it; only the work counters differ.
+func (sc *Scanner) ForEachDiscovery(T *tupleset.Set, fn func(relation.Ref) bool) {
 	if !sc.useJoinIndex {
 		sc.ForEach(fn)
 		return
 	}
-	sc.forEachCandidate(T, seed, true, fn)
+	sc.forEachCandidate(T, true, fn)
 }
 
 // forEachCandidate gathers equi-match candidates for the members of T
 // from the posting index and visits them in deterministic (relation,
 // tuple) order, mirroring the sweep's order restricted to candidates.
-// seedAll ≥ minRel names a relation to be visited in full; includeInT
-// selects whether relations already represented in T yield candidates
-// (discovery needs replacement tuples, extension cannot use them).
-func (sc *Scanner) forEachCandidate(T *tupleset.Set, seedAll int, includeInT bool, fn func(relation.Ref) bool) {
+// includeInT selects whether relations already represented in T yield
+// candidates (discovery needs replacement tuples, extension cannot use
+// them).
+func (sc *Scanner) forEachCandidate(T *tupleset.Set, includeInT bool, fn func(relation.Ref) bool) {
 	db := sc.db
 	n := db.NumRelations()
 	ix := db.Index()
@@ -229,8 +247,8 @@ func (sc *Scanner) forEachCandidate(T *tupleset.Set, seedAll int, includeInT boo
 	}
 	for _, m := range T.Refs() {
 		for _, r2 := range db.Adjacent(int(m.Rel)) {
-			if r2 < sc.minRel || r2 >= sc.maxRel || r2 == seedAll {
-				continue // out of scan scope / already visited in full
+			if r2 < sc.minRel || r2 >= sc.maxRel {
+				continue // out of scan scope
 			}
 			if !includeInT && T.HasRelation(r2) {
 				continue // an extension into a represented relation never passes JCC
@@ -249,18 +267,6 @@ func (sc *Scanner) forEachCandidate(T *tupleset.Set, seedAll int, includeInT boo
 		sc.stats.TuplesSkipped += sc.scopeTuples() - visited
 	}()
 	for r := sc.minRel; r < sc.maxRel; r++ {
-		if r == seedAll {
-			m := db.Relation(r).Len()
-			for i := 0; i < m; i++ {
-				sc.page(r, i)
-				sc.stats.TuplesScanned++
-				visited++
-				if !fn(relation.Ref{Rel: int32(r), Idx: int32(i)}) {
-					return
-				}
-			}
-			continue
-		}
 		idxs := sortDedup(sc.cand[r])
 		sc.cand[r] = idxs
 		lastBlock := -1

@@ -94,21 +94,21 @@ func withStrategy(o fd.QueryOptions, s string) fd.QueryOptions { o.Strategy = s;
 
 var pinnedCases = []pinnedCase{
 	{"exact/singletons", equivDB, fd.Query{Options: withStrategy(pinnedIdx, "singletons")},
-		fd.Stats{Iterations: 155, Emitted: 103, JCCChecks: 3615, TuplesScanned: 2650, ListScans: 4073, PageReads: 2650, IndexProbes: 700, TuplesSkipped: 7526, SigHits: 1586, SigRebuilds: 792, MaxResident: 100}},
+		fd.Stats{Iterations: 155, Emitted: 103, JCCChecks: 2469, TuplesScanned: 1879, ListScans: 3310, PageReads: 1879, IndexProbes: 847, TuplesSkipped: 8297, SigHits: 1203, SigRebuilds: 409, MaxResident: 100}},
 	{"exact/seeded", equivDB, fd.Query{Options: withStrategy(pinnedIdx, "seeded")},
-		fd.Stats{Iterations: 403, Emitted: 103, JCCChecks: 8192, TuplesScanned: 5134, ListScans: 11307, PageReads: 5134, IndexProbes: 920, TuplesSkipped: 11554, SigHits: 4081, SigRebuilds: 1808, MaxResident: 103}},
+		fd.Stats{Iterations: 403, Emitted: 103, JCCChecks: 5351, TuplesScanned: 3290, ListScans: 9466, PageReads: 3290, IndexProbes: 1520, TuplesSkipped: 13398, SigHits: 3081, SigRebuilds: 808, MaxResident: 103}},
 	{"exact/projected", equivDB, fd.Query{Options: withStrategy(pinnedIdx, "projected")},
-		fd.Stats{Iterations: 155, Emitted: 103, JCCChecks: 3603, TuplesScanned: 2573, ListScans: 4587, PageReads: 2573, IndexProbes: 635, TuplesSkipped: 11443, SigHits: 1586, SigRebuilds: 806, MaxResident: 100}},
+		fd.Stats{Iterations: 155, Emitted: 103, JCCChecks: 2438, TuplesScanned: 1802, ListScans: 3824, PageReads: 1802, IndexProbes: 782, TuplesSkipped: 12214, SigHits: 1184, SigRebuilds: 404, MaxResident: 100}},
 	{"approx", dirtyDB, fd.Query{Mode: fd.ModeApprox, Tau: 0.7,
 		Options: fd.QueryOptions{UseIndex: true, Workers: 1}},
 		fd.Stats{Iterations: 25, Emitted: 12, JCCChecks: 395, TuplesScanned: 1094, ListScans: 199, PageReads: 1094, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 12}},
 	{"approx/exact-sim", equivDB, fd.Query{Mode: fd.ModeApprox, Tau: 1, Sim: "exact", Options: pinnedIdx},
-		fd.Stats{Iterations: 155, Emitted: 103, JCCChecks: 2434, TuplesScanned: 2650, ListScans: 4446, PageReads: 2650, IndexProbes: 700, TuplesSkipped: 7526, SigHits: 0, SigRebuilds: 0, MaxResident: 100}},
+		fd.Stats{Iterations: 155, Emitted: 103, JCCChecks: 1583, TuplesScanned: 1879, ListScans: 3683, PageReads: 1879, IndexProbes: 847, TuplesSkipped: 8297, SigHits: 0, SigRebuilds: 0, MaxResident: 100}},
 	{"ranked/fmax", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "fmax",
 		Options: fd.QueryOptions{UseIndex: true}},
 		fd.Stats{Iterations: 120, Emitted: 103, JCCChecks: 9686, TuplesScanned: 9024, ListScans: 4636, PageReads: 9024, IndexProbes: 0, TuplesSkipped: 0, SigHits: 1930, SigRebuilds: 513, MaxResident: 0}},
 	{"ranked/pairsum", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "pairsum", Options: pinnedIdx},
-		fd.Stats{Iterations: 213, Emitted: 103, JCCChecks: 17327, TuplesScanned: 3916, ListScans: 9804, PageReads: 3916, IndexProbes: 958, TuplesSkipped: 12084, SigHits: 14329, SigRebuilds: 776, MaxResident: 0}},
+		fd.Stats{Iterations: 213, Emitted: 103, JCCChecks: 16335, TuplesScanned: 3079, ListScans: 8970, PageReads: 3079, IndexProbes: 1335, TuplesSkipped: 12921, SigHits: 14171, SigRebuilds: 618, MaxResident: 0}},
 	{"approx-ranked/fmax", dirtyDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax",
 		Options: fd.QueryOptions{UseIndex: true}},
 		fd.Stats{Iterations: 44, Emitted: 32, JCCChecks: 996, TuplesScanned: 2616, ListScans: 911, PageReads: 2616, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},

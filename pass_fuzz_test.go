@@ -34,7 +34,8 @@ var fuzzValues = []string{"", "a", "b", "ab", "bb"}
 // fuzzDB decodes data into a tiny database: 2–4 relations shaped as a
 // chain, a cycle, or a star whose hub is relation 0 (so the suffix
 // schemas R1..Rn of the later passes are disconnected), at most 6
-// tuples in all, nullable join attributes and a per-tuple probability.
+// tuples in all, nullable join attributes, and a per-tuple probability
+// and importance.
 // It also returns the threshold the approximate checks use.
 func fuzzDB(data []byte) (*relation.Database, float64) {
 	in := fuzzBytes(data)
@@ -70,11 +71,15 @@ func fuzzDB(data []byte) (*relation.Database, float64) {
 		count := min(in.next()%4, budget)
 		budget -= count
 		for t := 0; t < count; t++ {
+			// One byte gives the probability and the importance, so
+			// the ranked checks see graded ranks without changing how
+			// the rest of an input decodes.
+			w := in.next()
 			tuple := relation.Tuple{
 				Label:  fmt.Sprintf("r%d_%d", i, t),
 				Values: make([]relation.Value, len(attrs)),
-				Imp:    1,
-				Prob:   []float64{1, 0.8, 0.5}[in.next()%3],
+				Imp:    float64(1 + w/3%4),
+				Prob:   []float64{1, 0.8, 0.5}[w%3],
 			}
 			for p := range tuple.Values {
 				if v := in.next() % len(fuzzValues); v > 0 {

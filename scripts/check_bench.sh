@@ -6,7 +6,8 @@
 # not time, so they repeat exactly on any machine: a mismatch means the
 # engine does different work, and the fix is either the code or a
 # regenerated BENCH file in the same change. Wall time, allocations and
-# delay are never compared. Every E9 "parallel ×N" rung must also
+# wall-clock delay are never compared; the work-unit delay of the
+# sequential E9 rungs (delay_work_max) is, since it counts work too. Every E9 "parallel ×N" rung must also
 # deliver the results of the sequential "+ join-candidate index" rung
 # it partitions, with no more jcc_checks and list_scans: the anchor
 # windows of a block split divide a pass's work, never repeat it.
@@ -27,7 +28,7 @@ import json
 import sys
 
 FIELDS = ["results", "jcc_checks", "sig_hits", "sig_rebuilds", "tuples_scanned",
-          "tuples_skipped", "index_probes", "list_scans", "page_reads"]
+          "tuples_skipped", "index_probes", "list_scans", "page_reads", "delay_work_max"]
 
 
 def variants(path):
