@@ -1,4 +1,4 @@
-// Command fdbench runs the experiment suite E1–E12 that reproduces the
+// Command fdbench runs the experiment suite E1–E13 that reproduces the
 // paper's tables, worked examples and complexity claims, printing
 // markdown tables (the source of EXPERIMENTS.md).
 //

@@ -80,11 +80,9 @@ type PlanIndex struct {
 	// HashIndex reports whether the §7 hash index over the Complete and
 	// Incomplete lists is on.
 	HashIndex bool `json:"hash_index"`
-	// JoinIndex reports whether the equi-join candidate index actually
-	// engages. Requesting it is not enough: the approximate modes apply
-	// it only under an exact similarity, because a graded similarity
-	// admits matches that never equi-join and candidate-only scans
-	// would lose results.
+	// JoinIndex reports whether the join candidate index engages: the
+	// equi-join postings, which the approximate modes widen to the
+	// τ-similar codes of a graded similarity.
 	JoinIndex bool `json:"join_index"`
 	// JoinIndexReason explains a false JoinIndex.
 	JoinIndexReason string `json:"join_index_reason,omitempty"`
@@ -185,18 +183,11 @@ func Explain(db *Database, q Query) (*Plan, error) {
 	}
 
 	p.Index = PlanIndex{HashIndex: n.Options.UseIndex}
-	approxMode := n.Mode == ModeApprox || n.Mode == ModeApproxRanked
-	switch {
-	case !n.Options.UseJoinIndex:
-		p.Index.JoinIndexReason = "not requested by the query options"
-	case approxMode && n.Sim != "exact":
-		// Mirrors approx.ScanOptions / approx.EquiCompatible.
-		p.Index.JoinIndexReason = fmt.Sprintf(
-			"similarity %q is graded: it admits matches that never equi-join, so candidate-only scans would lose results (the join index engages only under sim \"exact\")",
-			n.Sim)
-	default:
+	if n.Options.UseJoinIndex {
 		p.Index.JoinIndex = true
 		p.Index.PostingLists, p.Index.PostingEntries = db.Index().Counts()
+	} else {
+		p.Index.JoinIndexReason = "not requested by the query options"
 	}
 
 	p.Strategy = PlanStrategy{

@@ -230,9 +230,9 @@ func TestExplainSequentialReasons(t *testing.T) {
 }
 
 // TestExplainIndexAndGraph checks the index gating mirrors execution
-// (the join index engages for exact equi-joins, never under a graded
-// similarity) and the join-graph classification matches the workload
-// shape.
+// (the join index engages whenever it is requested, under a graded
+// similarity too) and the join-graph classification matches the
+// workload shape.
 func TestExplainIndexAndGraph(t *testing.T) {
 	db := explainDB(t, "chain")
 
@@ -260,15 +260,15 @@ func TestExplainIndexAndGraph(t *testing.T) {
 		t.Errorf("join index off: %+v", plan.Index)
 	}
 
-	// A graded similarity must not engage the join index even when
-	// requested — candidate-only scans would lose non-equi matches.
+	// A graded similarity engages it too: its candidates are the
+	// postings of the τ-similar codes.
 	plan, err = fd.Explain(db, fd.Query{Mode: fd.ModeApprox, Tau: 0.7,
 		Options: fd.QueryOptions{UseIndex: true, UseJoinIndex: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Index.JoinIndex || !strings.Contains(plan.Index.JoinIndexReason, "graded") {
-		t.Errorf("approx levenshtein: %+v, want graded-similarity refusal", plan.Index)
+	if !plan.Index.JoinIndex || plan.Index.PostingLists == 0 || plan.Index.JoinIndexReason != "" {
+		t.Errorf("approx levenshtein: %+v, want join index engaged with posting stats", plan.Index)
 	}
 
 	// The same query under an exact similarity engages it.

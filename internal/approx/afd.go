@@ -9,37 +9,6 @@ import (
 	"repro/internal/tupleset"
 )
 
-// EquiCompatible reports whether the qualifying-set predicate of a
-// (A(T) ≥ τ for τ > 0) implies pairwise exact join consistency of every
-// connected member pair — the property that makes the equi-join
-// candidate index exhaustive for a's extension and discovery walks.
-// It holds for Amin and Aprod over ExactSim, where every connected-pair
-// similarity is 1 exactly when the pair joins; a graded similarity
-// (Levenshtein, a table) admits extensions that never equi-match, so
-// candidate-only scans would miss results.
-func EquiCompatible(a Join) bool {
-	switch j := a.(type) {
-	case *Amin:
-		_, ok := j.S.(ExactSim)
-		return ok
-	case *Aprod:
-		_, ok := j.S.(ExactSim)
-		return ok
-	}
-	return false
-}
-
-// ScanOptions adjusts opts for scanning under a: the equi-join
-// candidate index stays enabled only when a is equi-compatible, so an
-// approximate enumeration can never silently lose results to
-// candidate-only scans.
-func ScanOptions(a Join, opts core.Options) core.Options {
-	if !EquiCompatible(a) {
-		opts.UseJoinIndex = false
-	}
-	return opts
-}
-
 // Enumerator incrementally produces AFDi(R, A, τ) — the tuple sets of
 // the (A,τ)-approximate full disjunction that contain a tuple of the
 // seed relation — one result per Next call (APPROXINCREMENTALFD and
@@ -78,9 +47,8 @@ func NewEnumerator(db *relation.Database, seed int, a Join, tau float64, opts co
 // singletons and dropping discovered candidates anchored outside it
 // restricts Figs 5–6 to the window without disturbing their maximality
 // or uniqueness guarantees. Database scans honour the engine knobs of
-// opts: block size, buffer pool, hash index for the Complete store,
-// and — when a is equi-compatible — candidate-only scans over the
-// equi-join posting index.
+// opts: block size, buffer pool, and candidate-only scans over the
+// join index (NewScanner), which the enumerator builds once.
 func NewWindowEnumerator(db *relation.Database, seed, lo, hi int, a Join, tau float64, opts core.Options) (*Enumerator, error) {
 	return newWindowEnumerator(db, seed, lo, hi, a, tau, opts, 0)
 }
@@ -121,7 +89,7 @@ func newWindowEnumerator(db *relation.Database, seed, lo, hi int, a Join, tau fl
 		// Always hash-indexed (pre-Options behaviour): UseIndex governs
 		// the §7 lists of the exact engine, not the dup-check store.
 		complete: core.NewCompleteStore(u, true)}
-	e.scan = core.NewScanner(db, ScanOptions(a, opts), minRel, &e.stats)
+	e.scan = NewScanner(u, a, tau, opts, minRel, &e.stats)
 	for i := lo; i < hi; i++ {
 		s := u.Singleton(relation.Ref{Rel: int32(seed), Idx: int32(i)})
 		e.stats.JCCChecks++
@@ -228,16 +196,15 @@ func TryMerge(u *tupleset.Universe, a Join, tau float64, s, t *tupleset.Set, sta
 // GetNextResult is APPROXGETNEXTRESULT (Fig 6) minus the pop of line 1,
 // which the caller performs. T is extended into the result and
 // returned; newly discovered candidate subsets land in pool. Database
-// scans honour opts (block size, buffer pool, join index gated on a's
-// equi-compatibility).
+// scans run on scan, a NewScanner over every relation that the caller
+// keeps across calls.
 //
 // Precondition, as for core.GetNextResult: every seed-relation tuple t
 // with A({t}) ≥ τ lies in a set of pool or of complete, and the caller
 // adds each returned result, or a superset of it, to complete; the
 // join-index discovery walk relies on it (core.Scanner.ForEachDiscovery).
-func GetNextResult(u *tupleset.Universe, seed int, a Join, tau float64, opts core.Options,
+func GetNextResult(u *tupleset.Universe, seed int, a Join, tau float64, scan *core.Scanner,
 	T *tupleset.Set, pool core.Pool, complete *core.CompleteStore, stats *core.Stats) *tupleset.Set {
-	scan := core.NewScanner(u.DB, ScanOptions(a, opts), 0, stats)
 	return getNextResult(u, seed, a, tau, scan, 0, int32(u.DB.Relation(seed).Len()), T, pool, complete, stats)
 }
 
@@ -251,8 +218,8 @@ func getNextResult(u *tupleset.Universe, seed int, a Join, tau float64, scan *co
 	lo, hi int32, T *tupleset.Set, pool core.Pool, complete *core.CompleteStore, stats *core.Stats) *tupleset.Set {
 
 	// Lines 2–6 (starred): extend T maximally under A(T ∪ {tg}) ≥ τ.
-	// With the join index (equi-compatible a only) each sweep visits the
-	// equi-match candidates of the current members; a tuple reachable
+	// With the join index each sweep visits the live τ-similar
+	// candidates of the current members; a tuple reachable
 	// only through a member added mid-sweep becomes a candidate in the
 	// next sweep, so the fixpoint is still maximal.
 	for changed := true; changed; {

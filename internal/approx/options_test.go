@@ -1,6 +1,7 @@
 package approx
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -30,82 +31,70 @@ func multiset(sets []*tupleset.Set) map[string]int {
 	return out
 }
 
-// TestApproxJoinIndexEngages is the satellite acceptance check for
-// Options plumbing: with an equi-compatible join function, enabling
-// UseJoinIndex actually routes approximate scans through the posting
-// index — the probe and skip counters move and fewer tuples are
-// scanned — while the produced AFD stays set-identical.
-func TestApproxJoinIndexEngages(t *testing.T) {
-	for _, seed := range []int64{3, 17, 29} {
-		db := cleanDB(t, seed)
-		amin := &Amin{S: ExactSim{}}
-		if !EquiCompatible(amin) {
-			t.Fatal("Amin over ExactSim must be equi-compatible")
-		}
-		plain, plainStats, err := FullDisjunction(db, amin, 0.5, core.Options{UseIndex: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		indexed, idxStats, err := FullDisjunction(db, amin, 0.5,
-			core.Options{UseIndex: true, UseJoinIndex: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := multiset(indexed), multiset(plain)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: join index changed the AFD: %d vs %d results", seed, len(got), len(want))
-		}
-		for k, n := range want {
-			if got[k] != n {
-				t.Fatalf("seed %d: join index changed the AFD at %q", seed, k)
-			}
-		}
-		if idxStats.IndexProbes == 0 {
-			t.Errorf("seed %d: UseJoinIndex set but no index probes recorded", seed)
-		}
-		if idxStats.TuplesSkipped == 0 {
-			t.Errorf("seed %d: UseJoinIndex set but no tuples skipped", seed)
-		}
-		if idxStats.TuplesScanned >= plainStats.TuplesScanned {
-			t.Errorf("seed %d: candidate scans visited %d tuples, sweep %d — no reduction",
-				seed, idxStats.TuplesScanned, plainStats.TuplesScanned)
-		}
-	}
-}
-
-// TestApproxJoinIndexGatedForGradedSim checks the safety side of the
-// gate: under a graded similarity the candidate index would lose
-// matches that never equi-join, so UseJoinIndex must be ignored.
-func TestApproxJoinIndexGatedForGradedSim(t *testing.T) {
+// dirtyDB builds a dirty chain: misspelled join values and
+// probabilities in [0.5, 1], for the graded similarities.
+func dirtyDB(t *testing.T, seed int64) *relation.Database {
+	t.Helper()
 	db, err := workload.DirtyChain(workload.DirtyConfig{
-		Config:    workload.Config{Relations: 3, TuplesPerRelation: 8, Domain: 3, Seed: 31},
+		Config:    workload.Config{Relations: 3, TuplesPerRelation: 8, Domain: 3, Seed: seed},
 		ErrorRate: 0.3, MaxEdits: 2, MinProb: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	amin := &Amin{S: LevenshteinSim{}}
-	if EquiCompatible(amin) {
-		t.Fatal("Amin over LevenshteinSim must not be equi-compatible")
+	return db
+}
+
+// TestApproxJoinIndexEngages is the acceptance check for the approx
+// join index: for Amin over ExactSim, and Amin and Aprod over
+// LevenshteinSim at τ 0.6 and 0.8, enabling UseJoinIndex actually
+// routes approximate scans through the candidate source — the probe
+// and skip counters move and fewer tuples are scanned — while the
+// produced AFD stays set-identical.
+func TestApproxJoinIndexEngages(t *testing.T) {
+	cases := []struct {
+		name string
+		db   func(*testing.T, int64) *relation.Database
+		a    Join
+		tau  float64
+	}{
+		{"amin/exact", cleanDB, &Amin{S: ExactSim{}}, 0.5},
+		{"amin/levenshtein", dirtyDB, &Amin{S: LevenshteinSim{}}, 0.6},
+		{"amin/levenshtein", dirtyDB, &Amin{S: LevenshteinSim{}}, 0.8},
+		{"aprod/levenshtein", dirtyDB, &Aprod{S: LevenshteinSim{}}, 0.6},
+		{"aprod/levenshtein", dirtyDB, &Aprod{S: LevenshteinSim{}}, 0.8},
 	}
-	plain, _, err := FullDisjunction(db, amin, 0.6, core.Options{UseIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gated, gatedStats, err := FullDisjunction(db, amin, 0.6,
-		core.Options{UseIndex: true, UseJoinIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gatedStats.IndexProbes != 0 {
-		t.Errorf("graded similarity still probed the join index %d times", gatedStats.IndexProbes)
-	}
-	got, want := multiset(gated), multiset(plain)
-	if len(got) != len(want) {
-		t.Fatalf("gating changed the AFD: %d vs %d results", len(got), len(want))
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("gating changed the AFD at %q", k)
+	for _, c := range cases {
+		for _, seed := range []int64{3, 17, 29} {
+			where := fmt.Sprintf("%s τ %v seed %d", c.name, c.tau, seed)
+			db := c.db(t, seed)
+			plain, plainStats, err := FullDisjunction(db, c.a, c.tau, core.Options{UseIndex: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			indexed, idxStats, err := FullDisjunction(db, c.a, c.tau,
+				core.Options{UseIndex: true, UseJoinIndex: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := multiset(indexed), multiset(plain)
+			if len(got) != len(want) {
+				t.Fatalf("%s: join index changed the AFD: %d vs %d results", where, len(got), len(want))
+			}
+			for k, n := range want {
+				if got[k] != n {
+					t.Fatalf("%s: join index changed the AFD at %q", where, k)
+				}
+			}
+			if idxStats.IndexProbes == 0 {
+				t.Errorf("%s: UseJoinIndex set but no index probes recorded", where)
+			}
+			if idxStats.TuplesSkipped == 0 {
+				t.Errorf("%s: UseJoinIndex set but no tuples skipped", where)
+			}
+			if idxStats.TuplesScanned >= plainStats.TuplesScanned {
+				t.Errorf("%s: candidate scans visited %d tuples, sweep %d — no reduction",
+					where, idxStats.TuplesScanned, plainStats.TuplesScanned)
+			}
 		}
 	}
 }

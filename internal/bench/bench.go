@@ -1,5 +1,5 @@
 // Package bench is the experiment harness behind EXPERIMENTS.md and
-// cmd/fdbench: each experiment E1–E12 regenerates one artifact of the
+// cmd/fdbench: each experiment E1–E13 regenerates one artifact of the
 // paper (a table, a worked example, or a complexity/behaviour claim)
 // and reports it as a formatted table. Wall-clock numbers are
 // laptop-scale; the claims under test are shapes (who wins, how costs
@@ -92,6 +92,7 @@ func Registry() map[string]Experiment {
 		"E10": E10Outerjoin,
 		"E11": E11Threshold,
 		"E12": E12Append,
+		"E13": E13ApproxIndex,
 	}
 }
 

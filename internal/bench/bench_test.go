@@ -79,10 +79,10 @@ func TestE3GoldenApprox(t *testing.T) {
 
 func TestRegistryComplete(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 12 {
-		t.Fatalf("registry has %d experiments, want 12: %v", len(ids), ids)
+	if len(ids) != 13 {
+		t.Fatalf("registry has %d experiments, want 13: %v", len(ids), ids)
 	}
-	if ids[0] != "E1" || ids[9] != "E10" || ids[10] != "E11" || ids[11] != "E12" {
+	if ids[0] != "E1" || ids[9] != "E10" || ids[10] != "E11" || ids[11] != "E12" || ids[12] != "E13" {
 		t.Errorf("ordering wrong: %v", ids)
 	}
 	for _, id := range ids {

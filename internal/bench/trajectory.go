@@ -73,6 +73,7 @@ func Trajectories() map[string]func() (*Table, *Record, error) {
 	return map[string]func() (*Table, *Record, error){
 		"E9":  E9Both,
 		"E12": E12Both,
+		"E13": E13Both,
 	}
 }
 

@@ -61,7 +61,10 @@ type Options struct {
 	// GETNEXTRESULT visits only the tuples that equi-match a member of
 	// the current set on a shared attribute, in the extension and the
 	// discovery phase alike (Scanner.ForEachDiscovery argues why no
-	// other tuple can yield a new candidate subset). The produced full
+	// other tuple can yield a new candidate subset). Under an
+	// approximate join it visits the τ-live tuples whose code on that
+	// attribute is τ-similar to the member's (approx.NewScanner); a
+	// similarity with no such bound keeps the sweep. The produced full
 	// disjunction is identical as a set; the enumeration order of
 	// individual results may differ from the sweep. Stats records the
 	// probes and the tuples the sweep would have visited.
@@ -99,11 +102,11 @@ func (o Options) blockSize() int {
 // (Prefix) the relations [0, i) before it. With a buffer pool
 // attached, only buffer misses count as page reads.
 //
-// With useJoinIndex set, the extension and discovery walks consult the
-// dictionary-code posting index and visit only equi-match candidates;
-// otherwise they fall back to the full sweep. Scanner is exported so
-// sibling enumeration packages (internal/approx) share the same scan
-// accounting and candidate generation instead of re-encoding it.
+// With useJoinIndex set, the extension and discovery walks visit only
+// the candidates their Candidates source yields; otherwise they fall
+// back to the full sweep. Scanner is exported so sibling enumeration
+// packages (internal/approx) share the same scan accounting and
+// candidate generation instead of re-encoding it.
 type Scanner struct {
 	db           *relation.Database
 	block        int
@@ -112,21 +115,71 @@ type Scanner struct {
 	stats        *Stats
 	pool         *storage.BufferPool
 	useJoinIndex bool
+	cands        Candidates
 	// cand[r] is reusable scratch for candidate tuple indices of
 	// relation r gathered from posting lookups.
 	cand [][]int32
 }
 
+// Candidates is the candidate source of a Scanner's join-index walks.
+// Its zero value is the exact one: a member probes the equi-join
+// posting index with its own code, and every tuple is live.
+type Candidates struct {
+	// Postings, when non-nil, replaces the equi-join index: it returns
+	// the ascending tuple indices of column (rel, pos) a member whose
+	// code on the paired column is code may join.
+	Postings PostingSource
+	// Live, when non-nil, marks per relation the tuples that may lie
+	// in a qualifying set; the walks drop every other tuple before
+	// counting or scoring it.
+	Live [][]bool
+}
+
+// PostingSource maps a probe — a column and the code of the probing
+// member on the paired column — to the tuples of that column it may
+// match. *relation.JoinIndex is the exact source.
+type PostingSource interface {
+	Postings(rel, pos int, code int32) []int32
+}
+
 // NewScanner builds a scanner over db driven by the scan knobs of opts
 // (block size, buffer pool, join index), restricted to relations
-// minRel..n-1, accounting into stats. Callers whose qualifying-set
-// predicate is weaker than exact join consistency (approximate joins
-// under a non-exact similarity) must clear opts.UseJoinIndex before
-// constructing: the candidate walks are only exhaustive for predicates
-// that force an equi-match.
+// minRel..n-1, accounting into stats. Its join-index walks visit the
+// equi-match candidates of JCC (ForEachExtension, ForEachDiscovery).
 func NewScanner(db *relation.Database, opts Options, minRel int, stats *Stats) *Scanner {
+	return NewCandidateScanner(db, opts, minRel, stats, Candidates{})
+}
+
+// NewCandidateScanner is NewScanner with the join-index walks widened
+// to the candidates c yields: the scanner of an approximate join,
+// whose qualifying predicate A(S) ≥ τ admits pairs that never
+// equi-match (approx.NewScanner derives c from the Join and its Sim).
+// The walks stay exhaustive for every approximate join whose source
+// keeps three facts, which ForEachDiscovery's argument then uses in
+// place of join consistency:
+//
+//   - Live drops only tuples t with A({t}) < τ. Monotonicity of an
+//     acceptable join (approx.Join, property ii) gives A(S) ≤ A({t})
+//     for every connected S ∋ t, so no qualifying set holds a dead
+//     tuple and no extension, T' or prefix extension can contain one.
+//   - Every connected pair {m, tb} inside a qualifying set has
+//     sim(m, tb) ≥ τ. Amin takes the minimum over its factors, and
+//     Aprod multiplies factors that are each ≤ 1, so under either a
+//     single pair's similarity bounds the score from above.
+//   - sim(m, tb) ≥ τ puts tb in Postings of m's code on their first
+//     shared position. LevenshteinSim is the minimum of the code
+//     similarities over the shared positions, so the codes on the
+//     first one are τ-neighbours, and the source returns the postings
+//     of every τ-neighbour code; ExactSim is 1 only on join-consistent
+//     pairs, whose first shared codes are equal.
+//
+// A qualifying extension T ∪ {tb} or a T' ≠ {tb} is connected, so tb
+// has a member neighbour in it, a connected pair of a qualifying set,
+// and is therefore a live posting candidate of that member. T' = {tb}
+// is the singleton case (ii) of ForEachDiscovery, unchanged.
+func NewCandidateScanner(db *relation.Database, opts Options, minRel int, stats *Stats, c Candidates) *Scanner {
 	return &Scanner{db: db, block: opts.blockSize(), minRel: minRel, maxRel: db.NumRelations(),
-		stats: stats, pool: opts.Pool, useJoinIndex: opts.UseJoinIndex}
+		stats: stats, pool: opts.Pool, useJoinIndex: opts.UseJoinIndex, cands: c}
 }
 
 // Prefix returns a scanner over the relations [0, minRel) that sc's
@@ -135,7 +188,7 @@ func NewScanner(db *relation.Database, opts Options, minRel int, stats *Stats) *
 // extends one of its results.
 func (sc *Scanner) Prefix() *Scanner {
 	return &Scanner{db: sc.db, block: sc.block, maxRel: sc.minRel, stats: sc.stats,
-		pool: sc.pool, useJoinIndex: sc.useJoinIndex}
+		pool: sc.pool, useJoinIndex: sc.useJoinIndex, cands: sc.cands}
 }
 
 // ForEach visits every tuple in scope; fn returning false stops early.
@@ -186,7 +239,8 @@ func (sc *Scanner) scopeTuples() int64 {
 // A valid extension must be connected to T and join consistent with
 // every member, so it must equi-match (non-null code equality) some
 // member of T on the first shared attribute position of an adjacent
-// relation pair — exactly what the posting index returns.
+// relation pair — exactly what the posting index returns. Under an
+// approximate join the same holds with NewCandidateScanner's source.
 func (sc *Scanner) ForEachExtension(T *tupleset.Set, fn func(relation.Ref) bool) {
 	if !sc.useJoinIndex {
 		sc.ForEach(fn)
@@ -221,6 +275,9 @@ func (sc *Scanner) ForEachExtension(T *tupleset.Set, fn func(relation.Ref) bool)
 // A skipped {tb} never pushed or merged anything (a merge of {tb} into
 // a set that holds tb leaves it unchanged), so results and emission
 // order match a walk that visits it; only the work counters differ.
+// Under an approximate join, "join consistent" reads "a connected pair
+// of a qualifying set" and "posting candidate" a live candidate of the
+// scanner's source; NewCandidateScanner argues both.
 func (sc *Scanner) ForEachDiscovery(T *tupleset.Set, fn func(relation.Ref) bool) {
 	if !sc.useJoinIndex {
 		sc.ForEach(fn)
@@ -229,8 +286,8 @@ func (sc *Scanner) ForEachDiscovery(T *tupleset.Set, fn func(relation.Ref) bool)
 	sc.forEachCandidate(T, true, fn)
 }
 
-// forEachCandidate gathers equi-match candidates for the members of T
-// from the posting index and visits them in deterministic (relation,
+// forEachCandidate gathers the live candidates of the members of T from
+// the posting source and visits them in deterministic (relation,
 // tuple) order, mirroring the sweep's order restricted to candidates.
 // includeInT selects whether relations already represented in T yield
 // candidates (discovery needs replacement tuples, extension cannot use
@@ -238,7 +295,11 @@ func (sc *Scanner) ForEachDiscovery(T *tupleset.Set, fn func(relation.Ref) bool)
 func (sc *Scanner) forEachCandidate(T *tupleset.Set, includeInT bool, fn func(relation.Ref) bool) {
 	db := sc.db
 	n := db.NumRelations()
-	ix := db.Index()
+	var src PostingSource = db.Index()
+	if sc.cands.Postings != nil {
+		src = sc.cands.Postings
+	}
+	live := sc.cands.Live
 	if sc.cand == nil {
 		sc.cand = make([][]int32, n)
 	}
@@ -259,7 +320,16 @@ func (sc *Scanner) forEachCandidate(T *tupleset.Set, includeInT bool, fn func(re
 				continue // ⊥ joins with nothing
 			}
 			sc.stats.IndexProbes++
-			sc.cand[r2] = append(sc.cand[r2], ix.Postings(r2, p.P2, code)...)
+			postings := src.Postings(r2, p.P2, code)
+			if live == nil {
+				sc.cand[r2] = append(sc.cand[r2], postings...)
+				continue
+			}
+			for _, i := range postings {
+				if live[r2][i] {
+					sc.cand[r2] = append(sc.cand[r2], i)
+				}
+			}
 		}
 	}
 	visited := int64(0)

@@ -31,8 +31,8 @@ type Stats struct {
 	// database scans; block-based execution (§7) reduces it by the
 	// block-size factor.
 	PageReads int64
-	// IndexProbes counts posting-list lookups in the equi-join
-	// candidate index (Options.UseJoinIndex).
+	// IndexProbes counts posting lookups of the join candidate index
+	// (Options.UseJoinIndex), one per member and adjacent relation.
 	IndexProbes int64
 	// TuplesSkipped counts tuples a full sweep would have visited that
 	// the candidate-only iteration avoided; TuplesScanned + the skip

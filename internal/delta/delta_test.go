@@ -153,11 +153,11 @@ func TestDeltaExactEquivalence(t *testing.T) {
 }
 
 // TestDeltaApproxEquivalence: the same property for an (Amin,
-// Levenshtein, τ)-approximate family.
+// Levenshtein, τ)-approximate family, with the sweep and with the join
+// index's τ-similar candidates.
 func TestDeltaApproxEquivalence(t *testing.T) {
 	a := &approx.Amin{S: approx.LevenshteinSim{}}
 	const tau = 0.6
-	opts := core.Options{UseIndex: true}
 	for shape, gen := range shapes() {
 		seed := int64(4)
 		t.Run(shape, func(t *testing.T) {
@@ -172,32 +172,34 @@ func TestDeltaApproxEquivalence(t *testing.T) {
 				counts[i] = full.Relation(i).Len() / 2
 			}
 			steps := randomSteps(rng, full, counts)
-
-			db := prefixDB(t, full, counts)
-			results, _, err := approx.FullDisjunction(db, a, tau, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, step := range steps {
-				firstNew := db.Relation(step.rel).Len()
-				batch := batchTuples(full, step, firstNew)
-				ext, err := db.Extend(step.rel, batch)
+			for _, joinIndex := range []bool{false, true} {
+				opts := core.Options{UseIndex: true, UseJoinIndex: joinIndex}
+				db := prefixDB(t, full, counts)
+				results, _, err := approx.FullDisjunction(db, a, tau, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				d, err := delta.Approx(ext, step.rel, firstNew, a, tau, opts)
+				for _, step := range steps {
+					firstNew := db.Relation(step.rel).Len()
+					batch := batchTuples(full, step, firstNew)
+					ext, err := db.Extend(step.rel, batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d, err := delta.Approx(ext, step.rel, firstNew, a, tau, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					results, _ = d.Patch(results)
+					db = ext
+				}
+
+				scratch, _, err := approx.FullDisjunction(db, a, tau, core.Options{UseIndex: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				results, _ = d.Patch(results)
-				db = ext
+				sameMultiset(t, fmt.Sprintf("approx join index %v", joinIndex), results, scratch)
 			}
-
-			scratch, _, err := approx.FullDisjunction(db, a, tau, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameMultiset(t, "approx", results, scratch)
 		})
 	}
 }

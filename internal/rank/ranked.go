@@ -71,7 +71,8 @@ func NewCursor(ctx context.Context, db *relation.Database, f Func, opts core.Opt
 // A(S) ≥ τ (valid because A is acceptable, so qualifying sets are
 // closed under connected subsets) and merges queue pairs under the
 // A-threshold predicate. Database scans honour opts (block size,
-// buffer pool, join index gated on a's equi-compatibility).
+// buffer pool, join index) on one approx.NewScanner that every Fig 3
+// extraction shares.
 func NewApproxCursor(ctx context.Context, db *relation.Database, a approx.Join, tau float64,
 	f Func, opts core.Options) (*Cursor, error) {
 	if err := Validate(f); err != nil {
@@ -84,8 +85,9 @@ func NewApproxCursor(ctx context.Context, db *relation.Database, a approx.Join, 
 		return nil, fmt.Errorf("rank: threshold %v outside (0,1]", tau)
 	}
 	c := newCursor(ctx, db, f)
+	scan := approx.NewScanner(c.u, a, tau, opts, 0, &c.stats)
 	c.step = func(seed int, T *tupleset.Set) *tupleset.Set {
-		return approx.GetNextResult(c.u, seed, a, tau, opts, T, c.queues[seed], c.complete, &c.stats)
+		return approx.GetNextResult(c.u, seed, a, tau, scan, T, c.queues[seed], c.complete, &c.stats)
 	}
 	merge := func(existing, incoming *tupleset.Set, st *core.Stats) (*tupleset.Set, bool) {
 		return approx.TryMerge(c.u, a, tau, existing, incoming, st)

@@ -94,3 +94,12 @@ func (ix *JoinIndex) Postings(rel, pos int, code int32) []int32 {
 	}
 	return ix.postings[rel][pos][code]
 }
+
+// ForEachList calls fn with the code and the posting list of every
+// distinct non-null code of column (rel, pos), in no particular order.
+// The lists are shared and must not be modified.
+func (ix *JoinIndex) ForEachList(rel, pos int, fn func(code int32, tuples []int32)) {
+	for code, tuples := range ix.postings[rel][pos] {
+		fn(code, tuples)
+	}
+}

@@ -67,10 +67,8 @@ func familyDelta(ne *dbEntry, relIdx, firstNew int, fam familyKey) (*delta.Delta
 		if err != nil {
 			return nil, err
 		}
-		// No join index: a graded similarity admits matches that never
-		// equi-join, so candidate-only scans would lose results.
 		return delta.Approx(ne.db, relIdx, firstNew, &approx.Amin{S: s}, fam.tau,
-			core.Options{UseIndex: true})
+			core.Options{UseIndex: true, UseJoinIndex: true})
 	}
 	// The delta runs are maintenance work, not client queries, so they
 	// use the fastest safe engine configuration rather than any one

@@ -99,7 +99,9 @@ var pinnedCases = []pinnedCase{
 		fd.Stats{Iterations: 403, Emitted: 103, JCCChecks: 5351, TuplesScanned: 3290, ListScans: 9466, PageReads: 3290, IndexProbes: 1520, TuplesSkipped: 13398, SigHits: 3081, SigRebuilds: 808, MaxResident: 103}},
 	{"exact/projected", equivDB, fd.Query{Options: withStrategy(pinnedIdx, "projected")},
 		fd.Stats{Iterations: 155, Emitted: 103, JCCChecks: 2438, TuplesScanned: 1802, ListScans: 3824, PageReads: 1802, IndexProbes: 782, TuplesSkipped: 12214, SigHits: 1184, SigRebuilds: 404, MaxResident: 100}},
-	{"approx", dirtyDB, fd.Query{Mode: fd.ModeApprox, Tau: 0.7,
+	{"approx", dirtyDB, fd.Query{Mode: fd.ModeApprox, Tau: 0.7, Options: pinnedIdx},
+		fd.Stats{Iterations: 25, Emitted: 12, JCCChecks: 128, TuplesScanned: 140, ListScans: 101, PageReads: 140, IndexProbes: 78, TuplesSkipped: 1068, SigHits: 0, SigRebuilds: 0, MaxResident: 12}},
+	{"approx/sweep", dirtyDB, fd.Query{Mode: fd.ModeApprox, Tau: 0.7,
 		Options: fd.QueryOptions{UseIndex: true, Workers: 1}},
 		fd.Stats{Iterations: 25, Emitted: 12, JCCChecks: 395, TuplesScanned: 1094, ListScans: 199, PageReads: 1094, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 12}},
 	{"approx/exact-sim", equivDB, fd.Query{Mode: fd.ModeApprox, Tau: 1, Sim: "exact", Options: pinnedIdx},
@@ -109,12 +111,10 @@ var pinnedCases = []pinnedCase{
 		fd.Stats{Iterations: 120, Emitted: 103, JCCChecks: 9686, TuplesScanned: 9024, ListScans: 4636, PageReads: 9024, IndexProbes: 0, TuplesSkipped: 0, SigHits: 1930, SigRebuilds: 513, MaxResident: 0}},
 	{"ranked/pairsum", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "pairsum", Options: pinnedIdx},
 		fd.Stats{Iterations: 213, Emitted: 103, JCCChecks: 16335, TuplesScanned: 3079, ListScans: 8970, PageReads: 3079, IndexProbes: 1335, TuplesSkipped: 12921, SigHits: 14171, SigRebuilds: 618, MaxResident: 0}},
-	{"approx-ranked/fmax", dirtyDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax",
-		Options: fd.QueryOptions{UseIndex: true}},
-		fd.Stats{Iterations: 44, Emitted: 32, JCCChecks: 996, TuplesScanned: 2616, ListScans: 911, PageReads: 2616, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},
-	{"approx-ranked/pairsum", dirtyDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "pairsum",
-		Options: fd.QueryOptions{UseIndex: true}},
-		fd.Stats{Iterations: 69, Emitted: 32, JCCChecks: 1525, TuplesScanned: 3720, ListScans: 1322, PageReads: 3720, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},
+	{"approx-ranked/fmax", dirtyDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax", Options: pinnedIdx},
+		fd.Stats{Iterations: 44, Emitted: 32, JCCChecks: 383, TuplesScanned: 472, ListScans: 723, PageReads: 472, IndexProbes: 197, TuplesSkipped: 2192, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},
+	{"approx-ranked/pairsum", dirtyDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "pairsum", Options: pinnedIdx},
+		fd.Stats{Iterations: 69, Emitted: 32, JCCChecks: 647, TuplesScanned: 694, ListScans: 1109, PageReads: 694, IndexProbes: 285, TuplesSkipped: 3026, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},
 	{"exact/K", equivDB, fd.Query{K: 5, Options: fd.QueryOptions{UseIndex: true, Workers: 1}},
 		fd.Stats{Iterations: 5, Emitted: 5, JCCChecks: 465, TuplesScanned: 384, ListScans: 144, PageReads: 384, IndexProbes: 0, TuplesSkipped: 0, SigHits: 135, SigRebuilds: 59, MaxResident: 34}},
 	{"ranked/K", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 4,
@@ -123,12 +123,10 @@ var pinnedCases = []pinnedCase{
 	{"ranked/RankTau", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", RankTau: 9,
 		Options: fd.QueryOptions{UseIndex: true}},
 		fd.Stats{Iterations: 60, Emitted: 59, JCCChecks: 5160, TuplesScanned: 4224, ListScans: 2380, PageReads: 4224, IndexProbes: 0, TuplesSkipped: 0, SigHits: 1504, SigRebuilds: 415, MaxResident: 0}},
-	{"approx-ranked/K", dirtyDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax", K: 3,
-		Options: fd.QueryOptions{UseIndex: true}},
-		fd.Stats{Iterations: 3, Emitted: 3, JCCChecks: 83, TuplesScanned: 168, ListScans: 20, PageReads: 168, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},
-	{"approx-ranked/RankTau", equivDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax", RankTau: 9,
-		Options: fd.QueryOptions{UseIndex: true}},
-		fd.Stats{Iterations: 60, Emitted: 59, JCCChecks: 2074, TuplesScanned: 4224, ListScans: 2380, PageReads: 4224, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},
+	{"approx-ranked/K", dirtyDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax", K: 3, Options: pinnedIdx},
+		fd.Stats{Iterations: 3, Emitted: 3, JCCChecks: 15, TuplesScanned: 21, ListScans: 4, PageReads: 21, IndexProbes: 12, TuplesSkipped: 171, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},
+	{"approx-ranked/RankTau", equivDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax", RankTau: 9, Options: pinnedIdx},
+		fd.Stats{Iterations: 60, Emitted: 59, JCCChecks: 806, TuplesScanned: 887, ListScans: 2157, PageReads: 887, IndexProbes: 380, TuplesSkipped: 3497, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},
 }
 
 // TestOpenPinnedStats pins the engine work of every mode: the full

@@ -41,9 +41,9 @@ type QueryOptions struct {
 	// Incomplete lists.
 	UseIndex bool `json:"use_index,omitempty"`
 	// UseJoinIndex enables candidate-only database scans over the
-	// equi-join posting index. Approximate modes apply it only when the
-	// similarity is exact (a graded similarity admits matches that
-	// never equi-join, so candidate scans would lose results).
+	// join posting index: the equi-matches of a member's join value or,
+	// in the approximate modes, the tuples with probability ≥ τ whose
+	// value is τ-similar to it.
 	UseJoinIndex bool `json:"use_join_index,omitempty"`
 	// Strategy names the Incomplete initialisation of exact mode:
 	// "singletons" (default), "seeded" or "projected" (§7).

@@ -15,41 +15,49 @@ import (
 
 // FuzzRankedOpen checks the ranked modes on tiny databases decoded by
 // fuzzDB (FuzzPassOwnership's decoder): for ranked fmax and pairsum,
-// and approx-ranked fmax and pairsum under the exact similarity, with
-// the join index off and on, fd.Open is multiset-equal to the
-// internal/naive oracle and its ranks never increase, and the two
-// index flags give equal rank sequences. The join index changes which
-// tuples GETNEXTRESULT visits, not which results exist or how they
-// rank. The seed corpus is testdata/fuzz/FuzzRankedOpen; run the
-// fuzzer with
+// and approx-ranked fmax and pairsum under the exact and the
+// Levenshtein similarity, with the join index off and on, fd.Open is
+// multiset-equal to the internal/naive oracle and its ranks never
+// increase, and the two index flags give equal rank sequences. The
+// join index changes which tuples GETNEXTRESULT visits, not which
+// results exist or how they rank. The seed corpus is
+// testdata/fuzz/FuzzRankedOpen; run the fuzzer with
 //
 //	go test -run '^$' -fuzz FuzzRankedOpen -fuzztime 20s .
 func FuzzRankedOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, tau := fuzzDB(data)
 		u := tupleset.NewUniverse(db)
-		exactSim := &approx.Amin{S: approx.ExactSim{}}
-		oracles := map[fd.Mode]map[string]int{
-			fd.ModeRanked: countSets(naive.FullDisjunction(db)),
-			fd.ModeApproxRanked: countSets(naive.ApproxFullDisjunction(db,
-				func(s *tupleset.Set) float64 { return exactSim.Score(u, s) }, tau)),
+		approxOracle := func(s approx.Sim) map[string]int {
+			a := &approx.Amin{S: s}
+			return countSets(naive.ApproxFullDisjunction(db,
+				func(s *tupleset.Set) float64 { return a.Score(u, s) }, tau))
 		}
-		for mode, want := range oracles {
+		cases := []struct {
+			mode fd.Mode
+			sim  string
+			want map[string]int
+		}{
+			{fd.ModeRanked, "", countSets(naive.FullDisjunction(db))},
+			{fd.ModeApproxRanked, "exact", approxOracle(approx.ExactSim{})},
+			{fd.ModeApproxRanked, "levenshtein", approxOracle(approx.LevenshteinSim{})},
+		}
+		for _, c := range cases {
 			for _, rank := range []string{"fmax", "pairsum"} {
-				q := fd.Query{Mode: mode, Rank: rank}
-				if mode == fd.ModeApproxRanked {
-					q.Tau, q.Sim = tau, "exact"
+				q := fd.Query{Mode: c.mode, Rank: rank}
+				if c.mode == fd.ModeApproxRanked {
+					q.Tau, q.Sim = tau, c.sim
 				}
 				var ranks [2][]float64
 				for i, joinIndex := range []bool{false, true} {
 					q.Options = fd.QueryOptions{UseIndex: true, UseJoinIndex: joinIndex}
-					where := fmt.Sprintf("%s/%s join index %v", mode, rank, joinIndex)
+					where := fmt.Sprintf("%s/%s%s join index %v", c.mode, rank, c.sim, joinIndex)
 					var got map[string]int
 					got, ranks[i] = drainRanked(t, db, q, where)
-					sameMultiset(t, where, got, want)
+					sameMultiset(t, where, got, c.want)
 				}
 				if !slices.Equal(ranks[0], ranks[1]) {
-					t.Fatalf("%s/%s: rank sequence %v without the join index, %v with it", mode, rank, ranks[0], ranks[1])
+					t.Fatalf("%s/%s%s: rank sequence %v without the join index, %v with it", c.mode, rank, c.sim, ranks[0], ranks[1])
 				}
 			}
 		}

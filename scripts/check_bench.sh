@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Counter gate: reruns the E9 ablation and the E12 append benchmark and
-# compares the deterministic engine counters of every variant against
-# the committed BENCH_e9.json and BENCH_append.json. The counters count
+# Counter gate: reruns the E9 ablation, the E12 append benchmark and
+# the E13 approximate-join rungs and compares the deterministic engine
+# counters of every variant against the committed BENCH_e9.json,
+# BENCH_append.json and BENCH_approx.json. The counters count
 # work (predicate evaluations, scanned tuples, list scans, page reads),
 # not time, so they repeat exactly on any machine: a mismatch means the
 # engine does different work, and the fix is either the code or a
@@ -10,7 +11,9 @@
 # sequential E9 rungs (delay_work_max) is, since it counts work too. Every E9 "parallel ×N" rung must also
 # deliver the results of the sequential "+ join-candidate index" rung
 # it partitions, with no more jcc_checks and list_scans: the anchor
-# windows of a block split divide a pass's work, never repeat it.
+# windows of a block split divide a pass's work, never repeat it. Every
+# E13 "join index" rung must deliver the results of its "sweep" rung:
+# the candidate source skips only tuples that cannot matter.
 #
 # Run from the repository root:
 #
@@ -21,9 +24,9 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/fdbench" ./cmd/fdbench
-"$tmp/fdbench" -e E9,E12 -json "$tmp/run.json" >/dev/null
+"$tmp/fdbench" -e E9,E12,E13 -json "$tmp/run.json" >/dev/null
 
-python3 - "$tmp/run.json" BENCH_e9.json BENCH_append.json <<'EOF'
+python3 - "$tmp/run.json" BENCH_e9.json BENCH_append.json BENCH_approx.json <<'EOF'
 import json
 import sys
 
@@ -67,6 +70,13 @@ for name, v in e9.items():
         if v[field] > seq[field]:
             print(f"FAIL: e9 variant {name!r}: {field} = {v[field]}, above the sequential rung's {seq[field]}")
             failures += 1
+for (workload, name), v in run.items():
+    if workload != "approx" or not name.endswith(": join index"):
+        continue
+    sweep = run.get((workload, name.removesuffix("join index") + "sweep"))
+    if sweep is None or v["results"] != sweep["results"]:
+        print(f"FAIL: approx variant {name!r}: results = {v['results']}, sweep rung {sweep and sweep['results']}")
+        failures += 1
 if failures:
     sys.exit(1)
 print(f"PASS: {checked} variants match the committed counters")
