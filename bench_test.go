@@ -73,7 +73,7 @@ func BenchmarkE4Total(b *testing.B) {
 		db := chainDB(b, 4, m)
 		b.Run(fmt.Sprintf("incremental/m=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := drain(db, exactQuery(fd.QueryOptions{UseIndex: true})); err != nil {
+				if _, _, err := drain(db, exactQuery(fd.QueryOptions{})); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -93,7 +93,7 @@ func BenchmarkE5TimeToK(b *testing.B) {
 	for _, k := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				q := exactQuery(fd.QueryOptions{UseIndex: true})
+				q := exactQuery(fd.QueryOptions{})
 				q.K = k
 				if _, _, err := drain(db, q); err != nil {
 					b.Fatal(err)
@@ -114,8 +114,7 @@ func BenchmarkE6TopK(b *testing.B) {
 	for _, k := range []int{1, 10} {
 		b.Run(fmt.Sprintf("ranked/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := drain(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: k,
-					Options: fd.QueryOptions{UseIndex: true}}); err != nil {
+				if _, _, err := drain(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: k}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -123,7 +122,7 @@ func BenchmarkE6TopK(b *testing.B) {
 	}
 	b.Run("computeAll", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := drain(db, exactQuery(fd.QueryOptions{UseIndex: true})); err != nil {
+			if _, _, err := drain(db, exactQuery(fd.QueryOptions{})); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -149,8 +148,7 @@ func BenchmarkE7Hardness(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("fmaxRanked/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := drain(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 1,
-					Options: fd.QueryOptions{UseIndex: true}}); err != nil {
+				if _, _, err := drain(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -171,7 +169,7 @@ func BenchmarkE8Approx(b *testing.B) {
 	for _, tau := range []float64{0.9, 0.6, 0.3} {
 		b.Run(fmt.Sprintf("amin/tau=%.1f", tau), func(b *testing.B) {
 			q := fd.Query{Mode: fd.ModeApprox, Tau: tau, Sim: "levenshtein",
-				Options: fd.QueryOptions{UseIndex: true, Workers: 1}}
+				Options: fd.QueryOptions{Workers: 1}}
 			for i := 0; i < b.N; i++ {
 				if _, _, err := drain(db, q); err != nil {
 					b.Fatal(err)
@@ -181,19 +179,21 @@ func BenchmarkE8Approx(b *testing.B) {
 	}
 }
 
-// BenchmarkE9Ablations measures the §7 engineering options.
+// BenchmarkE9Ablations measures the §7 engineering options, which
+// only the engine exposes (fd.Open runs the joinIndex rung).
 func BenchmarkE9Ablations(b *testing.B) {
 	db := chainDB(b, 4, 28)
-	variants := map[string]fd.QueryOptions{
+	variants := map[string]core.Options{
 		"noIndex":      {},
 		"index":        {UseIndex: true},
-		"indexSeeded":  {UseIndex: true, Strategy: "seeded"},
-		"indexProject": {UseIndex: true, Strategy: "projected"},
+		"joinIndex":    {UseIndex: true, UseJoinIndex: true},
+		"indexSeeded":  {UseIndex: true, Strategy: core.InitSeeded},
+		"indexProject": {UseIndex: true, Strategy: core.InitProjected},
 	}
 	for name, opts := range variants {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := drain(db, exactQuery(opts)); err != nil {
+				if _, _, err := core.FullDisjunction(db, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -214,7 +214,7 @@ func BenchmarkE10Outerjoin(b *testing.B) {
 	})
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := drain(db, exactQuery(fd.QueryOptions{UseIndex: true})); err != nil {
+			if _, _, err := drain(db, exactQuery(fd.QueryOptions{})); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -232,8 +232,7 @@ func BenchmarkE11Threshold(b *testing.B) {
 	for _, tau := range []float64{95, 50} {
 		b.Run(fmt.Sprintf("tau=%.0f", tau), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := drain(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", RankTau: tau,
-					Options: fd.QueryOptions{UseIndex: true}}); err != nil {
+				if _, _, err := drain(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", RankTau: tau}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -446,7 +445,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 	for _, workers := range []int{1, 4} {
 		base := fd.Query{Mode: fd.ModeExact,
-			Options: fd.QueryOptions{UseIndex: true, Workers: workers}}
+			Options: fd.QueryOptions{Workers: workers}}
 		b.Run(fmt.Sprintf("off/workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

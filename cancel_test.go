@@ -14,10 +14,10 @@ import (
 // least two results on dirtyDB so cancellation lands mid-enumeration.
 func cancelQueries() []fd.Query {
 	return []fd.Query{
-		{Mode: fd.ModeExact, Options: fd.QueryOptions{UseIndex: true}},
-		{Mode: fd.ModeRanked, Rank: "fmax", Options: fd.QueryOptions{UseIndex: true}},
-		{Mode: fd.ModeApprox, Tau: 0.6, Options: fd.QueryOptions{UseIndex: true}},
-		{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax", Options: fd.QueryOptions{UseIndex: true}},
+		{Mode: fd.ModeExact},
+		{Mode: fd.ModeRanked, Rank: "fmax"},
+		{Mode: fd.ModeApprox, Tau: 0.6},
+		{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax"},
 	}
 }
 

@@ -18,8 +18,9 @@ import (
 // recomputing it. Output is the maintained result list in the usual
 // format; stderr gets a one-line maintenance summary (batch size,
 // delta size, subsumed results, rolled fingerprint) so the incremental
-// path is observable from the command line.
-func runAppend(db *fd.Database, spec string, opts core.Options, stdout, stderr io.Writer) error {
+// path is observable from the command line. Both runs use the hash and
+// join indexes, the one configuration fd.Open runs.
+func runAppend(db *fd.Database, spec string, stdout, stderr io.Writer) error {
 	name, path, ok := strings.Cut(spec, "=")
 	if !ok || name == "" || path == "" {
 		return fmt.Errorf("-append wants relation=file.csv, got %q", spec)
@@ -45,6 +46,7 @@ func runAppend(db *fd.Database, spec string, opts core.Options, stdout, stderr i
 		tuples[i] = *batch.Tuple(i)
 	}
 
+	opts := core.Options{UseIndex: true, UseJoinIndex: true}
 	base, _, err := core.FullDisjunction(db, opts)
 	if err != nil {
 		return err

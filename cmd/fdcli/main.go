@@ -42,7 +42,6 @@ import (
 	"time"
 
 	fd "repro"
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -67,10 +66,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		tau      = fs.Float64("tau", 0, "with -rank: threshold variant, return results ranking ≥ tau")
 		approxT  = fs.Float64("approx", 0, "approximate FD with Amin at this threshold")
 		simName  = fs.String("sim", "", "with -approx: similarity, levenshtein (default) or exact")
-		index    = fs.Bool("index", true, "use the §7 hash index")
-		joinIdx  = fs.Bool("joinindex", false, "use the equi-join candidate index")
-		strategy = fs.String("strategy", "", "init strategy: singletons (default), seeded or projected")
-		workers  = fs.Int("workers", 0, "parallel enumeration workers: 0 = GOMAXPROCS, 1 = sequential (exact restart and approx modes; ranked runs sequential)")
+		workers  = fs.Int("workers", 0, "parallel enumeration workers: 0 = GOMAXPROCS, 1 = sequential (exact and approx modes; ranked runs sequential)")
 		stats    = fs.Bool("stats", false, "print execution counters to stderr")
 		trace    = fs.Bool("trace", false, "print the execution trace (span-tree JSON, the GET /queries/{id}/trace schema) to stderr")
 		explain  = fs.Bool("explain", false, "print the query plan (the POST /explain schema) to stdout instead of executing")
@@ -137,26 +133,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		var ignored []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "k", "rank", "tau", "approx", "sim", "strategy", "workers", "explain":
+			case "k", "rank", "tau", "approx", "sim", "workers", "explain":
 				ignored = append(ignored, "-"+f.Name)
 			}
 		})
 		if len(ignored) > 0 {
 			return fmt.Errorf("-append maintains the exact full disjunction (drop %s)", strings.Join(ignored, ", "))
 		}
-		return runAppend(db, *appendTo, core.Options{UseIndex: *index, UseJoinIndex: *joinIdx}, stdout, stderr)
+		return runAppend(db, *appendTo, stdout, stderr)
 	}
 
 	// Flags → the declarative query spec.
-	q := fd.Query{
-		K: *k,
-		Options: fd.QueryOptions{
-			UseIndex:     *index,
-			UseJoinIndex: *joinIdx,
-			Strategy:     *strategy,
-			Workers:      *workers,
-		},
-	}
+	q := fd.Query{K: *k, Options: fd.QueryOptions{Workers: *workers}}
 	switch {
 	case *approxT > 0 && *rankName != "":
 		q.Mode = fd.ModeApproxRanked

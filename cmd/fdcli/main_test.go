@@ -156,9 +156,12 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), append([]string{"-rank", "fmax"}, paths...), &out, &out); err == nil {
 		t.Error("-rank without -k or -tau accepted")
 	}
-	// The simulated page size is an fdbench E9 knob, not a query flag.
-	if err := run(context.Background(), append([]string{"-block", "4"}, paths...), &out, &out); err == nil {
-		t.Error("-block accepted")
+	// The simulated page size, the index switches and the §7
+	// initialisation strategy are fdbench E9 knobs, not query flags.
+	for _, flags := range [][]string{{"-block", "4"}, {"-index=false"}, {"-joinindex"}, {"-strategy", "seeded"}} {
+		if err := run(context.Background(), append(flags, paths...), &out, &out); err == nil {
+			t.Errorf("%s accepted", flags[0])
+		}
 	}
 }
 
@@ -177,7 +180,6 @@ func TestRunAppendRejectsQueryFlags(t *testing.T) {
 		{"-k", "2"},
 		{"-tau", "3"},
 		{"-sim", "exact"},
-		{"-strategy", "seeded"},
 		{"-workers", "2"},
 		{"-explain"},
 		{"-approx", "0.8"},

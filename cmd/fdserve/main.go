@@ -444,43 +444,11 @@ type createDatabaseRequest struct {
 // createQueryRequest is the database name plus the fd.Query JSON
 // encoding, embedded verbatim — the wire format IS the library spec,
 // so anything expressible through fd.Open (including approx-ranked
-// and the k / rank_tau bounds) is expressible over HTTP. The one
-// server-side amendment: Options shadows the Query's options with
-// pointer index fields, because the server (unlike the library zero
-// value) defaults both indexes ON when a client omits them — served
-// queries should not run unindexed by accident.
+// and the k / rank_tau bounds) is expressible over HTTP, and a field
+// fd.Query does not decode is a 400 under strict decoding.
 type createQueryRequest struct {
 	Database string `json:"database"`
 	fd.Query
-	Options queryOptionsRequest `json:"options"`
-}
-
-// queryOptionsRequest mirrors fd.QueryOptions with pointers on the
-// index switches so an omitted field is distinguishable from an
-// explicit false.
-type queryOptionsRequest struct {
-	UseIndex     *bool  `json:"use_index"`
-	UseJoinIndex *bool  `json:"use_join_index"`
-	Strategy     string `json:"strategy"`
-	Workers      int    `json:"workers"`
-}
-
-// resolve renders the request options as library options, applying the
-// server defaults for omitted index switches.
-func (o queryOptionsRequest) resolve() fd.QueryOptions {
-	opts := fd.QueryOptions{
-		UseIndex:     true,
-		UseJoinIndex: true,
-		Strategy:     o.Strategy,
-		Workers:      o.Workers,
-	}
-	if o.UseIndex != nil {
-		opts.UseIndex = *o.UseIndex
-	}
-	if o.UseJoinIndex != nil {
-		opts.UseJoinIndex = *o.UseJoinIndex
-	}
-	return opts
 }
 
 type createQueryResponse struct {
@@ -737,9 +705,7 @@ func (s *server) handleCreateQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	spec := req.Query
-	spec.Options = req.Options.resolve()
-	q, err := s.svc.StartQuery(s.ctx, req.Database, spec)
+	q, err := s.svc.StartQuery(s.ctx, req.Database, req.Query)
 	if err != nil {
 		switch {
 		case errors.Is(err, service.ErrUnknownDatabase):
@@ -757,16 +723,14 @@ func (s *server) handleCreateQuery(w http.ResponseWriter, r *http.Request) {
 // handleExplain reports the engine's plan for a query spec — join
 // graph, index engagement, execution strategy with the parallel task
 // layout, cache key and hit prediction — without opening a session. It
-// takes the same body as POST /queries, resolved the same way, so the
-// plan describes exactly the session that body would start.
+// takes the same body as POST /queries, so the plan describes exactly
+// the session that body would start.
 func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req createQueryRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	spec := req.Query
-	spec.Options = req.Options.resolve()
-	rep, err := s.svc.Explain(req.Database, spec)
+	rep, err := s.svc.Explain(req.Database, req.Query)
 	if err != nil {
 		if errors.Is(err, service.ErrUnknownDatabase) {
 			writeError(w, http.StatusNotFound, err)

@@ -430,44 +430,39 @@ func TestServeAppendRows(t *testing.T) {
 		"relation": "R00", "tuples": []map[string]any{}}, http.StatusBadRequest, nil)
 }
 
-// TestServeIndexDefaults pins the wire-format amendment: omitting the
-// options (or just the index switches) defaults both indexes ON
-// server-side, while an explicit false is honoured.
+// TestServeIndexDefaults pins that the server runs the one engine
+// configuration of fd.Open: a query naming no options engages the join
+// index, and a body that tries to switch an index off or pick an
+// initialisation strategy is rejected with 400 instead of being run
+// some other way.
 func TestServeIndexDefaults(t *testing.T) {
 	ts, _ := startServer(t)
 	call(t, "POST", ts.URL+"/databases",
 		map[string]any{"name": "w", "workload": chainSpec}, http.StatusCreated, nil)
 
-	drain := func(body map[string]any) {
-		t.Helper()
-		var q createQueryResponse
-		call(t, "POST", ts.URL+"/queries", body, http.StatusCreated, &q)
-		for {
-			var page pageResponse
-			call(t, "GET", fmt.Sprintf("%s/queries/%s/next?k=64", ts.URL, q.ID), nil, http.StatusOK, &page)
-			if page.Done {
-				return
-			}
+	for _, opts := range []map[string]any{
+		{"use_index": false},
+		{"use_join_index": false},
+		{"strategy": "seeded"},
+	} {
+		call(t, "POST", ts.URL+"/queries",
+			map[string]any{"database": "w", "mode": "exact", "options": opts}, http.StatusBadRequest, nil)
+		call(t, "POST", ts.URL+"/explain",
+			map[string]any{"database": "w", "mode": "exact", "options": opts}, http.StatusBadRequest, nil)
+	}
+
+	var q createQueryResponse
+	call(t, "POST", ts.URL+"/queries", map[string]any{"database": "w", "mode": "exact"}, http.StatusCreated, &q)
+	for {
+		var page pageResponse
+		call(t, "GET", fmt.Sprintf("%s/queries/%s/next?k=64", ts.URL, q.ID), nil, http.StatusOK, &page)
+		if page.Done {
+			break
 		}
 	}
-	engine := func() core.Stats {
-		t.Helper()
-		var stats service.Stats
-		call(t, "GET", ts.URL+"/stats", nil, http.StatusOK, &stats)
-		return stats.Engine
-	}
-
-	// Explicit false is honoured: no join-index probes recorded.
-	drain(map[string]any{"database": "w", "mode": "exact",
-		"options": map[string]any{"use_index": false, "use_join_index": false}})
-	if probes := engine().IndexProbes; probes != 0 {
-		t.Fatalf("explicit use_join_index=false still probed the join index %d times", probes)
-	}
-
-	// Omitted options default the indexes on — the pre-Query-API server
-	// behaviour a bare {"database","mode"} client relies on.
-	drain(map[string]any{"database": "w", "mode": "exact"})
-	if probes := engine().IndexProbes; probes == 0 {
-		t.Fatal("omitted options ran unindexed: no join-index probes recorded")
+	var stats service.Stats
+	call(t, "GET", ts.URL+"/stats", nil, http.StatusOK, &stats)
+	if stats.Engine.IndexProbes == 0 {
+		t.Fatal("options-free query ran unindexed: no join-index probes recorded")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -37,9 +36,10 @@ func rawCall(t *testing.T, method, url, body string) *http.Response {
 
 // TestMalformedBodies checks that every undecodable body is a 400 with
 // a JSON error naming the problem. Decoding is strict: a field the
-// request shape does not declare (the removed block_size option
-// included) and any data after the JSON value are rejected, where a
-// lenient decoder would run the query without them.
+// request shape does not declare (the removed block_size, use_index,
+// use_join_index and strategy options included) and any data after
+// the JSON value are rejected, where a lenient decoder would run the
+// query without them.
 func TestMalformedBodies(t *testing.T) {
 	ts, _ := startServer(t)
 	call(t, "POST", ts.URL+"/databases",
@@ -52,7 +52,10 @@ func TestMalformedBodies(t *testing.T) {
 		{"/databases/w/rows", `[]`, "cannot unmarshal array"},
 		{"/queries", `{"database":"w","options":{"block_size":4}}`, `unknown field "block_size"`},
 		{"/explain", `{"database":"w","options":{"block_size":4}}`, `unknown field "block_size"`},
-		{"/queries", `{"database":"w","options":{"use_idnex":false}}`, `unknown field "use_idnex"`},
+		{"/queries", `{"database":"w","options":{"use_index":false}}`, `unknown field "use_index"`},
+		{"/queries", `{"database":"w","options":{"use_join_index":true}}`, `unknown field "use_join_index"`},
+		{"/queries", `{"database":"w","options":{"strategy":"seeded"}}`, `unknown field "strategy"`},
+		{"/explain", `{"database":"w","options":{"strategy":"projected"}}`, `unknown field "strategy"`},
 		{"/queries", `{"database":"w","mdoe":"exact"}`, `unknown field "mdoe"`},
 		{"/databases", `{"name":"x","workload":{"kind":"chain","tupels":2}}`, `unknown field "tupels"`},
 		{"/queries", `{"database":"w"} garbage`, "trailing data"},
@@ -70,30 +73,35 @@ func TestMalformedBodies(t *testing.T) {
 		}
 	}
 	// Known fields and trailing whitespace are fine.
-	body := "{\"database\":\"w\",\"mode\":\"exact\",\"options\":{\"use_index\":false,\"workers\":1}}\n\t "
+	body := "{\"database\":\"w\",\"mode\":\"exact\",\"options\":{\"workers\":1}}\n\t "
 	if resp := rawCall(t, "POST", ts.URL+"/queries", body); resp.StatusCode != http.StatusCreated {
 		t.Errorf("valid body: status %d, want 201", resp.StatusCode)
 	}
 }
 
-// TestQueryOptionsMirror checks that the wire options mirror carries
-// exactly the serialisable fields of fd.QueryOptions, so a field added
-// to one cannot be forgotten in the other (strict decoding would 400
-// it).
+// TestQueryOptionsMirror checks that the wire request carries the
+// library spec itself: every serialisable field of fd.Query, the
+// options included, decodes strictly from its JSON encoding into the
+// same Query, so a field added to fd.Query reaches the server without
+// a mirror to update.
 func TestQueryOptionsMirror(t *testing.T) {
-	tags := func(typ reflect.Type) []string {
-		var out []string
-		for i := range typ.NumField() {
-			if name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ","); name != "" && name != "-" {
-				out = append(out, name)
-			}
+	for _, q := range []fd.Query{
+		{Mode: fd.ModeExact, K: 3, Follow: true, Options: fd.QueryOptions{Workers: 2}},
+		{Mode: fd.ModeApproxRanked, Rank: "pairsum", Tau: 0.7, RankTau: 2, Sim: "exact"},
+	} {
+		doc, err := json.Marshal(createQueryRequest{Database: "w", Query: q})
+		if err != nil {
+			t.Fatal(err)
 		}
-		slices.Sort(out)
-		return out
-	}
-	lib, wire := tags(reflect.TypeFor[fd.QueryOptions]()), tags(reflect.TypeFor[queryOptionsRequest]())
-	if !slices.Equal(lib, wire) {
-		t.Errorf("fd.QueryOptions JSON fields %v, queryOptionsRequest %v", lib, wire)
+		dec := json.NewDecoder(strings.NewReader(string(doc)))
+		dec.DisallowUnknownFields()
+		var back createQueryRequest
+		if err := dec.Decode(&back); err != nil {
+			t.Fatalf("strict decode of %s: %v", doc, err)
+		}
+		if back.Database != "w" || !reflect.DeepEqual(back.Query, q) {
+			t.Errorf("wire round trip of %+v gave %+v (via %s)", q, back, doc)
+		}
 	}
 }
 
@@ -171,7 +179,7 @@ func TestOverloadSheds503(t *testing.T) {
 	for i := range ids {
 		var q createQueryResponse
 		call(t, "POST", ts.URL+"/queries",
-			map[string]any{"database": "d", "options": map[string]any{"use_index": true}},
+			map[string]any{"database": "d"},
 			http.StatusCreated, &q)
 		ids[i] = q.ID
 	}

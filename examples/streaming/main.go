@@ -21,11 +21,10 @@ func main() {
 	}
 
 	ctx := context.Background()
-	opts := fd.QueryOptions{UseIndex: true}
 
 	// First pass: materialise everything, for reference.
 	start := time.Now()
-	all, stats, err := drain(ctx, db, fd.Query{Options: opts})
+	all, stats, err := drain(ctx, db, fd.Query{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func main() {
 	// PINC guarantee makes the prefix cheap.
 	for _, k := range []int{1, 10, 100} {
 		start = time.Now()
-		if _, _, err := drain(ctx, db, fd.Query{K: k, Options: opts}); err != nil {
+		if _, _, err := drain(ctx, db, fd.Query{K: k}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("first %4d answers: %10v  (%.1f%% of full-run time)\n",
@@ -45,7 +44,7 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("first five answers:")
-	first, _, err := drain(ctx, db, fd.Query{K: 5, Options: opts})
+	first, _, err := drain(ctx, db, fd.Query{K: 5})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,7 @@ type Plan struct {
 	Database PlanDatabase `json:"database"`
 	// JoinGraph describes the relation connection graph.
 	JoinGraph PlanGraph `json:"join_graph"`
-	// Index reports which access structures engage, and why not.
+	// Index reports the access structures the query engages.
 	Index PlanIndex `json:"index"`
 	// Strategy reports the chosen execution shape.
 	Strategy PlanStrategy `json:"strategy"`
@@ -77,19 +77,17 @@ type PlanGraph struct {
 
 // PlanIndex reports which access structures the query engages.
 type PlanIndex struct {
-	// HashIndex reports whether the §7 hash index over the Complete and
-	// Incomplete lists is on.
+	// HashIndex reports that the §7 hash index over the Complete and
+	// Incomplete lists is on; every query runs with it.
 	HashIndex bool `json:"hash_index"`
-	// JoinIndex reports whether the join candidate index engages: the
+	// JoinIndex reports that the join candidate index engages: the
 	// equi-join postings, which the approximate modes widen to the
-	// τ-similar codes of a graded similarity.
+	// τ-similar codes of a graded similarity. Every query runs with it.
 	JoinIndex bool `json:"join_index"`
-	// JoinIndexReason explains a false JoinIndex.
-	JoinIndexReason string `json:"join_index_reason,omitempty"`
-	// PostingLists and PostingEntries size an engaged join index: the
-	// number of posting lists and the tuple references they hold.
-	PostingLists   int `json:"posting_lists,omitempty"`
-	PostingEntries int `json:"posting_entries,omitempty"`
+	// PostingLists and PostingEntries size the join index: the number
+	// of posting lists and the tuple references they hold.
+	PostingLists   int `json:"posting_lists"`
+	PostingEntries int `json:"posting_entries"`
 }
 
 // PlanStrategy reports the execution shape Open would choose.
@@ -102,8 +100,6 @@ type PlanStrategy struct {
 	// Workers is the effective worker count: 1 on the sequential paths,
 	// otherwise the resolved Workers clamped to the task count.
 	Workers int `json:"workers"`
-	// Init is the per-pass initialisation strategy of exact mode.
-	Init string `json:"init"`
 	// Passes is the number of per-relation passes the enumeration
 	// consists of.
 	Passes int `json:"passes"`
@@ -182,18 +178,10 @@ func Explain(db *Database, q Query) (*Plan, error) {
 		p.JoinGraph.Components = append(p.JoinGraph.Components, names)
 	}
 
-	p.Index = PlanIndex{HashIndex: n.Options.UseIndex}
-	if n.Options.UseJoinIndex {
-		p.Index.JoinIndex = true
-		p.Index.PostingLists, p.Index.PostingEntries = db.Index().Counts()
-	} else {
-		p.Index.JoinIndexReason = "not requested by the query options"
-	}
+	p.Index = PlanIndex{HashIndex: true, JoinIndex: true}
+	p.Index.PostingLists, p.Index.PostingEntries = db.Index().Counts()
 
-	p.Strategy = PlanStrategy{
-		Init:   n.Options.Strategy,
-		Passes: db.NumRelations(),
-	}
+	p.Strategy = PlanStrategy{Passes: db.NumRelations()}
 	workers := q.ParallelWorkers()
 	if workers > 1 {
 		layout := core.Layout(db, workers)
@@ -223,8 +211,6 @@ func Explain(db *Database, q Query) (*Plan, error) {
 	switch {
 	case n.Mode == ModeRanked || n.Mode == ModeApproxRanked:
 		p.Strategy.Reason = "ranked enumeration is inherently serial (the Fig 3 priority-queue order)"
-	case n.Mode == ModeExact && n.Options.Strategy != "singletons":
-		p.Strategy.Reason = fmt.Sprintf("the %s initialisation feeds each pass from the previous one", n.Options.Strategy)
 	case q.Options.Workers == 1:
 		p.Strategy.Reason = "one worker requested"
 	default:

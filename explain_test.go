@@ -46,9 +46,9 @@ func explainDB(t *testing.T, shape string) *fd.Database {
 func TestExplainJSONRoundTrip(t *testing.T) {
 	db := explainDB(t, "chain")
 	for _, q := range []fd.Query{
-		{Mode: fd.ModeExact, Options: fd.QueryOptions{UseIndex: true, UseJoinIndex: true, Workers: 4}},
-		{Mode: fd.ModeRanked, Rank: "fmax", K: 5, Options: fd.QueryOptions{UseIndex: true}},
-		{Mode: fd.ModeApprox, Tau: 0.7, Options: fd.QueryOptions{UseIndex: true, Workers: 4}},
+		{Mode: fd.ModeExact, Options: fd.QueryOptions{Workers: 4}},
+		{Mode: fd.ModeRanked, Rank: "fmax", K: 5},
+		{Mode: fd.ModeApprox, Tau: 0.7, Options: fd.QueryOptions{Workers: 4}},
 	} {
 		plan, err := fd.Explain(db, q)
 		if err != nil {
@@ -111,7 +111,7 @@ func TestExplainStrategyPrediction(t *testing.T) {
 		for _, mode := range c.modes {
 			for _, workers := range []int{1, 4, 8} {
 				checkStrategyPrediction(t, fmt.Sprintf("%s/%s/workers=%d", c.name, mode, workers), c.db,
-					fd.Query{Mode: mode, Tau: 0.7, Options: fd.QueryOptions{UseIndex: true, Workers: workers}})
+					fd.Query{Mode: mode, Tau: 0.7, Options: fd.QueryOptions{Workers: workers}})
 			}
 		}
 	}
@@ -198,9 +198,8 @@ func checkStrategyPrediction(t *testing.T, label string, db *fd.Database, q fd.Q
 }
 
 // TestExplainSequentialReasons checks the plan explains each forced
-// sequential path: ranked modes and non-singleton initialisations
-// override a parallel worker request, and one worker is reported as
-// such.
+// sequential path: ranked modes override a parallel worker request,
+// and one worker is reported as such.
 func TestExplainSequentialReasons(t *testing.T) {
 	db := explainDB(t, "chain")
 	cases := []struct {
@@ -209,11 +208,11 @@ func TestExplainSequentialReasons(t *testing.T) {
 		want string
 	}{
 		{"ranked", fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 3,
-			Options: fd.QueryOptions{UseIndex: true, Workers: 4}}, "serial"},
-		{"seeded", fd.Query{Mode: fd.ModeExact,
-			Options: fd.QueryOptions{UseIndex: true, Strategy: "seeded", Workers: 4}}, "seeded"},
+			Options: fd.QueryOptions{Workers: 4}}, "serial"},
+		{"approx-ranked", fd.Query{Mode: fd.ModeApproxRanked, Rank: "fmax", Tau: 0.7,
+			Options: fd.QueryOptions{Workers: 4}}, "serial"},
 		{"one-worker", fd.Query{Mode: fd.ModeExact,
-			Options: fd.QueryOptions{UseIndex: true, Workers: 1}}, "one worker"},
+			Options: fd.QueryOptions{Workers: 1}}, "one worker"},
 	}
 	for _, c := range cases {
 		plan, err := fd.Explain(db, c.q)
@@ -229,56 +228,36 @@ func TestExplainSequentialReasons(t *testing.T) {
 	}
 }
 
-// TestExplainIndexAndGraph checks the index gating mirrors execution
-// (the join index engages whenever it is requested, under a graded
-// similarity too) and the join-graph classification matches the
+// TestExplainIndexAndGraph checks the index section reports both
+// indexes engaged with posting stats in every mode, under a graded
+// similarity too, and the join-graph classification matches the
 // workload shape.
 func TestExplainIndexAndGraph(t *testing.T) {
 	db := explainDB(t, "chain")
 
-	plan, err := fd.Explain(db, fd.Query{Mode: fd.ModeExact,
-		Options: fd.QueryOptions{UseIndex: true, UseJoinIndex: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.Index.JoinIndex || plan.Index.PostingLists == 0 || plan.Index.PostingEntries == 0 {
-		t.Errorf("exact + joinindex: index section %+v, want engaged with posting stats", plan.Index)
-	}
-	if !plan.JoinGraph.Connected || !plan.JoinGraph.Chain || !plan.JoinGraph.Tree {
-		t.Errorf("chain workload classified %+v", plan.JoinGraph)
-	}
-	if len(plan.JoinGraph.Components) != 1 || len(plan.JoinGraph.Components[0]) != db.NumRelations() {
-		t.Errorf("chain components %v", plan.JoinGraph.Components)
-	}
-
-	plan, err = fd.Explain(db, fd.Query{Mode: fd.ModeExact,
-		Options: fd.QueryOptions{UseIndex: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Index.JoinIndex || !strings.Contains(plan.Index.JoinIndexReason, "not requested") {
-		t.Errorf("join index off: %+v", plan.Index)
-	}
-
-	// A graded similarity engages it too: its candidates are the
-	// postings of the τ-similar codes.
-	plan, err = fd.Explain(db, fd.Query{Mode: fd.ModeApprox, Tau: 0.7,
-		Options: fd.QueryOptions{UseIndex: true, UseJoinIndex: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.Index.JoinIndex || plan.Index.PostingLists == 0 || plan.Index.JoinIndexReason != "" {
-		t.Errorf("approx levenshtein: %+v, want join index engaged with posting stats", plan.Index)
-	}
-
-	// The same query under an exact similarity engages it.
-	plan, err = fd.Explain(db, fd.Query{Mode: fd.ModeApprox, Tau: 0.7, Sim: "exact",
-		Options: fd.QueryOptions{UseIndex: true, UseJoinIndex: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.Index.JoinIndex {
-		t.Errorf("approx exact-sim: %+v, want join index engaged", plan.Index)
+	for _, q := range []fd.Query{
+		{Mode: fd.ModeExact},
+		{Mode: fd.ModeRanked, Rank: "fmax", K: 3},
+		// Under levenshtein the candidates are the postings of the
+		// τ-similar codes.
+		{Mode: fd.ModeApprox, Tau: 0.7},
+		{Mode: fd.ModeApprox, Tau: 0.7, Sim: "exact"},
+		{Mode: fd.ModeApproxRanked, Tau: 0.7, Rank: "fmax"},
+	} {
+		plan, err := fd.Explain(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plan.Index.HashIndex || !plan.Index.JoinIndex ||
+			plan.Index.PostingLists == 0 || plan.Index.PostingEntries == 0 {
+			t.Errorf("%+v: index section %+v, want both engaged with posting stats", q, plan.Index)
+		}
+		if !plan.JoinGraph.Connected || !plan.JoinGraph.Chain || !plan.JoinGraph.Tree {
+			t.Errorf("chain workload classified %+v", plan.JoinGraph)
+		}
+		if len(plan.JoinGraph.Components) != 1 || len(plan.JoinGraph.Components[0]) != db.NumRelations() {
+			t.Errorf("chain components %v", plan.JoinGraph.Components)
+		}
 	}
 }
 

@@ -187,20 +187,6 @@ func LoadSnapshot(path string) (*Database, error) {
 	return relation.ReadSnapshot(f)
 }
 
-// InitStrategy selects how the per-relation passes of a full
-// disjunction are initialised (Section 7 of the paper).
-type InitStrategy = core.InitStrategy
-
-// Initialisation strategies.
-const (
-	// InitSingletons is the textbook Fig 1 initialisation.
-	InitSingletons = core.InitSingletons
-	// InitSeeded reuses previously printed results (§7, option 2).
-	InitSeeded = core.InitSeeded
-	// InitProjected projects and extends previous results (§7, option 3).
-	InitProjected = core.InitProjected
-)
-
 // Format renders a tuple set as {label, label, ...} in the notation of
 // the paper's Table 2.
 func Format(db *Database, t *TupleSet) string { return t.Format(db) }

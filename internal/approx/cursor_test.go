@@ -142,3 +142,29 @@ func TestApproxCursorNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestEnginePinnedStats pins the work of an Amin/Levenshtein drain at
+// τ 0.7 with the hash index alone, the sweep that fd.Open does not run
+// (it always adds the join index), to literal Stats on a 3×8 dirty
+// chain.
+func TestEnginePinnedStats(t *testing.T) {
+	db, err := workload.DirtyChain(workload.DirtyConfig{
+		Config:    workload.Config{Relations: 3, TuplesPerRelation: 8, Domain: 3, Seed: 23},
+		ErrorRate: 0.3, MaxEdits: 2, MinProb: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("approx/sweep", func(t *testing.T) {
+		c, err := NewCursor(context.Background(), db, &Amin{S: LevenshteinSim{}}, 0.7, core.Options{UseIndex: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		want := core.Stats{Iterations: 25, Emitted: 12, JCCChecks: 395, TuplesScanned: 1094, ListScans: 199, PageReads: 1094, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 12}
+		if stats := c.Stats(); stats != want {
+			t.Errorf("stats drifted:\n got  %#v\n want %#v", stats, want)
+		}
+	})
+}

@@ -37,8 +37,7 @@ func E8ApproxSweep() (*Table, error) {
 	for _, tau := range []float64{0.95, 0.9, 0.8, 0.7, 0.6, 0.5} {
 		var aminSets []fd.Result
 		aminTime := timeIt(func() {
-			aminSets, _, err = runQuery(db, fd.Query{Mode: fd.ModeApprox, Tau: tau,
-				Options: fd.QueryOptions{UseIndex: true}})
+			aminSets, _, err = runQuery(db, fd.Query{Mode: fd.ModeApprox, Tau: tau})
 		})
 		if err != nil {
 			return nil, err
@@ -369,8 +368,7 @@ func E11Threshold() (*Table, error) {
 	for _, tau := range []float64{95, 90, 75, 50, 25, 1} {
 		var got []fd.Result
 		d := timeIt(func() {
-			got, _, err = runQuery(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", RankTau: tau,
-				Options: fd.QueryOptions{UseIndex: true}})
+			got, _, err = runQuery(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", RankTau: tau})
 		})
 		if err != nil {
 			return nil, err

@@ -8,7 +8,11 @@ import (
 	"slices"
 
 	fd "repro"
+	"repro/internal/approx"
+	"repro/internal/core"
+	"repro/internal/rank"
 	"repro/internal/relation"
+	"repro/internal/tupleset"
 	"repro/internal/workload"
 )
 
@@ -39,11 +43,14 @@ func (s approxShape) build(seed int64) (*relation.Database, error) {
 }
 
 // approxRung is one query of E13, run once with the sweep and once
-// with the join index.
+// with the join index: Amin over the Levenshtein similarity at tau,
+// ranked by rank (nil: unranked) and stopped after k results (0: all).
 type approxRung struct {
 	name  string
 	shape approxShape
-	q     fd.Query
+	tau   float64
+	rank  rank.Func
+	k     int
 }
 
 // approxRungs are the approx and approx-ranked families of perfbench's
@@ -54,9 +61,9 @@ func approxRungs() []approxRung {
 	small := approxShape{name: "4×40 dirty chain", tuples: 40, domain: 5}
 	large := approxShape{name: "4×300 dirty chain", tuples: 300, domain: 12, imp: true}
 	return []approxRung{
-		{"approx τ 0.8", small, fd.Query{Mode: fd.ModeApprox, Tau: 0.8, Sim: "levenshtein"}},
-		{"approx τ 0.6", small, fd.Query{Mode: fd.ModeApprox, Tau: 0.6, Sim: "levenshtein"}},
-		{"approx-ranked fmax top-10 τ 0.8", large, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.8, Sim: "levenshtein", Rank: "fmax", K: 10}},
+		{"approx τ 0.8", small, 0.8, nil, 0},
+		{"approx τ 0.6", small, 0.6, nil, 0},
+		{"approx-ranked fmax top-10 τ 0.8", large, 0.8, rank.FMax{}, 10},
 	}
 }
 
@@ -68,25 +75,50 @@ type approxRun struct {
 	delayWork int64
 }
 
-// drainApprox runs q to exhaustion on the sequential path, tracking the
-// work-unit delay as drainPhased does.
-func drainApprox(db *relation.Database, q fd.Query) (approxRun, error) {
-	var run approxRun
-	rs, err := fd.Open(context.Background(), db, q)
-	if err != nil {
-		return run, err
+// drain runs the rung's engine cursor under opts on the sequential
+// path, stopping after k results as a K-bounded query does, and tracks
+// the work-unit delay as drainPhased does.
+func (r approxRung) drain(db *relation.Database, opts core.Options) (approxRun, error) {
+	var (
+		run approxRun
+		c   interface {
+			Stats() core.Stats
+			Err() error
+			Close()
+		}
+		next func() (*tupleset.Set, float64, bool)
+	)
+	a := &approx.Amin{S: approx.LevenshteinSim{}}
+	if r.rank == nil {
+		ac, err := approx.NewCursor(context.Background(), db, a, r.tau, opts)
+		if err != nil {
+			return run, err
+		}
+		c, next = ac, func() (*tupleset.Set, float64, bool) { s, ok := ac.Next(); return s, 0, ok }
+	} else {
+		rc, err := rank.NewApproxCursor(context.Background(), db, a, r.tau, r.rank, opts)
+		if err != nil {
+			return run, err
+		}
+		c, next = rc, func() (*tupleset.Set, float64, bool) { res, ok := rc.Next(); return res.Set, res.Rank, ok }
 	}
-	defer rs.Close()
-	prevWork := workUnits(rs.Stats())
-	for r, ok := rs.Next(); ok; r, ok = rs.Next() {
-		w := workUnits(rs.Stats())
+	defer c.Close()
+	prevWork := workUnits(c.Stats())
+	for r.k == 0 || len(run.keys) < r.k {
+		s, rk, ok := next()
+		if !ok {
+			break
+		}
+		w := workUnits(c.Stats())
 		run.delayWork = max(run.delayWork, w-prevWork)
 		prevWork = w
-		run.keys = append(run.keys, r.Set.Key())
-		run.ranks = append(run.ranks, r.Rank)
+		run.keys = append(run.keys, s.Key())
+		if r.rank != nil {
+			run.ranks = append(run.ranks, rk)
+		}
 	}
-	run.stats = rs.Stats()
-	return run, rs.Err()
+	run.stats = c.Stats()
+	return run, c.Err()
 }
 
 // E13Both is the counter gate of the approximate families: every rung
@@ -118,14 +150,13 @@ func E13Both() (*Table, *Record, error) {
 		}
 		var sweep approxRun
 		for _, joinIndex := range []bool{false, true} {
-			q := r.q
-			q.Options = fd.QueryOptions{UseIndex: true, UseJoinIndex: joinIndex, Workers: 1}
+			opts := core.Options{UseIndex: true, UseJoinIndex: joinIndex}
 			name := fmt.Sprintf("%s, %s: sweep", r.name, r.shape.name)
 			if joinIndex {
 				name = fmt.Sprintf("%s, %s: join index", r.name, r.shape.name)
 			}
 			var run approxRun
-			d, mallocs, bytes := measure(func() { run, err = drainApprox(db, q) })
+			d, mallocs, bytes := measure(func() { run, err = r.drain(db, opts) })
 			if err != nil {
 				return nil, nil, fmt.Errorf("E13 %s: %w", name, err)
 			}

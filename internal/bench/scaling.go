@@ -93,7 +93,7 @@ func E5TimeToK() (*Table, error) {
 		}
 		var incTime time.Duration
 		incTime = timeIt(func() {
-			_, _, err = runQuery(db, fd.Query{K: k, Options: fd.QueryOptions{UseIndex: true, Workers: 1}})
+			_, _, err = runQuery(db, fd.Query{K: k, Options: fd.QueryOptions{Workers: 1}})
 		})
 		if err != nil {
 			return nil, err
@@ -150,8 +150,7 @@ func E6TopK() (*Table, error) {
 	for _, k := range []int{1, 5, 10, 25, 50} {
 		var rankedTime time.Duration
 		rankedTime = timeIt(func() {
-			_, _, err = runQuery(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: k,
-				Options: fd.QueryOptions{UseIndex: true}})
+			_, _, err = runQuery(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: k})
 		})
 		if err != nil {
 			return nil, err
@@ -199,8 +198,7 @@ func E7Hardness() (*Table, error) {
 		var rankedTime time.Duration
 		var err2 error
 		rankedTime = timeIt(func() {
-			_, _, err2 = runQuery(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 1,
-				Options: fd.QueryOptions{UseIndex: true}})
+			_, _, err2 = runQuery(db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 1})
 		})
 		if err2 != nil {
 			return nil, err2

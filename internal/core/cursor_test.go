@@ -242,3 +242,63 @@ func TestBlocksPinnedStats(t *testing.T) {
 		t.Errorf("stats = %+v\nwant    %+v", got, want)
 	}
 }
+
+// TestEnginePinnedStats pins the engine work of the exact
+// configurations fd.Open does not run (it always runs the restart
+// passes with both indexes) to literal Stats on the 4×8 chain: the §7
+// seeded and projected initialisations, and a first-5 prefix with the
+// hash index alone. Each strategy must also produce the restart
+// strategy's full disjunction: FD(R) does not depend on how the passes
+// are initialised.
+func TestEnginePinnedStats(t *testing.T) {
+	db, err := workload.Chain(workload.Config{
+		Relations: 4, TuplesPerRelation: 8, Domain: 3, NullRate: 0.1, ImpMax: 10, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed := Options{UseIndex: true, UseJoinIndex: true}
+	restart, _, err := FullDisjunction(db, indexed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := formatAll(db, restart)
+	cases := []struct {
+		name  string
+		opts  Options
+		k     int // results pulled; 0 drains
+		stats Stats
+	}{
+		{"exact/seeded", Options{UseIndex: true, UseJoinIndex: true, Strategy: InitSeeded}, 0,
+			Stats{Iterations: 403, Emitted: 103, JCCChecks: 5351, TuplesScanned: 3290, ListScans: 9466, PageReads: 3290, IndexProbes: 1520, TuplesSkipped: 13398, SigHits: 3081, SigRebuilds: 808, MaxResident: 103}},
+		{"exact/projected", Options{UseIndex: true, UseJoinIndex: true, Strategy: InitProjected}, 0,
+			Stats{Iterations: 155, Emitted: 103, JCCChecks: 2438, TuplesScanned: 1802, ListScans: 3824, PageReads: 1802, IndexProbes: 782, TuplesSkipped: 12214, SigHits: 1184, SigRebuilds: 404, MaxResident: 100}},
+		{"exact/K/hash-index", Options{UseIndex: true}, 5,
+			Stats{Iterations: 5, Emitted: 5, JCCChecks: 465, TuplesScanned: 384, ListScans: 144, PageReads: 384, IndexProbes: 0, TuplesSkipped: 0, SigHits: 135, SigRebuilds: 59, MaxResident: 34}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cur, err := NewCursor(context.Background(), db, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []*tupleset.Set
+			for c.k == 0 || len(got) < c.k {
+				s, ok := cur.Next()
+				if !ok {
+					break
+				}
+				got = append(got, s)
+			}
+			cur.Close()
+			if err := cur.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if stats := cur.Stats(); stats != c.stats {
+				t.Errorf("stats drifted:\n got  %#v\n want %#v", stats, c.stats)
+			}
+			if c.k == 0 && fmt.Sprint(formatAll(db, got)) != fmt.Sprint(want) {
+				t.Errorf("%s full disjunction differs from the restart strategy's", c.name)
+			}
+		})
+	}
+}

@@ -164,18 +164,19 @@ type Pool interface {
 //	  of the seed relation and is not contained in a Complete set and
 //	  cannot be merged into an Incomplete set, append it to Incomplete.
 //
-// minRel restricts database scans to relations minRel..n-1 (zero scans
-// everything); opts supplies the block size for simulated page reads.
+// Database scans run on scan, a NewScanner that the caller keeps
+// across calls; its scope and knobs (block size, buffer pool, join
+// index) are the caller's.
 //
 // Precondition (Remark 4.3's coverage): every tuple of the seed
 // relation lies in a set of incomplete or of complete, and the caller
 // adds each returned result, or a superset of it, to complete. With
-// opts.UseJoinIndex the discovery walk relies on it to skip the
+// the join index the discovery walk relies on it to skip the
 // singleton candidates {tb} that line 11 or 14 would discard
 // (Scanner.ForEachDiscovery).
-func GetNextResult(u *tupleset.Universe, seed int, opts Options, minRel int, T *tupleset.Set,
+func GetNextResult(u *tupleset.Universe, seed int, scan *Scanner, T *tupleset.Set,
 	incomplete Pool, complete *CompleteStore, stats *Stats) *tupleset.Set {
-	return getNextResult(u, seed, NewScanner(u.DB, opts, minRel, stats), 0, int32(u.DB.Relation(seed).Len()), T, incomplete, complete, stats)
+	return getNextResult(u, seed, scan, 0, int32(u.DB.Relation(seed).Len()), T, incomplete, complete, stats)
 }
 
 // getNextResult additionally takes the anchor window [lo, hi): a

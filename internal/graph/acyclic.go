@@ -6,100 +6,6 @@ import (
 	"repro/internal/relation"
 )
 
-// AlphaAcyclic reports whether the schema hypergraph of db (one
-// hyperedge per relation, vertices are attributes) is α-acyclic,
-// decided with the GYO reduction:
-//
-//	repeat until no rule applies:
-//	  (1) delete a vertex that occurs in exactly one hyperedge ("ear"
-//	      vertex);
-//	  (2) delete a hyperedge contained in another hyperedge.
-//
-// The hypergraph is α-acyclic iff the reduction empties it.
-//
-// The Rajaraman–Ullman outerjoin method requires the stronger property
-// of γ-acyclicity; γ-acyclic ⟹ α-acyclic, so a negative answer here
-// rules the baseline out, while a positive answer plus a tree-shaped
-// connection graph covers the chain and star workloads we benchmark.
-func AlphaAcyclic(db *relation.Database) bool {
-	n := db.NumRelations()
-	// edges[i] is the live attribute set of relation i (nil = deleted).
-	edges := make([]map[relation.Attribute]bool, n)
-	for i := 0; i < n; i++ {
-		set := make(map[relation.Attribute]bool)
-		for _, a := range db.Relation(i).Schema().Attributes() {
-			set[a] = true
-		}
-		edges[i] = set
-	}
-	live := n
-	for {
-		changed := false
-		// Rule 1: remove attributes occurring in at most one live edge.
-		occ := make(map[relation.Attribute]int)
-		for _, e := range edges {
-			for a := range e {
-				occ[a]++
-			}
-		}
-		for i, e := range edges {
-			if e == nil {
-				continue
-			}
-			for a := range e {
-				if occ[a] <= 1 {
-					delete(edges[i], a)
-					changed = true
-				}
-			}
-		}
-		// Rule 2: remove edges contained in another live edge (empty
-		// edges are contained in any edge and are removed too).
-		for i, e := range edges {
-			if e == nil {
-				continue
-			}
-			if len(e) == 0 {
-				edges[i] = nil
-				live--
-				changed = true
-				continue
-			}
-			for j, f := range edges {
-				if i == j || f == nil {
-					continue
-				}
-				if containsAll(f, e) && (len(f) > len(e) || i < j) {
-					// Tie-break i<j so two identical edges delete only
-					// one of the pair per pass.
-					edges[i] = nil
-					live--
-					changed = true
-					break
-				}
-			}
-		}
-		if live <= 1 {
-			return true
-		}
-		if !changed {
-			return false
-		}
-	}
-}
-
-func containsAll(outer, inner map[relation.Attribute]bool) bool {
-	if len(inner) > len(outer) {
-		return false
-	}
-	for a := range inner {
-		if !outer[a] {
-			return false
-		}
-	}
-	return true
-}
-
 // BergeAcyclic reports whether the schema hypergraph of db is
 // Berge-acyclic: its bipartite incidence graph (attributes on one side,
 // relations on the other, an edge when the relation's schema mentions

@@ -3,11 +3,10 @@
 // relation and an edge between two relations iff their schemas share an
 // attribute (Section 2 of Cohen & Sagiv 2007).
 //
-// The package also implements the GYO reduction for hypergraph
-// α-acyclicity and shape detection (trees, chains, stars), which the
-// Rajaraman–Ullman outerjoin baseline needs: that baseline is only
-// applicable to γ-acyclic schemas, and γ-acyclicity implies
-// α-acyclicity (γ ⊂ α).
+// The package also implements shape detection (trees, chains, stars)
+// and the Berge-acyclicity test the Rajaraman–Ullman outerjoin
+// baseline needs: that baseline is only applicable to γ-acyclic
+// schemas, and Berge-acyclicity implies γ-acyclicity.
 package graph
 
 import (

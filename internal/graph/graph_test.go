@@ -161,29 +161,6 @@ func TestTreeOrder(t *testing.T) {
 	}
 }
 
-func TestAlphaAcyclic(t *testing.T) {
-	if !AlphaAcyclic(chainDB(t, 6)) {
-		t.Error("chain must be α-acyclic")
-	}
-	if !AlphaAcyclic(starDB(t, 6)) {
-		t.Error("star must be α-acyclic")
-	}
-	if AlphaAcyclic(cycleDB(t, 4)) {
-		t.Error("a 4-cycle with private join attributes is α-cyclic")
-	}
-	// The tourist schema is α-acyclic: Accommodations ⊇-dominates the
-	// ear vertices and the shared Country/City attributes reduce away.
-	if !AlphaAcyclic(workload.Tourist()) {
-		t.Error("tourist schema must be α-acyclic")
-	}
-	// A single relation is trivially acyclic.
-	r := relation.MustRelation("R", relation.MustSchema("A"))
-	r.MustAppend("", map[relation.Attribute]relation.Value{"A": relation.V("1")})
-	if !AlphaAcyclic(relation.MustDatabase(r)) {
-		t.Error("single relation must be acyclic")
-	}
-}
-
 func TestBergeAcyclic(t *testing.T) {
 	if !BergeAcyclic(chainDB(t, 6)) {
 		t.Error("chain must be Berge-acyclic")
@@ -218,12 +195,6 @@ func TestBergeAcyclic(t *testing.T) {
 	r2.MustAppend("", map[relation.Attribute]relation.Value{"A": relation.V("1")})
 	if BergeAcyclic(relation.MustDatabase(r1, r2)) {
 		t.Error("double-shared pair must not be Berge-acyclic")
-	}
-	// Berge ⟹ α on every workload we generate.
-	for _, db := range []*relation.Database{chainDB(t, 5), starDB(t, 5), clique} {
-		if BergeAcyclic(db) && !AlphaAcyclic(db) {
-			t.Error("Berge-acyclic database reported α-cyclic (hierarchy violated)")
-		}
 	}
 }
 

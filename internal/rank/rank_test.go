@@ -244,3 +244,38 @@ func TestProposition51(t *testing.T) {
 		}
 	}
 }
+
+// TestEnginePinnedStats pins the work of ranked fmax with the hash
+// index alone, a configuration fd.Open does not run (it always adds
+// the join index), to literal Stats on the 4×8 chain: the full drain,
+// the top-4 prefix and the RankTau 9 threshold, each stopped the way
+// a K- or RankTau-bounded query stops it.
+func TestEnginePinnedStats(t *testing.T) {
+	db, err := workload.Chain(workload.Config{
+		Relations: 4, TuplesPerRelation: 8, Domain: 3, NullRate: 0.1, ImpMax: 10, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		k     int
+		tau   float64
+		stats core.Stats
+	}{
+		{"ranked/fmax/hash-index", 0, 0,
+			core.Stats{Iterations: 120, Emitted: 103, JCCChecks: 9686, TuplesScanned: 9024, ListScans: 4636, PageReads: 9024, IndexProbes: 0, TuplesSkipped: 0, SigHits: 1930, SigRebuilds: 513, MaxResident: 0}},
+		{"ranked/K/hash-index", 4, 0,
+			core.Stats{Iterations: 4, Emitted: 4, JCCChecks: 453, TuplesScanned: 320, ListScans: 84, PageReads: 320, IndexProbes: 0, TuplesSkipped: 0, SigHits: 179, SigRebuilds: 40, MaxResident: 0}},
+		{"ranked/RankTau/hash-index", 0, 9,
+			core.Stats{Iterations: 60, Emitted: 59, JCCChecks: 5160, TuplesScanned: 4224, ListScans: 2380, PageReads: 4224, IndexProbes: 0, TuplesSkipped: 0, SigHits: 1504, SigRebuilds: 415, MaxResident: 0}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cur := newRanked(t, db, FMax{}, core.Options{UseIndex: true})
+			collect(t, cur, c.k, c.tau)
+			if stats := cur.Stats(); stats != c.stats {
+				t.Errorf("stats drifted:\n got  %#v\n want %#v", stats, c.stats)
+			}
+		})
+	}
+}

@@ -48,17 +48,19 @@ type Cursor struct {
 // constructor carries the polynomial preprocessing cost of Lemma 5.3
 // and every Next call is one queue extraction. For a c-determined f
 // the seeds are the O(|D|^c) qualifying sets of at most c tuples (the
-// singletons for fmax), found without visiting larger sets. Cancelling
-// ctx aborts the preprocessing between queue merges and makes a later
-// Next fail within one queue extraction with Err() == ctx.Err(). A nil
-// ctx means context.Background().
+// singletons for fmax), found without visiting larger sets. Database
+// scans honour opts on one core.NewScanner that every Fig 3 extraction
+// shares. Cancelling ctx aborts the preprocessing between queue merges
+// and makes a later Next fail within one queue extraction with
+// Err() == ctx.Err(). A nil ctx means context.Background().
 func NewCursor(ctx context.Context, db *relation.Database, f Func, opts core.Options) (*Cursor, error) {
 	if err := Validate(f); err != nil {
 		return nil, err
 	}
 	c := newCursor(ctx, db, f)
+	scan := core.NewScanner(db, opts, 0, &c.stats)
 	c.step = func(seed int, T *tupleset.Set) *tupleset.Set {
-		return core.GetNextResult(c.u, seed, opts, 0, T, c.queues[seed], c.complete, &c.stats)
+		return core.GetNextResult(c.u, seed, scan, T, c.queues[seed], c.complete, &c.stats)
 	}
 	if err := c.init(func(s *tupleset.Set) bool { return c.u.JCC(s) }, jccMerge(c.u)); err != nil {
 		return nil, err

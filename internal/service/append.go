@@ -70,10 +70,7 @@ func familyDelta(ne *dbEntry, relIdx, firstNew int, fam familyKey) (*delta.Delta
 		return delta.Approx(ne.db, relIdx, firstNew, &approx.Amin{S: s}, fam.tau,
 			core.Options{UseIndex: true, UseJoinIndex: true})
 	}
-	// The delta runs are maintenance work, not client queries, so they
-	// use the fastest safe engine configuration rather than any one
-	// spec's knobs — the produced result set is configuration-
-	// independent.
+	// The delta runs use the one engine configuration fd.Open runs.
 	return delta.Exact(ne.u, relIdx, firstNew, core.Options{UseIndex: true, UseJoinIndex: true})
 }
 

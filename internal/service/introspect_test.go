@@ -30,8 +30,7 @@ func TestDelaySLOBreach(t *testing.T) {
 	if _, err := svc.AddDatabase("w", db); err != nil {
 		t.Fatal(err)
 	}
-	q, err := svc.StartQuery(context.Background(), "w", fd.Query{Mode: fd.ModeExact,
-		Options: fd.QueryOptions{UseIndex: true}})
+	q, err := svc.StartQuery(context.Background(), "w", fd.Query{Mode: fd.ModeExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestServiceExplain(t *testing.T) {
 	if _, err := svc.Explain("nope", fd.Query{}); !errors.Is(err, ErrUnknownDatabase) {
 		t.Fatalf("unknown db: %v", err)
 	}
-	spec := fd.Query{Mode: fd.ModeExact, Options: fd.QueryOptions{UseIndex: true}}
+	spec := fd.Query{Mode: fd.ModeExact}
 	rep, err := svc.Explain("w", spec)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +158,7 @@ func TestSessionProgress(t *testing.T) {
 	if _, err := svc.AddDatabase("w", db); err != nil {
 		t.Fatal(err)
 	}
-	spec := fd.Query{Mode: fd.ModeExact, Options: fd.QueryOptions{UseIndex: true}}
+	spec := fd.Query{Mode: fd.ModeExact}
 	q, err := svc.StartQuery(context.Background(), "w", spec)
 	if err != nil {
 		t.Fatal(err)

@@ -61,8 +61,7 @@ func TestTraceStatsSumToFinal(t *testing.T) {
 		if _, err := svc.AddDatabase("w", db); err != nil {
 			t.Fatal(err)
 		}
-		spec := fd.Query{Mode: fd.ModeExact, Options: fd.QueryOptions{
-			UseIndex: true, Workers: workers}}
+		spec := fd.Query{Mode: fd.ModeExact, Options: fd.QueryOptions{Workers: workers}}
 		q, err := svc.StartQuery(context.Background(), "w", spec)
 		if err != nil {
 			t.Fatal(err)

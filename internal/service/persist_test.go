@@ -36,7 +36,7 @@ func TestDurableRegistryRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := svc.StartQuery(context.Background(), "alpha", fd.Query{Options: fd.QueryOptions{UseIndex: true}})
+	q, err := svc.StartQuery(context.Background(), "alpha", fd.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestDurableRegistryRecovers(t *testing.T) {
 	if len(listed) != 2 || listed[0] != info1 || listed[1] != info2 {
 		t.Fatalf("ListDatabases = %+v, want [%+v %+v]", listed, info1, info2)
 	}
-	q2, err := svc2.StartQuery(context.Background(), "alpha", fd.Query{Options: fd.QueryOptions{UseIndex: true}})
+	q2, err := svc2.StartQuery(context.Background(), "alpha", fd.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestAppendRowsDurable(t *testing.T) {
 	}
 
 	// An old session keeps paging the pre-append database.
-	oldQ, err := svc.StartQuery(context.Background(), "w", fd.Query{Options: fd.QueryOptions{UseIndex: true}})
+	oldQ, err := svc.StartQuery(context.Background(), "w", fd.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestAppendRowsDurable(t *testing.T) {
 	}
 
 	// The old session's enumeration (started pre-append) is unaffected.
-	oldQ2, err := svc.StartQuery(context.Background(), "w", fd.Query{Options: fd.QueryOptions{UseIndex: true}})
+	oldQ2, err := svc.StartQuery(context.Background(), "w", fd.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestCacheByteEviction(t *testing.T) {
 	if _, err := svc.AddDatabase("w", db); err != nil {
 		t.Fatal(err)
 	}
-	q, err := svc.StartQuery(context.Background(), "w", fd.Query{Options: fd.QueryOptions{UseIndex: true}})
+	q, err := svc.StartQuery(context.Background(), "w", fd.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestCacheByteEviction(t *testing.T) {
 	if _, err := svc2.AddDatabase("w", db); err != nil {
 		t.Fatal(err)
 	}
-	q2, err := svc2.StartQuery(context.Background(), "w", fd.Query{Options: fd.QueryOptions{UseIndex: true}})
+	q2, err := svc2.StartQuery(context.Background(), "w", fd.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestCacheByteEviction(t *testing.T) {
 		t.Fatalf("cache entries %d bytes %d, want 1 entry with positive bytes",
 			st2.CacheEntries, st2.CacheBytes)
 	}
-	q3, err := svc2.StartQuery(context.Background(), "w", fd.Query{Options: fd.QueryOptions{UseIndex: true}})
+	q3, err := svc2.StartQuery(context.Background(), "w", fd.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

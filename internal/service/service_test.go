@@ -90,7 +90,7 @@ func TestPagingMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 3, 7, 1000} {
-		q, err := svc.StartQuery(context.Background(), "w", fd.Query{Options: fd.QueryOptions{UseIndex: true}})
+		q, err := svc.StartQuery(context.Background(), "w", fd.Query{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestRankedPagingOrder(t *testing.T) {
 	if _, err := svc.AddDatabase("w", db); err != nil {
 		t.Fatal(err)
 	}
-	q, err := svc.StartQuery(context.Background(), "w", fd.Query{Mode: fd.ModeRanked, Rank: "fmax", Options: fd.QueryOptions{UseIndex: true}})
+	q, err := svc.StartQuery(context.Background(), "w", fd.Query{Mode: fd.ModeRanked, Rank: "fmax"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestResultCache(t *testing.T) {
 	if _, err := svc.AddDatabase("w", db); err != nil {
 		t.Fatal(err)
 	}
-	spec := fd.Query{Options: fd.QueryOptions{UseIndex: true, UseJoinIndex: true}}
+	spec := fd.Query{}
 
 	q1, err := svc.StartQuery(context.Background(), "w", spec)
 	if err != nil {
@@ -235,7 +235,7 @@ func TestResultCache(t *testing.T) {
 	}
 
 	// A different spec must not hit the cache.
-	q3, err := svc.StartQuery(context.Background(), "w", fd.Query{})
+	q3, err := svc.StartQuery(context.Background(), "w", fd.Query{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,12 +255,12 @@ func TestCacheSharedAcrossIdenticalDatabases(t *testing.T) {
 	if _, err := svc.AddDatabase("b", testDB(t, "chain", 23)); err != nil {
 		t.Fatal(err)
 	}
-	qa, err := svc.StartQuery(context.Background(), "a", fd.Query{Options: fd.QueryOptions{UseIndex: true}})
+	qa, err := svc.StartQuery(context.Background(), "a", fd.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	drain(t, qa, 10)
-	qb, err := svc.StartQuery(context.Background(), "b", fd.Query{Options: fd.QueryOptions{UseIndex: true}})
+	qb, err := svc.StartQuery(context.Background(), "b", fd.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestDropRefreshReload(t *testing.T) {
 	if _, err := svc.AddDatabase("w", db); err != nil {
 		t.Fatal(err)
 	}
-	spec := fd.Query{Options: fd.QueryOptions{UseIndex: true}}
+	spec := fd.Query{}
 	q1, err := svc.StartQuery(context.Background(), "w", spec)
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +368,7 @@ func TestDropRefreshReload(t *testing.T) {
 // than CacheMaxResults is never cached (nor retained in memory).
 func TestCacheDisabledAndCapped(t *testing.T) {
 	db := testDB(t, "chain", 67)
-	spec := fd.Query{Options: fd.QueryOptions{UseIndex: true}}
+	spec := fd.Query{}
 
 	off := New(Config{CacheCapacity: -1})
 	defer off.Close()
@@ -512,7 +512,7 @@ func TestPropertyConcurrentSessions(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				name := fmt.Sprintf("db-%s", shapes[rng.Intn(len(shapes))])
 				q, err := svc.StartQuery(context.Background(), name, fd.Query{
-					Options: fd.QueryOptions{UseIndex: true, UseJoinIndex: rng.Intn(2) == 0},
+					Options: fd.QueryOptions{Workers: 1 + rng.Intn(2)},
 				})
 				if err != nil {
 					errs <- err
@@ -578,10 +578,9 @@ func TestAdmissionSingleWorker(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Distinct specs (the 2×2 index flags) so nobody is served
-			// from cache.
-			q, err := svc.StartQuery(context.Background(), "w", fd.Query{
-				Options: fd.QueryOptions{UseIndex: w&1 != 0, UseJoinIndex: w&2 != 0}})
+			// Distinct specs (K bounds above the result count, so each
+			// drains everything) so nobody is served from cache.
+			q, err := svc.StartQuery(context.Background(), "w", fd.Query{K: len(oneShot) + w})
 			if err != nil {
 				return
 			}
@@ -623,7 +622,7 @@ func TestStartQueryValidation(t *testing.T) {
 		{"w", fd.Query{Mode: fd.ModeApprox, Tau: 0.5, Sim: "nope"}},
 		{"w", fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.5}}, // no rank function
 		{"missing", fd.Query{}},
-		{"w", fd.Query{Options: fd.QueryOptions{Strategy: "bogus"}}},
+		{"w", fd.Query{Options: fd.QueryOptions{Workers: -1}}},
 	}
 	for _, c := range bad {
 		if _, err := svc.StartQuery(context.Background(), c.db, c.q); err == nil {
@@ -694,7 +693,6 @@ func TestApproxRankedPaging(t *testing.T) {
 	}
 	q, err := svc.StartQuery(context.Background(), "w", fd.Query{
 		Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax",
-		Options: fd.QueryOptions{UseIndex: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -715,7 +713,6 @@ func TestApproxRankedPaging(t *testing.T) {
 	// The repeat query replays from the cache, keyed by Canonical().
 	q2, err := svc.StartQuery(context.Background(), "w", fd.Query{
 		Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax",
-		Options: fd.QueryOptions{UseIndex: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -735,7 +732,7 @@ func TestSessionContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	q, err := svc.StartQuery(ctx, "w", fd.Query{Options: fd.QueryOptions{UseIndex: true}})
+	q, err := svc.StartQuery(ctx, "w", fd.Query{})
 	if err != nil {
 		cancel()
 		t.Fatal(err)
@@ -764,7 +761,7 @@ func TestEngineWorkerPool(t *testing.T) {
 	if _, err := svc.AddDatabase("w", testDB(t, "chain", 41)); err != nil {
 		t.Fatal(err)
 	}
-	spec := fd.Query{Options: fd.QueryOptions{UseIndex: true, Workers: 8}}
+	spec := fd.Query{Options: fd.QueryOptions{Workers: 8}}
 
 	q1, err := svc.StartQuery(context.Background(), "w", spec)
 	if err != nil {

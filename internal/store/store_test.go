@@ -388,9 +388,9 @@ func TestPropertySnapshotRoundTrip(t *testing.T) {
 func enumerate(t *testing.T, db *relation.Database, mode string) []string {
 	t.Helper()
 	queries := map[string]fd.Query{
-		"exact":  {Mode: fd.ModeExact, Options: fd.QueryOptions{UseIndex: true, UseJoinIndex: true, Workers: 1}},
-		"ranked": {Mode: fd.ModeRanked, Rank: "fmax", Options: fd.QueryOptions{UseIndex: true}},
-		"approx": {Mode: fd.ModeApprox, Tau: 0.8, Options: fd.QueryOptions{UseIndex: true, Workers: 1}},
+		"exact":  {Mode: fd.ModeExact, Options: fd.QueryOptions{Workers: 1}},
+		"ranked": {Mode: fd.ModeRanked, Rank: "fmax"},
+		"approx": {Mode: fd.ModeApprox, Tau: 0.8, Options: fd.QueryOptions{Workers: 1}},
 	}
 	q, ok := queries[mode]
 	if !ok {

@@ -23,15 +23,14 @@ func TestDelayObservationsSumToWallTime(t *testing.T) {
 		q    fd.Query
 	}{
 		{"exact", chain, fd.Query{Mode: fd.ModeExact,
-			Options: fd.QueryOptions{UseIndex: true, Workers: 1}}},
+			Options: fd.QueryOptions{Workers: 1}}},
 		{"exact-parallel", chain, fd.Query{Mode: fd.ModeExact,
-			Options: fd.QueryOptions{UseIndex: true, Workers: 4}}},
-		{"ranked", chain, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 20,
-			Options: fd.QueryOptions{UseIndex: true}}},
+			Options: fd.QueryOptions{Workers: 4}}},
+		{"ranked", chain, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 20}},
 		{"approx", dirty, fd.Query{Mode: fd.ModeApprox, Tau: 0.6,
-			Options: fd.QueryOptions{UseIndex: true, Workers: 1}}},
+			Options: fd.QueryOptions{Workers: 1}}},
 		{"approx-ranked", dirty, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6,
-			Rank: "fmax", K: 10, Options: fd.QueryOptions{UseIndex: true}}},
+			Rank: "fmax", K: 10}},
 	}
 	for _, c := range cases {
 		q := c.q
@@ -80,8 +79,7 @@ func TestProgressConcurrentWithNext(t *testing.T) {
 	db := explainDB(t, "chain")
 	for _, workers := range []int{1, 4} {
 		prog := &fd.Progress{}
-		q := fd.Query{Mode: fd.ModeExact, Options: fd.QueryOptions{
-			UseIndex: true, Workers: workers, Progress: prog}}
+		q := fd.Query{Mode: fd.ModeExact, Options: fd.QueryOptions{Workers: workers, Progress: prog}}
 		plan, err := fd.Explain(db, q)
 		if err != nil {
 			t.Fatal(err)
@@ -151,7 +149,7 @@ func TestProgressEarlyClose(t *testing.T) {
 	db := explainDB(t, "chain")
 	prog := &fd.Progress{}
 	rs, err := fd.Open(context.Background(), db, fd.Query{Mode: fd.ModeExact,
-		Options: fd.QueryOptions{UseIndex: true, Workers: 1, Progress: prog}})
+		Options: fd.QueryOptions{Workers: 1, Progress: prog}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,11 +59,15 @@ type Results interface {
 // Ranked modes pay their Fig 3 preprocessing inside Open, so every
 // Next afterwards is one priority-queue extraction.
 //
-// Exact (restart-strategy) and approx queries whose effective Workers
-// count exceeds one — the default, since Workers 0 means GOMAXPROCS —
-// run on the parallel streaming executor: the result set is identical
-// to the sequential path, but arrival order varies run to run (sort by
-// canonical key, or set Workers 1, when a reproducible order matters).
+// Every mode runs with the §7 hash index and the join candidate index,
+// and the exact and approx modes run the restart passes of Fig 1;
+// there is no other engine configuration to choose (QueryOptions).
+//
+// Exact and approx queries whose effective Workers count exceeds one —
+// the default, since Workers 0 means GOMAXPROCS — run on the parallel
+// streaming executor: the result set is identical to the sequential
+// path, but arrival order varies run to run (sort by canonical key, or
+// set Workers 1, when a reproducible order matters).
 func Open(ctx context.Context, db *Database, q Query) (Results, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -77,16 +81,13 @@ func Open(ctx context.Context, db *Database, q Query) (Results, error) {
 	n := q.normalize()
 	// The raw options, not n's: normalize strips the runtime-only
 	// TaskObserver, which still has to reach execution.
-	opts, err := q.Options.engine()
-	if err != nil {
-		return nil, err
-	}
+	opts := q.Options.engine()
 
 	// The parallelisable modes route through the streaming executor
 	// when the query's effective worker count exceeds one (Workers 0
-	// means GOMAXPROCS, so multi-core is the default path); ranked
-	// modes and the seeded/projected strategies are inherently
-	// sequential and ignore Workers (see QueryOptions.Workers).
+	// means GOMAXPROCS, so multi-core is the default path); the ranked
+	// modes are inherently sequential and ignore Workers (see
+	// QueryOptions.Workers).
 	workers := q.ParallelWorkers()
 
 	prog, delay := q.Options.Progress, q.Options.Delay
@@ -107,7 +108,10 @@ func Open(ctx context.Context, db *Database, q Query) (Results, error) {
 		}
 	}
 
-	var base Results
+	var (
+		base Results
+		err  error
+	)
 	switch n.Mode {
 	case ModeExact:
 		if workers > 1 {

@@ -88,41 +88,31 @@ type pinnedCase struct {
 	stats fd.Stats
 }
 
-var pinnedIdx = fd.QueryOptions{UseIndex: true, UseJoinIndex: true, Workers: 1}
-
-func withStrategy(o fd.QueryOptions, s string) fd.QueryOptions { o.Strategy = s; return o }
+// pinnedIdx is the zero options at Workers 1: it pins that a query
+// naming no options runs the indexed engine.
+var pinnedIdx = fd.QueryOptions{Workers: 1}
 
 var pinnedCases = []pinnedCase{
-	{"exact/singletons", equivDB, fd.Query{Options: withStrategy(pinnedIdx, "singletons")},
+	{"exact/singletons", equivDB, fd.Query{Options: pinnedIdx},
 		fd.Stats{Iterations: 155, Emitted: 103, JCCChecks: 2469, TuplesScanned: 1879, ListScans: 3310, PageReads: 1879, IndexProbes: 847, TuplesSkipped: 8297, SigHits: 1203, SigRebuilds: 409, MaxResident: 100}},
-	{"exact/seeded", equivDB, fd.Query{Options: withStrategy(pinnedIdx, "seeded")},
-		fd.Stats{Iterations: 403, Emitted: 103, JCCChecks: 5351, TuplesScanned: 3290, ListScans: 9466, PageReads: 3290, IndexProbes: 1520, TuplesSkipped: 13398, SigHits: 3081, SigRebuilds: 808, MaxResident: 103}},
-	{"exact/projected", equivDB, fd.Query{Options: withStrategy(pinnedIdx, "projected")},
-		fd.Stats{Iterations: 155, Emitted: 103, JCCChecks: 2438, TuplesScanned: 1802, ListScans: 3824, PageReads: 1802, IndexProbes: 782, TuplesSkipped: 12214, SigHits: 1184, SigRebuilds: 404, MaxResident: 100}},
 	{"approx", dirtyDB, fd.Query{Mode: fd.ModeApprox, Tau: 0.7, Options: pinnedIdx},
 		fd.Stats{Iterations: 25, Emitted: 12, JCCChecks: 128, TuplesScanned: 140, ListScans: 101, PageReads: 140, IndexProbes: 78, TuplesSkipped: 1068, SigHits: 0, SigRebuilds: 0, MaxResident: 12}},
-	{"approx/sweep", dirtyDB, fd.Query{Mode: fd.ModeApprox, Tau: 0.7,
-		Options: fd.QueryOptions{UseIndex: true, Workers: 1}},
-		fd.Stats{Iterations: 25, Emitted: 12, JCCChecks: 395, TuplesScanned: 1094, ListScans: 199, PageReads: 1094, IndexProbes: 0, TuplesSkipped: 0, SigHits: 0, SigRebuilds: 0, MaxResident: 12}},
 	{"approx/exact-sim", equivDB, fd.Query{Mode: fd.ModeApprox, Tau: 1, Sim: "exact", Options: pinnedIdx},
 		fd.Stats{Iterations: 155, Emitted: 103, JCCChecks: 1583, TuplesScanned: 1879, ListScans: 3683, PageReads: 1879, IndexProbes: 847, TuplesSkipped: 8297, SigHits: 0, SigRebuilds: 0, MaxResident: 100}},
-	{"ranked/fmax", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "fmax",
-		Options: fd.QueryOptions{UseIndex: true}},
-		fd.Stats{Iterations: 120, Emitted: 103, JCCChecks: 9686, TuplesScanned: 9024, ListScans: 4636, PageReads: 9024, IndexProbes: 0, TuplesSkipped: 0, SigHits: 1930, SigRebuilds: 513, MaxResident: 0}},
+	{"ranked/fmax", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "fmax"},
+		fd.Stats{Iterations: 120, Emitted: 103, JCCChecks: 2821, TuplesScanned: 1767, ListScans: 4155, PageReads: 1767, IndexProbes: 770, TuplesSkipped: 7769, SigHits: 1590, SigRebuilds: 351, MaxResident: 0}},
 	{"ranked/pairsum", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "pairsum", Options: pinnedIdx},
 		fd.Stats{Iterations: 213, Emitted: 103, JCCChecks: 16335, TuplesScanned: 3079, ListScans: 8970, PageReads: 3079, IndexProbes: 1335, TuplesSkipped: 12921, SigHits: 14171, SigRebuilds: 618, MaxResident: 0}},
 	{"approx-ranked/fmax", dirtyDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax", Options: pinnedIdx},
 		fd.Stats{Iterations: 44, Emitted: 32, JCCChecks: 383, TuplesScanned: 472, ListScans: 723, PageReads: 472, IndexProbes: 197, TuplesSkipped: 2192, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},
 	{"approx-ranked/pairsum", dirtyDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "pairsum", Options: pinnedIdx},
 		fd.Stats{Iterations: 69, Emitted: 32, JCCChecks: 647, TuplesScanned: 694, ListScans: 1109, PageReads: 694, IndexProbes: 285, TuplesSkipped: 3026, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},
-	{"exact/K", equivDB, fd.Query{K: 5, Options: fd.QueryOptions{UseIndex: true, Workers: 1}},
-		fd.Stats{Iterations: 5, Emitted: 5, JCCChecks: 465, TuplesScanned: 384, ListScans: 144, PageReads: 384, IndexProbes: 0, TuplesSkipped: 0, SigHits: 135, SigRebuilds: 59, MaxResident: 34}},
-	{"ranked/K", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 4,
-		Options: fd.QueryOptions{UseIndex: true}},
-		fd.Stats{Iterations: 4, Emitted: 4, JCCChecks: 453, TuplesScanned: 320, ListScans: 84, PageReads: 320, IndexProbes: 0, TuplesSkipped: 0, SigHits: 179, SigRebuilds: 40, MaxResident: 0}},
-	{"ranked/RankTau", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", RankTau: 9,
-		Options: fd.QueryOptions{UseIndex: true}},
-		fd.Stats{Iterations: 60, Emitted: 59, JCCChecks: 5160, TuplesScanned: 4224, ListScans: 2380, PageReads: 4224, IndexProbes: 0, TuplesSkipped: 0, SigHits: 1504, SigRebuilds: 415, MaxResident: 0}},
+	{"exact/K", equivDB, fd.Query{K: 5, Options: pinnedIdx},
+		fd.Stats{Iterations: 5, Emitted: 5, JCCChecks: 170, TuplesScanned: 86, ListScans: 124, PageReads: 86, IndexProbes: 35, TuplesSkipped: 394, SigHits: 109, SigRebuilds: 39, MaxResident: 34}},
+	{"ranked/K", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 4},
+		fd.Stats{Iterations: 4, Emitted: 4, JCCChecks: 196, TuplesScanned: 59, ListScans: 68, PageReads: 59, IndexProbes: 28, TuplesSkipped: 325, SigHits: 157, SigRebuilds: 24, MaxResident: 0}},
+	{"ranked/RankTau", equivDB, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", RankTau: 9},
+		fd.Stats{Iterations: 60, Emitted: 59, JCCChecks: 1939, TuplesScanned: 887, ListScans: 2157, PageReads: 887, IndexProbes: 380, TuplesSkipped: 3497, SigHits: 1312, SigRebuilds: 264, MaxResident: 0}},
 	{"approx-ranked/K", dirtyDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax", K: 3, Options: pinnedIdx},
 		fd.Stats{Iterations: 3, Emitted: 3, JCCChecks: 15, TuplesScanned: 21, ListScans: 4, PageReads: 21, IndexProbes: 12, TuplesSkipped: 171, SigHits: 0, SigRebuilds: 0, MaxResident: 0}},
 	{"approx-ranked/RankTau", equivDB, fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax", RankTau: 9, Options: pinnedIdx},
@@ -130,9 +120,8 @@ var pinnedCases = []pinnedCase{
 }
 
 // TestOpenPinnedStats pins the engine work of every mode: the full
-// Stats of a Workers-1 drain for exact (each init strategy), approx,
-// ranked and approx-ranked queries, and for K- and RankTau-bounded
-// ones. A bounded drain must also be exactly the matching prefix of
+// Stats of a Workers-1 drain for exact, approx, ranked and
+// approx-ranked queries, and for K- and RankTau-bounded ones. A bounded drain must also be exactly the matching prefix of
 // its unbounded drain, ranks included.
 func TestOpenPinnedStats(t *testing.T) {
 	for _, c := range pinnedCases {
@@ -180,34 +169,33 @@ func sameSequence(t *testing.T, label string, got, want []fd.Result) {
 	}
 }
 
+// indexed is the one engine configuration fd.Open runs, spelled as
+// core.Options for the engine cursors the tests compare it with.
+var indexed = core.Options{UseIndex: true, UseJoinIndex: true}
+
 // TestOpenEquivalentToExactWrappers proves fd.Open coincides with the
 // exact engine entry points the removed FullDisjunction and Stream
-// wrappers delegated to: the full drain under every init strategy,
-// stats included, and the K-bounded prefix.
+// wrappers delegated to, under the indexed configuration: the full
+// drain, stats included, and the K-bounded prefix. The §7
+// initialisation strategies are engine options only; internal/core
+// pins them (TestEnginePinnedStats).
 func TestOpenEquivalentToExactWrappers(t *testing.T) {
 	db := equivDB(t)
-	for _, strategy := range []string{"singletons", "seeded", "projected"} {
-		strat, err := fd.ParseInitStrategy(strategy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := core.Options{UseIndex: true, UseJoinIndex: true, Strategy: strat}
-		wantSets, wantStats, err := core.FullDisjunction(db, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Workers pinned to 1: the engine cursor is sequential, and on
-		// a multicore box Workers 0 would resolve to a parallel cursor
-		// whose arrival order is not the canonical sequence.
-		got, gotStats := openDrain(t, db, exactQuery(fd.QueryOptions{UseIndex: true, UseJoinIndex: true, Strategy: strategy}))
-		sameSequence(t, "exact/"+strategy, got, unrankedResults(wantSets))
-		if gotStats != wantStats {
-			t.Errorf("exact/%s stats differ:\n open   %+v\n engine %+v", strategy, gotStats, wantStats)
-		}
+	wantSets, wantStats, err := core.FullDisjunction(db, indexed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Workers pinned to 1: the engine cursor is sequential, and on a
+	// multicore box Workers 0 would resolve to a parallel cursor whose
+	// arrival order is not the canonical sequence.
+	got, gotStats := openDrain(t, db, exactQuery(fd.QueryOptions{}))
+	sameSequence(t, "exact", got, unrankedResults(wantSets))
+	if gotStats != wantStats {
+		t.Errorf("exact stats differ:\n open   %+v\n engine %+v", gotStats, wantStats)
 	}
 
 	// K-bounded prefix ≡ the engine cursor stopped after K results.
-	c, err := core.NewCursor(context.Background(), db, core.Options{UseIndex: true})
+	c, err := core.NewCursor(context.Background(), db, indexed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +208,9 @@ func TestOpenEquivalentToExactWrappers(t *testing.T) {
 		prefix = append(prefix, s)
 	}
 	c.Close()
-	qk := exactQuery(fd.QueryOptions{UseIndex: true})
+	qk := exactQuery(fd.QueryOptions{})
 	qk.K = 5
-	got, gotStats := openDrain(t, db, qk)
+	got, gotStats = openDrain(t, db, qk)
 	sameSequence(t, "exact/K", got, unrankedResults(prefix))
 	if wantStats := c.Stats(); gotStats != wantStats {
 		t.Errorf("exact/K stats differ:\n open   %+v\n engine %+v", gotStats, wantStats)
@@ -235,23 +223,22 @@ func TestOpenEquivalentToExactWrappers(t *testing.T) {
 func TestOpenEquivalentToRankedWrappers(t *testing.T) {
 	db := equivDB(t)
 	open := func() *rank.Cursor {
-		c, err := rank.NewCursor(context.Background(), db, rank.FMax{}, core.Options{UseIndex: true})
+		c, err := rank.NewCursor(context.Background(), db, rank.FMax{}, indexed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	qopts := fd.QueryOptions{UseIndex: true}
 
 	want, wantStats := rankedPrefix(open(), -1, 0)
-	got, gotStats := openDrain(t, db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", Options: qopts})
+	got, gotStats := openDrain(t, db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax"})
 	sameSequence(t, "ranked", got, want)
 	if gotStats != wantStats {
 		t.Errorf("ranked stats differ:\n open   %+v\n engine %+v", gotStats, wantStats)
 	}
 
 	top, topStats := rankedPrefix(open(), 4, 0)
-	gotTop, gotTopStats := openDrain(t, db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 4, Options: qopts})
+	gotTop, gotTopStats := openDrain(t, db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 4})
 	sameSequence(t, "ranked/K", gotTop, top)
 	if gotTopStats != topStats {
 		t.Errorf("top-k stats differ:\n open   %+v\n engine %+v", gotTopStats, topStats)
@@ -259,7 +246,7 @@ func TestOpenEquivalentToRankedWrappers(t *testing.T) {
 
 	tau := want[len(want)/2].Rank
 	thr, thrStats := rankedPrefix(open(), -1, tau)
-	gotThr, gotThrStats := openDrain(t, db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", RankTau: tau, Options: qopts})
+	gotThr, gotThrStats := openDrain(t, db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", RankTau: tau})
 	sameSequence(t, "ranked/RankTau", gotThr, thr)
 	if gotThrStats != thrStats {
 		t.Errorf("threshold stats differ:\n open   %+v\n engine %+v", gotThrStats, thrStats)
@@ -269,15 +256,12 @@ func TestOpenEquivalentToRankedWrappers(t *testing.T) {
 // TestOpenEquivalentToApproxWrappers proves fd.Open coincides with the
 // approximate engine cursors the removed ApproxStream,
 // ApproxStreamRanked, ApproxTopK and ApproxThreshold wrappers
-// delegated to.
+// delegated to, under the indexed configuration.
 func TestOpenEquivalentToApproxWrappers(t *testing.T) {
 	db := dirtyDB(t)
 	amin := &approx.Amin{S: approx.LevenshteinSim{}}
-	// The wrappers ran with the hash index on; the equivalent query
-	// spells it out.
-	opts := core.Options{UseIndex: true}
 
-	c, err := approx.NewCursor(context.Background(), db, amin, 0.7, opts)
+	c, err := approx.NewCursor(context.Background(), db, amin, 0.7, indexed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +271,7 @@ func TestOpenEquivalentToApproxWrappers(t *testing.T) {
 	}
 	// Workers pinned to 1 so the arrival order matches the sequential
 	// engine cursor on any GOMAXPROCS.
-	q := fd.Query{Mode: fd.ModeApprox, Tau: 0.7, Options: fd.QueryOptions{UseIndex: true, Workers: 1}}
+	q := fd.Query{Mode: fd.ModeApprox, Tau: 0.7, Options: fd.QueryOptions{Workers: 1}}
 	got, gotStats := openDrain(t, db, q)
 	sameSequence(t, "approx", got, unrankedResults(wantSets))
 	if gotStats != wantStats {
@@ -295,15 +279,14 @@ func TestOpenEquivalentToApproxWrappers(t *testing.T) {
 	}
 
 	open := func() *rank.Cursor {
-		c, err := rank.NewApproxCursor(context.Background(), db, amin, 0.6, rank.FMax{}, opts)
+		c, err := rank.NewApproxCursor(context.Background(), db, amin, 0.6, rank.FMax{}, indexed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
 	wantRanked, wantRankedStats := rankedPrefix(open(), -1, 0)
-	qr := fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax",
-		Options: fd.QueryOptions{UseIndex: true}}
+	qr := fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax"}
 	gotRanked, gotRankedStats := openDrain(t, db, qr)
 	sameSequence(t, "approx-ranked", gotRanked, wantRanked)
 	if gotRankedStats != wantRankedStats {

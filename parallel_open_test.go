@@ -3,12 +3,14 @@ package fd_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
 	fd "repro"
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -52,7 +54,9 @@ func sameMultiset(t *testing.T, label string, got, want map[string]int) {
 // TestPropertyParallelMatchesSequential is the tentpole property:
 // across randomized chain/star/clique workloads, exact and approx
 // modes, and Workers ∈ {1, 2, GOMAXPROCS}, the parallel streaming
-// cursor delivers exactly the sequential cursor's result multiset, and
+// cursor — through fd.Open, and for exact mode also the engine cursor
+// under random index flags — delivers exactly the sequential cursor's
+// result multiset, and
 // its merged counters stay consistent with the sequential run (the
 // pass partition does identical work; anchor-window block splits never
 // do more). Run under -race this also exercises the merge path for
@@ -85,21 +89,39 @@ func TestPropertyParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact := fd.Query{Mode: fd.ModeExact, Options: fd.QueryOptions{
-				UseIndex:     rng.Intn(2) == 0,
-				UseJoinIndex: rng.Intn(2) == 0,
-				Workers:      1,
-			}}
-			wantKeys, wantStats := drainKeys(t, db, exact)
-			for _, w := range workerCounts {
-				q := exact
-				q.Options.Workers = w
-				gotKeys, gotStats := drainKeys(t, db, q)
-				label := shape.name + "/exact"
-				sameMultiset(t, label, gotKeys, wantKeys)
-				if gotStats.JCCChecks < wantStats.JCCChecks || gotStats.JCCChecks > 4*wantStats.JCCChecks {
-					t.Fatalf("%s Workers=%d: JCCChecks=%d outside [%d, %d]",
-						label, w, gotStats.JCCChecks, wantStats.JCCChecks, 4*wantStats.JCCChecks)
+			// fd.Open, and the engine cursors under random index flags.
+			opts := core.Options{UseIndex: rng.Intn(2) == 0, UseJoinIndex: rng.Intn(2) == 0}
+			drains := map[string]func(workers int) (map[string]int, fd.Stats){
+				"fd.Open": func(workers int) (map[string]int, fd.Stats) {
+					return drainKeys(t, db, fd.Query{Options: fd.QueryOptions{Workers: workers}})
+				},
+				fmt.Sprintf("%+v", opts): func(workers int) (map[string]int, fd.Stats) {
+					var (
+						keys  map[string]int
+						stats fd.Stats
+						err   error
+					)
+					if workers == 1 {
+						keys, stats, err = drainCursor(core.NewCursor(context.Background(), db, opts))
+					} else {
+						keys, stats, err = drainCursor(core.NewParallelCursor(context.Background(), db, opts, workers))
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					return keys, stats
+				},
+			}
+			for name, drain := range drains {
+				label := shape.name + "/exact " + name
+				wantKeys, wantStats := drain(1)
+				for _, w := range workerCounts {
+					gotKeys, gotStats := drain(w)
+					sameMultiset(t, label, gotKeys, wantKeys)
+					if gotStats.JCCChecks < wantStats.JCCChecks || gotStats.JCCChecks > 4*wantStats.JCCChecks {
+						t.Fatalf("%s Workers=%d: JCCChecks=%d outside [%d, %d]",
+							label, w, gotStats.JCCChecks, wantStats.JCCChecks, 4*wantStats.JCCChecks)
+					}
 				}
 			}
 		}
@@ -114,7 +136,7 @@ func TestPropertyParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		approxQ := fd.Query{Mode: fd.ModeApprox, Tau: 0.6 + 0.1*float64(rng.Intn(3)),
-			Options: fd.QueryOptions{UseIndex: true, Workers: 1}}
+			Options: fd.QueryOptions{Workers: 1}}
 		wantKeys, wantStats := drainKeys(t, db, approxQ)
 		for _, w := range workerCounts {
 			q := approxQ
@@ -138,7 +160,7 @@ func TestPropertyParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := fd.Query{Mode: fd.ModeExact, Options: fd.QueryOptions{UseIndex: true, Workers: 1}}
+	seq := fd.Query{Mode: fd.ModeExact, Options: fd.QueryOptions{Workers: 1}}
 	wantKeys, wantStats := drainKeys(t, db, seq)
 	par := seq
 	par.Options.Workers = 8
@@ -156,7 +178,7 @@ func TestPropertyParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq = fd.Query{Mode: fd.ModeApprox, Tau: 0.6, Options: fd.QueryOptions{UseIndex: true, Workers: 1}}
+	seq = fd.Query{Mode: fd.ModeApprox, Tau: 0.6, Options: fd.QueryOptions{Workers: 1}}
 	wantKeys, _ = drainKeys(t, db, seq)
 	par = seq
 	par.Options.Workers = 8
@@ -189,8 +211,8 @@ func TestParallelOpenCloseAndCancelLeak(t *testing.T) {
 		db   *fd.Database
 		spec fd.Query
 	}{
-		{chainDB, fd.Query{Mode: fd.ModeExact, Options: fd.QueryOptions{UseIndex: true, Workers: 4}}},
-		{dirty, fd.Query{Mode: fd.ModeApprox, Tau: 0.6, Options: fd.QueryOptions{UseIndex: true, Workers: 4}}},
+		{chainDB, fd.Query{Mode: fd.ModeExact, Options: fd.QueryOptions{Workers: 4}}},
+		{dirty, fd.Query{Mode: fd.ModeApprox, Tau: 0.6, Options: fd.QueryOptions{Workers: 4}}},
 	} {
 		rs, err := fd.Open(context.Background(), q.db, q.spec)
 		if err != nil {
@@ -208,7 +230,7 @@ func TestParallelOpenCloseAndCancelLeak(t *testing.T) {
 	// Cancellation mid-stream.
 	ctx, cancel := context.WithCancel(context.Background())
 	rs, err := fd.Open(ctx, chainDB, fd.Query{Mode: fd.ModeExact,
-		Options: fd.QueryOptions{UseIndex: true, Workers: 4}})
+		Options: fd.QueryOptions{Workers: 4}})
 	if err != nil {
 		cancel()
 		t.Fatal(err)
@@ -244,7 +266,7 @@ func TestParallelKBound(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	got, _ := drainKeys(t, db, fd.Query{Mode: fd.ModeExact, K: 5,
-		Options: fd.QueryOptions{UseIndex: true, Workers: 4}})
+		Options: fd.QueryOptions{Workers: 4}})
 	total := 0
 	for _, n := range got {
 		total += n

@@ -103,9 +103,10 @@ type passEnumerators func(pass, lo, hi int, opts core.Options) (suffix, full cor
 // and the oracle on tiny decoded databases. Per pass, anchor window and
 // index flags, for the exact engine and for Amin and Aprod: the suffix
 // pass emits exactly the full pass's results whose minimal relation is
-// the pass, in no more iterations. Per index flags and Workers
-// {1, 2, 3}: fd.Open (exact, and approx under both similarities) and
-// the Aprod cursors are multiset-equal to the internal/naive oracle.
+// the pass, in no more iterations. Per Workers {1, 2, 3}: fd.Open
+// (exact, and approx under both similarities), and per index flags the
+// exact, Amin and Aprod engine cursors, are multiset-equal to the
+// internal/naive oracle.
 // The seed corpus is testdata/fuzz/FuzzPassOwnership; run the fuzzer
 // with
 //
@@ -172,54 +173,82 @@ func checkSuffixPasses(t *testing.T, db *relation.Database, label string, open p
 	}
 }
 
-// checkOracle holds fd.Open, and the approx cursors under Aprod (which
-// fd.Open does not offer), to the brute-force oracle.
+// checkOracle holds fd.Open, and the engine cursors under every index
+// flag combination (Aprod, which fd.Open does not offer, included), to
+// the brute-force oracle.
 func checkOracle(t *testing.T, db *relation.Database, tau float64) {
 	t.Helper()
 	u := tupleset.NewUniverse(db)
 	exact := countSets(naive.FullDisjunction(db))
-	amin := map[string]map[string]int{}
-	for name, sim := range map[string]approx.Sim{"levenshtein": approx.LevenshteinSim{}, "exact": approx.ExactSim{}} {
-		a := &approx.Amin{S: sim}
-		amin[name] = countSets(naive.ApproxFullDisjunction(db, func(s *tupleset.Set) float64 { return a.Score(u, s) }, tau))
+	sims := map[string]approx.Sim{"levenshtein": approx.LevenshteinSim{}, "exact": approx.ExactSim{}}
+	joins := map[string]approx.Join{"aprod": &approx.Aprod{S: approx.LevenshteinSim{}}}
+	for name, sim := range sims {
+		joins["amin/"+name] = &approx.Amin{S: sim}
 	}
-	aprod := &approx.Aprod{S: approx.LevenshteinSim{}}
-	aprodWant := countSets(naive.ApproxFullDisjunction(db, func(s *tupleset.Set) float64 { return aprod.Score(u, s) }, tau))
-	for _, flags := range fuzzFlags {
-		for workers := 1; workers <= 3; workers++ {
-			o := fd.QueryOptions{UseIndex: flags.UseIndex, UseJoinIndex: flags.UseJoinIndex, Workers: workers}
-			where := fmt.Sprintf("%+v", o)
-			got, _ := drainKeys(t, db, fd.Query{Options: o})
-			sameMultiset(t, "exact "+where, got, exact)
-			for sim, want := range amin {
-				got, _ := drainKeys(t, db, fd.Query{Mode: fd.ModeApprox, Tau: tau, Sim: sim, Options: o})
-				sameMultiset(t, "approx/"+sim+" "+where, got, want)
-			}
-			var c interface {
-				Next() (*tupleset.Set, bool)
-				Err() error
-				Close()
-			}
-			var err error
+	want := map[string]map[string]int{}
+	for name, a := range joins {
+		want[name] = countSets(naive.ApproxFullDisjunction(db, func(s *tupleset.Set) float64 { return a.Score(u, s) }, tau))
+	}
+	ctx := context.Background()
+	for workers := 1; workers <= 3; workers++ {
+		o := fd.QueryOptions{Workers: workers}
+		where := fmt.Sprintf("fd.Open %+v", o)
+		got, _ := drainKeys(t, db, fd.Query{Options: o})
+		sameMultiset(t, "exact "+where, got, exact)
+		for name := range sims {
+			got, _ := drainKeys(t, db, fd.Query{Mode: fd.ModeApprox, Tau: tau, Sim: name, Options: o})
+			sameMultiset(t, "approx/"+name+" "+where, got, want["amin/"+name])
+		}
+		for _, flags := range fuzzFlags {
+			where := fmt.Sprintf("%+v workers %d", flags, workers)
+			var (
+				got map[string]int
+				err error
+			)
 			if workers == 1 {
-				c, err = approx.NewCursor(context.Background(), db, aprod, tau, flags)
+				got, _, err = drainCursor(core.NewCursor(ctx, db, flags))
 			} else {
-				c, err = approx.NewParallelCursor(context.Background(), db, aprod, tau, flags, workers)
+				got, _, err = drainCursor(core.NewParallelCursor(ctx, db, flags, workers))
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = map[string]int{}
-			for s, ok := c.Next(); ok; s, ok = c.Next() {
-				got[s.Key()]++
+			sameMultiset(t, "exact "+where, got, exact)
+			for name, a := range joins {
+				if workers == 1 {
+					got, _, err = drainCursor(approx.NewCursor(ctx, db, a, tau, flags))
+				} else {
+					got, _, err = drainCursor(approx.NewParallelCursor(ctx, db, a, tau, flags, workers))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameMultiset(t, name+" "+where, got, want[name])
 			}
-			c.Close()
-			if err := c.Err(); err != nil {
-				t.Fatal(err)
-			}
-			sameMultiset(t, "aprod "+where, got, aprodWant)
 		}
 	}
+}
+
+// setCursor is the shape of every unranked engine cursor.
+type setCursor interface {
+	Next() (*tupleset.Set, bool)
+	Err() error
+	Stats() fd.Stats
+	Close()
+}
+
+// drainCursor drains an engine cursor, as opened, to its result
+// multiset and final stats.
+func drainCursor[C setCursor](c C, err error) (map[string]int, fd.Stats, error) {
+	if err != nil {
+		return nil, fd.Stats{}, err
+	}
+	defer c.Close()
+	got := map[string]int{}
+	for s, ok := c.Next(); ok; s, ok = c.Next() {
+		got[s.Key()]++
+	}
+	return got, c.Stats(), c.Err()
 }
 
 func drainTask(e core.TaskEnumerator) []*tupleset.Set {

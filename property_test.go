@@ -2,9 +2,9 @@ package fd_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -33,7 +33,8 @@ func randomConfig(relations, tuples, domain uint8, nullRate float64, seed int64)
 
 // TestPropertyFDMatchesOracle drives the exact query against the
 // definitional oracle on quick-generated workload configurations across
-// all generator shapes and execution options.
+// all generator shapes: fd.Open, and the engine under every index flag
+// and initialisation strategy.
 func TestPropertyFDMatchesOracle(t *testing.T) {
 	shapes := []func(workload.Config) (*fd.Database, error){
 		workload.Chain,
@@ -47,32 +48,29 @@ func TestPropertyFDMatchesOracle(t *testing.T) {
 		if err != nil {
 			return true // star needs ≥2 relations etc.; skip invalid configs
 		}
-		opts := fd.QueryOptions{
-			UseIndex:     useIndex,
-			UseJoinIndex: useJoinIndex,
-			Strategy:     []string{"singletons", "seeded", "projected"}[int(strat)%3],
-		}
-		got, _, err := drainSets(db, exactQuery(opts))
+		want := countSets(naive.FullDisjunction(db))
+		opened, _, err := drainSets(db, exactQuery(fd.QueryOptions{}))
 		if err != nil {
 			t.Logf("full disjunction error: %v", err)
 			return false
 		}
-		want := naive.FullDisjunction(db)
-		if len(got) != len(want) {
-			t.Logf("size mismatch: got %d want %d (cfg %+v)", len(got), len(want), cfg)
+		opts := core.Options{
+			UseIndex:     useIndex,
+			UseJoinIndex: useJoinIndex,
+			Strategy:     []core.InitStrategy{core.InitSingletons, core.InitSeeded, core.InitProjected}[int(strat)%3],
+		}
+		engine, _, err := core.FullDisjunction(db, opts)
+		if err != nil {
+			t.Logf("full disjunction error: %v", err)
 			return false
 		}
-		gotKeys := make([]string, len(got))
-		for i, s := range got {
-			gotKeys[i] = s.Key()
+		for _, got := range []map[string]int{countSets(opened), countSets(engine)} {
+			if !reflect.DeepEqual(got, want) {
+				t.Logf("mismatch: got %d want %d (cfg %+v, opts %+v)", len(got), len(want), cfg, opts)
+				return false
+			}
 		}
-		wantKeys := make([]string, len(want))
-		for i, s := range want {
-			wantKeys[i] = s.Key()
-		}
-		sort.Strings(gotKeys)
-		sort.Strings(wantKeys)
-		return reflect.DeepEqual(gotKeys, wantKeys)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -262,7 +260,7 @@ func TestPropertyApproxContainsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		approxSets, _, err := drainSets(db, fd.Query{Mode: fd.ModeApprox, Tau: tau, Sim: "levenshtein",
-			Options: fd.QueryOptions{UseIndex: true, Workers: 1}})
+			Options: fd.QueryOptions{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +432,7 @@ func TestPropertySignatureCountersMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := drainSets(db, exactQuery(fd.QueryOptions{UseIndex: true, UseJoinIndex: true}))
+	_, stats, err := drainSets(db, exactQuery(fd.QueryOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +448,7 @@ func TestPropertySignatureCountersMove(t *testing.T) {
 // by the dictionary-code posting index produces exactly the same full
 // disjunction as the full sweep, for every initialisation strategy and
 // workload shape, while visiting strictly fewer tuples on selective
-// workloads.
+// workloads; fd.Open, which always runs the index, agrees too.
 func TestPropertyJoinIndexEquivalence(t *testing.T) {
 	shapes := map[string]func(workload.Config) (*fd.Database, error){
 		"chain":  workload.Chain,
@@ -466,36 +464,49 @@ func TestPropertyJoinIndexEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, strat := range []string{"singletons", "seeded", "projected"} {
-				sweep, _, err := drainSets(db, exactQuery(fd.QueryOptions{Strategy: strat}))
+			for _, strat := range []core.InitStrategy{core.InitSingletons, core.InitSeeded, core.InitProjected} {
+				sweep, _, err := core.FullDisjunction(db, core.Options{Strategy: strat})
 				if err != nil {
 					t.Fatal(err)
 				}
-				indexed, stats, err := drainSets(db, exactQuery(fd.QueryOptions{Strategy: strat, UseJoinIndex: true}))
+				indexed, stats, err := core.FullDisjunction(db, core.Options{Strategy: strat, UseJoinIndex: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := make(map[string]bool, len(sweep))
-				for _, s := range sweep {
-					want[s.Key()] = true
-				}
-				if len(indexed) != len(sweep) {
-					t.Fatalf("%s seed %d %v: %d results with join index, %d without",
-						name, seed, strat, len(indexed), len(sweep))
-				}
-				for _, s := range indexed {
-					if !want[s.Key()] {
-						t.Fatalf("%s seed %d %v: join index produced a result the sweep did not: %s",
-							name, seed, strat, s.Format(db))
-					}
-				}
+				checkSameSets(t, fmt.Sprintf("%s seed %d %v", name, seed, strat), db, indexed, sweep)
 				if stats.TuplesSkipped > 0 {
 					skippedSomewhere = true
 				}
+				if strat != core.InitSingletons {
+					continue
+				}
+				opened, _, err := drainSets(db, exactQuery(fd.QueryOptions{}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSameSets(t, fmt.Sprintf("%s seed %d fd.Open", name, seed), db, opened, sweep)
 			}
 		}
 	}
 	if !skippedSomewhere {
 		t.Error("candidate iteration never skipped a tuple; the index is not being consulted")
+	}
+}
+
+// checkSameSets fails the test unless got and the sweep's sets are the
+// same set of results.
+func checkSameSets(t *testing.T, label string, db *fd.Database, got, sweep []*fd.TupleSet) {
+	t.Helper()
+	want := make(map[string]bool, len(sweep))
+	for _, s := range sweep {
+		want[s.Key()] = true
+	}
+	if len(got) != len(sweep) {
+		t.Fatalf("%s: %d results with join index, %d without", label, len(got), len(sweep))
+	}
+	for _, s := range got {
+		if !want[s.Key()] {
+			t.Fatalf("%s: join index produced a result the sweep did not: %s", label, s.Format(db))
+		}
 	}
 }

@@ -31,31 +31,28 @@ const (
 	ModeApproxRanked Mode = "approx-ranked"
 )
 
-// QueryOptions carries the engine knobs of a Query. The serialisable
-// fields travel in the Query's JSON encoding and participate in its
-// canonical form (they can change the emission order, which a cached
+// QueryOptions carries the execution options of a Query. Workers
+// travels in the Query's JSON encoding and participates in its
+// canonical form (it can change the emission order, which a cached
 // result list replays); TaskObserver, Delay and Progress are
 // process-local observers that do neither.
+//
+// There is no engine configuration to choose: Open always runs with
+// the §7 hash index over the Complete and Incomplete lists and the
+// join candidate index over the database, the fastest configuration
+// fdbench E9 measures. The other §7 configurations remain engine
+// options (internal/core.Options) for the experiments.
 type QueryOptions struct {
-	// UseIndex enables the §7 hash index over the Complete and
-	// Incomplete lists.
-	UseIndex bool `json:"use_index,omitempty"`
-	// UseJoinIndex enables candidate-only database scans over the
-	// join posting index: the equi-matches of a member's join value or,
-	// in the approximate modes, the tuples with probability ≥ τ whose
-	// value is τ-similar to it.
-	UseJoinIndex bool `json:"use_join_index,omitempty"`
-	// Strategy names the Incomplete initialisation of exact mode:
-	// "singletons" (default), "seeded" or "projected" (§7).
-	Strategy string `json:"strategy,omitempty"`
+	// Deprecated: ignored; both indexes are always on.
+	UseIndex bool `json:"-"`
+	// Deprecated: ignored; both indexes are always on.
+	UseJoinIndex bool `json:"-"`
 	// Workers bounds the intra-query parallelism of the streaming
 	// executor: 0 (the default) selects GOMAXPROCS, 1 forces the
 	// sequential path, higher values run that many enumeration workers.
-	// Only the parallelisable paths use it — exact mode under the
-	// restart ("singletons") strategy and the approx modes; the ranked
-	// modes are inherently serial (the Fig 3 priority-queue order) and
-	// the seeded/projected initialisations feed each pass from the
-	// previous one, so there Workers is ignored and normalised away.
+	// Only the exact and approx modes use it; the ranked modes are
+	// inherently serial (the Fig 3 priority-queue order), so there
+	// Workers is ignored and normalised away.
 	Workers int `json:"workers,omitempty"`
 	// TaskObserver, when non-nil, receives a TaskSpan each time a
 	// parallel enumeration task finishes — the observability hook the
@@ -74,34 +71,10 @@ type QueryOptions struct {
 	Progress *Progress `json:"-"`
 }
 
-// engine renders the options as core.Options; the strategy name must
-// already be validated.
-func (o QueryOptions) engine() (core.Options, error) {
-	strat, err := ParseInitStrategy(o.Strategy)
-	if err != nil {
-		return core.Options{}, err
-	}
-	return core.Options{
-		UseIndex:     o.UseIndex,
-		UseJoinIndex: o.UseJoinIndex,
-		Strategy:     strat,
-		TaskObserver: o.TaskObserver,
-	}, nil
-}
-
-// ParseInitStrategy resolves a strategy name from a Query's options;
-// the empty name selects InitSingletons.
-func ParseInitStrategy(name string) (InitStrategy, error) {
-	switch name {
-	case "", "singletons":
-		return InitSingletons, nil
-	case "seeded":
-		return InitSeeded, nil
-	case "projected":
-		return InitProjected, nil
-	default:
-		return 0, fmt.Errorf("fd: unknown init strategy %q (singletons, seeded, projected)", name)
-	}
+// engine renders the options as core.Options: both indexes on, plus
+// the task observer.
+func (o QueryOptions) engine() core.Options {
+	return core.Options{UseIndex: true, UseJoinIndex: true, TaskObserver: o.TaskObserver}
 }
 
 // RankByName resolves a ranking-function name of a Query: "fmax",
@@ -166,40 +139,32 @@ type Query struct {
 	// from the canonical form: a follow query shares its cache entry
 	// with the one-shot spelling.
 	Follow bool `json:"follow,omitempty"`
-	// Options carries the engine knobs.
+	// Options carries the execution options.
 	Options QueryOptions `json:"options,omitzero"`
 }
 
-// normalize resolves defaults (mode, similarity, strategy)
-// so that queries meaning the same computation compare equal in
-// Canonical.
+// normalize resolves defaults (mode, similarity) so that queries
+// meaning the same computation compare equal in Canonical.
 func (q Query) normalize() Query {
 	if q.Mode == "" {
 		q.Mode = ModeExact
 	}
-	if q.Options.Strategy == "" {
-		q.Options.Strategy = "singletons"
-	}
 	if (q.Mode == ModeApprox || q.Mode == ModeApproxRanked) && q.Sim == "" {
 		q.Sim = "levenshtein"
 	}
-	if q.Mode != ModeExact {
-		// Only the exact driver has per-pass initialisation strategies.
-		q.Options.Strategy = "singletons"
-	}
-	if q.Mode == ModeRanked || q.Mode == ModeApproxRanked ||
-		(q.Mode == ModeExact && q.Options.Strategy != "singletons") {
+	if q.Mode == ModeRanked || q.Mode == ModeApproxRanked {
 		// Workers is ignored on the inherently sequential paths; zero it
 		// so spellings that cannot differ share one canonical key.
 		q.Options.Workers = 0
 	}
-	q.Options.TaskObserver, q.Options.Delay, q.Options.Progress = nil, nil, nil
+	// Workers is the only option of the spec: the observers are
+	// runtime-only and the index fields ignored.
+	q.Options = QueryOptions{Workers: q.Options.Workers}
 	return q
 }
 
 // ParallelWorkers reports the worker count Open would actually run q
-// with: 1 on the sequential paths (ranked modes, seeded/projected
-// strategies), otherwise the
+// with: 1 on the sequential paths (the ranked modes), otherwise the
 // requested Workers with 0 resolved to GOMAXPROCS. Admission layers
 // (internal/service) use it to budget intra-query parallelism before
 // opening the cursor.
@@ -207,9 +172,6 @@ func (q Query) ParallelWorkers() int {
 	n := q.normalize()
 	switch n.Mode {
 	case ModeRanked, ModeApproxRanked:
-		return 1
-	}
-	if n.Mode == ModeExact && n.Options.Strategy != "singletons" {
 		return 1
 	}
 	w := n.Options.Workers
@@ -274,12 +236,6 @@ func (q Query) Validate() error {
 	if q.Options.Workers < 0 {
 		return fmt.Errorf("fd: negative workers %d", q.Options.Workers)
 	}
-	if _, err := ParseInitStrategy(q.Options.Strategy); err != nil {
-		return err
-	}
-	if (ranked || approxMode) && q.Options.Strategy != "" && q.Options.Strategy != "singletons" {
-		return fmt.Errorf("fd: init strategy %q given for mode %q (only the exact driver has per-pass initialisation strategies)", q.Options.Strategy, q.Mode)
-	}
 	if q.Follow {
 		if ranked {
 			return fmt.Errorf("fd: follow subscription for ranked mode %q (rank order is a property of a finished enumeration)", q.Mode)
@@ -294,14 +250,13 @@ func (q Query) Validate() error {
 // Canonical renders every result-affecting field of the (normalised)
 // query in a fixed order. Two valid queries describing the same
 // computation produce the same canonical string, so it keys result
-// caches together with a database content fingerprint: engine knobs are
-// included because they may change the emission order a cached list
+// caches together with a database content fingerprint: Workers is
+// included because it may change the emission order a cached list
 // replays, the mode parameters because they change the result sequence
-// itself. Runtime-only options (TaskObserver, Delay, Progress) affect
-// neither and are excluded.
+// itself. Runtime-only options (TaskObserver, Delay, Progress) and the
+// ignored index fields affect neither and are excluded.
 func (q Query) Canonical() string {
 	n := q.normalize()
-	return fmt.Sprintf("fdq3|mode=%s|rank=%s|k=%d|tau=%g|ranktau=%g|sim=%s|idx=%t|jidx=%t|strat=%s|wrk=%d",
-		n.Mode, n.Rank, n.K, n.Tau, n.RankTau, n.Sim,
-		n.Options.UseIndex, n.Options.UseJoinIndex, n.Options.Strategy, n.Options.Workers)
+	return fmt.Sprintf("fdq4|mode=%s|rank=%s|k=%d|tau=%g|ranktau=%g|sim=%s|wrk=%d",
+		n.Mode, n.Rank, n.K, n.Tau, n.RankTau, n.Sim, n.Options.Workers)
 }

@@ -12,22 +12,10 @@ func randomQuery(rng *rand.Rand) Query {
 	modes := []Mode{ModeExact, ModeRanked, ModeApprox, ModeApproxRanked}
 	ranks := []string{"fmax", "pairsum", "triple"}
 	sims := []string{"", "levenshtein", "exact"}
-	strategies := []string{"", "singletons", "seeded", "projected"}
 	q := Query{
-		Mode: modes[rng.Intn(len(modes))],
-		K:    rng.Intn(4),
-		Options: QueryOptions{
-			UseIndex:     rng.Intn(2) == 0,
-			UseJoinIndex: rng.Intn(2) == 0,
-			Workers:      rng.Intn(3),
-		},
-	}
-	if q.Mode == ModeExact {
-		// Only the exact driver has initialisation strategies; any
-		// other mode rejects a non-default one.
-		q.Options.Strategy = strategies[rng.Intn(len(strategies))]
-	} else if rng.Intn(2) == 0 {
-		q.Options.Strategy = "singletons"
+		Mode:    modes[rng.Intn(len(modes))],
+		K:       rng.Intn(4),
+		Options: QueryOptions{Workers: rng.Intn(3)},
 	}
 	if q.Mode == ModeRanked || q.Mode == ModeApproxRanked {
 		q.Rank = ranks[rng.Intn(len(ranks))]
@@ -76,7 +64,6 @@ func TestPropertyQueryJSONRoundTrip(t *testing.T) {
 func TestQueryCanonicalNormalisation(t *testing.T) {
 	same := [][2]Query{
 		{{}, {Mode: ModeExact}},
-		{{Mode: ModeExact}, {Mode: ModeExact, Options: QueryOptions{Strategy: "singletons"}}},
 		{{Mode: ModeApprox, Tau: 0.5}, {Mode: ModeApprox, Tau: 0.5, Sim: "levenshtein"}},
 		{{Mode: ModeExact, Options: QueryOptions{Delay: NewDelay(4)}}, {Mode: ModeExact}},
 		// Workers is meaningless on paths that always run sequentially,
@@ -84,8 +71,12 @@ func TestQueryCanonicalNormalisation(t *testing.T) {
 		{{Mode: ModeRanked, Rank: "fmax", Options: QueryOptions{Workers: 4}}, {Mode: ModeRanked, Rank: "fmax"}},
 		{{Mode: ModeApproxRanked, Tau: 0.5, Rank: "fmax", Options: QueryOptions{Workers: 4}},
 			{Mode: ModeApproxRanked, Tau: 0.5, Rank: "fmax"}},
-		{{Mode: ModeExact, Options: QueryOptions{Strategy: "seeded", Workers: 4}},
-			{Mode: ModeExact, Options: QueryOptions{Strategy: "seeded"}}},
+		// The deprecated index fields are ignored, so spellings that
+		// differ only in them share one key.
+		{{Mode: ModeExact, Options: QueryOptions{UseIndex: true, UseJoinIndex: true, Workers: 1}},
+			{Mode: ModeExact, Options: QueryOptions{Workers: 1}}},
+		{{Mode: ModeApprox, Tau: 0.5, Options: QueryOptions{UseJoinIndex: true}},
+			{Mode: ModeApprox, Tau: 0.5, Options: QueryOptions{UseIndex: true}}},
 	}
 	for _, pair := range same {
 		if pair[0].Canonical() != pair[1].Canonical() {
@@ -96,9 +87,6 @@ func TestQueryCanonicalNormalisation(t *testing.T) {
 	distinct := []Query{
 		{Mode: ModeExact},
 		{Mode: ModeExact, K: 3},
-		{Mode: ModeExact, Options: QueryOptions{UseIndex: true}},
-		{Mode: ModeExact, Options: QueryOptions{UseJoinIndex: true}},
-		{Mode: ModeExact, Options: QueryOptions{Strategy: "seeded"}},
 		{Mode: ModeRanked, Rank: "fmax"},
 		{Mode: ModeRanked, Rank: "pairsum"},
 		{Mode: ModeRanked, Rank: "fmax", RankTau: 2},
@@ -126,24 +114,19 @@ func TestQueryCanonicalNormalisation(t *testing.T) {
 func TestQueryValidate(t *testing.T) {
 	bad := []Query{
 		{Mode: "nope"},
-		{Mode: ModeRanked},                         // no rank function
-		{Mode: ModeRanked, Rank: "fsum"},           // not c-determined
-		{Mode: ModeApprox},                         // no tau
-		{Mode: ModeApprox, Tau: 1.5},               // tau out of range
-		{Mode: ModeApprox, Tau: 0.5, Sim: "nope"},  // unknown sim
-		{Mode: ModeApproxRanked, Tau: 0.5},         // no rank function
-		{Mode: ModeExact, Rank: "fmax"},            // rank on exact
-		{Mode: ModeExact, RankTau: 1},              // rank threshold on exact
-		{Mode: ModeExact, Tau: 0.5},                // approx tau on exact
-		{Mode: ModeExact, Sim: "exact"},            // sim on exact
-		{Mode: ModeRanked, Rank: "fmax", Tau: 0.5}, // approx tau on ranked
-		{Mode: ModeApprox, Tau: 0.5, RankTau: 1},   // rank threshold on approx
-		{Mode: ModeExact, K: -1},                   // negative k
-		{Mode: ModeExact, Options: QueryOptions{Strategy: "bogus"}},
-		// Only the exact driver has initialisation strategies; a
-		// non-default one anywhere else would be silently ignored.
-		{Mode: ModeRanked, Rank: "fmax", Options: QueryOptions{Strategy: "seeded"}},
-		{Mode: ModeApprox, Tau: 0.5, Options: QueryOptions{Strategy: "projected"}},
+		{Mode: ModeRanked},                                    // no rank function
+		{Mode: ModeRanked, Rank: "fsum"},                      // not c-determined
+		{Mode: ModeApprox},                                    // no tau
+		{Mode: ModeApprox, Tau: 1.5},                          // tau out of range
+		{Mode: ModeApprox, Tau: 0.5, Sim: "nope"},             // unknown sim
+		{Mode: ModeApproxRanked, Tau: 0.5},                    // no rank function
+		{Mode: ModeExact, Rank: "fmax"},                       // rank on exact
+		{Mode: ModeExact, RankTau: 1},                         // rank threshold on exact
+		{Mode: ModeExact, Tau: 0.5},                           // approx tau on exact
+		{Mode: ModeExact, Sim: "exact"},                       // sim on exact
+		{Mode: ModeRanked, Rank: "fmax", Tau: 0.5},            // approx tau on ranked
+		{Mode: ModeApprox, Tau: 0.5, RankTau: 1},              // rank threshold on approx
+		{Mode: ModeExact, K: -1},                              // negative k
 		{Mode: ModeExact, Options: QueryOptions{Workers: -1}}, // negative workers
 	}
 	for _, q := range bad {
@@ -153,7 +136,7 @@ func TestQueryValidate(t *testing.T) {
 	}
 	good := []Query{
 		{},
-		{Mode: ModeExact, K: 5, Options: QueryOptions{UseIndex: true, Strategy: "projected"}},
+		{Mode: ModeExact, K: 5},
 		{Mode: ModeRanked, Rank: "triple", RankTau: 0.5},
 		{Mode: ModeApprox, Tau: 1},
 		{Mode: ModeApproxRanked, Tau: 0.25, Rank: "fmax", K: 2, Sim: "exact"},
@@ -174,7 +157,7 @@ func TestQueryValidate(t *testing.T) {
 // under one version must never be read back under another.
 func TestQueryCanonicalForm(t *testing.T) {
 	got := Query{}.Canonical()
-	want := "fdq3|mode=exact|rank=|k=0|tau=0|ranktau=0|sim=|idx=false|jidx=false|strat=singletons|wrk=0"
+	want := "fdq4|mode=exact|rank=|k=0|tau=0|ranktau=0|sim=|wrk=0"
 	if got != want {
 		t.Errorf("Canonical() = %q, want %q", got, want)
 	}

@@ -155,6 +155,24 @@ if ! grep -q '"label":"pass ' <<<"$plan"; then
 fi
 echo "explain: parallel strategy planned for workers:4"
 
+# fd.Open has one engine configuration: an options-free plan reports
+# the join index engaged, and the removed engine knobs are rejected by
+# strict decoding instead of silently ignored.
+plan="$(curl -fsS -X POST "$base/explain" -d '{"database":"w","mode":"exact"}')"
+if ! grep -q '"join_index":true' <<<"$plan"; then
+  echo "FAIL: options-free plan does not report the join index: $plan" >&2
+  exit 1
+fi
+for opts in '{"strategy":"seeded"}' '{"use_index":false}'; do
+  code="$(curl -sS -o /dev/null -w '%{http_code}' -X POST "$base/queries" \
+    -d "{\"database\":\"w\",\"options\":$opts}")"
+  if [ "$code" != "400" ]; then
+    echo "FAIL: options $opts answered $code, want 400" >&2
+    exit 1
+  fi
+done
+echo "explain: join index engaged by default; removed engine options rejected"
+
 # Progress polled mid-page must be well-formed and monotone in
 # results_emitted across pages, ending in phase "done".
 iqid="$(curl -fsS -X POST "$base/queries" \
