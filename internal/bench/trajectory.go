@@ -71,6 +71,7 @@ type Record struct {
 // Experiments without a structured form are simply absent.
 func Trajectories() map[string]func() (*Table, *Record, error) {
 	return map[string]func() (*Table, *Record, error){
+		"E6":  E6Both,
 		"E9":  E9Both,
 		"E12": E12Both,
 		"E13": E13Both,

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Counter gate: reruns the E9 ablation, the E12 append benchmark and
-# the E13 approximate-join rungs and compares the deterministic engine
-# counters of every variant against the committed BENCH_e9.json,
-# BENCH_append.json and BENCH_approx.json. The counters count
+# Counter gate: reruns the E6 ranked rungs, the E9 ablation, the E12
+# append benchmark and the E13 approximate-join rungs and compares the
+# deterministic engine counters of every variant against the committed
+# BENCH_ranked.json, BENCH_e9.json, BENCH_append.json and
+# BENCH_approx.json. The counters count
 # work (predicate evaluations, scanned tuples, list scans, page reads),
 # not time, so they repeat exactly on any machine: a mismatch means the
 # engine does different work, and the fix is either the code or a
 # regenerated BENCH file in the same change. Wall time, allocations and
 # wall-clock delay are never compared; the work-unit delay of the
-# sequential E9 rungs (delay_work_max) is, since it counts work too. Every E9 "parallel ×N" rung must also
+# sequential rungs (delay_work_max) is, since it counts work too. Every E9 "parallel ×N" rung must also
 # deliver the results of the sequential "+ join-candidate index" rung
 # it partitions, with no more jcc_checks and list_scans: the anchor
 # windows of a block split divide a pass's work, never repeat it. Every
@@ -24,9 +25,9 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/fdbench" ./cmd/fdbench
-"$tmp/fdbench" -e E9,E12,E13 -json "$tmp/run.json" >/dev/null
+"$tmp/fdbench" -e E6,E9,E12,E13 -json "$tmp/run.json" >/dev/null
 
-python3 - "$tmp/run.json" BENCH_e9.json BENCH_append.json BENCH_approx.json <<'EOF'
+python3 - "$tmp/run.json" BENCH_ranked.json BENCH_e9.json BENCH_append.json BENCH_approx.json <<'EOF'
 import json
 import sys
 
