@@ -47,7 +47,7 @@ func BenchmarkE1Tourist(b *testing.B) {
 func BenchmarkE2Seed(b *testing.B) {
 	db := workload.Tourist()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.FDi(db, 0, core.Options{}); err != nil {
+		if _, _, err := core.FDi(db, core.JCC, 0, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,9 +58,12 @@ func BenchmarkE3Approx(b *testing.B) {
 	db, sims := workload.TouristApprox()
 	// The Fig 4 similarities are a table, which a Query cannot name, so
 	// this runs the engine directly.
-	amin := &approx.Amin{S: approx.NewSimTable(sims)}
+	amin, err := approx.Qualify(&approx.Amin{S: approx.NewSimTable(sims)}, 0.4)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := approx.FullDisjunction(db, amin, 0.4, core.Options{UseIndex: true}); err != nil {
+		if _, _, err := core.FullDisjunction(db, amin, core.Options{UseIndex: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -193,7 +196,7 @@ func BenchmarkE9Ablations(b *testing.B) {
 	for name, opts := range variants {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.FullDisjunction(db, opts); err != nil {
+				if _, _, err := core.FullDisjunction(db, core.JCC, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -277,7 +280,7 @@ func BenchmarkUnionJCC(b *testing.B) {
 		b.Fatal(err)
 	}
 	u := tupleset.NewUniverse(db)
-	sets, _, err := core.FullDisjunction(db, core.Options{UseIndex: true})
+	sets, _, err := core.FullDisjunction(db, core.JCC, core.Options{UseIndex: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -304,7 +307,7 @@ func BenchmarkJCCWithTuple(b *testing.B) {
 		b.Fatal(err)
 	}
 	u := tupleset.NewUniverse(db)
-	sets, _, err := core.FullDisjunction(db, core.Options{UseIndex: true})
+	sets, _, err := core.FullDisjunction(db, core.JCC, core.Options{UseIndex: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -350,7 +353,7 @@ func BenchmarkJCCWithTuple(b *testing.B) {
 func BenchmarkMaximalSubset(b *testing.B) {
 	db := chainDB(b, 5, 24)
 	u := tupleset.NewUniverse(db)
-	sets, _, err := core.FullDisjunction(db, core.Options{UseIndex: true})
+	sets, _, err := core.FullDisjunction(db, core.JCC, core.Options{UseIndex: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -385,7 +388,7 @@ func BenchmarkMaximalSubset(b *testing.B) {
 func BenchmarkSubstrates(b *testing.B) {
 	db := chainDB(b, 5, 24)
 	u := tupleset.NewUniverse(db)
-	sets, _, err := core.FullDisjunction(db, core.Options{UseIndex: true})
+	sets, _, err := core.FullDisjunction(db, core.JCC, core.Options{UseIndex: true})
 	if err != nil {
 		b.Fatal(err)
 	}

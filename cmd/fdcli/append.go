@@ -47,7 +47,7 @@ func runAppend(db *fd.Database, spec string, stdout, stderr io.Writer) error {
 	}
 
 	opts := core.Options{UseIndex: true, UseJoinIndex: true}
-	base, _, err := core.FullDisjunction(db, opts)
+	base, _, err := core.FullDisjunction(db, core.JCC, opts)
 	if err != nil {
 		return err
 	}

@@ -71,7 +71,7 @@ func chainCount(t *testing.T) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets, _, err := core.FullDisjunction(db, core.Options{UseIndex: true})
+	sets, _, err := core.FullDisjunction(db, core.JCC, core.Options{UseIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}

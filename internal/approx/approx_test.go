@@ -55,7 +55,7 @@ func TestFig4FullDisjunction(t *testing.T) {
 	db, sims := workload.TouristApprox()
 	u := tupleset.NewUniverse(db)
 	amin := &Amin{S: NewSimTable(sims)}
-	results, _, err := FullDisjunction(db, amin, 0.4, core.Options{UseIndex: true})
+	results, _, err := core.FullDisjunction(db, qualify(t, amin, 0.4), core.Options{UseIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestAminMatchesOracle(t *testing.T) {
 		amin := &Amin{S: LevenshteinSim{}}
 		score := func(s *tupleset.Set) float64 { return amin.Score(u, s) }
 		for _, tau := range []float64{0.3, 0.5, 0.8, 0.95} {
-			got, _, err := FullDisjunction(db, amin, tau, core.Options{UseIndex: true})
+			got, _, err := core.FullDisjunction(db, qualify(t, amin, tau), core.Options{UseIndex: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +254,7 @@ func TestAprodMatchesOracle(t *testing.T) {
 		aprod := &Aprod{S: LevenshteinSim{}}
 		score := func(s *tupleset.Set) float64 { return aprod.Score(u, s) }
 		for _, tau := range []float64{0.5, 0.8} {
-			got, _, err := FullDisjunction(db, aprod, tau, core.Options{UseIndex: true})
+			got, _, err := core.FullDisjunction(db, qualify(t, aprod, tau), core.Options{UseIndex: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,11 +281,11 @@ func TestExactSimDegeneratesToFD(t *testing.T) {
 	db := workload.Tourist()
 	amin := &Amin{S: ExactSim{}}
 	for _, tau := range []float64{0.2, 0.7, 1.0} {
-		got, _, err := FullDisjunction(db, amin, tau, core.Options{UseIndex: true})
+		got, _, err := core.FullDisjunction(db, qualify(t, amin, tau), core.Options{UseIndex: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := core.FullDisjunction(db, core.Options{})
+		want, _, err := core.FullDisjunction(db, core.JCC, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func TestThresholdMonotonicity(t *testing.T) {
 	u := tupleset.NewUniverse(db)
 	prevCovered := -1
 	for _, tau := range []float64{0.95, 0.8, 0.6, 0.4, 0.2} {
-		out, _, err := FullDisjunction(db, amin, tau, core.Options{UseIndex: true})
+		out, _, err := core.FullDisjunction(db, qualify(t, amin, tau), core.Options{UseIndex: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,22 +346,34 @@ func TestThresholdMonotonicity(t *testing.T) {
 	}
 }
 
+// qualify is Qualify for a join and threshold the test knows valid.
+func qualify(t testing.TB, a Join, tau float64) core.Predicate {
+	t.Helper()
+	p, err := Qualify(a, tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestEnumeratorValidation(t *testing.T) {
 	db := workload.Tourist()
+	u := tupleset.NewUniverse(db)
 	amin := &Amin{S: ExactSim{}}
-	if _, err := NewEnumerator(db, -1, amin, 0.5, core.Options{UseIndex: true}); err == nil {
+	p := qualify(t, amin, 0.5)
+	if _, err := core.NewEnumerator(u, p, -1, core.Options{UseIndex: true}); err == nil {
 		t.Error("negative seed accepted")
 	}
-	if _, err := NewEnumerator(db, 9, amin, 0.5, core.Options{UseIndex: true}); err == nil {
+	if _, err := core.NewEnumerator(u, p, 9, core.Options{UseIndex: true}); err == nil {
 		t.Error("out-of-range seed accepted")
 	}
-	if _, err := NewEnumerator(db, 0, nil, 0.5, core.Options{UseIndex: true}); err == nil {
+	if _, err := Qualify(nil, 0.5); err == nil {
 		t.Error("nil join accepted")
 	}
-	if _, err := NewEnumerator(db, 0, amin, 0, core.Options{UseIndex: true}); err == nil {
+	if _, err := Qualify(amin, 0); err == nil {
 		t.Error("zero τ accepted")
 	}
-	if _, err := NewEnumerator(db, 0, amin, 1.5, core.Options{UseIndex: true}); err == nil {
+	if _, err := Qualify(amin, 1.5); err == nil {
 		t.Error("τ>1 accepted")
 	}
 	if !amin.EfficientlyComputable() {

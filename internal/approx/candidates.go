@@ -8,10 +8,10 @@ import (
 	"repro/internal/tupleset"
 )
 
-// NewScanner builds the scanner of an (a, τ) enumeration over the
+// Scanner builds the scanner of an (A, τ) enumeration over the
 // relations minRel..n-1 of u's database, accounting into stats. With
 // opts.UseJoinIndex it derives the candidate source of the join-index
-// walks from a and its Sim (core.NewCandidateScanner argues why the
+// walks from A and its Sim (core.NewCandidateScanner argues why the
 // walks stay exhaustive):
 //
 //   - Amin and Aprod drop the tuples t with A({t}) < τ, and probe the
@@ -22,7 +22,8 @@ import (
 //     bound no code, keeps the full sweep.
 //
 // Without opts.UseJoinIndex every walk is the sweep.
-func NewScanner(u *tupleset.Universe, a Join, tau float64, opts core.Options, minRel int, stats *core.Stats) *core.Scanner {
+func (q qualifier) Scanner(u *tupleset.Universe, opts core.Options, minRel int, stats *core.Stats) *core.Scanner {
+	a, tau := q.a, q.tau
 	db := u.DB
 	var sim Sim
 	switch j := a.(type) {

@@ -80,7 +80,7 @@ func randomQualifying(u *tupleset.Universe, rng *rand.Rand, a Join, tau float64,
 				T = s
 			}
 		case rng.Intn(3) > 0:
-			if ext := extension(u, a, tau, T, ref, &core.Stats{}); ext != nil {
+			if ext := (qualifier{a, tau}).extension(u, T, ref, &core.Stats{}); ext != nil {
 				T = ext
 			}
 		}
@@ -88,7 +88,7 @@ func randomQualifying(u *tupleset.Universe, rng *rand.Rand, a Join, tau float64,
 	return T
 }
 
-// TestSimCandidatesExhaustive checks the candidate source NewScanner
+// TestSimCandidatesExhaustive checks the candidate source Scanner
 // derives for Amin and Aprod under LevenshteinSim: for random
 // qualifying sets T on tiny chain, cycle and star databases, every tb
 // ∉ T that matters is visited by the join-index walk — by the
@@ -108,7 +108,7 @@ func TestSimCandidatesExhaustive(t *testing.T) {
 				for seed := 0; seed < n; seed++ {
 					for _, minRel := range []int{0, seed} {
 						var stats core.Stats
-						sc := NewScanner(u, a, tau, core.Options{UseJoinIndex: true}, minRel, &stats)
+						sc := qualifier{a, tau}.Scanner(u, core.Options{UseJoinIndex: true}, minRel, &stats)
 						prefix := sc.Prefix()
 						for trial := 0; trial < 4; trial++ {
 							T := randomQualifying(u, rng, a, tau, minRel)
@@ -122,7 +122,7 @@ func TestSimCandidatesExhaustive(t *testing.T) {
 								if T.Has(tb) {
 									return true
 								}
-								if extension(u, a, tau, T, tb, &stats) != nil {
+								if (qualifier{a, tau}).extension(u, T, tb, &stats) != nil {
 									checked["extension"]++
 									if int(tb.Rel) >= minRel && !ext[tb] || int(tb.Rel) < minRel && !ext0[tb] {
 										t.Fatalf("%s: T ∪ {%s} qualifies but tb was not visited", where, db.Label(tb))

@@ -67,11 +67,11 @@ func TestApproxJoinIndexEngages(t *testing.T) {
 		for _, seed := range []int64{3, 17, 29} {
 			where := fmt.Sprintf("%s τ %v seed %d", c.name, c.tau, seed)
 			db := c.db(t, seed)
-			plain, plainStats, err := FullDisjunction(db, c.a, c.tau, core.Options{UseIndex: true})
+			plain, plainStats, err := core.FullDisjunction(db, qualify(t, c.a, c.tau), core.Options{UseIndex: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			indexed, idxStats, err := FullDisjunction(db, c.a, c.tau,
+			indexed, idxStats, err := core.FullDisjunction(db, qualify(t, c.a, c.tau),
 				core.Options{UseIndex: true, UseJoinIndex: true})
 			if err != nil {
 				t.Fatal(err)
@@ -105,14 +105,14 @@ func TestApproxJoinIndexEngages(t *testing.T) {
 func TestApproxBlockAndPoolAccounting(t *testing.T) {
 	db := cleanDB(t, 7)
 	amin := &Amin{S: ExactSim{}}
-	_, tupleAtATime, err := FullDisjunction(db, amin, 0.5, core.Options{UseIndex: true})
+	_, tupleAtATime, err := core.FullDisjunction(db, qualify(t, amin, 0.5), core.Options{UseIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tupleAtATime.PageReads == 0 {
 		t.Fatal("approx scans record no page reads at all")
 	}
-	_, blocked, err := FullDisjunction(db, amin, 0.5, core.Options{UseIndex: true, BlockSize: 4})
+	_, blocked, err := core.FullDisjunction(db, qualify(t, amin, 0.5), core.Options{UseIndex: true, BlockSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestApproxBlockAndPoolAccounting(t *testing.T) {
 			blocked.PageReads, tupleAtATime.PageReads)
 	}
 	pool := storage.NewBufferPool(1024)
-	_, pooled, err := FullDisjunction(db, amin, 0.5,
+	_, pooled, err := core.FullDisjunction(db, qualify(t, amin, 0.5),
 		core.Options{UseIndex: true, BlockSize: 4, Pool: pool})
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,12 @@
-// Package approx implements Section 6 of Cohen & Sagiv 2007:
-// approximate join functions built from per-tuple probabilities and
-// pairwise similarities, the acceptable/efficiently-computable classes,
-// and APPROXINCREMENTALFD (Figs 5–6), which emits the (A,τ)-approximate
-// full disjunction in incremental polynomial time (Theorem 6.6).
+// Package approx implements Section 6 of Cohen & Sagiv 2007: pairwise
+// similarities, approximate join functions built from them and from
+// per-tuple probabilities (the acceptable/efficiently-computable
+// classes), the τ-similar candidate source of the join-index scans, and
+// the join predicate A(T) ≥ τ (Qualify). APPROXINCREMENTALFD (Figs 5–6)
+// is Figs 1–2 with that predicate in place of JCC, so the core
+// enumerators, cursors and deltas run it under Qualify's predicate and
+// emit the (A,τ)-approximate full disjunction in incremental
+// polynomial time (Theorem 6.6).
 package approx
 
 import (

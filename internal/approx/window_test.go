@@ -46,14 +46,15 @@ func TestWindowPartition(t *testing.T) {
 			for _, sim := range []Sim{ExactSim{}, LevenshteinSim{}} {
 				a := &Amin{S: sim}
 				tau := []float64{0.5, 0.6, 0.75}[rng.Intn(3)]
+				p, u := qualify(t, a, tau), tupleset.NewUniverse(db)
 				for _, opts := range []core.Options{{}, {UseIndex: true}, {UseJoinIndex: true}, {UseIndex: true, UseJoinIndex: true}} {
 					for pass := 0; pass < db.NumRelations(); pass++ {
-						full, err := NewEnumerator(db, pass, a, tau, opts)
+						full, err := core.NewEnumerator(u, p, pass, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
 						checkWindows(t, shape.name, db, pass, full.All(), rng, func(lo, hi int) ([]*tupleset.Set, error) {
-							e, err := NewWindowEnumerator(db, pass, lo, hi, a, tau, opts)
+							e, err := core.NewWindowEnumerator(u, p, pass, lo, hi, opts)
 							if err != nil {
 								return nil, err
 							}

@@ -37,7 +37,7 @@ func TestBatchMatchesOracleAndCore(t *testing.T) {
 			}
 		}
 		// The core algorithm agrees too.
-		coreSets, _, err := core.FullDisjunction(db, core.Options{})
+		coreSets, _, err := core.FullDisjunction(db, core.JCC, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestBatchDoesMoreWorkThanIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, batchStats := FullDisjunction(db)
-	_, coreStats, err := core.FullDisjunction(db, core.Options{UseIndex: true})
+	_, coreStats, err := core.FullDisjunction(db, core.JCC, core.Options{UseIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,10 +48,13 @@ func E8ApproxSweep() (*Table, error) {
 				multi++
 			}
 		}
-		aprod := &approx.Aprod{S: approx.LevenshteinSim{}}
+		aprod, err := approx.Qualify(&approx.Aprod{S: approx.LevenshteinSim{}}, tau)
+		if err != nil {
+			return nil, err
+		}
 		var aprodSets []*tupleset.Set
 		aprodTime := timeIt(func() {
-			aprodSets, _, err = approx.FullDisjunction(db, aprod, tau, core.Options{UseIndex: true})
+			aprodSets, _, err = core.FullDisjunction(db, aprod, core.Options{UseIndex: true})
 		})
 		if err != nil {
 			return nil, err
@@ -127,9 +130,9 @@ func drainPhased(db *relation.Database, v e9Variant) (e9Run, error) {
 	)
 	sequential := v.workers <= 1
 	if !sequential {
-		c, err = core.NewParallelCursor(context.Background(), db, v.opts, v.workers)
+		c, err = core.NewParallelCursor(context.Background(), db, core.JCC, v.opts, v.workers)
 	} else {
-		c, err = core.NewCursor(context.Background(), db, v.opts)
+		c, err = core.NewCursor(context.Background(), db, core.JCC, v.opts)
 	}
 	sp.End()
 	if err != nil {
@@ -261,7 +264,7 @@ func e9Table(rec *Record) (*Table, error) {
 		opts := core.Options{UseIndex: true, UseJoinIndex: true, Strategy: core.InitSeeded, BlockSize: block, Pool: pool}
 		var stats core.Stats
 		d := timeIt(func() {
-			_, stats, err = core.FullDisjunction(db, opts)
+			_, stats, err = core.FullDisjunction(db, core.JCC, opts)
 		})
 		if err != nil {
 			return nil, err
@@ -314,7 +317,7 @@ func E10Outerjoin() (*Table, error) {
 		}
 		var sets []*tupleset.Set
 		incTime := timeIt(func() {
-			sets, _, err = core.FullDisjunction(db, core.Options{UseIndex: true})
+			sets, _, err = core.FullDisjunction(db, core.JCC, core.Options{UseIndex: true})
 		})
 		if err != nil {
 			return nil, err
@@ -356,7 +359,7 @@ func E11Threshold() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	full, _, err := core.FullDisjunction(db, core.Options{UseIndex: true})
+	full, _, err := core.FullDisjunction(db, core.JCC, core.Options{UseIndex: true})
 	if err != nil {
 		return nil, err
 	}

@@ -121,7 +121,7 @@ func E12Both() (*Table, *Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	results, _, err := core.FullDisjunction(db, opts)
+	results, _, err := core.FullDisjunction(db, core.JCC, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -158,7 +158,7 @@ func E12Both() (*Table, *Record, error) {
 			}
 			rdb = next
 			var stats core.Stats
-			rebuilt, stats, rerr = core.FullDisjunction(rdb, opts)
+			rebuilt, stats, rerr = core.FullDisjunction(rdb, core.JCC, opts)
 			if rerr != nil {
 				err = rerr
 				return

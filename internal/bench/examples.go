@@ -14,7 +14,7 @@ import (
 // relations, with the padded-tuple rendering.
 func E1Tourist() (*Table, error) {
 	db := workload.Tourist()
-	results, stats, err := core.FullDisjunction(db, core.Options{})
+	results, stats, err := core.FullDisjunction(db, core.JCC, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +51,7 @@ func E2Trace() (*Table, error) {
 		Title:  "Table 3 — trace of IncrementalFD(R, 1)",
 		Header: []string{"iteration", "printed", "Incomplete", "Complete"},
 	}
-	e, err := core.NewEnumerator(u, 0, core.Options{})
+	e, err := core.NewEnumerator(u, core.JCC, 0, core.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -34,7 +34,7 @@ func E4TotalRuntime() (*Table, error) {
 		var sets []*tupleset.Set
 		var incrStats core.Stats
 		incrTime := timeIt(func() {
-			sets, incrStats, err = core.FullDisjunction(db, core.Options{UseIndex: true})
+			sets, incrStats, err = core.FullDisjunction(db, core.JCC, core.Options{UseIndex: true})
 		})
 		if err != nil {
 			return nil, err
@@ -128,7 +128,7 @@ func E6TopK() (*Table, error) {
 	var allTime time.Duration
 	var fdSize int
 	allTime = timeIt(func() {
-		sets, _, e := core.FullDisjunction(db, core.Options{UseIndex: true})
+		sets, _, e := core.FullDisjunction(db, core.JCC, core.Options{UseIndex: true})
 		if e != nil {
 			err = e
 			return

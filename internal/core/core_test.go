@@ -44,7 +44,7 @@ func TestTable2Reproduction(t *testing.T) {
 			name := fmt.Sprintf("strategy=%s/index=%v", strategy, useIndex)
 			t.Run(name, func(t *testing.T) {
 				db := workload.Tourist()
-				got, _, err := FullDisjunction(db, Options{Strategy: strategy, UseIndex: useIndex})
+				got, _, err := FullDisjunction(db, JCC, Options{Strategy: strategy, UseIndex: useIndex})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -69,7 +69,7 @@ func TestTable3Trace(t *testing.T) {
 		complete   []string
 	}
 	var got []snapshot
-	e, err := NewEnumerator(u, 0, Options{})
+	e, err := NewEnumerator(u, JCC, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFDiSeedSemantics(t *testing.T) {
 		2: {"{c1, a2, s1}", "{c1, s2}", "{c2, s3}", "{c2, s4}"},
 	}
 	for seed, want := range wantPerSeed {
-		got, _, err := FDi(db, seed, Options{})
+		got, _, err := FDi(db, JCC, seed, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestAgainstOracle(t *testing.T) {
 			want := formatAll(db, naive.FullDisjunction(db))
 			for _, strategy := range []InitStrategy{InitSingletons, InitSeeded, InitProjected} {
 				for _, useIndex := range []bool{false, true} {
-					got, _, err := FullDisjunction(db, Options{Strategy: strategy, UseIndex: useIndex})
+					got, _, err := FullDisjunction(db, JCC, Options{Strategy: strategy, UseIndex: useIndex})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -216,7 +216,7 @@ func TestNoDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strategy := range []InitStrategy{InitSingletons, InitSeeded, InitProjected} {
-		got, _, err := FullDisjunction(db, Options{Strategy: strategy, UseIndex: true})
+		got, _, err := FullDisjunction(db, JCC, Options{Strategy: strategy, UseIndex: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestOutputInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := tupleset.NewUniverse(db)
-	got, _, err := FullDisjunction(db, Options{})
+	got, _, err := FullDisjunction(db, JCC, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestStreamEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := FullDisjunction(db, Options{})
+	full, _, err := FullDisjunction(db, JCC, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestStreamEarlyStop(t *testing.T) {
 		fullKeys[s.Key()] = true
 	}
 	for _, k := range []int{1, 3, 7, len(full)} {
-		c, err := NewCursor(context.Background(), db, Options{})
+		c, err := NewCursor(context.Background(), db, JCC, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestCorollary47(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := 0; seed < db.NumRelations(); seed++ {
-		got, stats, err := FDi(db, seed, Options{})
+		got, stats, err := FDi(db, JCC, seed, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,12 +351,12 @@ func TestBlockExecutionEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, baseStats, err := FullDisjunction(db, Options{BlockSize: 1})
+	base, baseStats, err := FullDisjunction(db, JCC, Options{BlockSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bs := range []int{2, 5, 10, 64} {
-		got, stats, err := FullDisjunction(db, Options{BlockSize: bs})
+		got, stats, err := FullDisjunction(db, JCC, Options{BlockSize: bs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,11 +379,11 @@ func TestIndexReducesListScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, plainStats, err := FullDisjunction(db, Options{UseIndex: false})
+	plain, plainStats, err := FullDisjunction(db, JCC, Options{UseIndex: false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, indexedStats, err := FullDisjunction(db, Options{UseIndex: true})
+	indexed, indexedStats, err := FullDisjunction(db, JCC, Options{UseIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,15 +399,15 @@ func TestIndexReducesListScans(t *testing.T) {
 func TestEnumeratorErrors(t *testing.T) {
 	db := workload.Tourist()
 	u := tupleset.NewUniverse(db)
-	if _, err := NewEnumerator(u, -1, Options{}); err == nil {
+	if _, err := NewEnumerator(u, JCC, -1, Options{}); err == nil {
 		t.Error("negative seed accepted")
 	}
-	if _, err := NewEnumerator(u, 3, Options{}); err == nil {
+	if _, err := NewEnumerator(u, JCC, 3, Options{}); err == nil {
 		t.Error("out-of-range seed accepted")
 	}
 	// Seeded enumerator rejects seeds lacking the seed-relation tuple.
 	s := u.Singleton(relation.Ref{Rel: 1, Idx: 0})
-	if _, err := NewSeededEnumerator(u, 0, Options{}, []*tupleset.Set{s}, 0); err == nil {
+	if _, err := NewSeededEnumerator(u, JCC, 0, Options{}, []*tupleset.Set{s}, 0); err == nil {
 		t.Error("seed set without seed-relation tuple accepted")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/relation"
 	"repro/internal/tupleset"
@@ -9,10 +10,9 @@ import (
 
 // Cursor is the sequential pass driver of every unranked family: it
 // walks a task list in order, in the caller's goroutine, producing one
-// owned result per Next call. For the restart strategy and the
-// approximate passes the list is built from Layout(db, 1) — one
-// full-window task per pass, the same []Task shape NewTaskCursor runs
-// on its worker pool. The suspended state is explicit (the current
+// owned result per Next call. For the restart strategy the list is
+// built from Layout(db, 1) — one full-window task per pass, the same
+// []Task shape NewTaskCursor runs on its worker pool. The suspended state is explicit (the current
 // task's enumerator and, for the seeded strategies, the store of
 // previously printed results), so a cursor holds no goroutine and
 // abandoning one with Close leaks nothing.
@@ -33,7 +33,7 @@ type Cursor struct {
 	closed bool
 }
 
-// NewCursor prepares a pull-based enumeration of FD(R) with the
+// NewCursor prepares a pull-based enumeration of FD(R) under p with the
 // initialisation strategy selected in opts. No work happens until the
 // first Next call. Cancelling ctx makes the next step fail promptly:
 // Next returns ok=false within one GetNextResult iteration and Err
@@ -45,13 +45,23 @@ type Cursor struct {
 // ownership filter (NewPassEnumerator). The §7 seeded/projected
 // strategies scan only Ri..Rn in pass i, seed Incomplete from the
 // previously printed results, and suppress results contained in a
-// printed set.
-func NewCursor(ctx context.Context, db *relation.Database, opts Options) (*Cursor, error) {
-	u := tupleset.NewUniverse(db)
-	if opts.Strategy == InitSingletons {
-		return NewSequentialCursor(ctx, exactTasks(u, opts, 1)), nil
+// printed set; they run under JCC only.
+func NewCursor(ctx context.Context, db *relation.Database, p Predicate, opts Options) (*Cursor, error) {
+	if p == nil {
+		return nil, fmt.Errorf("core: nil join predicate")
 	}
-	c := NewSequentialCursor(ctx, nil)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	u := tupleset.NewUniverse(db)
+	c := &Cursor{ctx: ctx}
+	if opts.Strategy == InitSingletons {
+		c.tasks = passTasks(u, p, opts, 1)
+		return c, nil
+	}
+	if p != JCC {
+		return nil, fmt.Errorf("core: the %s strategy runs under the exact join predicate only", opts.Strategy)
+	}
 	printed := NewCompleteStore(u, true)
 	for _, m := range Layout(db, 1) {
 		pass := m.Pass
@@ -59,7 +69,7 @@ func NewCursor(ctx context.Context, db *relation.Database, opts Options) (*Curso
 			Label: m.Label,
 			Open: func() (TaskEnumerator, error) {
 				init := seedInit(u, pass, opts, printed, &c.total)
-				return NewSeededEnumerator(u, pass, opts, init, pass)
+				return NewSeededEnumerator(u, JCC, pass, opts, init, pass)
 			},
 			// The printed filter: a result subsumed by a previously
 			// printed set is suppressed (§7).
@@ -74,16 +84,6 @@ func NewCursor(ctx context.Context, db *relation.Database, opts Options) (*Curso
 		})
 	}
 	return c, nil
-}
-
-// NewSequentialCursor runs tasks one after another in the caller's
-// goroutine, delivering each result its task owns. A nil ctx means
-// context.Background().
-func NewSequentialCursor(ctx context.Context, tasks []Task) *Cursor {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &Cursor{ctx: ctx, tasks: tasks}
 }
 
 // Next produces the next owned result, or ok=false when the

@@ -42,7 +42,7 @@ func TestCursorMatchesStream(t *testing.T) {
 	for _, opts := range variants {
 		want, wantStats := textbookStream(t, db, opts)
 
-		c, err := NewCursor(context.Background(), db, opts)
+		c, err := NewCursor(context.Background(), db, JCC, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func fullPassStream(t *testing.T, db *relation.Database, opts Options) []string 
 	u := tupleset.NewUniverse(db)
 	var keys []string
 	for pass := 0; pass < db.NumRelations(); pass++ {
-		e, err := NewEnumerator(u, pass, opts)
+		e, err := NewEnumerator(u, JCC, pass, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,9 +130,9 @@ func textbookStream(t *testing.T, db *relation.Database, opts Options) ([]string
 		var e *Enumerator
 		var err error
 		if printed == nil {
-			e, err = NewPassEnumerator(u, pass, 0, db.Relation(pass).Len(), opts)
+			e, err = NewPassEnumerator(u, JCC, pass, 0, db.Relation(pass).Len(), opts)
 		} else {
-			e, err = NewSeededEnumerator(u, pass, opts, seedInit(u, pass, opts, printed, &total), pass)
+			e, err = NewSeededEnumerator(u, JCC, pass, opts, seedInit(u, pass, opts, printed, &total), pass)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -159,7 +159,7 @@ func textbookStream(t *testing.T, db *relation.Database, opts Options) ([]string
 // and folds the in-flight pass into its counters.
 func TestCursorCloseMidway(t *testing.T) {
 	db := cursorDB(t)
-	c, err := NewCursor(context.Background(), db, Options{UseIndex: true})
+	c, err := NewCursor(context.Background(), db, JCC, Options{UseIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestCursorNoGoroutineLeak(t *testing.T) {
 	db := cursorDB(t)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
-		c, err := NewCursor(context.Background(), db, Options{UseIndex: true, UseJoinIndex: true})
+		c, err := NewCursor(context.Background(), db, JCC, Options{UseIndex: true, UseJoinIndex: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestBlocksPinnedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCursor(context.Background(), db, Options{BlockSize: 4})
+	c, err := NewCursor(context.Background(), db, JCC, Options{BlockSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestEnginePinnedStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	indexed := Options{UseIndex: true, UseJoinIndex: true}
-	restart, _, err := FullDisjunction(db, indexed)
+	restart, _, err := FullDisjunction(db, JCC, indexed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestEnginePinnedStats(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cur, err := NewCursor(context.Background(), db, c.opts)
+			cur, err := NewCursor(context.Background(), db, JCC, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

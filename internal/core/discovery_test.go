@@ -124,12 +124,12 @@ func TestSeedCoverageInvariant(t *testing.T) {
 				m := db.Relation(seed).Len()
 				lo := rng.Intn(m + 1)
 				hi := lo + rng.Intn(m-lo+1)
-				w, err := NewWindowEnumerator(u, seed, lo, hi, opts)
+				w, err := NewWindowEnumerator(u, JCC, seed, lo, hi, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkCoverage(t, fmt.Sprintf("window [%d,%d)", lo, hi), w, seed, lo, hi)
-				p, err := NewPassEnumerator(u, seed, lo, hi, opts)
+				p, err := NewPassEnumerator(u, JCC, seed, lo, hi, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,7 +140,7 @@ func TestSeedCoverageInvariant(t *testing.T) {
 				var stats Stats
 				printed := NewCompleteStore(u, true)
 				for pass := 0; pass < n; pass++ {
-					e, err := NewSeededEnumerator(u, pass, opts, seedInit(u, pass, opts, printed, &stats), pass)
+					e, err := NewSeededEnumerator(u, JCC, pass, opts, seedInit(u, pass, opts, printed, &stats), pass)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -161,7 +161,7 @@ func TestSeedCoverageInvariant(t *testing.T) {
 // returns the results.
 func checkCoverage(t *testing.T, label string, e *Enumerator, seed, lo, hi int) []*tupleset.Set {
 	t.Helper()
-	db := e.u.DB
+	db := e.w.U.DB
 	var out []*tupleset.Set
 	for step := 0; ; step++ {
 		covered := map[int32]bool{}

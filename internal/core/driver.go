@@ -7,11 +7,11 @@ import (
 	"repro/internal/tupleset"
 )
 
-// FDi computes FDi(R): all tuple sets of the full disjunction that
-// contain a tuple of relation seed (Fig 1 executed to completion).
-func FDi(db *relation.Database, seed int, opts Options) ([]*tupleset.Set, Stats, error) {
+// FDi computes FDi(R) under p: all tuple sets of the full disjunction
+// that contain a tuple of relation seed (Fig 1 executed to completion).
+func FDi(db *relation.Database, p Predicate, seed int, opts Options) ([]*tupleset.Set, Stats, error) {
 	u := tupleset.NewUniverse(db)
-	e, err := NewEnumerator(u, seed, opts)
+	e, err := NewEnumerator(u, p, seed, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -19,11 +19,11 @@ func FDi(db *relation.Database, seed int, opts Options) ([]*tupleset.Set, Stats,
 	return out, e.Stats(), nil
 }
 
-// FullDisjunction computes FD(R) = ⋃i FDi(R) without duplicates,
-// using the initialisation strategy selected in opts: it drains a
-// Cursor.
-func FullDisjunction(db *relation.Database, opts Options) ([]*tupleset.Set, Stats, error) {
-	c, err := NewCursor(context.Background(), db, opts)
+// FullDisjunction computes FD(R) = ⋃i FDi(R) under p without
+// duplicates, using the initialisation strategy selected in opts: it
+// drains a Cursor.
+func FullDisjunction(db *relation.Database, p Predicate, opts Options) ([]*tupleset.Set, Stats, error) {
+	c, err := NewCursor(context.Background(), db, p, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -91,23 +91,9 @@ func projectSuffix(u *tupleset.Universe, s *tupleset.Set, i int) *tupleset.Set {
 // extendSuffix maximally extends s with tuples of relations i..n-1
 // (the loop of GETNEXTRESULT lines 2–6 restricted to the suffix).
 func extendSuffix(u *tupleset.Universe, s *tupleset.Set, i int, opts Options, stats *Stats) {
-	sc := NewScanner(u.DB, opts, i, stats)
-	var sig tupleset.SigCounters
-	defer stats.AddSig(&sig)
-	for changed := true; changed; {
-		changed = false
-		sc.ForEachExtension(s, func(ref relation.Ref) bool {
-			if s.Has(ref) {
-				return true
-			}
-			stats.JCCChecks++
-			if u.JCCWithTupleCounted(s, ref, &sig) {
-				s.Add(ref)
-				changed = true
-			}
-			return true
-		})
-	}
+	w := NewWalk(u, JCC, opts, i, stats)
+	JCC.Extend(w, s)
+	w.flush()
 }
 
 // dedupContained removes sets contained in another set of the slice

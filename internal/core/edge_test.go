@@ -19,7 +19,7 @@ func TestSingleRelation(t *testing.T) {
 	r.MustAppend("t0", map[relation.Attribute]relation.Value{"A": relation.V("1")})
 	r.MustAppend("t1", map[relation.Attribute]relation.Value{"B": relation.V("2")})
 	db := relation.MustDatabase(r)
-	got, _, err := FullDisjunction(db, Options{})
+	got, _, err := FullDisjunction(db, JCC, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestEmptyRelation(t *testing.T) {
 	r1.MustAppend("x", map[relation.Attribute]relation.Value{"A": relation.V("1")})
 	empty := relation.MustRelation("E", relation.MustSchema("A", "B"))
 	db := relation.MustDatabase(r1, empty)
-	got, _, err := FullDisjunction(db, Options{})
+	got, _, err := FullDisjunction(db, JCC, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestEmptyRelation(t *testing.T) {
 		t.Fatalf("FD = %v", got)
 	}
 	// FDi over the empty relation is empty.
-	fdE, _, err := FDi(db, 1, Options{})
+	fdE, _, err := FDi(db, JCC, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestDisconnectedSchema(t *testing.T) {
 	r3.MustAppend("z0", map[relation.Attribute]relation.Value{"X": relation.V("9")})
 	db := relation.MustDatabase(r1, r2, r3)
 
-	got, _, err := FullDisjunction(db, Options{})
+	got, _, err := FullDisjunction(db, JCC, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestAllNullJoinValues(t *testing.T) {
 	r2 := relation.MustRelation("R2", relation.MustSchema("J", "P2"))
 	r2.MustAppend("y0", map[relation.Attribute]relation.Value{"P2": relation.V("b")})
 	db := relation.MustDatabase(r1, r2)
-	got, _, err := FullDisjunction(db, Options{})
+	got, _, err := FullDisjunction(db, JCC, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestDuplicateTuples(t *testing.T) {
 	r2 := relation.MustRelation("R2", relation.MustSchema("A"))
 	r2.MustAppend("y0", map[relation.Attribute]relation.Value{"A": relation.V("1")})
 	db := relation.MustDatabase(r1, r2)
-	got, _, err := FullDisjunction(db, Options{})
+	got, _, err := FullDisjunction(db, JCC, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := FullDisjunction(db, Options{UseIndex: true})
+		want, _, err := FullDisjunction(db, JCC, Options{UseIndex: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestBufferPoolIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	const block = 4
-	base, baseStats, err := FullDisjunction(db, Options{BlockSize: block})
+	base, baseStats, err := FullDisjunction(db, JCC, Options{BlockSize: block})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestBufferPoolIntegration(t *testing.T) {
 	prevReads := baseStats.PageReads
 	for _, capacity := range []int{1, totalPages / 2, totalPages} {
 		pool := storage.NewBufferPool(capacity)
-		got, stats, err := FullDisjunction(db, Options{BlockSize: block, Pool: pool})
+		got, stats, err := FullDisjunction(db, JCC, Options{BlockSize: block, Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestBufferPoolIntegration(t *testing.T) {
 	}
 	// A pool covering the whole database only misses cold pages.
 	pool := storage.NewBufferPool(totalPages)
-	_, stats, err := FullDisjunction(db, Options{BlockSize: block, Pool: pool})
+	_, stats, err := FullDisjunction(db, JCC, Options{BlockSize: block, Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestBufferPoolIntegration(t *testing.T) {
 
 // parallelFD drains a parallel cursor over db.
 func parallelFD(db *relation.Database, opts Options, workers int) ([]*tupleset.Set, Stats, error) {
-	c, err := NewParallelCursor(context.Background(), db, opts, workers)
+	c, err := NewParallelCursor(context.Background(), db, JCC, opts, workers)
 	if err != nil {
 		return nil, Stats{}, err
 	}

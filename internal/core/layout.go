@@ -4,13 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/relation"
+	"repro/internal/tupleset"
 )
 
 // TaskMeta describes one planned task of a partitioned enumeration:
 // the per-relation pass it belongs to, its anchor window ([SeedLo,
 // SeedHi) within the pass relation: the seed singletons it starts from
 // and the anchors of the results it produces), and its observability
-// label. It is the plan-time shape of a Task: LayoutTasks
+// label. It is the plan-time shape of a Task: passTasks
 // turns these layouts into the Task lists execution runs and
 // fd.Explain reports them, so a plan's task partition cannot drift
 // from what execution runs.
@@ -76,18 +77,23 @@ func Layout(db *relation.Database, workers int) []TaskMeta {
 	return layout
 }
 
-// LayoutTasks attaches executable closures to a layout: open starts
-// the enumeration of one planned task — the anchor window [SeedLo,
-// SeedHi) of its pass, so a block task produces only the results
-// anchored in its block. The pass enumerators keep only the results
-// whose minimal relation is their pass, so the tasks' outputs are
-// disjoint and no task needs an ownership filter.
-func LayoutTasks(layout []TaskMeta, open func(TaskMeta) (TaskEnumerator, error)) []Task {
+// passTasks attaches executable closures to the layout of the
+// restart-strategy enumeration of FD(R) under p — the layout fd.Explain
+// reports — so one skewed relation doesn't serialise the run. A task
+// opens the suffix pass enumerator of its anchor window [SeedLo,
+// SeedHi), so a block task produces only the results anchored in its
+// block. The pass enumerators keep only the results whose minimal
+// relation is their pass, so the tasks' outputs are disjoint and no
+// task needs an ownership filter.
+func passTasks(u *tupleset.Universe, p Predicate, opts Options, workers int) []Task {
+	layout := Layout(u.DB, workers)
 	tasks := make([]Task, len(layout))
 	for i, m := range layout {
 		tasks[i] = Task{
 			Label: m.Label,
-			Open:  func() (TaskEnumerator, error) { return open(m) },
+			Open: func() (TaskEnumerator, error) {
+				return NewPassEnumerator(u, p, m.Pass, m.SeedLo, m.SeedHi, opts)
+			},
 		}
 	}
 	return tasks

@@ -63,7 +63,7 @@ type Options struct {
 	// discovery phase alike (Scanner.ForEachDiscovery argues why no
 	// other tuple can yield a new candidate subset). Under an
 	// approximate join it visits the τ-live tuples whose code on that
-	// attribute is τ-similar to the member's (approx.NewScanner); a
+	// attribute is τ-similar to the member's (Predicate.Scanner); a
 	// similarity with no such bound keeps the sweep. The produced full
 	// disjunction is identical as a set; the enumeration order of
 	// individual results may differ from the sweep. Stats records the
@@ -153,7 +153,7 @@ func NewScanner(db *relation.Database, opts Options, minRel int, stats *Stats) *
 // NewCandidateScanner is NewScanner with the join-index walks widened
 // to the candidates c yields: the scanner of an approximate join,
 // whose qualifying predicate A(S) ≥ τ admits pairs that never
-// equi-match (approx.NewScanner derives c from the Join and its Sim).
+// equi-match (its Scanner derives c from the Join and its Sim).
 // The walks stay exhaustive for every approximate join whose source
 // keeps three facts, which ForEachDiscovery's argument then uses in
 // place of join consistency:

@@ -26,8 +26,8 @@ import (
 // never smaller than minTaskSeeds tuples.
 
 // TaskEnumerator is one suspended enumeration run by a parallel
-// worker: a source of tuple sets plus its execution counters. Both
-// core.Enumerator and approx.Enumerator satisfy it.
+// worker: a source of tuple sets plus its execution counters. The
+// Enumerator satisfies it under every Predicate.
 type TaskEnumerator interface {
 	Next() (*tupleset.Set, bool)
 	Stats() Stats
@@ -266,22 +266,17 @@ func (c *ParallelCursor) Close() {
 // parallelism.
 const minTaskSeeds = 8
 
-// exactTasks partitions the restart-strategy enumeration of FD(R) by
-// Layout — the same layout fd.Explain reports — into anchor windows of
-// the suffix passes, so one skewed relation doesn't serialise the run.
-func exactTasks(u *tupleset.Universe, opts Options, workers int) []Task {
-	return LayoutTasks(Layout(u.DB, workers), func(m TaskMeta) (TaskEnumerator, error) {
-		return NewPassEnumerator(u, m.Pass, m.SeedLo, m.SeedHi, opts)
-	})
-}
-
 // NewParallelCursor starts a parallel streaming enumeration of FD(R)
-// on a pool of at most workers goroutines (≤0 selects GOMAXPROCS) and
-// returns the merged cursor. Only the restart strategy partitions
-// (the seeded/projected initialisations feed each pass from the
-// previous one, which is inherently sequential), and a shared buffer
-// Pool is rejected rather than raced over.
-func NewParallelCursor(ctx context.Context, db *relation.Database, opts Options, workers int) (*ParallelCursor, error) {
+// under p on a pool of at most workers goroutines (≤0 selects
+// GOMAXPROCS, resolved before the layout is cut) and returns the merged
+// cursor. Only the restart strategy partitions (the seeded/projected
+// initialisations feed each pass from the previous one, which is
+// inherently sequential), and a shared buffer Pool is rejected rather
+// than raced over.
+func NewParallelCursor(ctx context.Context, db *relation.Database, p Predicate, opts Options, workers int) (*ParallelCursor, error) {
+	if p == nil {
+		return nil, fmt.Errorf("core: nil join predicate")
+	}
 	if opts.Strategy != InitSingletons {
 		return nil, fmt.Errorf("core: parallel execution requires the restart strategy (got %s)", opts.Strategy)
 	}
@@ -292,5 +287,5 @@ func NewParallelCursor(ctx context.Context, db *relation.Database, opts Options,
 		workers = runtime.GOMAXPROCS(0)
 	}
 	u := tupleset.NewUniverse(db)
-	return NewTaskCursor(ctx, exactTasks(u, opts, workers), workers, opts.TaskObserver), nil
+	return NewTaskCursor(ctx, passTasks(u, p, opts, workers), workers, opts.TaskObserver), nil
 }

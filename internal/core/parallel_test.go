@@ -23,7 +23,7 @@ func TestParallelBlockPartitionSetIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{UseIndex: true}
-	want, _, err := FullDisjunction(db, opts)
+	want, _, err := FullDisjunction(db, JCC, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestParallelBlockPartitionSetIdentity(t *testing.T) {
 	}
 	for _, workers := range []int{4, 7, 12} {
 		u := tupleset.NewUniverse(db)
-		tasks := exactTasks(u, opts, workers)
+		tasks := passTasks(u, JCC, opts, workers)
 		if workers > db.NumRelations() && len(tasks) <= db.NumRelations() {
 			t.Fatalf("workers=%d: expected block-split tasks, got %d", workers, len(tasks))
 		}
@@ -138,7 +138,7 @@ func TestParallelEarlyCloseLeaksNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseline := runtime.NumGoroutine()
-	c, err := NewParallelCursor(context.Background(), db, Options{UseIndex: true}, 4)
+	c, err := NewParallelCursor(context.Background(), db, JCC, Options{UseIndex: true}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestParallelCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	c, err := NewParallelCursor(ctx, db, Options{UseIndex: true}, 4)
+	c, err := NewParallelCursor(ctx, db, JCC, Options{UseIndex: true}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // NewWindowEnumerator prepares the enumeration of one anchor window of
-// FDi(R): it produces exactly the results of FDi(R) whose seed-relation
+// FDi(R) under p: it produces exactly the results of FDi(R) whose seed-relation
 // member — the set's anchor — has index in [lo, hi), with the same
 // polynomial-delay machinery as a full pass. The window [0, Len) is the
 // full pass of Fig 1 (NewEnumerator); a parallel block task runs its
@@ -31,8 +31,14 @@ import (
 // is emitted once) then follow from Theorem 4.10's argument verbatim,
 // with "tuples of Ri" read as "tuples of Ri in [lo, hi)" throughout.
 // Disjoint windows covering [0, Len) thus partition FDi(R).
-func NewWindowEnumerator(u *tupleset.Universe, seed, lo, hi int, opts Options) (*Enumerator, error) {
-	return newWindowEnumerator(u, seed, lo, hi, opts, 0)
+//
+// The argument carries over to an approximate join (Fig 5): a
+// qualifying set holds at most one seed-relation tuple, and its anchor
+// is invariant under extension and merges (two seed-relation tuples
+// always conflict), so seeding with the window's qualifying singletons
+// (Predicate.Admit) restricts Figs 5–6 to the window the same way.
+func NewWindowEnumerator(u *tupleset.Universe, p Predicate, seed, lo, hi int, opts Options) (*Enumerator, error) {
+	return newWindowEnumerator(u, p, seed, lo, hi, opts, 0)
 }
 
 // NewPassEnumerator prepares the anchor window [lo, hi) of pass i (the
@@ -68,38 +74,31 @@ func NewWindowEnumerator(u *tupleset.Universe, seed, lo, hi int, opts Options) (
 //
 // Both facts use only that a subset of a qualifying connected set that
 // is itself connected qualifies — monotonicity — so they carry over to
-// every acceptable approximate join (approx.NewPassEnumerator).
-func NewPassEnumerator(u *tupleset.Universe, pass, lo, hi int, opts Options) (*Enumerator, error) {
-	e, err := newWindowEnumerator(u, pass, lo, hi, opts, pass)
+// the predicate A(T) ≥ τ of every acceptable approximate join.
+func NewPassEnumerator(u *tupleset.Universe, p Predicate, pass, lo, hi int, opts Options) (*Enumerator, error) {
+	e, err := newWindowEnumerator(u, p, pass, lo, hi, opts, pass)
 	if err != nil {
 		return nil, err
 	}
-	e.prefix = e.scan.Prefix()
+	e.prefix = e.w.Scan.Prefix()
 	return e, nil
 }
 
-func newWindowEnumerator(u *tupleset.Universe, seed, lo, hi int, opts Options, minRel int) (*Enumerator, error) {
-	e, err := newBareEnumerator(u, seed, opts, minRel)
+func newWindowEnumerator(u *tupleset.Universe, p Predicate, seed, lo, hi int, opts Options, minRel int) (*Enumerator, error) {
+	e, err := newBareEnumerator(u, p, seed, opts, minRel)
 	if err != nil {
 		return nil, err
 	}
-	if err := CheckWindow(u.DB, seed, lo, hi); err != nil {
-		return nil, err
+	if n := u.DB.Relation(seed).Len(); lo < 0 || hi > n || lo > hi {
+		return nil, fmt.Errorf("core: anchor window [%d,%d) outside [0,%d]", lo, hi, n)
 	}
 	e.lo, e.hi = int32(lo), int32(hi)
 	for i := lo; i < hi; i++ {
-		e.incomplete.Push(u.Singleton(relation.Ref{Rel: int32(seed), Idx: int32(i)}))
+		if s := u.Singleton(relation.Ref{Rel: int32(seed), Idx: int32(i)}); p.Admit(e.w, s) {
+			e.incomplete.Push(s)
+		}
 	}
 	return e, nil
-}
-
-// CheckWindow rejects an anchor window [lo, hi) that is not a range of
-// tuple indices of relation seed (a valid relation of db).
-func CheckWindow(db *relation.Database, seed, lo, hi int) error {
-	if n := db.Relation(seed).Len(); lo < 0 || hi > n || lo > hi {
-		return fmt.Errorf("core: anchor window [%d,%d) outside [0,%d]", lo, hi, n)
-	}
-	return nil
 }
 
 // SeedLen returns the tuple count of relation seed of db — the end of

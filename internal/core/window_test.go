@@ -40,12 +40,12 @@ func TestWindowPartition(t *testing.T) {
 			u := tupleset.NewUniverse(db)
 			for _, opts := range []Options{{}, {UseIndex: true}, {UseJoinIndex: true}, {UseIndex: true, UseJoinIndex: true}} {
 				for pass := 0; pass < db.NumRelations(); pass++ {
-					full, err := NewEnumerator(u, pass, opts)
+					full, err := NewEnumerator(u, JCC, pass, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					checkWindows(t, shape.name, db, pass, full.All(), rng, func(lo, hi int) ([]*tupleset.Set, error) {
-						e, err := NewWindowEnumerator(u, pass, lo, hi, opts)
+						e, err := NewWindowEnumerator(u, JCC, pass, lo, hi, opts)
 						if err != nil {
 							return nil, err
 						}

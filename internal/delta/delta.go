@@ -14,15 +14,16 @@
 // where Δ is the set of maximal JCC sets of R' containing an appended
 // tuple. A tuple set holds at most one tuple of r, so Δ is exactly the
 // anchor window [firstNew, Len) of the relation-r pass, enumerated
-// directly by the window enumerators (core.NewWindowEnumerator,
-// approx.NewWindowEnumerator): Incomplete is seeded with the appended
-// singletons only, and discovered candidates whose relation-r member
-// predates the append are discarded, so the enumeration does
-// O(Δ-neighbourhood) work rather than O(FD). The same identity holds
-// for the (A,τ)-approximate full disjunction with any acceptable
-// monotone join function: a qualifying superset of an old maximal T
-// must contain an appended tuple (T was maximal before), and its
-// maximal qualifying superset is a member of Δ.
+// directly by the window enumerator (core.NewWindowEnumerator):
+// Incomplete is seeded with the appended singletons only, and
+// discovered candidates whose relation-r member predates the append
+// are discarded, so the enumeration does O(Δ-neighbourhood) work
+// rather than O(FD). The same identity holds for the (A,τ)-approximate
+// full disjunction with any acceptable monotone join function, whose
+// predicate (approx.Qualify) the same window enumerator runs: a
+// qualifying superset of an old maximal T must contain an appended
+// tuple (T was maximal before), and its maximal qualifying superset is
+// a member of Δ.
 //
 // Subsumption (the "no D strictly contains T" filter) is the existing
 // signature/bitset containment check, Set.ContainsAll, which walks
@@ -34,7 +35,6 @@
 package delta
 
 import (
-	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/relation"
 	"repro/internal/tupleset"
@@ -54,11 +54,11 @@ type Delta struct {
 	Stats core.Stats
 }
 
-// Exact computes the exact-mode delta: u is a universe over the
-// extended database whose relation relIdx received appended tuples at
-// indices firstNew..Len-1.
-func Exact(u *tupleset.Universe, relIdx, firstNew int, opts core.Options) (*Delta, error) {
-	e, err := core.NewWindowEnumerator(u, relIdx, firstNew, core.SeedLen(u.DB, relIdx), opts)
+// Compute computes the delta of the family of join predicate p: u is a
+// universe over the extended database whose relation relIdx received
+// appended tuples at indices firstNew..Len-1.
+func Compute(u *tupleset.Universe, p core.Predicate, relIdx, firstNew int, opts core.Options) (*Delta, error) {
+	e, err := core.NewWindowEnumerator(u, p, relIdx, firstNew, core.SeedLen(u.DB, relIdx), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -67,16 +67,9 @@ func Exact(u *tupleset.Universe, relIdx, firstNew int, opts core.Options) (*Delt
 	return d, nil
 }
 
-// Approx computes the delta of an (a,tau)-approximate family over the
-// extended database db.
-func Approx(db *relation.Database, relIdx, firstNew int, a approx.Join, tau float64, opts core.Options) (*Delta, error) {
-	e, err := approx.NewWindowEnumerator(db, relIdx, firstNew, core.SeedLen(db, relIdx), a, tau, opts)
-	if err != nil {
-		return nil, err
-	}
-	d := &Delta{Added: e.All()}
-	d.Stats = e.Stats()
-	return d, nil
+// Exact is Compute for the exact family (core.JCC).
+func Exact(u *tupleset.Universe, relIdx, firstNew int, opts core.Options) (*Delta, error) {
+	return Compute(u, core.JCC, relIdx, firstNew, opts)
 }
 
 // Append is the one-call library form: it extends db in place at

@@ -125,7 +125,7 @@ func TestDeltaExactEquivalence(t *testing.T) {
 				steps := randomSteps(rng, full, counts)
 
 				db := prefixDB(t, full, counts)
-				results, _, err := core.FullDisjunction(db, opts)
+				results, _, err := core.FullDisjunction(db, core.JCC, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -139,7 +139,7 @@ func TestDeltaExactEquivalence(t *testing.T) {
 					db = ext
 				}
 
-				scratch, _, err := core.FullDisjunction(db, opts)
+				scratch, _, err := core.FullDisjunction(db, core.JCC, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -156,8 +156,10 @@ func TestDeltaExactEquivalence(t *testing.T) {
 // Levenshtein, τ)-approximate family, with the sweep and with the join
 // index's τ-similar candidates.
 func TestDeltaApproxEquivalence(t *testing.T) {
-	a := &approx.Amin{S: approx.LevenshteinSim{}}
-	const tau = 0.6
+	p, err := approx.Qualify(&approx.Amin{S: approx.LevenshteinSim{}}, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for shape, gen := range shapes() {
 		seed := int64(4)
 		t.Run(shape, func(t *testing.T) {
@@ -175,7 +177,7 @@ func TestDeltaApproxEquivalence(t *testing.T) {
 			for _, joinIndex := range []bool{false, true} {
 				opts := core.Options{UseIndex: true, UseJoinIndex: joinIndex}
 				db := prefixDB(t, full, counts)
-				results, _, err := approx.FullDisjunction(db, a, tau, opts)
+				results, _, err := core.FullDisjunction(db, p, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -186,7 +188,7 @@ func TestDeltaApproxEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					d, err := delta.Approx(ext, step.rel, firstNew, a, tau, opts)
+					d, err := delta.Compute(tupleset.NewUniverse(ext), p, step.rel, firstNew, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -194,7 +196,7 @@ func TestDeltaApproxEquivalence(t *testing.T) {
 					db = ext
 				}
 
-				scratch, _, err := approx.FullDisjunction(db, a, tau, core.Options{UseIndex: true})
+				scratch, _, err := core.FullDisjunction(db, p, core.Options{UseIndex: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -223,7 +225,7 @@ func TestExtendConcurrentWithReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := core.FullDisjunction(base, opts); err != nil {
+			if _, _, err := core.FullDisjunction(base, core.JCC, opts); err != nil {
 				t.Error(err)
 			}
 		}()

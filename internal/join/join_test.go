@@ -154,7 +154,7 @@ func TestOuterjoinMatchesIncrementalFD(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", name, seed, err)
 			}
-			sets, _, err := core.FullDisjunction(db, core.Options{})
+			sets, _, err := core.FullDisjunction(db, core.JCC, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

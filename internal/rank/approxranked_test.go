@@ -103,15 +103,23 @@ func TestApproxTopKAndThreshold(t *testing.T) {
 		}
 	}
 
-	// Validation paths.
+	// Validation paths: approx.Qualify rejects τ = 0 and a nil join,
+	// NewCursor a nil predicate and a ranking that is not c-determined.
 	ctx := context.Background()
-	if _, err := NewApproxCursor(ctx, db, amin, 0, FMax{}, core.Options{UseIndex: true}); err == nil {
+	if _, err := approx.Qualify(amin, 0); err == nil {
 		t.Error("τ=0 accepted")
 	}
-	if _, err := NewApproxCursor(ctx, db, nil, 0.5, FMax{}, core.Options{UseIndex: true}); err == nil {
+	if _, err := approx.Qualify(nil, 0.5); err == nil {
 		t.Error("nil join accepted")
 	}
-	if _, err := NewApproxCursor(ctx, db, amin, 0.5, FSum{}, core.Options{UseIndex: true}); err == nil {
+	if _, err := NewCursor(ctx, db, nil, FMax{}, core.Options{UseIndex: true}); err == nil {
+		t.Error("nil predicate accepted")
+	}
+	p, err := approx.Qualify(amin, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCursor(ctx, db, p, FSum{}, core.Options{UseIndex: true}); err == nil {
 		t.Error("fsum accepted")
 	}
 }
@@ -120,7 +128,11 @@ func TestApproxTopKAndThreshold(t *testing.T) {
 // index on, failing the test on error.
 func newApproxRanked(t *testing.T, db *relation.Database, a approx.Join, tau float64, f Func) *Cursor {
 	t.Helper()
-	c, err := NewApproxCursor(context.Background(), db, a, tau, f, core.Options{UseIndex: true})
+	p, err := approx.Qualify(a, tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCursor(context.Background(), db, p, f, core.Options{UseIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestCursorMatchesStreamRanked(t *testing.T) {
 // TestCursorRejectsNonDetermined checks that a ranking function which is
 // not c-determined is refused.
 func TestCursorRejectsNonDetermined(t *testing.T) {
-	if _, err := NewCursor(context.Background(), cursorDB(t), FSum{}, core.Options{}); err == nil {
+	if _, err := NewCursor(context.Background(), cursorDB(t), core.JCC, FSum{}, core.Options{}); err == nil {
 		t.Fatal("NewCursor accepted a non-c-determined function")
 	}
 }
@@ -59,7 +59,7 @@ func TestRankedCursorNoGoroutineLeak(t *testing.T) {
 	db := cursorDB(t)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		c, err := NewCursor(context.Background(), db, FMax{}, core.Options{UseIndex: true})
+		c, err := NewCursor(context.Background(), db, core.JCC, FMax{}, core.Options{UseIndex: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,38 +45,19 @@ func (h *itemHeap) Pop() any {
 	return it
 }
 
-// mergeFunc attempts to merge an incoming candidate into a stored set;
-// it returns the union and true on success. The exact variant uses the
-// JCC predicate; the approximate variant (Section 6, closing remark)
-// uses A(S ∪ T') ≥ τ.
-type mergeFunc func(existing, incoming *tupleset.Set, stats *core.Stats) (*tupleset.Set, bool)
-
 // priorityQueue is the Incompletei of Fig 3: a max-heap of tuple sets
 // ordered by rank, supporting the merge of GETNEXTRESULT lines 14–15
-// (which may raise a stored set's rank and re-heapify it). It
-// implements core.Pool.
+// (which may raise a stored set's rank and re-heapify it) under the
+// predicate's merge. It implements core.Pool.
 type priorityQueue struct {
-	u     *tupleset.Universe
-	seed  int
-	f     Func
-	h     itemHeap
-	merge mergeFunc
+	u    *tupleset.Universe
+	seed int
+	f    Func
+	h    itemHeap
+	p    core.Predicate
 }
 
 var _ core.Pool = (*priorityQueue)(nil)
-
-// jccMerge is the merge of Fig 3: S ∪ T' when the union is JCC.
-func jccMerge(u *tupleset.Universe) mergeFunc {
-	return func(existing, incoming *tupleset.Set, stats *core.Stats) (*tupleset.Set, bool) {
-		stats.JCCChecks++
-		var sig tupleset.SigCounters
-		defer stats.AddSig(&sig)
-		if u.UnionJCCCounted(existing, incoming, &sig) {
-			return u.Union(existing, incoming), true
-		}
-		return nil, false
-	}
-}
 
 // Push implements core.Pool (line 18): insert a tuple set with its
 // rank.
@@ -117,7 +98,7 @@ func (q *priorityQueue) TryAbsorb(t *tupleset.Set, anchor relation.Ref, stats *c
 			continue // different seed tuple: the union would be invalid
 		}
 		stats.ListScans++
-		if union, ok := q.merge(it.set, t, stats); ok {
+		if union, ok := q.p.Merge(q.u, it.set, t, stats); ok {
 			q.ReplaceSet(it, union)
 			return true
 		}

@@ -16,7 +16,7 @@ import (
 // newRanked opens an exact ranked cursor, failing the test on error.
 func newRanked(t *testing.T, db *relation.Database, f Func, opts core.Options) *Cursor {
 	t.Helper()
-	c, err := NewCursor(context.Background(), db, f, opts)
+	c, err := NewCursor(context.Background(), db, core.JCC, f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestTopKEdgeCases(t *testing.T) {
 	if got := collect(t, newRanked(t, db, FMax{}, core.Options{}), 1, 0); len(got) != 1 {
 		t.Errorf("k=1 returned %d", len(got))
 	}
-	if _, err := NewCursor(context.Background(), db, FSum{}, core.Options{}); err == nil {
+	if _, err := NewCursor(context.Background(), db, core.JCC, FSum{}, core.Options{}); err == nil {
 		t.Error("fsum accepted by ranked enumeration")
 	}
 	// k beyond |FD|: all six results.

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/relation"
 	"repro/internal/tupleset"
@@ -22,11 +21,11 @@ type Result struct {
 // producing one result per Next call, in non-increasing rank order.
 // The same cursor runs the ranked approximate adaptation the paper
 // sketches at the end of Section 6: the two differ only in the join
-// predicate — JCC or A(T) ≥ τ — which selects the small seed sets, the
-// queue merge and the GETNEXTRESULT each extraction runs. The
-// suspended state is explicit (the per-relation priority queues and
-// the Complete store), so a cursor holds no goroutine and abandoning
-// one with Close leaks nothing.
+// predicate — JCC or A(T) ≥ τ (core.Predicate) — which selects the
+// small seed sets, the queue merge and the GETNEXTRESULT each
+// extraction runs. The suspended state is explicit (the per-relation
+// priority queues and the Complete store), so a cursor holds no
+// goroutine and abandoning one with Close leaks nothing.
 //
 // A Cursor is not safe for concurrent use.
 type Cursor struct {
@@ -35,72 +34,34 @@ type Cursor struct {
 	f        Func
 	queues   []*priorityQueue
 	complete *core.CompleteStore
-	// step is GETNEXTRESULT for a set T popped from queue seed.
-	step   func(seed int, T *tupleset.Set) *tupleset.Set
+	// w is the walk every Fig 3 extraction's GETNEXTRESULT shares.
+	w      *core.Walk
 	stats  core.Stats
 	err    error
 	closed bool
 }
 
-// NewCursor prepares a ranked enumeration of FD(R). The Fig 3
-// initialisation (lines 1–8: enumerate the JCC connected tuple sets of
-// size ≤ c and merge each queue to a fixpoint) happens here, so the
-// constructor carries the polynomial preprocessing cost of Lemma 5.3
-// and every Next call is one queue extraction. For a c-determined f
-// the seeds are the O(|D|^c) qualifying sets of at most c tuples (the
-// singletons for fmax), found without visiting larger sets. Database
-// scans honour opts on one core.NewScanner that every Fig 3 extraction
-// shares. Cancelling ctx aborts the preprocessing between queue merges
-// and makes a later Next fail within one queue extraction with
-// Err() == ctx.Err(). A nil ctx means context.Background().
-func NewCursor(ctx context.Context, db *relation.Database, f Func, opts core.Options) (*Cursor, error) {
+// NewCursor prepares a ranked enumeration of FD(R) under p: the exact
+// full disjunction under core.JCC, AFD(R, A, τ) under approx.Qualify's
+// predicate. The Fig 3 initialisation (lines 1–8: enumerate the
+// qualifying connected tuple sets of size ≤ c and merge each queue to a
+// fixpoint under p) happens here, so the constructor carries the
+// polynomial preprocessing cost of Lemma 5.3 and every Next call is one
+// queue extraction. For a c-determined f the seeds are the O(|D|^c)
+// qualifying sets of at most c tuples (the singletons for fmax), found
+// without visiting larger sets; an approximate join's qualifying sets
+// are closed under connected subsets because A is acceptable. Database
+// scans honour opts on the one scanner of p that every Fig 3
+// extraction shares. Cancelling ctx aborts the preprocessing between
+// queue merges and makes a later Next fail within one queue extraction
+// with Err() == ctx.Err(). A nil ctx means context.Background().
+func NewCursor(ctx context.Context, db *relation.Database, p core.Predicate, f Func, opts core.Options) (*Cursor, error) {
 	if err := Validate(f); err != nil {
 		return nil, err
 	}
-	c := newCursor(ctx, db, f)
-	scan := core.NewScanner(db, opts, 0, &c.stats)
-	c.step = func(seed int, T *tupleset.Set) *tupleset.Set {
-		return core.GetNextResult(c.u, seed, scan, T, c.queues[seed], c.complete, &c.stats)
+	if p == nil {
+		return nil, fmt.Errorf("rank: nil join predicate")
 	}
-	if err := c.init(func(s *tupleset.Set) bool { return c.u.JCC(s) }, jccMerge(c.u)); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewApproxCursor prepares a ranked enumeration of AFD(R, A, τ). The
-// initialisation enumerates the connected tuple sets of size ≤ c with
-// A(S) ≥ τ (valid because A is acceptable, so qualifying sets are
-// closed under connected subsets) and merges queue pairs under the
-// A-threshold predicate. Database scans honour opts (block size,
-// buffer pool, join index) on one approx.NewScanner that every Fig 3
-// extraction shares.
-func NewApproxCursor(ctx context.Context, db *relation.Database, a approx.Join, tau float64,
-	f Func, opts core.Options) (*Cursor, error) {
-	if err := Validate(f); err != nil {
-		return nil, err
-	}
-	if a == nil {
-		return nil, fmt.Errorf("rank: nil approximate join function")
-	}
-	if tau <= 0 || tau > 1 {
-		return nil, fmt.Errorf("rank: threshold %v outside (0,1]", tau)
-	}
-	c := newCursor(ctx, db, f)
-	scan := approx.NewScanner(c.u, a, tau, opts, 0, &c.stats)
-	c.step = func(seed int, T *tupleset.Set) *tupleset.Set {
-		return approx.GetNextResult(c.u, seed, a, tau, scan, T, c.queues[seed], c.complete, &c.stats)
-	}
-	merge := func(existing, incoming *tupleset.Set, st *core.Stats) (*tupleset.Set, bool) {
-		return approx.TryMerge(c.u, a, tau, existing, incoming, st)
-	}
-	if err := c.init(func(s *tupleset.Set) bool { return a.Score(c.u, s) >= tau }, merge); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func newCursor(ctx context.Context, db *relation.Database, f Func) *Cursor {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -109,19 +70,26 @@ func newCursor(ctx context.Context, db *relation.Database, f Func) *Cursor {
 	// the §7 lists of the exact engine, not this internal structure, and
 	// an unindexed store degrades every emission to a linear
 	// ContainsSuperset scan.
-	return &Cursor{ctx: ctx, u: u, f: f, complete: core.NewCompleteStore(u, true)}
+	c := &Cursor{ctx: ctx, u: u, f: f, complete: core.NewCompleteStore(u, true)}
+	c.w = core.NewWalk(u, p, opts, 0, &c.stats)
+	if err := c.init(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // init runs Fig 3 lines 1–8. Lines 1–4 enumerate every connected tuple
-// set of size ≤ c satisfying the join predicate qualifies (smallSets:
+// set of size ≤ c that qualifies under the predicate (smallSets:
 // O(|D|^c) sets, in key order) and distribute it to the queue of each
 // relation it touches; lines 5–8 merge each queue to a fixpoint under
-// merge, establishing initialisation condition (iii) of Lemma 5.2. The queues keep merge
-// for the absorb step of lines 14–15.
-func (c *Cursor) init(qualifies func(*tupleset.Set) bool, merge mergeFunc) error {
+// the predicate's merge, establishing initialisation condition (iii) of
+// Lemma 5.2. The queues keep the predicate for the absorb step of
+// lines 14–15.
+func (c *Cursor) init() error {
 	n := c.u.DB.NumRelations()
+	p := c.w.P
 	perSeed := make([][]*tupleset.Set, n)
-	for _, s := range smallSets(c.u, c.f.C(), qualifies) {
+	for _, s := range smallSets(c.u, c.f.C(), func(s *tupleset.Set) bool { return p.Qualifies(c.u, s) }) {
 		// Each queue may extend its copy in place; the last queue
 		// takes the original, which nothing else holds.
 		refs := s.Refs()
@@ -138,8 +106,8 @@ func (c *Cursor) init(qualifies func(*tupleset.Set) bool, merge mergeFunc) error
 		if err := c.ctx.Err(); err != nil {
 			return err
 		}
-		q := &priorityQueue{u: c.u, seed: i, f: c.f, merge: merge}
-		for _, s := range mergeFixpoint(perSeed[i], merge, &c.stats) {
+		q := &priorityQueue{u: c.u, seed: i, f: c.f, p: p}
+		for _, s := range mergeFixpoint(c.u, p, perSeed[i], &c.stats) {
 			q.Push(s)
 		}
 		c.queues[i] = q
@@ -237,7 +205,7 @@ func (c *Cursor) Next() (Result, bool) {
 			return Result{}, false // all queues empty: enumeration exhausted
 		}
 		T, _ := c.queues[best].PopSet()
-		result := c.step(best, T)
+		result := core.GetNextResult(c.w, best, T, c.queues[best], c.complete)
 		c.stats.Iterations++
 		anchor, ok := result.Member(best)
 		if !ok {
@@ -262,17 +230,17 @@ func (c *Cursor) Err() error { return c.err }
 // Close abandons the enumeration; idempotent, leaks nothing.
 func (c *Cursor) Close() { c.closed = true }
 
-// mergeFixpoint repeatedly replaces mergeable pairs by their union
+// mergeFixpoint repeatedly replaces pairs p merges by their union
 // until no pair can merge (Fig 3, lines 5–8). Containment pairs merge
 // too (the union is the larger set), so the result is containment-free.
-func mergeFixpoint(sets []*tupleset.Set, merge mergeFunc, stats *core.Stats) []*tupleset.Set {
+func mergeFixpoint(u *tupleset.Universe, p core.Predicate, sets []*tupleset.Set, stats *core.Stats) []*tupleset.Set {
 	out := append([]*tupleset.Set(nil), sets...)
 	for {
 		merged := false
 	scan:
 		for i := 0; i < len(out); i++ {
 			for j := i + 1; j < len(out); j++ {
-				if union, ok := merge(out[i], out[j], stats); ok {
+				if union, ok := p.Merge(u, out[i], out[j], stats); ok {
 					out[i] = union
 					out = append(out[:j], out[j+1:]...)
 					merged = true

@@ -128,7 +128,7 @@ func BenchmarkRankedOpen(b *testing.B) {
 		b.Run(f.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c, err := NewCursor(context.Background(), db, f, core.Options{})
+				c, err := NewCursor(context.Background(), db, core.JCC, f, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -150,11 +150,11 @@ func TestRankedOpenAllocsLinear(t *testing.T) {
 	}
 	// Open once so lazy per-database state (dictionary encoding, the
 	// connection graph) is not charged to the measured runs.
-	if _, err := NewCursor(context.Background(), db, FMax{}, core.Options{}); err != nil {
+	if _, err := NewCursor(context.Background(), db, core.JCC, FMax{}, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		c, err := NewCursor(context.Background(), db, FMax{}, core.Options{})
+		c, err := NewCursor(context.Background(), db, core.JCC, FMax{}, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,16 +62,18 @@ func familyOf(spec fd.Query) (familyKey, bool) {
 // entry: the maximal sets of the new database whose relation-relIdx
 // member is an appended tuple.
 func familyDelta(ne *dbEntry, relIdx, firstNew int, fam familyKey) (*delta.Delta, error) {
+	p := core.JCC
 	if fam.mode == fd.ModeApprox {
 		s, err := fd.SimByName(fam.sim)
 		if err != nil {
 			return nil, err
 		}
-		return delta.Approx(ne.db, relIdx, firstNew, &approx.Amin{S: s}, fam.tau,
-			core.Options{UseIndex: true, UseJoinIndex: true})
+		if p, err = approx.Qualify(&approx.Amin{S: s}, fam.tau); err != nil {
+			return nil, err
+		}
 	}
 	// The delta runs use the one engine configuration fd.Open runs.
-	return delta.Exact(ne.u, relIdx, firstNew, core.Options{UseIndex: true, UseJoinIndex: true})
+	return delta.Compute(ne.u, p, relIdx, firstNew, core.Options{UseIndex: true, UseJoinIndex: true})
 }
 
 // deltaResults renders a delta's added sets as service Results.

@@ -17,7 +17,7 @@ import (
 // multiset as canonical keys.
 func scratchKeys(t *testing.T, db *relation.Database) map[string]int {
 	t.Helper()
-	sets, _, err := core.FullDisjunction(db, core.Options{UseIndex: true, UseJoinIndex: true})
+	sets, _, err := core.FullDisjunction(db, core.JCC, core.Options{UseIndex: true, UseJoinIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}

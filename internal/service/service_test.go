@@ -74,7 +74,7 @@ func drain(t *testing.T, q *Query, k int) []Result {
 // page size and mode.
 func TestPagingMatchesOneShot(t *testing.T) {
 	db := testDB(t, "chain", 11)
-	oneShot, _, err := core.FullDisjunction(db, core.Options{UseIndex: true})
+	oneShot, _, err := core.FullDisjunction(db, core.JCC, core.Options{UseIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func rankedDrain(t *testing.T, c *rank.Cursor, err error) []rank.Result {
 // order as the ranked engine cursor emits them, ranks included.
 func TestRankedPagingOrder(t *testing.T) {
 	db := testDB(t, "star", 13)
-	c, err := rank.NewCursor(context.Background(), db, rank.FMax{}, core.Options{UseIndex: true})
+	c, err := rank.NewCursor(context.Background(), db, core.JCC, rank.FMax{}, core.Options{UseIndex: true})
 	want := rankedDrain(t, c, err)
 
 	svc := New(Config{})
@@ -490,7 +490,7 @@ func TestPropertyConcurrentSessions(t *testing.T) {
 		if _, err := svc.AddDatabase(name, db); err != nil {
 			t.Fatal(err)
 		}
-		oneShot, _, err := core.FullDisjunction(db, core.Options{UseIndex: true})
+		oneShot, _, err := core.FullDisjunction(db, core.JCC, core.Options{UseIndex: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -563,7 +563,7 @@ func TestPropertyConcurrentSessions(t *testing.T) {
 // concurrent sessions correctly (they serialise instead of failing).
 func TestAdmissionSingleWorker(t *testing.T) {
 	db := testDB(t, "chain", 47)
-	oneShot, _, err := core.FullDisjunction(db, core.Options{UseIndex: true})
+	oneShot, _, err := core.FullDisjunction(db, core.JCC, core.Options{UseIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,8 +679,11 @@ func TestApproxRankedPaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := rank.NewApproxCursor(context.Background(), db,
-		&approx.Amin{S: approx.LevenshteinSim{}}, 0.6, rank.FMax{}, core.Options{UseIndex: true})
+	p, err := approx.Qualify(&approx.Amin{S: approx.LevenshteinSim{}}, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := rank.NewCursor(context.Background(), db, p, rank.FMax{}, core.Options{UseIndex: true})
 	want := rankedDrain(t, c, err)
 	if len(want) == 0 {
 		t.Fatal("workload yields no approx-ranked results")

@@ -108,34 +108,27 @@ func Open(ctx context.Context, db *Database, q Query) (Results, error) {
 		}
 	}
 
+	// The mode picks the join predicate — JCC, or A(T) ≥ τ under Amin
+	// over the query's similarity — and whether results are ranked.
 	var (
+		p    = core.JCC
 		base Results
 		err  error
 	)
-	switch n.Mode {
-	case ModeExact:
-		if workers > 1 {
-			base, err = unranked(core.NewParallelCursor(ctx, db, opts, workers))
-		} else {
-			base, err = unranked(core.NewCursor(ctx, db, opts))
-		}
-	case ModeApprox:
+	if n.Mode == ModeApprox || n.Mode == ModeApproxRanked {
 		s, _ := SimByName(n.Sim) // resolved by Validate
-		a := &approx.Amin{S: s}
-		if workers > 1 {
-			base, err = unranked(approx.NewParallelCursor(ctx, db, a, n.Tau, opts, workers))
-		} else {
-			base, err = unranked(approx.NewCursor(ctx, db, a, n.Tau, opts))
+		if p, err = approx.Qualify(&approx.Amin{S: s}, n.Tau); err != nil {
+			return nil, err
 		}
-	case ModeRanked:
+	}
+	switch {
+	case n.Mode == ModeRanked || n.Mode == ModeApproxRanked:
 		f, _ := RankByName(n.Rank) // resolved by Validate
-		base, err = ranked(rank.NewCursor(ctx, db, f, opts))
-	case ModeApproxRanked:
-		f, _ := RankByName(n.Rank)
-		s, _ := SimByName(n.Sim)
-		base, err = ranked(rank.NewApproxCursor(ctx, db, &approx.Amin{S: s}, n.Tau, f, opts))
+		base, err = ranked(rank.NewCursor(ctx, db, p, f, opts))
+	case workers > 1:
+		base, err = unranked(core.NewParallelCursor(ctx, db, p, opts, workers))
 	default:
-		return nil, fmt.Errorf("fd: unknown query mode %q", n.Mode)
+		base, err = unranked(core.NewCursor(ctx, db, p, opts))
 	}
 	if err != nil {
 		return nil, err

@@ -102,9 +102,9 @@ func TestPropertyParallelMatchesSequential(t *testing.T) {
 						err   error
 					)
 					if workers == 1 {
-						keys, stats, err = drainCursor(core.NewCursor(context.Background(), db, opts))
+						keys, stats, err = drainCursor(core.NewCursor(context.Background(), db, core.JCC, opts))
 					} else {
-						keys, stats, err = drainCursor(core.NewParallelCursor(context.Background(), db, opts, workers))
+						keys, stats, err = drainCursor(core.NewParallelCursor(context.Background(), db, core.JCC, opts, workers))
 					}
 					if err != nil {
 						t.Fatal(err)

@@ -94,11 +94,6 @@ func fuzzDB(data []byte) (*relation.Database, float64) {
 	return relation.MustDatabase(rels...), tau
 }
 
-// passEnumerators opens, for one pass and anchor window, the suffix
-// pass enumerator under test and the full-database window enumerator
-// it replaces.
-type passEnumerators func(pass, lo, hi int, opts core.Options) (suffix, full core.TaskEnumerator, err error)
-
 // FuzzPassOwnership checks the suffix passes against the full passes
 // and the oracle on tiny decoded databases. Per pass, anchor window and
 // index flags, for the exact engine and for Amin and Aprod: the suffix
@@ -114,29 +109,14 @@ type passEnumerators func(pass, lo, hi int, opts core.Options) (suffix, full cor
 func FuzzPassOwnership(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, tau := fuzzDB(data)
-		checkSuffixPasses(t, db, "exact", func(pass, lo, hi int, opts core.Options) (core.TaskEnumerator, core.TaskEnumerator, error) {
-			u := tupleset.NewUniverse(db)
-			suffix, err := core.NewPassEnumerator(u, pass, lo, hi, opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			full, err := core.NewWindowEnumerator(u, pass, lo, hi, opts)
-			return suffix, full, err
-		})
+		checkSuffixPasses(t, db, "exact", core.JCC)
 		joins := map[string]approx.Join{
 			"amin/levenshtein":  &approx.Amin{S: approx.LevenshteinSim{}},
 			"amin/exact":        &approx.Amin{S: approx.ExactSim{}},
 			"aprod/levenshtein": &approx.Aprod{S: approx.LevenshteinSim{}},
 		}
 		for name, a := range joins {
-			checkSuffixPasses(t, db, name, func(pass, lo, hi int, opts core.Options) (core.TaskEnumerator, core.TaskEnumerator, error) {
-				suffix, err := approx.NewPassEnumerator(db, pass, lo, hi, a, tau, opts)
-				if err != nil {
-					return nil, nil, err
-				}
-				full, err := approx.NewWindowEnumerator(db, pass, lo, hi, a, tau, opts)
-				return suffix, full, err
-			})
+			checkSuffixPasses(t, db, name, qualify(t, a, tau))
 		}
 		checkOracle(t, db, tau)
 	})
@@ -147,13 +127,18 @@ var fuzzFlags = []core.Options{{}, {UseIndex: true}, {UseJoinIndex: true}, {UseI
 
 // checkSuffixPasses compares each pass's suffix enumeration with the
 // full one, over the full anchor window and a split of it in two.
-func checkSuffixPasses(t *testing.T, db *relation.Database, label string, open passEnumerators) {
+func checkSuffixPasses(t *testing.T, db *relation.Database, label string, p core.Predicate) {
 	t.Helper()
+	u := tupleset.NewUniverse(db)
 	for _, opts := range fuzzFlags {
 		for pass := 0; pass < db.NumRelations(); pass++ {
 			n := db.Relation(pass).Len()
 			for _, w := range [][2]int{{0, n}, {0, n / 2}, {n / 2, n}} {
-				suffix, full, err := open(pass, w[0], w[1], opts)
+				suffix, err := core.NewPassEnumerator(u, p, pass, w[0], w[1], opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				full, err := core.NewWindowEnumerator(u, p, pass, w[0], w[1], opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -206,19 +191,20 @@ func checkOracle(t *testing.T, db *relation.Database, tau float64) {
 				err error
 			)
 			if workers == 1 {
-				got, _, err = drainCursor(core.NewCursor(ctx, db, flags))
+				got, _, err = drainCursor(core.NewCursor(ctx, db, core.JCC, flags))
 			} else {
-				got, _, err = drainCursor(core.NewParallelCursor(ctx, db, flags, workers))
+				got, _, err = drainCursor(core.NewParallelCursor(ctx, db, core.JCC, flags, workers))
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameMultiset(t, "exact "+where, got, exact)
 			for name, a := range joins {
+				p := qualify(t, a, tau)
 				if workers == 1 {
-					got, _, err = drainCursor(approx.NewCursor(ctx, db, a, tau, flags))
+					got, _, err = drainCursor(core.NewCursor(ctx, db, p, flags))
 				} else {
-					got, _, err = drainCursor(approx.NewParallelCursor(ctx, db, a, tau, flags, workers))
+					got, _, err = drainCursor(core.NewParallelCursor(ctx, db, p, flags, workers))
 				}
 				if err != nil {
 					t.Fatal(err)

@@ -59,7 +59,7 @@ func TestPropertyFDMatchesOracle(t *testing.T) {
 			UseJoinIndex: useJoinIndex,
 			Strategy:     []core.InitStrategy{core.InitSingletons, core.InitSeeded, core.InitProjected}[int(strat)%3],
 		}
-		engine, _, err := core.FullDisjunction(db, opts)
+		engine, _, err := core.FullDisjunction(db, core.JCC, opts)
 		if err != nil {
 			t.Logf("full disjunction error: %v", err)
 			return false
@@ -290,7 +290,7 @@ func TestPropertyStatsConsistency(t *testing.T) {
 			return true
 		}
 		i := int(seedRel) % db.NumRelations()
-		sets, stats, err := core.FDi(db, i, core.Options{})
+		sets, stats, err := core.FDi(db, core.JCC, i, core.Options{})
 		if err != nil {
 			return false
 		}
@@ -465,11 +465,11 @@ func TestPropertyJoinIndexEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, strat := range []core.InitStrategy{core.InitSingletons, core.InitSeeded, core.InitProjected} {
-				sweep, _, err := core.FullDisjunction(db, core.Options{Strategy: strat})
+				sweep, _, err := core.FullDisjunction(db, core.JCC, core.Options{Strategy: strat})
 				if err != nil {
 					t.Fatal(err)
 				}
-				indexed, stats, err := core.FullDisjunction(db, core.Options{Strategy: strat, UseJoinIndex: true})
+				indexed, stats, err := core.FullDisjunction(db, core.JCC, core.Options{Strategy: strat, UseJoinIndex: true})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -53,13 +53,12 @@ func FuzzRankedOpen(f *testing.F) {
 				var ranks [3][]float64
 				for i, joinIndex := range []bool{false, true} {
 					opts := core.Options{UseIndex: true, UseJoinIndex: joinIndex}
-					var rc *rank.Cursor
-					if c.mode == fd.ModeRanked {
-						rc, err = rank.NewCursor(ctx, db, f, opts)
-					} else {
+					p := core.JCC
+					if c.mode == fd.ModeApproxRanked {
 						sim, _ := fd.SimByName(c.sim)
-						rc, err = rank.NewApproxCursor(ctx, db, &approx.Amin{S: sim}, tau, f, opts)
+						p = qualify(t, &approx.Amin{S: sim}, tau)
 					}
+					rc, err := rank.NewCursor(ctx, db, p, f, opts)
 					where := fmt.Sprintf("%s/%s%s join index %v", c.mode, rankName, c.sim, joinIndex)
 					if err != nil {
 						t.Fatalf("%s: %v", where, err)
