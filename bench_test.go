@@ -47,9 +47,11 @@ func BenchmarkE1Tourist(b *testing.B) {
 func BenchmarkE2Seed(b *testing.B) {
 	db := workload.Tourist()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.FDi(db, core.JCC, 0, core.Options{}); err != nil {
+		e, err := core.NewEnumerator(tupleset.NewUniverse(db), core.JCC, 0, core.Options{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		e.All()
 	}
 }
 

@@ -56,7 +56,7 @@ func runAppend(db *fd.Database, spec string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	results, removed := d.Patch(base)
+	results, removed := delta.Patch(d, base, delta.Bare, delta.Bare)
 	fmt.Fprintf(stderr, "append: %s += %d tuples; delta %d, subsumed %d, |FD| %d -> %d; fingerprint %016x -> %016x\n",
 		name, len(tuples), len(d.Added), removed, len(base), len(results), oldFP, ext.Fingerprint())
 

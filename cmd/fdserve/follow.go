@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	fd "repro"
+	"repro/internal/service"
 )
 
 // handleFollow streams a follow session as newline-delimited JSON over
@@ -61,7 +62,7 @@ func (s *server) handleFollow(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 
 	// live tracks the stream's current result set: the set pointer for
-	// the subsumption check (Set.ContainsAll is universe-independent,
+	// the subsumption check (Delta.Subsumes is universe-independent,
 	// so sets from different database versions compare directly) and
 	// the rendered notation retract lines identify results by.
 	type liveEntry struct {
@@ -99,14 +100,7 @@ func (s *server) handleFollow(w http.ResponseWriter, r *http.Request) {
 			removed := 0
 			kept := make([]liveEntry, 0, len(live))
 			for _, le := range live {
-				subsumed := false
-				for _, res := range b.Results {
-					if res.Set.ContainsAll(le.set) {
-						subsumed = true
-						break
-					}
-				}
-				if subsumed {
+				if b.Delta.Subsumes(le.set) {
 					removed++
 					enc.Encode(map[string]any{"event": "retract", "set": le.rendered})
 					continue
@@ -115,13 +109,13 @@ func (s *server) handleFollow(w http.ResponseWriter, r *http.Request) {
 			}
 			live = kept
 			battrs := b.U.AllAttributes()
-			for _, res := range b.Results {
-				rj := renderResult(b.DB, b.U, battrs, res)
+			for _, set := range b.Delta.Added {
+				rj := renderResult(b.DB, b.U, battrs, service.Result{Set: set})
 				enc.Encode(map[string]any{"event": "result", "result": rj})
-				live = append(live, liveEntry{set: res.Set, rendered: rj.Set})
+				live = append(live, liveEntry{set: set, rendered: rj.Set})
 			}
 			enc.Encode(map[string]any{"event": "delta",
-				"appends": appends, "added": len(b.Results), "removed": removed, "total": len(live)})
+				"appends": appends, "added": len(b.Delta.Added), "removed": removed, "total": len(live)})
 			fl.Flush()
 			if maxAppends > 0 && appends >= maxAppends {
 				enc.Encode(map[string]any{"event": "end", "total": len(live)})

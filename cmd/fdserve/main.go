@@ -7,7 +7,7 @@
 //
 //	POST   /databases              load a database (workload spec or rows)
 //	GET    /databases              list registered databases (fingerprints)
-//	DELETE /databases/{name}       drop a database (for reload/Refresh flows)
+//	DELETE /databases/{name}       drop a database (to re-register new content)
 //	POST   /databases/{name}/rows  append rows (durable via the row log)
 //	POST   /queries                open a query session (fd.Query JSON)
 //	GET    /queries/{id}/next?k=   pull the next page of results

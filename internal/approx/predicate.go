@@ -104,7 +104,7 @@ func (q qualifier) extension(u *tupleset.Universe, T *tupleset.Set, ref relation
 // Merge implements the starred line-14 merge: S ∪ t when the union is
 // conflict-free and scores at least τ.
 func (q qualifier) Merge(u *tupleset.Universe, s, t *tupleset.Set, stats *core.Stats) (*tupleset.Set, bool) {
-	if conflicts(s, t) {
+	if conflicts(u, s, t) {
 		return nil, false
 	}
 	stats.JCCChecks++
@@ -120,9 +120,16 @@ func (q qualifier) Qualifies(u *tupleset.Universe, s *tupleset.Set) bool {
 	return q.a.Score(u, s) >= q.tau
 }
 
-func conflicts(a, b *tupleset.Set) bool {
-	for _, ref := range b.Refs() {
-		if m, ok := a.Member(int(ref.Rel)); ok && m != ref {
+// conflicts reports whether a and b hold different tuples of one
+// relation. It reads both sets' members relation by relation, so a
+// merge attempt allocates nothing.
+func conflicts(u *tupleset.Universe, a, b *tupleset.Set) bool {
+	for r := 0; r < u.DB.NumRelations(); r++ {
+		mb, ok := b.Member(r)
+		if !ok {
+			continue
+		}
+		if ma, ok := a.Member(r); ok && ma != mb {
 			return true
 		}
 	}

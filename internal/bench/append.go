@@ -133,7 +133,7 @@ func E12Both() (*Table, *Record, error) {
 				err = aerr
 				return
 			}
-			results, _ = d.Patch(results)
+			results, _ = delta.Patch(d, results, delta.Bare, delta.Bare)
 			incStats.Add(d.Stats)
 			db = ext
 		}

@@ -145,11 +145,11 @@ func TestFDiSeedSemantics(t *testing.T) {
 		2: {"{c1, a2, s1}", "{c1, s2}", "{c2, s3}", "{c2, s4}"},
 	}
 	for seed, want := range wantPerSeed {
-		got, _, err := FDi(db, JCC, seed, Options{})
+		e, err := NewEnumerator(tupleset.NewUniverse(db), JCC, seed, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotStr := formatAll(db, got)
+		gotStr := formatAll(db, e.All())
 		sort.Strings(want)
 		if !equalStrings(gotStr, want) {
 			t.Errorf("FD_%d = %v, want %v", seed, gotStr, want)
@@ -329,10 +329,11 @@ func TestCorollary47(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := 0; seed < db.NumRelations(); seed++ {
-		got, stats, err := FDi(db, JCC, seed, Options{})
+		e, err := NewEnumerator(tupleset.NewUniverse(db), JCC, seed, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		got, stats := e.All(), e.Stats()
 		if stats.MaxResident > len(got) {
 			t.Errorf("seed %d: max resident %d exceeds |FDi| = %d", seed, stats.MaxResident, len(got))
 		}

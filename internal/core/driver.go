@@ -7,18 +7,6 @@ import (
 	"repro/internal/tupleset"
 )
 
-// FDi computes FDi(R) under p: all tuple sets of the full disjunction
-// that contain a tuple of relation seed (Fig 1 executed to completion).
-func FDi(db *relation.Database, p Predicate, seed int, opts Options) ([]*tupleset.Set, Stats, error) {
-	u := tupleset.NewUniverse(db)
-	e, err := NewEnumerator(u, p, seed, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	out := e.All()
-	return out, e.Stats(), nil
-}
-
 // FullDisjunction computes FD(R) = ⋃i FDi(R) under p without
 // duplicates, using the initialisation strategy selected in opts: it
 // drains a Cursor.

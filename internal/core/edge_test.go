@@ -48,11 +48,11 @@ func TestEmptyRelation(t *testing.T) {
 		t.Fatalf("FD = %v", got)
 	}
 	// FDi over the empty relation is empty.
-	fdE, _, err := FDi(db, JCC, 1, Options{})
+	e, err := NewEnumerator(tupleset.NewUniverse(db), JCC, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fdE) != 0 {
+	if fdE := e.All(); len(fdE) != 0 {
 		t.Errorf("FD over empty seed relation = %d members", len(fdE))
 	}
 }

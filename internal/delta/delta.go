@@ -103,19 +103,27 @@ func (d *Delta) Subsumes(t *tupleset.Set) bool {
 
 // Patch rewrites an old full-disjunction result list into the
 // post-append one: old results a delta set subsumes are dropped, the
-// delta sets are appended. The input slice is never mutated — callers
-// share drained result lists across sessions — and the returned slice
-// is freshly allocated. removed reports how many old results were
-// dropped.
-func (d *Delta) Patch(old []*tupleset.Set) (patched []*tupleset.Set, removed int) {
-	patched = make([]*tupleset.Set, 0, len(old)+len(d.Added))
-	for _, t := range old {
-		if d.Subsumes(t) {
+// delta sets are appended. It serves any result element type E: set
+// reads an element's tuple set (an element without one is kept), and
+// wrap makes an element of a delta set. The input slice is never
+// mutated — callers share drained result lists across sessions — and
+// the returned slice is freshly allocated. removed reports how many
+// old results were dropped.
+func Patch[E any](d *Delta, old []E, set func(E) *tupleset.Set, wrap func(*tupleset.Set) E) (patched []E, removed int) {
+	patched = make([]E, 0, len(old)+len(d.Added))
+	for _, e := range old {
+		if t := set(e); t != nil && d.Subsumes(t) {
 			removed++
 			continue
 		}
-		patched = append(patched, t)
+		patched = append(patched, e)
 	}
-	patched = append(patched, d.Added...)
+	for _, a := range d.Added {
+		patched = append(patched, wrap(a))
+	}
 	return patched, removed
 }
+
+// Bare is Patch's set accessor and wrapper for lists of bare tuple
+// sets.
+func Bare(t *tupleset.Set) *tupleset.Set { return t }

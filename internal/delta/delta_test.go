@@ -135,7 +135,7 @@ func TestDeltaExactEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					results, _ = d.Patch(results)
+					results, _ = delta.Patch(d, results, delta.Bare, delta.Bare)
 					db = ext
 				}
 
@@ -192,7 +192,7 @@ func TestDeltaApproxEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					results, _ = d.Patch(results)
+					results, _ = delta.Patch(d, results, delta.Bare, delta.Bare)
 					db = ext
 				}
 
@@ -203,6 +203,92 @@ func TestDeltaApproxEquivalence(t *testing.T) {
 				sameMultiset(t, fmt.Sprintf("approx join index %v", joinIndex), results, scratch)
 			}
 		})
+	}
+}
+
+// bridgeTuple builds a tuple for relation rel of db that joins one
+// random tuple of every adjacent relation: each shared attribute copies
+// that neighbour's value, every other attribute gets a fresh payload.
+// Appending it can merge old results that held those neighbours apart,
+// which is the branch of Patch that drops old results.
+func bridgeTuple(rng *rand.Rand, db *relation.Database, rel, n int) relation.Tuple {
+	r := db.Relation(rel)
+	t := relation.Tuple{Label: fmt.Sprintf("bridge%d", n), Values: make([]relation.Value, r.Schema().Len()), Imp: 1, Prob: 1}
+	for p := range t.Values {
+		t.Values[p] = relation.V(fmt.Sprintf("fresh%d_%d", n, p))
+	}
+	for _, adj := range db.Adjacent(rel) {
+		if db.Relation(adj).Len() == 0 {
+			continue
+		}
+		nb := db.Relation(adj).Tuple(rng.Intn(db.Relation(adj).Len()))
+		for _, pp := range db.SharedPositions(rel, adj) {
+			t.Values[pp.P1] = nb.Values[pp.P2]
+		}
+	}
+	return t
+}
+
+// TestPatchBridgingAppends: on random chain, star and cycle databases,
+// appends of tuples that bridge old results keep the patched list
+// (delta.Patch) multiset-equal to a from-scratch enumeration, for the
+// exact and the (Amin, Levenshtein, τ) families; and at least one
+// append per family drops old results, so the subsumption branch runs.
+func TestPatchBridgingAppends(t *testing.T) {
+	apx, err := approx.Qualify(&approx.Amin{S: approx.LevenshteinSim{}}, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := []struct {
+		name string
+		p    core.Predicate
+	}{{"exact", core.JCC}, {"approx", apx}}
+	gens := []struct {
+		name string
+		gen  func(workload.Config) (*relation.Database, error)
+	}{{"chain", workload.Chain}, {"star", workload.Star}, {"cycle", workload.Cycle}}
+	opts := core.Options{UseIndex: true, UseJoinIndex: true}
+	for _, fam := range families {
+		removedTotal := 0
+		for _, g := range gens {
+			for seed := int64(1); seed <= 3; seed++ {
+				rng := rand.New(rand.NewSource(seed * 31))
+				db, err := g.gen(workload.Config{
+					Relations: 3 + rng.Intn(2), TuplesPerRelation: 5, Domain: 5, NullRate: 0.2, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				results, _, err := core.FullDisjunction(db, fam.p, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for n := 0; n < 6; n++ {
+					rel := rng.Intn(db.NumRelations())
+					firstNew := db.Relation(rel).Len()
+					ext, err := db.Extend(rel, []relation.Tuple{bridgeTuple(rng, db, rel, n)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					d, err := delta.Compute(tupleset.NewUniverse(ext), fam.p, rel, firstNew, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var removed int
+					results, removed = delta.Patch(d, results, delta.Bare, delta.Bare)
+					removedTotal += removed
+					db = ext
+					scratch, _, err := core.FullDisjunction(db, fam.p, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameMultiset(t, fmt.Sprintf("%s %s seed %d append %d", fam.name, g.name, seed, n), results, scratch)
+				}
+			}
+		}
+		if removedTotal == 0 {
+			t.Errorf("%s: no append removed an old result", fam.name)
+		}
+		t.Logf("%s: %d old results removed", fam.name, removedTotal)
 	}
 }
 

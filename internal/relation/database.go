@@ -37,7 +37,8 @@ type PosPair struct {
 // freezes the database by encoding it into the columnar dictionary
 // mirror. From that point on MutateTuple panics and appends return an
 // error, so a late mutation fails loudly instead of being silently
-// invisible to the algorithms. Relations themselves (schemas, tuple
+// invisible to the algorithms; Extend derives a new frozen database
+// with appended tuples instead. Relations themselves (schemas, tuple
 // counts) must not change once added.
 type Database struct {
 	rels []*Relation
@@ -71,10 +72,10 @@ type Database struct {
 	index *JoinIndex
 
 	// fpOnce/fp cache the content fingerprint of the frozen database
-	// (see Fingerprint); Refresh resets them with the mirror. relFPs
-	// holds the per-relation fingerprint chain states the combined fp
-	// is derived from — Extend rolls one chain forward over an appended
-	// batch instead of rehashing the database.
+	// (see Fingerprint). relFPs holds the per-relation fingerprint
+	// chain states the combined fp is derived from — Extend rolls one
+	// chain forward over an appended batch instead of rehashing the
+	// database.
 	fpOnce sync.Once
 	fp     uint64
 	relFPs []uint64
@@ -211,37 +212,6 @@ func (db *Database) Freeze() { db.ensureEncoded() }
 // returns true.
 func (db *Database) Frozen() bool {
 	return len(db.rels) > 0 && db.rels[0].Frozen()
-}
-
-// Refresh unfreezes the database: it discards the columnar mirror, the
-// dictionary, the join index and the fingerprint, and lifts the freeze
-// on every relation, so mutable workloads can adjust or append tuples
-// between queries. The next query (or Freeze call) rebuilds everything
-// from the then-current tuples; the database's Size and NumTuples are
-// recomputed here so appends made since construction are reflected.
-//
-// Refresh must not race queries: the caller is responsible for
-// quiescing readers first, exactly as with the mutation contract.
-// Universes, cursors and cached results created before a Refresh are
-// bound to the discarded mirror and must not be used afterwards.
-func (db *Database) Refresh() {
-	for _, rel := range db.rels {
-		rel.unfreeze()
-	}
-	db.encodeOnce = sync.Once{}
-	db.dict = nil
-	db.cols = nil
-	db.imps = nil
-	db.probs = nil
-	db.index = nil
-	db.fpOnce = sync.Once{}
-	db.fp = 0
-	db.relFPs = nil
-	db.size, db.tuples = 0, 0
-	for _, rel := range db.rels {
-		db.size += rel.Size()
-		db.tuples += rel.Len()
-	}
 }
 
 // ensureEncoded builds the columnar value layer on first use: the

@@ -29,10 +29,9 @@ import "fmt"
 //     content would compute.
 //
 // Extend freezes db first (it reads the mirror and the chain states).
-// Validation mirrors AppendTuple: value count must match the schema
-// width and Prob must lie in [0,1]. The batch must be non-empty — an
-// empty extension would mint a second Database with db's fingerprint
-// for no reason.
+// Every tuple must pass Relation.CheckTuple. The batch must be
+// non-empty — an empty extension would mint a second Database with
+// db's fingerprint for no reason.
 func (db *Database) Extend(relIdx int, tuples []Tuple) (*Database, error) {
 	if relIdx < 0 || relIdx >= len(db.rels) {
 		return nil, fmt.Errorf("relation: extend: relation index %d out of range [0,%d)", relIdx, len(db.rels))
@@ -41,18 +40,12 @@ func (db *Database) Extend(relIdx int, tuples []Tuple) (*Database, error) {
 	if len(tuples) == 0 {
 		return nil, fmt.Errorf("relation: extend %s: empty tuple batch", base.name)
 	}
-	width := base.schema.Len()
 	for i := range tuples {
-		t := &tuples[i]
-		if len(t.Values) != width {
-			return nil, fmt.Errorf("relation: extend %s: tuple %d has %d values, schema has %d attributes",
-				base.name, i, len(t.Values), width)
-		}
-		if t.Prob < 0 || t.Prob > 1 {
-			return nil, fmt.Errorf("relation: extend %s: tuple %d probability %v outside [0,1]",
-				base.name, i, t.Prob)
+		if err := base.CheckTuple(&tuples[i]); err != nil {
+			return nil, fmt.Errorf("relation: extend %s: tuple %d: %w", base.name, i, err)
 		}
 	}
+	width := base.schema.Len()
 	db.Fingerprint() // freeze, encode, and materialise the chain states
 
 	firstNew := base.Len()

@@ -96,10 +96,10 @@ func combineFP(rels []*Relation, relFPs []uint64) uint64 {
 // snapshot-adopted, from-scratch and incrementally extended encodings
 // of equal content agree.
 //
-// Computing the fingerprint freezes the database; the value is cached
-// until a Refresh discards the mirror. internal/service keys its result
-// cache on this value, so repeated queries against identically-loaded
-// databases share cached results.
+// Computing the fingerprint freezes the database, whose content never
+// changes again, so the value is computed once and cached.
+// internal/service keys its result cache on this value, so repeated
+// queries against identically-loaded databases share cached results.
 func (db *Database) Fingerprint() uint64 {
 	db.ensureEncoded()
 	db.fpOnce.Do(func() {

@@ -101,14 +101,6 @@ func (r *Relation) freeze() {
 	r.mu.Unlock()
 }
 
-// unfreeze lifts the freeze again; called by Database.Refresh when the
-// columnar mirror is discarded for a rebuild.
-func (r *Relation) unfreeze() {
-	r.mu.Lock()
-	r.frozen = false
-	r.mu.Unlock()
-}
-
 // MutateTuple adjusts the i-th tuple through fn. It is the supported
 // mutation path: it panics once the owning Database has frozen (built
 // its columnar mirror at the first query or an explicit Freeze), where
@@ -154,14 +146,23 @@ func (r *Relation) AppendTuple(t Tuple) error {
 	if r.frozen {
 		return fmt.Errorf("relation %s: append after the database froze", r.name)
 	}
-	if len(t.Values) != r.schema.Len() {
-		return fmt.Errorf("relation %s: tuple has %d values, schema has %d attributes",
-			r.name, len(t.Values), r.schema.Len())
-	}
-	if t.Prob < 0 || t.Prob > 1 {
-		return fmt.Errorf("relation %s: tuple probability %v outside [0,1]", r.name, t.Prob)
+	if err := r.CheckTuple(&t); err != nil {
+		return fmt.Errorf("relation %s: %w", r.name, err)
 	}
 	r.tuples = append(r.tuples, t)
+	return nil
+}
+
+// CheckTuple reports whether t may be appended to the relation: its
+// value count must match the schema width and Prob must lie in [0, 1].
+// AppendTuple and Database.Extend apply the same check.
+func (r *Relation) CheckTuple(t *Tuple) error {
+	if len(t.Values) != r.schema.Len() {
+		return fmt.Errorf("tuple has %d values, schema has %d attributes", len(t.Values), r.schema.Len())
+	}
+	if t.Prob < 0 || t.Prob > 1 {
+		return fmt.Errorf("tuple probability %v outside [0,1]", t.Prob)
+	}
 	return nil
 }
 

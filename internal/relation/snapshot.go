@@ -139,9 +139,8 @@ func (db *Database) WriteSnapshot(w io.Writer) error {
 // directly from the file — no value is re-interned — and the relations'
 // tuples are materialised by decoding the columns, so the loaded
 // database behaves exactly like the one that was written (rendering,
-// CSV export and mutation-after-Refresh all work). The database comes
-// back frozen; the recomputed Fingerprint must equal the stored one or
-// the load fails.
+// CSV export and Extend all work). The database comes back frozen; the
+// recomputed Fingerprint must equal the stored one or the load fails.
 func ReadSnapshot(r io.Reader) (*Database, error) {
 	br := bufio.NewReader(r)
 	fp, err := readSnapshotHeader(br)
@@ -357,8 +356,8 @@ func parseRelationSection(payload []byte, dict *Dict) (*Relation, [][]int32, []f
 	}
 
 	// Materialise the tuples by decoding the columns, so the loaded
-	// relation renders, exports and survives a Refresh exactly like the
-	// written one.
+	// relation renders, exports and extends exactly like the written
+	// one.
 	rel.tuples = make([]Tuple, m)
 	for i := 0; i < m; i++ {
 		vals := make([]Value, width)

@@ -85,24 +85,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotLoadedDatabaseSupportsRefresh(t *testing.T) {
-	db := snapshotTestDatabase(t)
-	got, err := ReadSnapshot(bytes.NewReader(writeSnapshotBytes(t, db)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got.Refresh()
-	if got.Frozen() {
-		t.Fatal("still frozen after Refresh")
-	}
-	if err := got.Relation(0).Append("c4", map[Attribute]Value{"Country": V("Chile")}); err != nil {
-		t.Fatalf("append after Refresh: %v", err)
-	}
-	if got.Fingerprint() == db.Fingerprint() {
-		t.Fatal("fingerprint unchanged after append")
-	}
-}
-
 func TestSnapshotRejectsEveryByteFlip(t *testing.T) {
 	raw := writeSnapshotBytes(t, snapshotTestDatabase(t))
 	for i := range raw {

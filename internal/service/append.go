@@ -76,31 +76,6 @@ func familyDelta(ne *dbEntry, relIdx, firstNew int, fam familyKey) (*delta.Delta
 	return delta.Compute(ne.u, p, relIdx, firstNew, core.Options{UseIndex: true, UseJoinIndex: true})
 }
 
-// deltaResults renders a delta's added sets as service Results.
-func deltaResults(d *delta.Delta) []Result {
-	out := make([]Result, len(d.Added))
-	for i, a := range d.Added {
-		out[i] = Result{Set: a}
-	}
-	return out
-}
-
-// patchResults rewrites one drained result list across an append: old
-// results a delta set subsumes are dropped, the delta's sets are
-// appended. The input list is shared with live sessions and is never
-// mutated; the returned slice is fresh.
-func patchResults(old []Result, d *delta.Delta) (patched []Result, removed int) {
-	patched = make([]Result, 0, len(old)+len(d.Added))
-	for _, r := range old {
-		if r.Set != nil && d.Subsumes(r.Set) {
-			removed++
-			continue
-		}
-		patched = append(patched, r)
-	}
-	return append(patched, deltaResults(d)...), removed
-}
-
 // AppendRows appends tuples to relation relName of the registered
 // database dbName through incremental maintenance: the registered
 // database is extended in place (relation.Database.Extend — the
@@ -237,7 +212,7 @@ func (s *Service) AppendRows(dbName, relName string, tuples []relation.Tuple) (D
 			fams[sub.fam] = d
 			added += len(d.Added)
 		}
-		sub.push(FollowBatch{Results: deltaResults(d), DB: ne.db, U: ne.u})
+		sub.push(FollowBatch{Delta: d, DB: ne.db, U: ne.u})
 	}
 	s.met.syncCache(s.cache)
 	s.mu.Unlock()
@@ -289,7 +264,7 @@ func (s *Service) patchCacheLocked(dbName string, oldFP, newFP uint64, fams map[
 			}
 			continue
 		}
-		results, _ := patchResults(ce.results, d)
+		results, _ := delta.Patch(d, ce.results, resultSet, resultOf)
 		key := newPrefix + strings.TrimPrefix(ce.key, oldPrefix)
 		evicted += s.cache.put(key, ce.spec, results)
 		if !shared {
@@ -299,3 +274,7 @@ func (s *Service) patchCacheLocked(dbName string, oldFP, newFP uint64, fams map[
 	}
 	return patched, evicted
 }
+
+// resultSet and resultOf adapt cached Results to delta.Patch.
+func resultSet(r Result) *tupleset.Set { return r.Set }
+func resultOf(t *tupleset.Set) Result  { return Result{Set: t} }

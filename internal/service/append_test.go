@@ -8,6 +8,7 @@ import (
 
 	fd "repro"
 	"repro/internal/core"
+	"repro/internal/delta"
 	"repro/internal/relation"
 	"repro/internal/store"
 	"repro/internal/store/faultfs"
@@ -159,21 +160,7 @@ func TestFollowSubscription(t *testing.T) {
 	if len(batches) != 1 {
 		t.Fatalf("delivered %d batches, want 1", len(batches))
 	}
-	b := batches[0]
-	kept := live[:0:0]
-	for _, r := range live {
-		subsumed := false
-		for _, a := range b.Results {
-			if a.Set.ContainsAll(r.Set) {
-				subsumed = true
-				break
-			}
-		}
-		if !subsumed {
-			kept = append(kept, r)
-		}
-	}
-	live = append(kept, b.Results...)
+	live, _ = delta.Patch(batches[0].Delta, live, resultSet, resultOf)
 	newDB, _ := svc.Database("d")
 	sameKeys(t, "followed", keysOf(live), scratchKeys(t, newDB))
 

@@ -379,11 +379,12 @@ type DatabaseInfo struct {
 }
 
 // AddDatabase registers db under name, freezing it (queries and cached
-// results assume immutable content; for a mutable workload, DropDatabase
-// it, Refresh and mutate the database, then register it again). Names
-// are unique. With a configured Store the registration is durable: a
-// snapshot is persisted before AddDatabase returns, and a persistence
-// failure unregisters the database again.
+// results assume immutable content; to change a registered database,
+// append through AppendRows, or DropDatabase it, build or Extend a new
+// database and register that). Names are unique. With a configured
+// Store the registration is durable: a snapshot is persisted before
+// AddDatabase returns, and a persistence failure unregisters the
+// database again.
 func (s *Service) AddDatabase(name string, db *relation.Database) (DatabaseInfo, error) {
 	return s.addDatabase(name, db, true)
 }
@@ -652,17 +653,9 @@ func (s *Service) StartQuery(ctx context.Context, dbName string, spec fd.Query) 
 		s.mu.Unlock()
 		return nil, fmt.Errorf("service: %w %q", ErrUnknownDatabase, dbName)
 	}
-	s.mu.Unlock()
-	// Read the fingerprint live (cached by the database, invalidated by
-	// Refresh) so a Refresh+mutate between queries can never replay a
-	// stale cached result list.
-	fp := entry.db.Fingerprint()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("service: closed")
-	}
-	key := fmt.Sprintf("%016x|%s", fp, spec.Canonical())
+	// A registered database is frozen and never changes content (an
+	// append registers a new entry), so its fingerprint is a cache read.
+	key := fmt.Sprintf("%016x|%s", entry.db.Fingerprint(), spec.Canonical())
 	s.seq++
 	id := fmt.Sprintf("q%d", s.seq)
 	qctx, cancel := context.WithCancel(ctx)

@@ -310,9 +310,9 @@ func TestEmptyResultCacheReplay(t *testing.T) {
 }
 
 // TestDropRefreshReload covers the mutable-workload flow: drop the
-// database, Refresh+mutate it, re-register it, and check that the new
-// content is served (not a stale cached list keyed by the old
-// fingerprint).
+// database, Extend a copy with one more tuple, register the copy under
+// the same name, and check that the new content is served (not a
+// stale cached list keyed by the old fingerprint).
 func TestDropRefreshReload(t *testing.T) {
 	db := testDB(t, "chain", 61)
 	svc := New(Config{})
@@ -333,7 +333,6 @@ func TestDropRefreshReload(t *testing.T) {
 	if err := svc.DropDatabase("w"); err == nil {
 		t.Fatal("double drop succeeded")
 	}
-	db.Refresh()
 	// Append a private-payload tuple joining nothing: |FD| grows by 1.
 	last := db.NumRelations() - 1
 	rel := db.Relation(last)
@@ -343,10 +342,11 @@ func TestDropRefreshReload(t *testing.T) {
 			vals[p] = relation.V("fresh")
 		}
 	}
-	if err := rel.AppendTuple(relation.Tuple{Label: "fresh", Values: vals, Imp: 1, Prob: 1}); err != nil {
+	ext, err := db.Extend(last, []relation.Tuple{{Label: "fresh", Values: vals, Imp: 1, Prob: 1}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.AddDatabase("w", db); err != nil {
+	if _, err := svc.AddDatabase("w", ext); err != nil {
 		t.Fatal(err)
 	}
 
@@ -355,7 +355,7 @@ func TestDropRefreshReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	if q2.FromCache() {
-		t.Fatal("mutated database served from the stale cache")
+		t.Fatal("extended database served from the stale cache")
 	}
 	after := len(drain(t, q2, 100))
 	if after != before+1 {

@@ -3,24 +3,25 @@ package service
 import (
 	"sync"
 
+	"repro/internal/delta"
 	"repro/internal/relation"
 	"repro/internal/tupleset"
 )
 
 // FollowBatch is one append's delta as delivered to a follow
-// subscription: the new maximal result sets the batch created, plus
-// the extended database and rendering universe they are bound to —
-// the subscriber's base session still holds the pre-append database,
-// whose universe cannot render sets that reference appended tuples.
+// subscription: the family's delta (the new maximal result sets the
+// batch created, Delta.Added), plus the extended database and
+// rendering universe those sets are bound to — the subscriber's base
+// session still holds the pre-append database, whose universe cannot
+// render sets that reference appended tuples.
 //
-// Retraction is implicit: an earlier result strictly contained in a
-// batch member is no longer maximal. Set.ContainsAll is universe-
-// independent, so subscribers compare batch sets against results from
-// any earlier database version directly.
+// Retraction is implicit: an earlier result is no longer maximal when
+// Delta.Subsumes it. The check is universe-independent, so subscribers
+// test results from any earlier database version directly.
 type FollowBatch struct {
-	Results []Result
-	DB      *relation.Database
-	U       *tupleset.Universe
+	Delta *delta.Delta
+	DB    *relation.Database
+	U     *tupleset.Universe
 }
 
 // subscription is one live follow attachment of a query session: a

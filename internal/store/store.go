@@ -1,9 +1,10 @@
 // Package store is the on-disk columnar snapshot store: it persists
 // registered databases as versioned binary snapshot files (the format
 // of relation.WriteSnapshot, see docs/SNAPSHOT_FORMAT.md) plus an
-// append-only row log per database, so appends made after a Refresh are
-// durable without rewriting the whole snapshot. Compaction folds the
-// log back into the snapshot.
+// append-only row log per database, so appends are durable without
+// rewriting the whole snapshot. Load replays the log through
+// relation.Database.Extend, the call live appends make; compaction
+// folds it back into the snapshot.
 //
 // Crash safety: snapshots are written to a temporary file, fsynced and
 // renamed into place, so a crash mid-save leaves the previous snapshot
@@ -255,9 +256,11 @@ func (s *Store) syncDir() { _ = s.fs.SyncDir(s.dir) }
 
 // Load reads the stored database of that name: the snapshot is loaded
 // (adopting its columnar mirror directly, no re-encoding) and any row
-// log is replayed through a Refresh. It reports whether log records
-// were replayed — a true return means the caller should Compact (or
-// Save) to fold the log back into the snapshot. Corrupt or truncated
+// log is replayed through relation.Database.Extend, the call live
+// appends made, so the result is frozen and fingerprint-equal to the
+// database before the restart. It reports whether log records were
+// replayed — a true return means the caller should Compact (or Save)
+// to fold the log back into the snapshot. Corrupt or truncated
 // snapshots and logs fail loudly.
 func (s *Store) Load(name string) (db *relation.Database, replayed bool, err error) {
 	s.mu.Lock()
@@ -307,19 +310,29 @@ func (s *Store) load(name string) (*relation.Database, bool, error) {
 		return nil, false, fmt.Errorf("store: load %q: row log extends snapshot %016x, found snapshot %016x",
 			name, fp, snapFP)
 	}
-	db.Refresh()
+	// Replay through Extend, the call that made the appends live: one
+	// batch per relation, its rows in log order. Each relation's
+	// fingerprint chain only sees its own rows, so regrouping an
+	// interleaved log keeps the fingerprint.
+	batches := make([][]relation.Tuple, db.NumRelations())
 	for i, rec := range recs {
 		idx, ok := db.RelationIndex(rec.rel)
 		if !ok {
 			return nil, false, fmt.Errorf("store: load %q: log record %d names unknown relation %q", name, i, rec.rel)
 		}
-		if err := db.Relation(idx).AppendTuple(rec.tuple); err != nil {
+		if err := db.Relation(idx).CheckTuple(&rec.tuple); err != nil {
 			return nil, false, fmt.Errorf("store: load %q: log record %d: %w", name, i, err)
 		}
+		batches[idx] = append(batches[idx], rec.tuple)
 	}
-	// Refresh again so Size/NumTuples count the replayed rows (the
-	// mirror is already discarded; the recount is the only effect).
-	db.Refresh()
+	for idx, tuples := range batches {
+		if len(tuples) == 0 {
+			continue
+		}
+		if db, err = db.Extend(idx, tuples); err != nil {
+			return nil, false, fmt.Errorf("store: load %q: %w", name, err)
+		}
+	}
 	return db, true, nil
 }
 

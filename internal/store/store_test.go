@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	fd "repro"
@@ -140,6 +141,87 @@ func TestStoreAppendReplayAndCompact(t *testing.T) {
 	}
 	if c, err := st.Compact("w"); err != nil || c {
 		t.Fatalf("second compaction = (%v, %v), want (false, nil)", c, err)
+	}
+}
+
+// TestStoreLoadReplaysThroughExtend: a snapshot plus a row log that
+// interleaves every relation loads as a frozen database that is
+// fingerprint-equal to NewDatabase over the same rows, with the same
+// Workers-1 result multiset; a record naming an unknown relation, or
+// holding a wrong-width tuple, fails the load naming the record index.
+func TestStoreLoadReplaysThroughExtend(t *testing.T) {
+	full := testDB(t, 5)
+	rels := make([]*relation.Relation, full.NumRelations())
+	for i := range rels {
+		src := full.Relation(i)
+		rels[i] = relation.MustRelation(src.Name(), src.Schema())
+		for j := 0; j < src.Len()/2; j++ {
+			if err := rels[i].AppendTuple(*src.Tuple(j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	base := relation.MustDatabase(rels...)
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save("w", base); err != nil {
+		t.Fatal(err)
+	}
+	// One-row records, round-robin over the relations.
+	for k := full.Relation(0).Len() / 2; k < full.Relation(0).Len(); k++ {
+		for i := range rels {
+			if k >= full.Relation(i).Len() {
+				continue
+			}
+			row := []relation.Tuple{*full.Relation(i).Tuple(k)}
+			if err := st.Append("w", full.Relation(i).Name(), row, base.Fingerprint()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	loaded, replayed, err := st.Load("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !replayed || !loaded.Frozen() {
+		t.Fatalf("replayed %v, frozen %v; want both", replayed, loaded.Frozen())
+	}
+	if got, want := loaded.Fingerprint(), full.Fingerprint(); got != want {
+		t.Fatalf("replayed fingerprint %016x, NewDatabase over the same rows %016x", got, want)
+	}
+	if got, want := enumerate(t, loaded, "exact"), enumerate(t, full, "exact"); !equalStrings(got, want) {
+		t.Fatalf("replayed results differ\n got %v\nwant %v", got, want)
+	}
+
+	width := base.Relation(0).Schema().Len()
+	bad := []struct {
+		name, rel string
+		width     int
+		want      string
+	}{
+		{"unknown relation", "Nope", width, "log record 2 names unknown relation"},
+		{"wrong width", base.Relation(0).Name(), width + 1, "log record 2: tuple has"},
+	}
+	good := []relation.Tuple{*full.Relation(1).Tuple(full.Relation(1).Len() - 1)}
+	for _, c := range bad {
+		if err := st.Save("bad", base); err != nil {
+			t.Fatal(err)
+		}
+		// Records 0 and 1 are valid; record 2 is the bad one.
+		for n := 0; n < 2; n++ {
+			if err := st.Append("bad", full.Relation(1).Name(), good, base.Fingerprint()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		row := []relation.Tuple{{Values: make([]relation.Value, c.width), Prob: 1}}
+		if err := st.Append("bad", c.rel, row, base.Fingerprint()); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.Load("bad"); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: load error %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
 

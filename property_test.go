@@ -290,10 +290,11 @@ func TestPropertyStatsConsistency(t *testing.T) {
 			return true
 		}
 		i := int(seedRel) % db.NumRelations()
-		sets, stats, err := core.FDi(db, core.JCC, i, core.Options{})
+		e, err := core.NewEnumerator(tupleset.NewUniverse(db), core.JCC, i, core.Options{})
 		if err != nil {
 			return false
 		}
+		sets, stats := e.All(), e.Stats()
 		return stats.Iterations == len(sets) && stats.MaxResident <= maxInt(len(sets), 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
