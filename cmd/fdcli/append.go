@@ -46,7 +46,7 @@ func runAppend(db *fd.Database, spec string, stdout, stderr io.Writer) error {
 		tuples[i] = *batch.Tuple(i)
 	}
 
-	opts := core.Options{UseIndex: true, UseJoinIndex: true}
+	opts := core.Serving()
 	base, _, err := core.FullDisjunction(db, core.JCC, opts)
 	if err != nil {
 		return err

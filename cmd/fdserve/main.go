@@ -106,7 +106,6 @@ func main() {
 		}
 	}
 
-	reg := obs.NewRegistry()
 	svc := service.New(service.Config{
 		Workers:          *workers,
 		EngineWorkers:    *engineWk,
@@ -116,7 +115,6 @@ func main() {
 		MaxPageSize:      *pageMax,
 		AdmissionTimeout: *admitWait,
 		Store:            st,
-		Metrics:          reg,
 		Logger:           logger.With("component", "service"),
 		SlowQuery:        *slowQuery,
 		DelaySLO:         *delaySLO,
@@ -147,7 +145,6 @@ func main() {
 	defer cancelSessions()
 	hs := newServer(sessionCtx, svc, *maxBody)
 	hs.log = logger.With("component", "http")
-	hs.reg = reg
 	hs.pprof = *pprofOn
 	srv := &http.Server{
 		Addr:    *addr,
@@ -237,11 +234,14 @@ func newServer(ctx context.Context, svc *service.Service, maxBody int64) *server
 	if maxBody <= 0 {
 		maxBody = defaultMaxBody
 	}
-	// Both observability hooks default to off: a nil registry no-ops
-	// every metric and the discard logger drops every record, so tests
-	// composing handlers directly pay nothing and configure nothing.
+	// Logging defaults to off: the discard logger drops every record,
+	// so tests composing handlers directly configure nothing. The panic
+	// counter lives in the service's registry, resolved once here with
+	// its help text.
 	return &server{ctx: ctx, svc: svc, maxBody: maxBody,
-		log: slog.New(slog.DiscardHandler)}
+		log: slog.New(slog.DiscardHandler),
+		panicsRecovered: svc.Metrics().Counter("fd_panics_recovered_total",
+			"Handler panics recovered by the HTTP middleware.")}
 }
 
 // routes builds the raw route table; handler wraps it with the
@@ -261,7 +261,7 @@ func (s *server) routes() *http.ServeMux {
 	mux.HandleFunc("GET /queries/{id}/trace", s.handleTrace)
 	mux.HandleFunc("DELETE /queries/{id}", s.handleDeleteQuery)
 	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.HandleFunc("GET /metrics", obs.Handler(s.reg).ServeHTTP)
+	mux.HandleFunc("GET /metrics", obs.Handler(s.svc.Metrics()).ServeHTTP)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	if s.pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -331,9 +331,7 @@ func (s *server) withRecovery(next http.Handler) http.Handler {
 				if rec == http.ErrAbortHandler { //nolint:errorlint // sentinel comparison per net/http docs
 					panic(rec)
 				}
-				s.panics.Add(1)
-				s.reg.Counter("fd_panics_recovered_total",
-					"Handler panics recovered by the HTTP middleware.").Inc()
+				s.panicsRecovered.Inc()
 				s.log.Error("panic serving request",
 					"id", requestID(r.Context()), "method", r.Method,
 					"path", r.URL.Path, "panic", rec, "stack", string(debug.Stack()))
@@ -355,15 +353,14 @@ type server struct {
 	// log receives the HTTP layer's records; never nil (newServer
 	// defaults it to a discard logger).
 	log *slog.Logger
-	// reg backs GET /metrics and the panic counter; nil no-ops both.
-	reg *obs.Registry
 	// pprof mounts net/http/pprof under /debug/pprof/ when set.
 	pprof bool
 	// reqSeq numbers requests for X-Request-Id and log correlation.
 	reqSeq atomic.Uint64
-	// panics counts handler panics recovered by withRecovery, surfaced
+	// panicsRecovered is fd_panics_recovered_total in the service's
+	// registry: handler panics recovered by withRecovery, surfaced also
 	// as panics_recovered in GET /stats.
-	panics atomic.Int64
+	panicsRecovered *obs.Counter
 }
 
 // decodeBody decodes the request body as exactly one JSON value into v
@@ -850,7 +847,7 @@ type statsResponse struct {
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, statsResponse{
 		Stats:           s.svc.Stats(),
-		PanicsRecovered: s.panics.Load(),
+		PanicsRecovered: s.panicsRecovered.Value(),
 	})
 }
 

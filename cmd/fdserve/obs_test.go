@@ -14,20 +14,18 @@ import (
 )
 
 // startObsServer spins up the full middleware stack (request ids,
-// recovery) over a service wired to a metrics registry, the way main()
-// composes it.
+// recovery) over a service, the way main() composes it, and returns
+// the service's metrics registry.
 func startObsServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	svc := service.New(service.Config{Metrics: reg})
+	svc := service.New(service.Config{})
 	hs := newServer(context.Background(), svc, defaultMaxBody)
-	hs.reg = reg
 	ts := httptest.NewServer(hs.handler())
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()
 	})
-	return ts, reg
+	return ts, svc.Metrics()
 }
 
 // TestMetricsEndpoint drives a query over the wire and asserts GET
@@ -129,13 +127,12 @@ func TestRequestIDHeader(t *testing.T) {
 }
 
 // TestPanicCounterInRegistry: a recovered handler panic increments
-// fd_panics_recovered_total alongside the /stats counter.
+// fd_panics_recovered_total, which /stats reports as panics_recovered.
 func TestPanicCounterInRegistry(t *testing.T) {
-	reg := obs.NewRegistry()
-	svc := service.New(service.Config{Metrics: reg})
+	svc := service.New(service.Config{})
 	defer svc.Close()
+	reg := svc.Metrics()
 	hs := newServer(context.Background(), svc, defaultMaxBody)
-	hs.reg = reg
 	mux := hs.routes()
 	mux.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
@@ -158,25 +155,6 @@ func TestPanicCounterInRegistry(t *testing.T) {
 	call(t, "GET", ts.URL+"/stats", nil, http.StatusOK, &stats)
 	if stats.PanicsRecovered != 1 {
 		t.Errorf("panics_recovered = %d, want 1", stats.PanicsRecovered)
-	}
-}
-
-// TestMetricsWithoutRegistry: a server composed with no registry (the
-// newMux test path) still serves a valid, empty exposition rather
-// than failing.
-func TestMetricsWithoutRegistry(t *testing.T) {
-	ts, _ := startServer(t)
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	if len(body) != 0 {
-		t.Errorf("nil-registry exposition not empty: %q", body)
 	}
 }
 

@@ -89,6 +89,11 @@ type Options struct {
 	TaskObserver TaskObserver
 }
 
+// Serving returns the one engine configuration fd.Open, append
+// maintenance and the service run: both indexes on, every other option
+// at its default.
+func Serving() Options { return Options{UseIndex: true, UseJoinIndex: true} }
+
 func (o Options) blockSize() int {
 	if o.BlockSize < 1 {
 		return 1

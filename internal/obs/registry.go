@@ -110,6 +110,30 @@ func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 	return f.get(labels, func() any { return newHistogram() }).(*Histogram)
 }
 
+// Total sums every counter series of the named family across its label
+// sets (0 when the family is absent or not a counter), so a labelled
+// counter reads as one figure. Nil-safe.
+func (r *Registry) Total(name string) int64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	f := r.families[name]
+	r.mu.Unlock()
+	if f == nil {
+		return 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var sum int64
+	for _, m := range f.metrics {
+		if c, ok := m.(*Counter); ok {
+			sum += c.Value()
+		}
+	}
+	return sum
+}
+
 // Counter is a monotonically increasing count. The zero value is ready
 // to use; all methods are safe for concurrent use and no-ops on nil.
 type Counter struct{ v atomic.Int64 }

@@ -40,6 +40,12 @@ func TestCounterConcurrency(t *testing.T) {
 	if labelled != goroutines*per*2 {
 		t.Errorf("lc_total sum = %d, want %d", labelled, goroutines*per*2)
 	}
+	if got := r.Total("lc_total"); got != labelled {
+		t.Errorf("Total(lc_total) = %d, want %d", got, labelled)
+	}
+	if r.Total("g") != 0 || r.Total("absent_total") != 0 {
+		t.Error("Total of a gauge or an absent family is not 0")
+	}
 	if got := r.Gauge("g", "").Value(); got != goroutines*per {
 		t.Errorf("g = %d, want %d", got, goroutines*per)
 	}
@@ -115,6 +121,9 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("x", "").Inc()
 	r.Gauge("x", "").Set(1)
 	r.Histogram("x", "").Observe(1)
+	if r.Total("x") != 0 {
+		t.Error("nil registry total not 0")
+	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func familyDelta(ne *dbEntry, relIdx, firstNew int, fam familyKey) (*delta.Delta
 		}
 	}
 	// The delta runs use the one engine configuration fd.Open runs.
-	return delta.Compute(ne.u, p, relIdx, firstNew, core.Options{UseIndex: true, UseJoinIndex: true})
+	return delta.Compute(ne.u, p, relIdx, firstNew, core.Serving())
 }
 
 // AppendRows appends tuples to relation relName of the registered
@@ -191,7 +191,6 @@ func (s *Service) AppendRows(dbName, relName string, tuples []relation.Tuple) (D
 	}
 	s.dbs[dbName] = ne
 	patched, evicted := s.patchCacheLocked(dbName, oldFP, newFP, fams)
-	s.cacheEvictions += int64(evicted)
 	// A follow query that started after the family scan is in
 	// s.subs now; its family may have no delta yet — enumerate it
 	// inline (appends are serialised and the run only reads the frozen

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	fd "repro"
-	"repro/internal/obs"
 )
 
 // TestDelaySLOBreach proves the watchdog path: a 1ns SLO makes every
@@ -20,13 +19,12 @@ import (
 func TestDelaySLOBreach(t *testing.T) {
 	db := testDB(t, "chain", 43)
 	var buf bytes.Buffer
-	reg := obs.NewRegistry()
 	svc := New(Config{
 		DelaySLO: time.Nanosecond,
-		Metrics:  reg,
 		Logger:   slog.New(slog.NewTextHandler(&buf, nil)),
 	})
 	defer svc.Close()
+	reg := svc.Metrics()
 	if _, err := svc.AddDatabase("w", db); err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +69,9 @@ func TestDelaySLOBreach(t *testing.T) {
 func TestDelaySLODisabled(t *testing.T) {
 	db := testDB(t, "chain", 43)
 	var buf bytes.Buffer
-	reg := obs.NewRegistry()
-	svc := New(Config{Metrics: reg, Logger: slog.New(slog.NewTextHandler(&buf, nil))})
+	svc := New(Config{Logger: slog.New(slog.NewTextHandler(&buf, nil))})
 	defer svc.Close()
+	reg := svc.Metrics()
 	if _, err := svc.AddDatabase("w", db); err != nil {
 		t.Fatal(err)
 	}

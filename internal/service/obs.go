@@ -6,11 +6,8 @@ import (
 	"repro/internal/obs"
 )
 
-// metrics pre-resolves the service's fixed metric handles from the
-// configured registry. With no registry every handle is nil and each
-// instrumented site pays exactly one nil check (the obs package's
-// nil-safety contract); per-database series are resolved per call
-// through reg, which is likewise nil-safe.
+// metrics is the service's registry with its fixed metric handles
+// pre-resolved; per-database series are resolved through reg.
 type metrics struct {
 	reg *obs.Registry
 
@@ -36,7 +33,8 @@ type metrics struct {
 	cachePatches  *obs.Counter
 }
 
-func newMetrics(reg *obs.Registry) metrics {
+func newMetrics() metrics {
+	reg := obs.NewRegistry()
 	return metrics{
 		reg: reg,
 		admissionWait: reg.Histogram("fd_admission_wait_seconds",
@@ -105,7 +103,8 @@ func (m metrics) queries(db, mode string) *obs.Counter {
 		"Query sessions started, by database and mode.", "db", db, "mode", mode)
 }
 
-// results returns the per-database served-result-rows counter.
+// results returns the per-database served-result-rows counter; each
+// session resolves its series once at start.
 func (m metrics) results(db string) *obs.Counter {
 	return m.reg.Counter("fd_results_served_total",
 		"Result rows served to clients, by database.", "db", db)

@@ -159,9 +159,9 @@ func TestTraceHistoryBounded(t *testing.T) {
 // result-row counters with the right labels.
 func TestServiceMetrics(t *testing.T) {
 	db := testDB(t, "chain", 37)
-	reg := obs.NewRegistry()
-	svc := New(Config{Metrics: reg})
+	svc := New(Config{})
 	defer svc.Close()
+	reg := svc.Metrics()
 	if _, err := svc.AddDatabase("w", db); err != nil {
 		t.Fatal(err)
 	}

@@ -93,12 +93,6 @@ type Config struct {
 	Now func() time.Time
 	// Sleep suspends between retries, for tests; nil selects time.Sleep.
 	Sleep func(time.Duration)
-	// Metrics, when non-nil, receives every service-level signal —
-	// admission waits and timeouts, cache traffic, store operation
-	// latencies, quarantines, per-database query and result counts —
-	// for exposition at GET /metrics. Nil turns every instrumented
-	// site into a single nil check.
-	Metrics *obs.Registry
 	// Logger receives the service's structured log output (recovery,
 	// quarantine, slow queries); nil discards it.
 	Logger *slog.Logger
@@ -165,7 +159,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Stats is a snapshot of the service's counters, surfaced by fdserve's
-// GET /stats.
+// GET /stats. Every count is read from the service's metrics registry
+// (Service.Metrics), so a /stats figure and its /metrics series are
+// the same number; docs/OBSERVABILITY.md maps each field to its series.
 type Stats struct {
 	Databases      int   `json:"databases"`
 	ActiveQueries  int   `json:"active_queries"`
@@ -231,8 +227,9 @@ type dbEntry struct {
 	snapFP uint64
 }
 
-// Service is the concurrent query-session subsystem. All methods are
-// safe for concurrent use.
+// Service is the concurrent query-session subsystem. It owns the
+// metrics registry that records its counters (Metrics). All methods
+// are safe for concurrent use.
 type Service struct {
 	cfg Config
 	// sem is the admission semaphore: one slot per concurrently
@@ -257,22 +254,14 @@ type Service struct {
 	// subs holds the live follow subscriptions, by database name then
 	// session id; AppendRows pushes each append's delta batch to every
 	// family-matched subscription of the appended database.
-	subs   map[string]map[string]*subscription
-	seq    uint64
-	closed bool
+	subs        map[string]map[string]*subscription
+	seq         uint64
+	closed      bool
+	quarantined []QuarantineInfo
+	engine      core.Stats
 
-	queriesStarted    int64
-	queriesDone       int64
-	queriesEvicted    int64
-	cacheHits         int64
-	cacheMisses       int64
-	cacheEvictions    int64
-	resultsServed     int64
-	storeRetries      int64
-	admissionTimeouts int64
-	quarantined       []QuarantineInfo
-	engine            core.Stats
-
+	// met is the one record of every count: GET /metrics renders it
+	// and Stats reads it.
 	met metrics
 	// finishedTraces retains the execution traces of closed sessions
 	// (bounded FIFO of TraceHistory entries), so GET /queries/{id}/trace
@@ -292,14 +281,18 @@ func New(cfg Config) *Service {
 		queries:        make(map[string]*Query),
 		subs:           make(map[string]map[string]*subscription),
 		cache:          newResultCache(cfg.CacheCapacity, cfg.CacheMaxBytes),
-		met:            newMetrics(cfg.Metrics),
+		met:            newMetrics(),
 		finishedTraces: make(map[string]*obs.TraceData),
 	}
-	if cfg.Store != nil && cfg.Metrics != nil {
+	if cfg.Store != nil {
 		cfg.Store.Instrument(s.met.storeOp)
 	}
 	return s
 }
+
+// Metrics returns the service's metrics registry, for exposition at
+// GET /metrics. Front ends may register their own series in it.
+func (s *Service) Metrics() *obs.Registry { return s.met.reg }
 
 // acquire takes one admission slot, waiting at most AdmissionTimeout
 // (forever when the timeout is zero). On timeout the request is shed
@@ -331,9 +324,6 @@ func (s *Service) acquire() error {
 }
 
 func (s *Service) shed() error {
-	s.mu.Lock()
-	s.admissionTimeouts++
-	s.mu.Unlock()
 	s.met.admissionTimeouts.Inc()
 	return fmt.Errorf("service: %w: all %d workers busy for %v",
 		ErrOverloaded, s.cfg.Workers, s.cfg.AdmissionTimeout)
@@ -353,9 +343,6 @@ func (s *Service) retryStore(op func() error) error {
 		if err == nil || attempt >= s.cfg.RetryAttempts || !retryable(err) {
 			return err
 		}
-		s.mu.Lock()
-		s.storeRetries++
-		s.mu.Unlock()
 		s.met.storeRetries.Inc()
 		s.cfg.Logger.Warn("retrying store operation",
 			"attempt", attempt, "backoff", backoff, "error", err)
@@ -664,6 +651,7 @@ func (s *Service) StartQuery(ctx context.Context, dbName string, spec fd.Query) 
 		trace: obs.NewTrace(id, s.cfg.Now), started: s.cfg.Now(),
 		progress: &obs.Progress{}, delay: obs.NewDelay(0)}
 	q.delayHist = s.met.resultDelay(dbName, q.mode())
+	q.results = s.met.results(dbName)
 	q.delay.SetSink(q.observeDelay)
 	q.trace.Root().Record("validate", vStart, vEnd.Sub(vStart), nil)
 	q.touch(s.cfg.Now())
@@ -673,18 +661,10 @@ func (s *Service) StartQuery(ctx context.Context, dbName string, spec fd.Query) 
 	q.trace.Root().Record("cache", cStart, s.cfg.Now().Sub(cStart), nil,
 		"hit", strconv.FormatBool(hit))
 	if hit {
-		s.cacheHits++
-		s.queriesStarted++
 		q.cached, q.fromCache = cached, true
 		q.progress.SetPhase(obs.PhaseCached)
-		s.queries[id] = q
-		if spec.Follow {
-			s.registerFollowLocked(q)
-		}
-		s.met.activeQueries.Set(int64(len(s.queries)))
+		s.publishLocked(q)
 		s.mu.Unlock()
-		s.met.cacheHits.Inc()
-		s.met.queries(dbName, q.mode()).Inc()
 		return q, nil
 	}
 	s.mu.Unlock()
@@ -758,17 +738,26 @@ func (s *Service) StartQuery(ctx context.Context, dbName string, spec fd.Query) 
 		cancel()
 		return nil, fmt.Errorf("service: closed")
 	}
-	s.cacheMisses++
-	s.queriesStarted++
 	q.cur = cur
-	s.queries[id] = q
-	if spec.Follow {
+	s.publishLocked(q)
+	return q, nil
+}
+
+// publishLocked makes a started session visible to Query, the idle
+// sweep and (for Follow specs) append fan-out, and counts it as a cache
+// hit or miss and under fd_queries_total. Callers hold s.mu.
+func (s *Service) publishLocked(q *Query) {
+	s.queries[q.id] = q
+	if q.spec.Follow {
 		s.registerFollowLocked(q)
 	}
 	s.met.activeQueries.Set(int64(len(s.queries)))
-	s.met.cacheMisses.Inc()
-	s.met.queries(dbName, q.mode()).Inc()
-	return q, nil
+	if q.fromCache {
+		s.met.cacheHits.Inc()
+	} else {
+		s.met.cacheMisses.Inc()
+	}
+	s.met.queries(q.dbName, q.mode()).Inc()
 }
 
 // QueryTrace returns the execution trace of the session with that id:
@@ -828,7 +817,6 @@ func (s *Service) EvictIdle() int {
 			delete(s.queries, id)
 		}
 	}
-	s.queriesEvicted += int64(len(expired))
 	s.met.activeQueries.Set(int64(len(s.queries)))
 	s.mu.Unlock()
 	s.met.queriesEvicted.Add(int64(len(expired)))
@@ -839,27 +827,30 @@ func (s *Service) EvictIdle() int {
 	return len(expired)
 }
 
-// Stats snapshots the counters.
+// Stats snapshots the counters. The counts read the metrics registry:
+// a session started is a cache hit or a cache miss, and ResultsServed
+// sums fd_results_served_total over its databases.
 func (s *Service) Stats() Stats {
+	m := s.met
+	hits, misses := m.cacheHits.Value(), m.cacheMisses.Value()
+	st := Stats{
+		QueriesStarted:    hits + misses,
+		QueriesDone:       m.queriesFinished.Value(),
+		QueriesEvicted:    m.queriesEvicted.Value(),
+		CacheHits:         hits,
+		CacheMisses:       misses,
+		CacheEvictions:    m.cacheEvictions.Value(),
+		ResultsServed:     m.reg.Total("fd_results_served_total"),
+		StoreRetries:      m.storeRetries.Value(),
+		AdmissionTimeouts: m.admissionTimeouts.Value(),
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{
-		Databases:            len(s.dbs),
-		ActiveQueries:        len(s.queries),
-		QueriesStarted:       s.queriesStarted,
-		QueriesDone:          s.queriesDone,
-		QueriesEvicted:       s.queriesEvicted,
-		CacheHits:            s.cacheHits,
-		CacheMisses:          s.cacheMisses,
-		CacheEvictions:       s.cacheEvictions,
-		CacheEntries:         s.cache.len(),
-		CacheBytes:           s.cache.bytes(),
-		ResultsServed:        s.resultsServed,
-		StoreRetries:         s.storeRetries,
-		AdmissionTimeouts:    s.admissionTimeouts,
-		QuarantinedDatabases: append([]QuarantineInfo(nil), s.quarantined...),
-		Engine:               s.engine,
-	}
+	st.Databases, st.ActiveQueries = len(s.dbs), len(s.queries)
+	st.CacheEntries, st.CacheBytes = s.cache.len(), s.cache.bytes()
+	st.QuarantinedDatabases = append([]QuarantineInfo(nil), s.quarantined...)
+	st.Engine = s.engine
+	return st
 }
 
 // Close shuts the service: every open session is closed and further
@@ -925,10 +916,12 @@ type Query struct {
 	// once at StartQuery, before the session is published.
 	progress *obs.Progress
 	delay    *obs.Delay
-	// delayHist is the pre-resolved fd_result_delay_seconds series for
-	// this session's (db, mode), so the per-result sink does no registry
-	// lookups; nil without a registry.
+	// delayHist and results are the pre-resolved fd_result_delay_seconds
+	// series for this session's (db, mode) and fd_results_served_total
+	// series for its db, so neither the per-result sink nor a page does
+	// a registry lookup.
 	delayHist *obs.Histogram
+	results   *obs.Counter
 	// sloLogged makes the delay-SLO warning once-per-session (every
 	// breach still counts in fd_delay_slo_breaches_total).
 	sloLogged atomic.Bool
@@ -965,34 +958,66 @@ func (q *Query) mode() string {
 	return string(q.spec.Mode)
 }
 
-// finish accounts one completed (drained) enumeration: the finished
-// counter, the delay figures stamped onto the trace, and the
-// slow-query log when the session's wall time exceeded the configured
-// threshold — the warning carries the trace summary and the delay
-// figures, so a slow query is diagnosable from the log line alone.
-func (q *Query) finish(dur time.Duration) {
-	q.svc.met.queriesFinished.Inc()
-	d := q.stampDelay()
-	if sq := q.svc.cfg.SlowQuery; sq > 0 && dur >= sq {
-		q.svc.met.slowQueries.Inc()
-		q.svc.cfg.Logger.Warn("slow query",
-			"id", q.id, "db", q.dbName, "mode", q.mode(),
-			"duration", dur, "served", q.served,
-			"delay_max_ms", d.MaxMillis, "delay_p99_ms", d.P99Millis,
-			"trace", q.trace.Snapshot().Summary())
+// end ends the session's enumeration, once, whether it drained or was
+// closed early; callers hold q.mu. A live cursor is closed, its
+// remaining counters fold into span, which end then ends — the page's
+// next span on a drain; nil on an early close, which records a close
+// span instead — and into the service's engine aggregate, and its
+// engine slots go back. Every session then has its context cancelled,
+// counts once in fd_queries_finished_total, gets its delay figures
+// stamped onto the trace root (delay_max_ms / delay_p99_ms) and enters
+// PhaseDone.
+func (q *Query) end(span *obs.Span) {
+	if q.done {
+		return
 	}
-}
-
-// stampDelay writes the session's delay summary onto the trace root as
-// delay_max_ms / delay_p99_ms attributes (once observations exist), so
-// trace consumers see the measured delay bound next to the span tree.
-func (q *Query) stampDelay() obs.DelaySummary {
-	d := q.delay.Snapshot()
-	if d.Count > 0 {
+	q.done = true
+	// Cancelling first aborts any worker still running ahead, so the
+	// Close below returns promptly.
+	q.cancel()
+	if q.cur != nil {
+		if span == nil {
+			span = q.trace.Root().Start("close")
+		}
+		// Close before the stats snapshot: a parallel cursor folds its
+		// last in-flight workers' counters as Close waits for them (their
+		// task spans attach to the current page, which is why pageSpan
+		// clears only after the Close).
+		q.cur.Close()
+		stats := q.cur.Stats()
+		q.pageSpan.Store(nil)
+		span.SetStats(stats.Sub(q.lastStats).Map())
+		span.End()
+		q.lastStats = stats
+		q.cur = nil
+		q.releaseEngine()
+		q.svc.mu.Lock()
+		q.svc.engine.Add(stats)
+		q.svc.mu.Unlock()
+	}
+	q.svc.met.queriesFinished.Inc()
+	if d := q.delay.Snapshot(); d.Count > 0 {
 		q.trace.Root().SetAttr("delay_max_ms", strconv.FormatFloat(d.MaxMillis, 'g', 6, 64))
 		q.trace.Root().SetAttr("delay_p99_ms", strconv.FormatFloat(d.P99Millis, 'g', 6, 64))
 	}
-	return d
+	q.progress.SetPhase(obs.PhaseDone)
+}
+
+// logSlow logs a drained session whose wall time met the slow-query
+// threshold. The warning carries the trace summary and the delay
+// figures, so a slow query is diagnosable from the log line alone.
+func (q *Query) logSlow() {
+	dur := q.svc.cfg.Now().Sub(q.started)
+	if sq := q.svc.cfg.SlowQuery; sq <= 0 || dur < sq {
+		return
+	}
+	d := q.delay.Snapshot()
+	q.svc.met.slowQueries.Inc()
+	q.svc.cfg.Logger.Warn("slow query",
+		"id", q.id, "db", q.dbName, "mode", q.mode(),
+		"duration", dur, "served", q.served,
+		"delay_max_ms", d.MaxMillis, "delay_p99_ms", d.P99Millis,
+		"trace", q.trace.Snapshot().Summary())
 }
 
 // observeDelay is the session's delay-tracker sink, invoked once per
@@ -1114,22 +1139,14 @@ func (q *Query) Next(k int) ([]Result, bool, error) {
 		q.progress.AddEmitted(int64(len(out)))
 		done := q.served == len(q.cached)
 		if done && !q.done {
-			q.done = true
-			q.progress.SetPhase(obs.PhaseDone)
-			q.svc.mu.Lock()
-			q.svc.queriesDone++
-			q.svc.mu.Unlock()
 			// No cursor holds the derived context, but its cancel func
-			// stays registered on the parent until called — release it
-			// on drain, as the cursor path does, so long-lived servers
-			// don't accumulate one registration per cache hit.
-			q.cancel()
-			q.finish(q.svc.cfg.Now().Sub(q.started))
+			// stays registered on the parent until called — end releases
+			// it, so long-lived servers don't accumulate one registration
+			// per cache hit.
+			q.end(nil)
+			q.logSlow()
 		}
-		q.svc.mu.Lock()
-		q.svc.resultsServed += int64(len(out))
-		q.svc.mu.Unlock()
-		q.svc.met.results(q.dbName).Add(int64(len(out)))
+		q.results.Add(int64(len(out)))
 		// Cached pages do no engine work; the span carries only the
 		// emission count.
 		q.trace.Root().Record("next", pStart, q.svc.cfg.Now().Sub(pStart),
@@ -1179,47 +1196,26 @@ func (q *Query) Next(k int) ([]Result, bool, error) {
 		page.SetStats(stats.Sub(q.lastStats).Map())
 		page.End()
 		q.lastStats = stats
-		q.svc.mu.Lock()
-		q.svc.resultsServed += int64(len(out))
-		q.svc.mu.Unlock()
-		q.svc.met.results(q.dbName).Add(int64(len(out)))
+		q.results.Add(int64(len(out)))
 		return out, false, nil
 	}
 
-	// Exhausted (or failed/cancelled): fold engine stats, and on clean
-	// exhaustion publish the drained list to the result cache. Close
-	// before the stats snapshot — a parallel cursor folds its last
-	// in-flight workers' counters as Close waits for them (their task
-	// spans attach to this page, which is why pageSpan clears only
-	// after the Close).
+	// Exhausted (or failed/cancelled): end the session, folding its last
+	// counters into this page, and on clean exhaustion publish the
+	// drained list to the result cache.
 	err := q.cur.Err()
-	q.done = true
-	q.cur.Close()
-	stats := q.cur.Stats()
-	q.pageSpan.Store(nil)
-	page.SetStats(stats.Sub(q.lastStats).Map())
-	page.End()
-	q.lastStats = stats
-	q.releaseEngine()
-	evicted := 0
-	q.svc.mu.Lock()
-	q.svc.resultsServed += int64(len(out))
-	q.svc.engine.Add(stats)
-	q.svc.queriesDone++
-	if err == nil && !q.uncacheable && !q.svc.closed {
-		evicted = q.svc.cache.put(q.key, q.spec, q.gathered)
-		q.svc.cacheEvictions += int64(evicted)
+	q.end(page)
+	q.results.Add(int64(len(out)))
+	if s := q.svc; err == nil && !q.uncacheable {
+		s.mu.Lock()
+		if !s.closed {
+			s.met.cacheEvictions.Add(int64(s.cache.put(q.key, q.spec, q.gathered)))
+			s.met.syncCache(s.cache)
+		}
+		s.mu.Unlock()
 	}
-	q.svc.met.syncCache(q.svc.cache)
-	q.svc.mu.Unlock()
-	q.svc.met.cacheEvictions.Add(int64(evicted))
-	q.svc.met.results(q.dbName).Add(int64(len(out)))
-	q.cur = nil
 	q.gathered = nil
-	// The enumeration is over; release the session's derived context
-	// now instead of waiting for Close or eviction.
-	q.cancel()
-	q.finish(q.svc.cfg.Now().Sub(q.started))
+	q.logSlow()
 	return out, true, err
 }
 
@@ -1246,42 +1242,7 @@ func (q *Query) shut() {
 	}
 	q.closed = true
 	q.svc.dropFollow(q)
-	if q.cancel != nil {
-		q.cancel()
-	}
-	if q.cur != nil {
-		// Close before the stats snapshot: a parallel cursor folds its
-		// in-flight workers' counters as Close waits for them to exit
-		// (their task spans record while pageSpan is still current).
-		cStart := q.svc.cfg.Now()
-		q.cur.Close()
-		stats := q.cur.Stats()
-		q.pageSpan.Store(nil)
-		q.trace.Root().Record("close", cStart, q.svc.cfg.Now().Sub(cStart),
-			stats.Sub(q.lastStats).Map())
-		q.lastStats = stats
-		q.cur = nil
-		q.svc.mu.Lock()
-		q.svc.engine.Add(stats)
-		if !q.done {
-			q.svc.queriesDone++
-		}
-		q.svc.mu.Unlock()
-		if !q.done {
-			q.svc.met.queriesFinished.Inc()
-		}
-		q.releaseEngine()
-	} else if !q.done && q.cached != nil {
-		q.svc.mu.Lock()
-		q.svc.queriesDone++
-		q.svc.mu.Unlock()
-		q.svc.met.queriesFinished.Inc()
-	}
-	if !q.done {
-		// Early close: the drain path stamped already (via finish).
-		q.stampDelay()
-		q.progress.SetPhase(obs.PhaseDone)
-	}
+	q.end(nil)
 	q.trace.Root().End()
 	q.svc.retainTrace(q.trace.Snapshot())
 }

@@ -71,10 +71,12 @@ type QueryOptions struct {
 	Progress *Progress `json:"-"`
 }
 
-// engine renders the options as core.Options: both indexes on, plus
-// the task observer.
+// engine renders the options as core.Options: the serving
+// configuration plus the task observer.
 func (o QueryOptions) engine() core.Options {
-	return core.Options{UseIndex: true, UseJoinIndex: true, TaskObserver: o.TaskObserver}
+	opts := core.Serving()
+	opts.TaskObserver = o.TaskObserver
+	return opts
 }
 
 // RankByName resolves a ranking-function name of a Query: "fmax",

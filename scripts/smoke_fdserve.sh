@@ -16,15 +16,27 @@
 # and its final total must match a from-scratch query — before and
 # after the kill -9 — while the append/cache-patch counters prove the
 # incremental path ran. Uses only curl + grep/sed so it runs in
-# minimal containers. Usage: smoke_fdserve.sh [bindir]
+# minimal containers.
+#
+# Usage: smoke_fdserve.sh [bindir]
+# With bindir, runs the fdgen/fdcli/fdserve binaries found there (CI
+# passes the ones it just built). Without it, builds ./cmd/... from
+# this checkout into a temporary directory first, so a stale binary
+# can never stand in for the code under test.
 set -euo pipefail
 
-bindir="${1:-./bin}"
 addr="127.0.0.1:8931"
 base="http://$addr"
 wl="$(mktemp -d)"
 server_pid=""
 trap 'kill "$server_pid" 2>/dev/null || true; rm -rf "$wl"' EXIT
+
+if [ $# -ge 1 ]; then
+  bindir="$1"
+else
+  bindir="$wl/bin"
+  (cd "$(dirname "$0")/.." && go build -o "$bindir/" ./cmd/...)
+fi
 
 # Reference count via fdgen + fdcli (header line excluded).
 "$bindir/fdgen" -shape chain -n 4 -m 12 -domain 4 -nulls 0.1 -seed 7 -out "$wl" >/dev/null
