@@ -60,18 +60,6 @@ func runAppend(db *fd.Database, spec string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "append: %s += %d tuples; delta %d, subsumed %d, |FD| %d -> %d; fingerprint %016x -> %016x\n",
 		name, len(tuples), len(d.Added), removed, len(base), len(results), oldFP, ext.Fingerprint())
 
-	attrs, rows := fd.PadAll(ext, results)
-	header := fmt.Sprintf("%-24s", "tuple set")
-	for _, a := range attrs {
-		header += fmt.Sprintf(" %-12s", a)
-	}
-	fmt.Fprintln(stdout, header)
-	for i, t := range results {
-		line := fmt.Sprintf("%-24s", fd.Format(ext, t))
-		for _, v := range rows[i].Values {
-			line += fmt.Sprintf(" %-12s", v)
-		}
-		fmt.Fprintln(stdout, line)
-	}
+	printTable(stdout, ext, results, nil)
 	return nil
 }

@@ -222,7 +222,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	enumSpan := tr.Root().Start("enumerate")
 	var results []*fd.TupleSet
 	var ranks []float64
-	ranked := false
 	for {
 		r, ok := rs.Next()
 		if !ok {
@@ -230,7 +229,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		results = append(results, r.Set)
 		if r.Ranked {
-			ranked = true
 			ranks = append(ranks, r.Rank)
 		}
 	}
@@ -242,25 +240,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	rs.Close()
 	tr.Root().End()
 
-	attrs, rows := fd.PadAll(db, results)
-	header := fmt.Sprintf("%-24s", "tuple set")
-	if ranked {
-		header += fmt.Sprintf(" %-8s", "rank")
-	}
-	for _, a := range attrs {
-		header += fmt.Sprintf(" %-12s", a)
-	}
-	fmt.Fprintln(stdout, header)
-	for i, t := range results {
-		line := fmt.Sprintf("%-24s", fd.Format(db, t))
-		if ranked {
-			line += fmt.Sprintf(" %-8.3g", ranks[i])
-		}
-		for _, v := range rows[i].Values {
-			line += fmt.Sprintf(" %-12s", v)
-		}
-		fmt.Fprintln(stdout, line)
-	}
+	printTable(stdout, db, results, ranks)
 	if *stats {
 		fmt.Fprintf(stderr, "%s\n", rs.Stats())
 	}
@@ -272,6 +252,30 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "%s\n", doc)
 	}
 	return nil
+}
+
+// printTable writes results as a padded table: the tuple set, its rank
+// when ranks is non-nil (ranked results), and one column per attribute.
+func printTable(w io.Writer, db *fd.Database, results []*fd.TupleSet, ranks []float64) {
+	attrs, rows := fd.PadAll(db, results)
+	header := fmt.Sprintf("%-24s", "tuple set")
+	if ranks != nil {
+		header += fmt.Sprintf(" %-8s", "rank")
+	}
+	for _, a := range attrs {
+		header += fmt.Sprintf(" %-12s", a)
+	}
+	fmt.Fprintln(w, header)
+	for i, t := range results {
+		line := fmt.Sprintf("%-24s", fd.Format(db, t))
+		if ranks != nil {
+			line += fmt.Sprintf(" %-8.3g", ranks[i])
+		}
+		for _, v := range rows[i].Values {
+			line += fmt.Sprintf(" %-12s", v)
+		}
+		fmt.Fprintln(w, line)
+	}
 }
 
 // progressLine renders one -progress status line from a live snapshot.

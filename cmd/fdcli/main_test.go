@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -190,6 +191,50 @@ func TestRunAppendRejectsQueryFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), flags[0]) {
 			t.Errorf("-append with %v: err = %v, want a rejection naming %s", flags, err, flags[0])
 		}
+	}
+}
+
+// TestRunAppend: the result list -append maintains prints, as a sorted
+// multiset of body lines, what a fresh Workers-1 run prints over the
+// CSVs with the batch rows appended.
+func TestRunAppend(t *testing.T) {
+	paths := writeTouristCSVs(t)
+	name := strings.TrimSuffix(filepath.Base(paths[0]), ".csv")
+	base, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(string(base), "\n")
+	if header != "#label,#imp,#prob,Climate,Country" {
+		t.Fatalf("%s: header %q; the batch rows below assume the Climates schema", name, header)
+	}
+	// One row joins existing UK tuples, one joins nothing.
+	rows := "c4,1,1,rainy,UK\nc5,1,1,mild,France\n"
+	batch := filepath.Join(t.TempDir(), "batch.csv")
+	if err := os.WriteFile(batch, []byte(header+"\n"+rows), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	grown := append([]string{filepath.Join(t.TempDir(), name+".csv")}, paths[1:]...)
+	if err := os.WriteFile(grown[0], append(base, rows...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	body := func(args ...string) []string {
+		t.Helper()
+		var out, errBuf bytes.Buffer
+		if err := run(context.Background(), args, &out, &errBuf); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+		return slices.Sorted(slices.Values(lines[1:]))
+	}
+	got := body(append([]string{"-append", name + "=" + batch}, paths...)...)
+	want := body(append([]string{"-workers", "1"}, grown...)...)
+	if !slices.Equal(got, want) {
+		t.Fatalf("-append printed\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if !strings.Contains(strings.Join(got, "\n"), "c4") {
+		t.Errorf("the appended rows appear in no result:\n%s", strings.Join(got, "\n"))
 	}
 }
 

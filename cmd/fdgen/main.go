@@ -69,27 +69,7 @@ func run(args []string, stdout io.Writer) error {
 		ImpMax:            *impMax,
 		Seed:              *seed,
 	}
-	var (
-		db  *fd.Database
-		err error
-	)
-	switch *shape {
-	case "chain":
-		db, err = workload.Chain(cfg)
-	case "star":
-		db, err = workload.Star(cfg)
-	case "cycle":
-		db, err = workload.Cycle(cfg)
-	case "clique":
-		db, err = workload.Clique(cfg)
-	case "random":
-		db, err = workload.Random(cfg, *edgeProb)
-	case "dirty":
-		db, err = workload.DirtyChain(workload.DirtyConfig{
-			Config: cfg, ErrorRate: *errRate, MaxEdits: 2, MinProb: 0.4})
-	default:
-		err = fmt.Errorf("unknown shape %q", *shape)
-	}
+	db, err := workload.Generate(*shape, cfg, *edgeProb, *errRate)
 	if err != nil {
 		return err
 	}

@@ -425,6 +425,30 @@ type tupleSpec struct {
 	Prob   *float64  `json:"prob"`
 }
 
+// tuple decodes an uploaded row whose values name attrs, in that order
+// (each an attribute of schema): Imp 0 becomes 1, a missing Prob
+// becomes 1, each value is placed at its attribute's schema position
+// (the schema sorts attributes), and a null value stays ⊥.
+func (ts tupleSpec) tuple(schema *relation.Schema, attrs []relation.Attribute) (relation.Tuple, error) {
+	if len(ts.Values) != len(attrs) {
+		return relation.Tuple{}, fmt.Errorf("%d values for %d attributes", len(ts.Values), len(attrs))
+	}
+	t := relation.Tuple{Label: ts.Label, Imp: ts.Imp, Prob: 1, Values: make([]relation.Value, schema.Len())}
+	if t.Imp == 0 {
+		t.Imp = 1
+	}
+	if ts.Prob != nil {
+		t.Prob = *ts.Prob
+	}
+	for j, v := range ts.Values {
+		if v != nil {
+			pos, _ := schema.Position(attrs[j])
+			t.Values[pos] = relation.V(*v)
+		}
+	}
+	return t, nil
+}
+
 type relationSpec struct {
 	Name       string      `json:"name"`
 	Attributes []string    `json:"attributes"`
@@ -517,23 +541,7 @@ func buildWorkload(spec workloadSpec) (*relation.Database, error) {
 		ImpMax:            spec.ImpMax,
 		Seed:              spec.Seed,
 	}
-	switch spec.Kind {
-	case "chain":
-		return workload.Chain(cfg)
-	case "star":
-		return workload.Star(cfg)
-	case "cycle":
-		return workload.Cycle(cfg)
-	case "clique":
-		return workload.Clique(cfg)
-	case "random":
-		return workload.Random(cfg, spec.ExtraEdgeProb)
-	case "dirty":
-		return workload.DirtyChain(workload.DirtyConfig{
-			Config: cfg, ErrorRate: spec.ErrorRate, MaxEdits: 2, MinProb: 0.4})
-	default:
-		return nil, fmt.Errorf("unknown workload kind %q", spec.Kind)
-	}
+	return workload.Generate(spec.Kind, cfg, spec.ExtraEdgeProb, spec.ErrorRate)
 }
 
 func buildUploaded(specs []relationSpec) (*relation.Database, error) {
@@ -552,26 +560,9 @@ func buildUploaded(specs []relationSpec) (*relation.Database, error) {
 			return nil, err
 		}
 		for i, ts := range rs.Tuples {
-			if len(ts.Values) != len(rs.Attributes) {
-				return nil, fmt.Errorf("relation %s tuple %d: %d values for %d attributes",
-					rs.Name, i, len(ts.Values), len(rs.Attributes))
-			}
-			t := relation.Tuple{Label: ts.Label, Imp: ts.Imp, Prob: 1,
-				Values: make([]relation.Value, schema.Len())}
-			if t.Imp == 0 {
-				t.Imp = 1
-			}
-			if ts.Prob != nil {
-				t.Prob = *ts.Prob
-			}
-			// Uploaded values arrive in the caller's attribute order;
-			// the schema sorts attributes, so place each value by name.
-			for j, v := range ts.Values {
-				if v == nil {
-					continue // stays ⊥
-				}
-				pos, _ := schema.Position(attrs[j])
-				t.Values[pos] = relation.V(*v)
+			t, err := ts.tuple(schema, attrs)
+			if err != nil {
+				return nil, fmt.Errorf("relation %s tuple %d: %w", rs.Name, i, err)
 			}
 			if err := rel.AppendTuple(t); err != nil {
 				return nil, fmt.Errorf("relation %s tuple %d: %w", rs.Name, i, err)
@@ -640,25 +631,10 @@ func (s *server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	}
 	tuples := make([]relation.Tuple, 0, len(req.Tuples))
 	for i, ts := range req.Tuples {
-		if len(ts.Values) != len(attrs) {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("tuple %d: %d values for %d attributes",
-				i, len(ts.Values), len(attrs)))
+		t, err := ts.tuple(schema, attrs)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("tuple %d: %w", i, err))
 			return
-		}
-		t := relation.Tuple{Label: ts.Label, Imp: ts.Imp, Prob: 1,
-			Values: make([]relation.Value, schema.Len())}
-		if t.Imp == 0 {
-			t.Imp = 1
-		}
-		if ts.Prob != nil {
-			t.Prob = *ts.Prob
-		}
-		for j, v := range ts.Values {
-			if v == nil {
-				continue // stays ⊥
-			}
-			pos, _ := schema.Position(attrs[j])
-			t.Values[pos] = relation.V(*v)
 		}
 		tuples = append(tuples, t)
 	}

@@ -73,11 +73,11 @@ func TestCursorMatchesStream(t *testing.T) {
 	}
 	var got []string
 	for {
-		s, ok := c.Next()
+		r, ok := c.Next()
 		if !ok {
 			break
 		}
-		got = append(got, s.Key())
+		got = append(got, r.Set.Key())
 	}
 	if err := c.Err(); err != nil {
 		t.Fatal(err)

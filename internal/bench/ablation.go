@@ -3,15 +3,12 @@ package bench
 import (
 	"context"
 	"fmt"
-	"time"
 
 	fd "repro"
 
 	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/join"
-	"repro/internal/obs"
-	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/tupleset"
 	"repro/internal/workload"
@@ -82,109 +79,6 @@ func E9Ablations() (*Table, error) {
 	return e9Table(nil)
 }
 
-// e9Cursor is the streaming surface both E9 drivers share, so one
-// phased drain covers the sequential cursor and the parallel executor.
-type e9Cursor interface {
-	Next() (*tupleset.Set, bool)
-	Stats() core.Stats
-	Err() error
-	Close()
-}
-
-// e9Run is what one phased E9 drain measured.
-type e9Run struct {
-	sets   []*tupleset.Set
-	stats  core.Stats
-	phases map[string]float64
-	delays obs.DelaySummary
-	// delayWork is the largest engine work (JCC checks + list scans +
-	// tuples scanned) between consecutive results, from cursor
-	// construction on: the deterministic, work-unit form of the delay.
-	// Only sequential rungs record it; a parallel rung's interleaving
-	// of tasks is not repeatable.
-	delayWork int64
-}
-
-// workUnits is the engine work measure of the delay: the same sum as
-// perfbench's core.delay_work_max.
-func workUnits(s core.Stats) int64 { return s.JCCChecks + s.ListScans + s.TuplesScanned }
-
-// drainPhased runs one E9 rung to exhaustion under an execution trace:
-// "init" (cursor construction), "enumerate" (the Next loop) and
-// "drain" (error check, close, and — for parallel rungs — the
-// canonical sort that makes their deliverable comparable) are recorded
-// as spans, and the per-phase times are read back from the snapshot.
-// The -json phases therefore come from the same span machinery a
-// served query's GET /queries/{id}/trace uses, not a parallel set of
-// stopwatches. The enumerate loop also feeds an obs.Delay tracker, so
-// each rung carries its measured inter-result delay profile, and on a
-// sequential rung it tracks the work-unit delay.
-func drainPhased(db *relation.Database, v e9Variant) (e9Run, error) {
-	tr := obs.NewTrace("e9", nil)
-	root := tr.Root()
-	sp := root.Start("init")
-	var (
-		c   e9Cursor
-		err error
-		run e9Run
-	)
-	sequential := v.workers <= 1
-	if !sequential {
-		c, err = core.NewParallelCursor(context.Background(), db, core.JCC, v.opts, v.workers)
-	} else {
-		c, err = core.NewCursor(context.Background(), db, core.JCC, v.opts)
-	}
-	sp.End()
-	if err != nil {
-		return run, err
-	}
-	delay := obs.NewDelay(0)
-	sp = root.Start("enumerate")
-	last := time.Now()
-	prevWork := workUnits(c.Stats())
-	for {
-		t, ok := c.Next()
-		if !ok {
-			break
-		}
-		now := time.Now()
-		delay.Observe(now.Sub(last))
-		last = now
-		if sequential {
-			w := workUnits(c.Stats())
-			run.delayWork = max(run.delayWork, w-prevWork)
-			prevWork = w
-		}
-		run.sets = append(run.sets, t)
-	}
-	sp.End()
-	sp = root.Start("drain")
-	err = c.Err()
-	run.stats = c.Stats()
-	c.Close()
-	if err == nil && !sequential {
-		tupleset.SortSets(db, run.sets)
-	}
-	sp.End()
-	root.End()
-	if err != nil {
-		return run, err
-	}
-	run.phases, run.delays = phaseMillis(tr.Snapshot()), delay.Snapshot()
-	return run, nil
-}
-
-// phaseMillis folds the trace's phase spans into name → milliseconds.
-func phaseMillis(d *obs.TraceData) map[string]float64 {
-	out := make(map[string]float64, 3)
-	for _, name := range []string{"init", "enumerate", "drain"} {
-		for _, sp := range d.FindAll(name) {
-			out[name] += float64(sp.DurationNanos) / 1e6
-		}
-	}
-	return out
-}
-
 // e9Table runs the E9 ablation ladder and the buffer-pool sweep,
 // rendering the markdown table. When rec is non-nil, the ladder's
 // measurements (wall-clock, counters, allocation deltas) are also
@@ -201,9 +95,15 @@ func e9Table(rec *Record) (*Table, error) {
 	}
 	var baseline int
 	for i, v := range e9Variants() {
-		var run e9Run
+		open := func() (fd.Results, error) {
+			if v.workers > 1 {
+				return core.NewParallelCursor(context.Background(), db, core.JCC, v.opts, v.workers)
+			}
+			return core.NewCursor(context.Background(), db, core.JCC, v.opts)
+		}
+		var run drained
 		d, mallocs, bytes := measure(func() {
-			run, err = drainPhased(db, v)
+			run, err = drain(db, open, 0, v.workers <= 1)
 		})
 		if err != nil {
 			return nil, err
@@ -214,31 +114,8 @@ func e9Table(rec *Record) (*Table, error) {
 		} else if len(sets) != baseline {
 			return nil, fmt.Errorf("E9: variant %q changed the output: %d vs %d", v.name, len(sets), baseline)
 		}
-		workers := v.workers
-		if workers < 1 {
-			workers = 1
-		}
 		if rec != nil {
-			rec.Variants = append(rec.Variants, Metric{
-				Name:           v.name,
-				WallMillis:     float64(d.Microseconds()) / 1000,
-				Results:        len(sets),
-				Workers:        workers,
-				JCCChecks:      stats.JCCChecks,
-				SigHits:        stats.SigHits,
-				SigRebuilds:    stats.SigRebuilds,
-				TuplesScanned:  stats.TuplesScanned,
-				TuplesSkipped:  stats.TuplesSkipped,
-				IndexProbes:    stats.IndexProbes,
-				ListScans:      stats.ListScans,
-				PageReads:      stats.PageReads,
-				Mallocs:        mallocs,
-				BytesAlloc:     bytes,
-				DelayMaxMillis: run.delays.MaxMillis,
-				DelayP99Millis: run.delays.P99Millis,
-				DelayWorkMax:   run.delayWork,
-				Phases:         run.phases,
-			})
+			rec.Variants = append(rec.Variants, run.metric(v.name, d, mallocs, bytes, max(v.workers, 1)))
 		}
 		t.Rows = append(t.Rows, []string{
 			v.name,

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -98,13 +97,7 @@ func E12Both() (*Table, *Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rec := &Record{
-		Workload:   "append",
-		Title:      "Incremental append maintenance vs rebuild (E9 chain workload)",
-		Go:         runtime.Version(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
+	rec := newRecord("append", "Incremental append maintenance vs rebuild (E9 chain workload)")
 	t := &Table{
 		ID:     "E12",
 		Title:  rec.Title,
@@ -196,23 +189,9 @@ func E12Both() (*Table, *Record, error) {
 		{"incremental (extend + delta + patch)", incWall, incStats, incMallocs, incBytes, len(results)},
 		{"rebuild (copy + re-index + re-enumerate)", rebWall, rebStats, rebMallocs, rebBytes, len(rebuilt)},
 	} {
-		rec.Variants = append(rec.Variants, Metric{
-			Name:          v.name,
-			WallMillis:    float64(v.wall.Microseconds()) / 1000,
-			Results:       v.resultsAtTheEnd,
-			Workers:       1,
-			JCCChecks:     v.stats.JCCChecks,
-			SigHits:       v.stats.SigHits,
-			SigRebuilds:   v.stats.SigRebuilds,
-			TuplesScanned: v.stats.TuplesScanned,
-			TuplesSkipped: v.stats.TuplesSkipped,
-			IndexProbes:   v.stats.IndexProbes,
-			ListScans:     v.stats.ListScans,
-			PageReads:     v.stats.PageReads,
-			Mallocs:       v.mallocs,
-			BytesAlloc:    v.bytes,
-			Phases:        map[string]float64{"per_append_ms": perAppend(v.wall)},
-		})
+		m := statsMetric(v.name, v.wall, v.mallocs, v.bytes, v.resultsAtTheEnd, 1, v.stats)
+		m.Phases = map[string]float64{"per_append_ms": perAppend(v.wall)}
+		rec.Variants = append(rec.Variants, m)
 		t.Rows = append(t.Rows, []string{
 			v.name,
 			msec(v.wall),

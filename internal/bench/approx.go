@@ -4,16 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
-	"time"
 
 	fd "repro"
 	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/rank"
 	"repro/internal/relation"
-	"repro/internal/tupleset"
 	"repro/internal/workload"
 )
 
@@ -89,64 +86,22 @@ func rankedRungs() []familyRung {
 	}
 }
 
-// rungRun is one measured drain of a family rung.
-type rungRun struct {
-	keys      []string
-	ranks     []float64
-	stats     fd.Stats
-	delayWork int64
-}
-
-// drain runs the rung's engine cursor under opts on the sequential
-// path, stopping after k results as a K-bounded query does, and tracks
-// the work-unit delay as drainPhased does.
-func (r familyRung) drain(db *relation.Database, opts core.Options) (rungRun, error) {
-	var (
-		run rungRun
-		c   interface {
-			Stats() core.Stats
-			Err() error
-			Close()
+// open returns the opener of the rung's engine cursor over db under
+// opts, for drain.
+func (r familyRung) open(db *relation.Database, opts core.Options) func() (fd.Results, error) {
+	return func() (fd.Results, error) {
+		p := core.JCC
+		if r.tau > 0 {
+			var err error
+			if p, err = approx.Qualify(&approx.Amin{S: approx.LevenshteinSim{}}, r.tau); err != nil {
+				return nil, err
+			}
 		}
-		next func() (*tupleset.Set, float64, bool)
-	)
-	p := core.JCC
-	if r.tau > 0 {
-		var err error
-		if p, err = approx.Qualify(&approx.Amin{S: approx.LevenshteinSim{}}, r.tau); err != nil {
-			return run, err
+		if r.rank == nil {
+			return core.NewCursor(context.Background(), db, p, opts)
 		}
+		return rank.NewCursor(context.Background(), db, p, r.rank, opts)
 	}
-	if r.rank == nil {
-		ac, err := core.NewCursor(context.Background(), db, p, opts)
-		if err != nil {
-			return run, err
-		}
-		c, next = ac, func() (*tupleset.Set, float64, bool) { s, ok := ac.Next(); return s, 0, ok }
-	} else {
-		rc, err := rank.NewCursor(context.Background(), db, p, r.rank, opts)
-		if err != nil {
-			return run, err
-		}
-		c, next = rc, func() (*tupleset.Set, float64, bool) { res, ok := rc.Next(); return res.Set, res.Rank, ok }
-	}
-	defer c.Close()
-	prevWork := workUnits(c.Stats())
-	for r.k == 0 || len(run.keys) < r.k {
-		s, rk, ok := next()
-		if !ok {
-			break
-		}
-		w := workUnits(c.Stats())
-		run.delayWork = max(run.delayWork, w-prevWork)
-		prevWork = w
-		run.keys = append(run.keys, s.Key())
-		if r.rank != nil {
-			run.ranks = append(run.ranks, rk)
-		}
-	}
-	run.stats = c.Stats()
-	return run, c.Err()
 }
 
 // E13Both is the counter gate of the approximate families: every rung
@@ -156,13 +111,7 @@ func (r familyRung) drain(db *relation.Database, opts core.Options) (rungRun, er
 // the same rank sequence. The record carries each run's counters and
 // work-unit delay.
 func E13Both() (*Table, *Record, error) {
-	rec := &Record{
-		Workload:   "approx",
-		Title:      "Approximate joins: sweep vs join index (cold-drain dirty-chain shapes)",
-		Go:         runtime.Version(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
+	rec := newRecord("approx", "Approximate joins: sweep vs join index (cold-drain dirty-chain shapes)")
 	t := &Table{
 		ID:     "E13",
 		Title:  rec.Title,
@@ -176,15 +125,15 @@ func E13Both() (*Table, *Record, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		var sweep rungRun
+		var sweep drained
 		for _, joinIndex := range []bool{false, true} {
 			opts := core.Options{UseIndex: true, UseJoinIndex: joinIndex}
 			name := fmt.Sprintf("%s, %s: sweep", r.name, r.shape.name)
 			if joinIndex {
 				name = fmt.Sprintf("%s, %s: join index", r.name, r.shape.name)
 			}
-			var run rungRun
-			d, mallocs, bytes := measure(func() { run, err = r.drain(db, opts) })
+			var run drained
+			d, mallocs, bytes := measure(func() { run, err = drain(db, r.open(db, opts), r.k, true) })
 			if err != nil {
 				return nil, nil, fmt.Errorf("E13 %s: %w", name, err)
 			}
@@ -192,27 +141,15 @@ func E13Both() (*Table, *Record, error) {
 				sweep = run
 			} else if !sameResults(run, sweep) {
 				return nil, nil, fmt.Errorf("E13 %s: the join index changed the output (%d vs %d results)",
-					name, len(run.keys), len(sweep.keys))
+					name, len(run.sets), len(sweep.sets))
 			}
 			s := run.stats
-			rec.Variants = append(rec.Variants, run.metric(name, d, mallocs, bytes))
+			rec.Variants = append(rec.Variants, run.metric(name, d, mallocs, bytes, 1))
 			t.Rows = append(t.Rows, []string{name, msec(d), fmt.Sprint(s.JCCChecks), fmt.Sprint(s.TuplesScanned),
-				fmt.Sprint(s.TuplesSkipped), fmt.Sprint(s.ListScans), fmt.Sprint(run.delayWork), fmt.Sprint(len(run.keys))})
+				fmt.Sprint(s.TuplesSkipped), fmt.Sprint(s.ListScans), fmt.Sprint(run.delayWork), fmt.Sprint(len(run.sets))})
 		}
 	}
 	return t, rec, nil
-}
-
-// metric is the Workers-1 trajectory metric of one measured drain.
-func (run rungRun) metric(name string, d time.Duration, mallocs, bytes uint64) Metric {
-	s := run.stats
-	return Metric{
-		Name: name, WallMillis: float64(d.Microseconds()) / 1000, Results: len(run.keys), Workers: 1,
-		JCCChecks: s.JCCChecks, SigHits: s.SigHits, SigRebuilds: s.SigRebuilds,
-		TuplesScanned: s.TuplesScanned, TuplesSkipped: s.TuplesSkipped, IndexProbes: s.IndexProbes,
-		ListScans: s.ListScans, PageReads: s.PageReads, Mallocs: mallocs, BytesAlloc: bytes,
-		DelayWorkMax: run.delayWork,
-	}
 }
 
 // E6Both runs E6 and the counter gate of the ranked family: each rung
@@ -224,28 +161,22 @@ func E6Both() (*Table, *Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rec := &Record{
-		Workload:   "ranked",
-		Title:      "Ranked top-10 (cold-drain chain shape)",
-		Go:         runtime.Version(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
+	rec := newRecord("ranked", "Ranked top-10 (cold-drain chain shape)")
 	for _, r := range rankedRungs() {
 		db, err := r.shape.build(1)
 		if err != nil {
 			return nil, nil, err
 		}
 		name := fmt.Sprintf("%s, %s", r.name, r.shape.name)
-		var run rungRun
-		d, mallocs, bytes := measure(func() { run, err = r.drain(db, core.Options{UseIndex: true, UseJoinIndex: true}) })
+		var run drained
+		d, mallocs, bytes := measure(func() { run, err = drain(db, r.open(db, core.Serving()), r.k, true) })
 		if err != nil {
 			return nil, nil, fmt.Errorf("E6 %s: %w", name, err)
 		}
-		rec.Variants = append(rec.Variants, run.metric(name, d, mallocs, bytes))
+		rec.Variants = append(rec.Variants, run.metric(name, d, mallocs, bytes, 1))
 		t.Notes = append(t.Notes, fmt.Sprintf("%s (Workers 1, seed 1): %s ms, %d JCC checks, %d list scans, "+
 			"delay work max %d, %d results.", name, msec(d), run.stats.JCCChecks, run.stats.ListScans,
-			run.delayWork, len(run.keys)))
+			run.delayWork, len(run.sets)))
 	}
 	return t, rec, nil
 }
@@ -258,9 +189,6 @@ func E13ApproxIndex() (*Table, error) {
 
 // sameResults reports whether two drains delivered the same result
 // multiset and the same rank sequence.
-func sameResults(a, b rungRun) bool {
-	ka, kb := slices.Clone(a.keys), slices.Clone(b.keys)
-	slices.Sort(ka)
-	slices.Sort(kb)
-	return slices.Equal(ka, kb) && slices.Equal(a.ranks, b.ranks)
+func sameResults(a, b drained) bool {
+	return slices.Equal(sortedSetKeys(a.sets), sortedSetKeys(b.sets)) && slices.Equal(a.ranks, b.ranks)
 }

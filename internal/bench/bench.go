@@ -112,19 +112,6 @@ func IDs() []string {
 	return ids
 }
 
-// RunAll executes every experiment in order and returns the tables.
-func RunAll() ([]*Table, error) {
-	var out []*Table
-	for _, id := range IDs() {
-		t, err := Registry()[id]()
-		if err != nil {
-			return nil, fmt.Errorf("bench %s: %w", id, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 // msec formats a duration in milliseconds with three significant
 // decimals.
 func msec(d time.Duration) string {

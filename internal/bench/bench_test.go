@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"testing"
+
+	fd "repro"
+	"repro/internal/core"
 )
 
 // The fast, deterministic experiments run as golden smoke tests; the
@@ -101,5 +106,62 @@ func TestMarkdownEscapesPipes(t *testing.T) {
 	md := tab.Markdown()
 	if !strings.Contains(md, `\|FD\|`) || !strings.Contains(md, `a\|b`) {
 		t.Errorf("pipes not escaped:\n%s", md)
+	}
+}
+
+// TestGatedRungsMeasureOpen ties the counter-gated rungs to the served
+// path: the E6 "ranked fmax top-10" rung and the E13 "approx τ 0.8"
+// join-index rung, drained under core.Serving(), report the Stats, the
+// work-unit delay and the result sequence of an fd.Open drain of the
+// equivalent Query at Workers 1.
+func TestGatedRungsMeasureOpen(t *testing.T) {
+	rung := func(rungs []familyRung, name string) familyRung {
+		for _, r := range rungs {
+			if r.name == name {
+				return r
+			}
+		}
+		t.Fatalf("no rung %q", name)
+		return familyRung{}
+	}
+	for _, c := range []struct {
+		rung familyRung
+		q    fd.Query
+	}{
+		{rung(rankedRungs(), "ranked fmax top-10"), fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 10}},
+		{rung(approxRungs(), "approx τ 0.8"), fd.Query{Mode: fd.ModeApprox, Sim: "levenshtein", Tau: 0.8}},
+	} {
+		db, err := c.rung.shape.build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := drain(db, c.rung.open(db, core.Serving()), c.rung.k, true)
+		if err != nil {
+			t.Fatalf("%s: %v", c.rung.name, err)
+		}
+		c.q.Options.Workers = 1
+		want, err := drain(db, func() (fd.Results, error) { return fd.Open(context.Background(), db, c.q) }, 0, true)
+		if err != nil {
+			t.Fatalf("%s: fd.Open: %v", c.rung.name, err)
+		}
+		if len(got.sets) == 0 {
+			t.Fatalf("%s: no results", c.rung.name)
+		}
+		if got.stats != want.stats {
+			t.Errorf("%s: stats differ:\n rung    %+v\n fd.Open %+v", c.rung.name, got.stats, want.stats)
+		}
+		if got.delayWork != want.delayWork {
+			t.Errorf("%s: delay_work_max %d, fd.Open %d", c.rung.name, got.delayWork, want.delayWork)
+		}
+		keys := func(d drained) []string {
+			out := make([]string, len(d.sets))
+			for i, s := range d.sets {
+				out[i] = s.Key()
+			}
+			return out
+		}
+		if !slices.Equal(keys(got), keys(want)) || !slices.Equal(got.ranks, want.ranks) {
+			t.Errorf("%s: result sequence differs from fd.Open's (%d vs %d results)", c.rung.name, len(got.sets), len(want.sets))
+		}
 	}
 }

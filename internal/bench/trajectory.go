@@ -6,8 +6,11 @@ import (
 	"runtime"
 	"time"
 
+	fd "repro"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/tupleset"
 	"repro/internal/workload"
 )
 
@@ -40,7 +43,8 @@ type Metric struct {
 	// DelayWorkMax is the largest engine work (JCC checks + list scans
 	// + tuples scanned) between consecutive results, from cursor
 	// construction on: the delay in deterministic work units, recorded
-	// on sequential E9 rungs only (absent elsewhere).
+	// on every sequential drain (the E6, E9 and E13 rungs at Workers 1;
+	// absent on parallel rungs and E12).
 	DelayWorkMax int64 `json:"delay_work_max,omitempty"`
 	// Phases breaks WallMillis into the trace-span phases of the run:
 	// init (cursor construction), enumerate (the Next loop) and drain
@@ -63,6 +67,125 @@ type Record struct {
 	GoMaxProcs int      `json:"gomaxprocs"`
 	NumCPU     int      `json:"num_cpu"`
 	Variants   []Metric `json:"variants"`
+}
+
+// newRecord starts the trajectory record of one workload, tagged with
+// the Go version and the box it is measured on.
+func newRecord(workload, title string) *Record {
+	return &Record{Workload: workload, Title: title, Go: runtime.Version(),
+		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
+}
+
+// statsMetric is the trajectory metric of one measured variant: the
+// wall-clock and allocation deltas of measure, its result and worker
+// counts, and its engine counters.
+func statsMetric(name string, wall time.Duration, mallocs, bytes uint64, results, workers int, s core.Stats) Metric {
+	return Metric{
+		Name: name, WallMillis: float64(wall.Microseconds()) / 1000, Results: results, Workers: workers,
+		JCCChecks: s.JCCChecks, SigHits: s.SigHits, SigRebuilds: s.SigRebuilds,
+		TuplesScanned: s.TuplesScanned, TuplesSkipped: s.TuplesSkipped, IndexProbes: s.IndexProbes,
+		ListScans: s.ListScans, PageReads: s.PageReads, Mallocs: mallocs, BytesAlloc: bytes,
+	}
+}
+
+// drained is what one drain measured.
+type drained struct {
+	sets  []*tupleset.Set
+	ranks []float64 // ranked cursors only
+	stats core.Stats
+	// phases and delays are the trace-span phase times and the
+	// inter-result delay profile of the drain.
+	phases map[string]float64
+	delays obs.DelaySummary
+	// delayWork is the largest engine work (workUnits) between
+	// consecutive results, from cursor construction on: the
+	// deterministic, work-unit form of the delay. Only sequential
+	// drains record it; a parallel cursor's interleaving of tasks is
+	// not repeatable.
+	delayWork int64
+}
+
+// workUnits is the engine work measure of the delay: the same sum as
+// perfbench's core.delay_work_max.
+func workUnits(s core.Stats) int64 { return s.JCCChecks + s.ListScans + s.TuplesScanned }
+
+// drain runs one counter-gated rung under an execution trace: "init"
+// (open), "enumerate" (the Next loop, stopped after k results when
+// k > 0, as a K-bounded query stops) and "drain" (error check, close,
+// and — for a parallel cursor — the canonical sort that makes its
+// deliverable comparable) are recorded as spans, and the per-phase
+// times are read back from the snapshot. The phases therefore come
+// from the same span machinery a served query's GET
+// /queries/{id}/trace uses, not a parallel set of stopwatches. The
+// enumerate loop also feeds an obs.Delay tracker and, on a sequential
+// cursor, tracks the work-unit delay.
+func drain(db *relation.Database, open func() (fd.Results, error), k int, sequential bool) (drained, error) {
+	var run drained
+	tr := obs.NewTrace("drain", nil)
+	root := tr.Root()
+	sp := root.Start("init")
+	c, err := open()
+	sp.End()
+	if err != nil {
+		return run, err
+	}
+	delay := obs.NewDelay(0)
+	sp = root.Start("enumerate")
+	last := time.Now()
+	prevWork := workUnits(c.Stats())
+	for k == 0 || len(run.sets) < k {
+		r, ok := c.Next()
+		if !ok {
+			break
+		}
+		now := time.Now()
+		delay.Observe(now.Sub(last))
+		last = now
+		if sequential {
+			w := workUnits(c.Stats())
+			run.delayWork = max(run.delayWork, w-prevWork)
+			prevWork = w
+		}
+		run.sets = append(run.sets, r.Set)
+		if r.Ranked {
+			run.ranks = append(run.ranks, r.Rank)
+		}
+	}
+	sp.End()
+	sp = root.Start("drain")
+	err = c.Err()
+	run.stats = c.Stats()
+	c.Close()
+	if err == nil && !sequential {
+		tupleset.SortSets(db, run.sets)
+	}
+	sp.End()
+	root.End()
+	if err != nil {
+		return run, err
+	}
+	run.phases, run.delays = phaseMillis(tr.Snapshot()), delay.Snapshot()
+	return run, nil
+}
+
+// phaseMillis folds the trace's phase spans into name → milliseconds.
+func phaseMillis(d *obs.TraceData) map[string]float64 {
+	out := make(map[string]float64, 3)
+	for _, name := range []string{"init", "enumerate", "drain"} {
+		for _, sp := range d.FindAll(name) {
+			out[name] += float64(sp.DurationNanos) / 1e6
+		}
+	}
+	return out
+}
+
+// metric is the trajectory metric of one measured drain on workers
+// workers: statsMetric plus the drain's delay profile and phases.
+func (run drained) metric(name string, wall time.Duration, mallocs, bytes uint64, workers int) Metric {
+	m := statsMetric(name, wall, mallocs, bytes, len(run.sets), workers, run.stats)
+	m.DelayMaxMillis, m.DelayP99Millis, m.DelayWorkMax = run.delays.MaxMillis, run.delays.P99Millis, run.delayWork
+	m.Phases = run.phases
+	return m
 }
 
 // Trajectories maps experiment ids to runners that produce the
@@ -104,13 +227,7 @@ func measure(fn func()) (time.Duration, uint64, uint64) {
 // artifacts from the same run: the markdown table (including the
 // buffer-pool sweep) and the structured trajectory record.
 func E9Both() (*Table, *Record, error) {
-	rec := &Record{
-		Workload:   "e9",
-		Title:      "Section 7 ablations (chain workload)",
-		Go:         runtime.Version(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
+	rec := newRecord("e9", "Section 7 ablations (chain workload)")
 	t, err := e9Table(rec)
 	if err != nil {
 		return nil, nil, err

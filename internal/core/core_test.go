@@ -295,8 +295,8 @@ func TestStreamEarlyStop(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []*tupleset.Set
-		for s, ok := c.Next(); ok; s, ok = c.Next() {
-			if got = append(got, s); len(got) == k {
+		for r, ok := c.Next(); ok; r, ok = c.Next() {
+			if got = append(got, r.Set); len(got) == k {
 				break
 			}
 		}

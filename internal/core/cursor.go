@@ -8,6 +8,18 @@ import (
 	"repro/internal/tupleset"
 )
 
+// Result is one full-disjunction answer: the tuple set, plus its rank
+// when the producing cursor ranks results. Every engine cursor —
+// sequential, parallel and ranked — delivers this one shape.
+type Result struct {
+	// Set is the answer tuple set.
+	Set *tupleset.Set
+	// Rank is the result's rank under the query's ranking function.
+	Rank float64
+	// Ranked reports whether Rank is meaningful (ranked modes only).
+	Ranked bool
+}
+
 // Cursor is the sequential pass driver of every unranked family: it
 // walks a task list in order, in the caller's goroutine, producing one
 // owned result per Next call. For the restart strategy the list is
@@ -88,9 +100,9 @@ func NewCursor(ctx context.Context, db *relation.Database, p Predicate, opts Opt
 
 // Next produces the next owned result, or ok=false when the
 // enumeration is exhausted, closed, or failed (check Err).
-func (c *Cursor) Next() (*tupleset.Set, bool) {
+func (c *Cursor) Next() (Result, bool) {
 	if c.closed || c.err != nil {
-		return nil, false
+		return Result{}, false
 	}
 	for {
 		// One check per GetNextResult iteration: a cancelled enumeration
@@ -98,18 +110,18 @@ func (c *Cursor) Next() (*tupleset.Set, bool) {
 		// without paying a context poll on every scanned tuple.
 		if err := c.ctx.Err(); err != nil {
 			c.err = err
-			return nil, false
+			return Result{}, false
 		}
 		if c.e == nil {
 			if c.next >= len(c.tasks) {
-				return nil, false
+				return Result{}, false
 			}
 			task := c.tasks[c.next]
 			c.next++
 			e, err := task.Open()
 			if err != nil {
 				c.err = err
-				return nil, false
+				return Result{}, false
 			}
 			c.e, c.owns = e, task.Owns
 		}
@@ -122,7 +134,7 @@ func (c *Cursor) Next() (*tupleset.Set, bool) {
 			continue
 		}
 		c.total.Emitted++
-		return t, true
+		return Result{Set: t}, true
 	}
 }
 
@@ -173,10 +185,10 @@ func (c *Cursor) Drain() ([]*tupleset.Set, Stats, error) {
 	defer c.Close()
 	var out []*tupleset.Set
 	for {
-		t, ok := c.Next()
+		r, ok := c.Next()
 		if !ok {
 			return out, c.Stats(), c.Err()
 		}
-		out = append(out, t)
+		out = append(out, r.Set)
 	}
 }

@@ -48,11 +48,11 @@ func TestCursorMatchesStream(t *testing.T) {
 		}
 		var got []string
 		for {
-			s, ok := c.Next()
+			r, ok := c.Next()
 			if !ok {
 				break
 			}
-			got = append(got, s.Key())
+			got = append(got, r.Set.Key())
 		}
 		if err := c.Err(); err != nil {
 			t.Fatal(err)
@@ -283,11 +283,11 @@ func TestEnginePinnedStats(t *testing.T) {
 			}
 			var got []*tupleset.Set
 			for c.k == 0 || len(got) < c.k {
-				s, ok := cur.Next()
+				r, ok := cur.Next()
 				if !ok {
 					break
 				}
-				got = append(got, s)
+				got = append(got, r.Set)
 			}
 			cur.Close()
 			if err := cur.Err(); err != nil {

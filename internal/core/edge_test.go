@@ -229,8 +229,8 @@ func parallelFD(db *relation.Database, opts Options, workers int) ([]*tupleset.S
 	}
 	defer c.Close()
 	var out []*tupleset.Set
-	for t, ok := c.Next(); ok; t, ok = c.Next() {
-		out = append(out, t)
+	for r, ok := c.Next(); ok; r, ok = c.Next() {
+		out = append(out, r.Set)
 	}
 	return out, c.Stats(), c.Err()
 }

@@ -200,16 +200,16 @@ func NewTaskCursor(ctx context.Context, tasks []Task, workers int, obs TaskObser
 
 // Next produces the next merged result, or ok=false when the
 // enumeration is exhausted, closed, cancelled, or failed (check Err).
-func (c *ParallelCursor) Next() (*tupleset.Set, bool) {
+func (c *ParallelCursor) Next() (Result, bool) {
 	if c.closed || c.err != nil {
-		return nil, false
+		return Result{}, false
 	}
 	if err := c.parent.Err(); err != nil {
 		// Cancelled between calls: report promptly instead of serving
 		// results the workers had already buffered.
 		c.err = err
 		c.cancel()
-		return nil, false
+		return Result{}, false
 	}
 	r, ok := <-c.out
 	if !ok {
@@ -224,10 +224,10 @@ func (c *ParallelCursor) Next() (*tupleset.Set, bool) {
 			c.err = err
 		}
 		c.cancel()
-		return nil, false
+		return Result{}, false
 	}
 	c.emitted++
-	return r, true
+	return Result{Set: r}, true
 }
 
 // Err returns the error that terminated the enumeration, if any —

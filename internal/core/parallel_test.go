@@ -40,10 +40,11 @@ func TestParallelBlockPartitionSetIdentity(t *testing.T) {
 		c := NewTaskCursor(context.Background(), tasks, workers, nil)
 		got := make(map[string]bool)
 		for {
-			s, ok := c.Next()
+			r, ok := c.Next()
 			if !ok {
 				break
 			}
+			s := r.Set
 			if got[s.Key()] {
 				t.Fatalf("workers=%d: duplicate result %s", workers, s.Format(db))
 			}

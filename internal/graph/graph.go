@@ -53,10 +53,6 @@ func (c *Connection) Words() int { return c.words }
 // Adjacent returns the neighbours of vertex i.
 func (c *Connection) Adjacent(i int) []int { return c.adj[i] }
 
-// AdjacentBits returns the neighbour set of vertex i as bit words. The
-// returned slice must not be modified.
-func (c *Connection) AdjacentBits(i int) []uint64 { return c.adjBits[i] }
-
 // TouchesBits reports whether vertex i is adjacent to any member of the
 // given vertex bitmask.
 func (c *Connection) TouchesBits(i int, members []uint64) bool {

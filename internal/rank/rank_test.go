@@ -26,10 +26,10 @@ func newRanked(t *testing.T, db *relation.Database, f Func, opts core.Options) *
 // collect pulls c's rank-ordered results and closes it: at most k of
 // them when k > 0 (the top-(k,f) problem), stopping at the first one
 // ranked below tau (the (τ,f)-threshold problem, Remark 5.6).
-func collect(t *testing.T, c *Cursor, k int, tau float64) []Result {
+func collect(t *testing.T, c *Cursor, k int, tau float64) []core.Result {
 	t.Helper()
 	defer c.Close()
-	var out []Result
+	var out []core.Result
 	for k <= 0 || len(out) < k {
 		r, ok := c.Next()
 		if !ok || r.Rank < tau {

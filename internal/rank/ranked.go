@@ -11,12 +11,6 @@ import (
 	"repro/internal/tupleset"
 )
 
-// Result pairs a tuple set of the full disjunction with its rank.
-type Result struct {
-	Set  *tupleset.Set
-	Rank float64
-}
-
 // Cursor is a suspended PRIORITYINCREMENTALFD enumeration (Fig 3)
 // producing one result per Next call, in non-increasing rank order.
 // The same cursor runs the ranked approximate adaptation the paper
@@ -178,16 +172,16 @@ func smallSets(u *tupleset.Universe, c int, qualifies func(*tupleset.Set) bool) 
 // It performs one iteration of Fig 3 lines 9–18: extract from the
 // queue whose top ranks highest, extend it to a result, and emit it
 // unless it was already printed via another queue.
-func (c *Cursor) Next() (Result, bool) {
+func (c *Cursor) Next() (core.Result, bool) {
 	if c.closed || c.err != nil {
-		return Result{}, false
+		return core.Result{}, false
 	}
 	for {
 		// One check per queue extraction: a cancelled enumeration stops
 		// within one step of Fig 3's while loop.
 		if err := c.ctx.Err(); err != nil {
 			c.err = err
-			return Result{}, false
+			return core.Result{}, false
 		}
 		best := -1
 		var bestRank float64
@@ -202,7 +196,7 @@ func (c *Cursor) Next() (Result, bool) {
 			}
 		}
 		if best < 0 {
-			return Result{}, false // all queues empty: enumeration exhausted
+			return core.Result{}, false // all queues empty: enumeration exhausted
 		}
 		T, _ := c.queues[best].PopSet()
 		result := core.GetNextResult(c.w, best, T, c.queues[best], c.complete)
@@ -210,14 +204,14 @@ func (c *Cursor) Next() (Result, bool) {
 		anchor, ok := result.Member(best)
 		if !ok {
 			c.err = fmt.Errorf("rank: internal error: result lacks seed tuple")
-			return Result{}, false
+			return core.Result{}, false
 		}
 		if c.complete.ContainsSuperset(result, anchor, &c.stats) {
 			continue // line 17: already printed via another queue
 		}
 		c.complete.Add(result)
 		c.stats.Emitted++
-		return Result{Set: result, Rank: c.f.Rank(c.u, result)}, true
+		return core.Result{Set: result, Rank: c.f.Rank(c.u, result), Ranked: true}, true
 	}
 }
 

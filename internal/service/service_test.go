@@ -106,14 +106,14 @@ func TestPagingMatchesOneShot(t *testing.T) {
 	}
 }
 
-// rankedDrain pulls a ranked engine cursor dry.
-func rankedDrain(t *testing.T, c *rank.Cursor, err error) []rank.Result {
+// rankedDrain pulls a ranked engine cursor, as opened, dry.
+func rankedDrain(t *testing.T, c fd.Results, err error) []fd.Result {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var out []rank.Result
+	var out []fd.Result
 	for r, ok := c.Next(); ok; r, ok = c.Next() {
 		out = append(out, r)
 	}

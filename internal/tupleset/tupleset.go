@@ -380,10 +380,6 @@ func (s *Set) Format(db *relation.Database) string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// SortKey returns a human-oriented sort key (the Format string), useful
-// for deterministic test output.
-func (s *Set) SortKey(db *relation.Database) string { return s.Format(db) }
-
 // SortSets orders sets deterministically by their Format rendering.
 func SortSets(db *relation.Database, sets []*Set) {
 	sort.Slice(sets, func(i, j int) bool {

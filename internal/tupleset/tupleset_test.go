@@ -83,9 +83,6 @@ func TestSetContainsEqualKey(t *testing.T) {
 	if big.Key() == small.Key() || big.Key() != big.Clone().Key() {
 		t.Error("Key must be canonical")
 	}
-	if small.SortKey(db) != small.Format(db) {
-		t.Error("SortKey must equal Format")
-	}
 }
 
 func TestFromRefsPanicsOnConflict(t *testing.T) {

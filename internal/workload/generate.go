@@ -43,6 +43,30 @@ func (c Config) validate() error {
 	return nil
 }
 
+// Generate builds the workload of the named kind: chain, star, cycle,
+// clique, random (each extra edge with probability extraEdgeProb, as
+// Random) or dirty (a DirtyChain misspelling values at errorRate, with
+// at most two edits a value and probabilities down to 0.4). It is the
+// one kind switch of the fdgen and fdserve generators.
+func Generate(kind string, cfg Config, extraEdgeProb, errorRate float64) (*relation.Database, error) {
+	switch kind {
+	case "chain":
+		return Chain(cfg)
+	case "star":
+		return Star(cfg)
+	case "cycle":
+		return Cycle(cfg)
+	case "clique":
+		return Clique(cfg)
+	case "random":
+		return Random(cfg, extraEdgeProb)
+	case "dirty":
+		return DirtyChain(DirtyConfig{Config: cfg, ErrorRate: errorRate, MaxEdits: 2, MinProb: 0.4})
+	default:
+		return nil, fmt.Errorf("unknown workload kind %q", kind)
+	}
+}
+
 // Chain generates a chain-connected database: Ri has schema
 // (J(i-1), Ji, Pi) where J attributes join adjacent relations and Pi is
 // a payload private to Ri. Chains are γ-acyclic, so the outerjoin

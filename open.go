@@ -11,16 +11,17 @@ import (
 	"repro/internal/rank"
 )
 
-// Result is one full-disjunction answer: the tuple set, plus its rank
-// when the producing query ranks results.
-type Result struct {
-	// Set is the answer tuple set.
-	Set *TupleSet
-	// Rank is the result's rank under the query's ranking function.
-	Rank float64
-	// Ranked reports whether Rank is meaningful (ranked modes only).
-	Ranked bool
-}
+// Result is one full-disjunction answer: the tuple set (Set), plus its
+// rank (Rank) when the producing query ranks results (Ranked).
+type Result = core.Result
+
+// Every engine cursor is a Results as it stands; Open wraps one only
+// for the K/RankTau bounds and the progress/delay observer.
+var (
+	_ Results = (*core.Cursor)(nil)
+	_ Results = (*core.ParallelCursor)(nil)
+	_ Results = (*rank.Cursor)(nil)
+)
 
 // Results is the unified pull cursor every query mode produces: one
 // result per Next call with explicit suspended state. Sequential
@@ -124,11 +125,11 @@ func Open(ctx context.Context, db *Database, q Query) (Results, error) {
 	switch {
 	case n.Mode == ModeRanked || n.Mode == ModeApproxRanked:
 		f, _ := RankByName(n.Rank) // resolved by Validate
-		base, err = ranked(rank.NewCursor(ctx, db, p, f, opts))
+		base, err = rank.NewCursor(ctx, db, p, f, opts)
 	case workers > 1:
-		base, err = unranked(core.NewParallelCursor(ctx, db, p, opts, workers))
+		base, err = core.NewParallelCursor(ctx, db, p, opts, workers)
 	default:
-		base, err = unranked(core.NewCursor(ctx, db, p, opts))
+		base, err = core.NewCursor(ctx, db, p, opts)
 	}
 	if err != nil {
 		return nil, err
@@ -143,45 +144,6 @@ func Open(ctx context.Context, db *Database, q Query) (Results, error) {
 		base = newObservedResults(base, prog, delay)
 	}
 	return base, nil
-}
-
-// setCursor is the shape every unranked engine cursor shares —
-// sequential or parallel, exact or approximate.
-type setCursor interface {
-	Next() (*TupleSet, bool)
-	Err() error
-	Stats() Stats
-	Close()
-}
-
-// setResults adapts an unranked engine cursor to Results.
-type setResults struct{ setCursor }
-
-func unranked[C setCursor](c C, err error) (Results, error) {
-	if err != nil {
-		return nil, err
-	}
-	return setResults{c}, nil
-}
-
-func (r setResults) Next() (Result, bool) {
-	t, ok := r.setCursor.Next()
-	return Result{Set: t}, ok
-}
-
-// rankedResults adapts the ranked engine cursor to Results.
-type rankedResults struct{ *rank.Cursor }
-
-func ranked(c *rank.Cursor, err error) (Results, error) {
-	if err != nil {
-		return nil, err
-	}
-	return rankedResults{c}, nil
-}
-
-func (r rankedResults) Next() (Result, bool) {
-	res, ok := r.Cursor.Next()
-	return Result{Set: res.Set, Rank: res.Rank, Ranked: ok}, ok
 }
 
 // boundedResults enforces the query's K and RankTau bounds over an

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -167,6 +168,17 @@ func TestOpenPinnedStats(t *testing.T) {
 			if seq := seqDigest(got); seq != c.seq {
 				t.Errorf("emission sequence drifted: digest %s, want %s", seq, c.seq)
 			}
+			// Result.Ranked marks exactly the ranked modes, on the
+			// sequential path and on the parallel one (Workers 2).
+			ranked := c.q.Mode == fd.ModeRanked || c.q.Mode == fd.ModeApproxRanked
+			par := c.q
+			par.Options.Workers = 2
+			parGot, _ := openDrain(t, db, par)
+			for _, r := range slices.Concat(got, parGot) {
+				if r.Ranked != ranked {
+					t.Fatalf("result %s: Ranked = %v, want %v", r.Set.Key(), r.Ranked, ranked)
+				}
+			}
 			// A RankTau bound reads one result past its cut off the
 			// engine; every other drain delivers all the engine emitted.
 			if c.q.RankTau == 0 && stats.Emitted != len(got) {
@@ -228,39 +240,31 @@ func qualify(t testing.TB, a approx.Join, tau float64) core.Predicate {
 // pins them (TestEnginePinnedStats).
 func TestOpenEquivalentToExactWrappers(t *testing.T) {
 	db := equivDB(t)
-	wantSets, wantStats, err := core.FullDisjunction(db, core.JCC, indexed)
-	if err != nil {
-		t.Fatal(err)
+	open := func() fd.Results {
+		c, err := core.NewCursor(context.Background(), db, core.JCC, indexed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
 	// Workers pinned to 1: the engine cursor is sequential, and on a
 	// multicore box Workers 0 would resolve to a parallel cursor whose
 	// arrival order is not the canonical sequence.
+	want, wantStats := prefix(open(), -1, 0)
 	got, gotStats := openDrain(t, db, exactQuery(fd.QueryOptions{}))
-	sameSequence(t, "exact", got, unrankedResults(wantSets))
+	sameSequence(t, "exact", got, want)
 	if gotStats != wantStats {
 		t.Errorf("exact stats differ:\n open   %+v\n engine %+v", gotStats, wantStats)
 	}
 
 	// K-bounded prefix ≡ the engine cursor stopped after K results.
-	c, err := core.NewCursor(context.Background(), db, core.JCC, indexed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prefix []*fd.TupleSet
-	for len(prefix) < 5 {
-		s, ok := c.Next()
-		if !ok {
-			break
-		}
-		prefix = append(prefix, s)
-	}
-	c.Close()
+	top, topStats := prefix(open(), 5, 0)
 	qk := exactQuery(fd.QueryOptions{})
 	qk.K = 5
 	got, gotStats = openDrain(t, db, qk)
-	sameSequence(t, "exact/K", got, unrankedResults(prefix))
-	if wantStats := c.Stats(); gotStats != wantStats {
-		t.Errorf("exact/K stats differ:\n open   %+v\n engine %+v", gotStats, wantStats)
+	sameSequence(t, "exact/K", got, top)
+	if gotStats != topStats {
+		t.Errorf("exact/K stats differ:\n open   %+v\n engine %+v", gotStats, topStats)
 	}
 }
 
@@ -269,7 +273,7 @@ func TestOpenEquivalentToExactWrappers(t *testing.T) {
 // wrappers delegated to, ranks and stats included.
 func TestOpenEquivalentToRankedWrappers(t *testing.T) {
 	db := equivDB(t)
-	open := func() *rank.Cursor {
+	open := func() fd.Results {
 		c, err := rank.NewCursor(context.Background(), db, core.JCC, rank.FMax{}, indexed)
 		if err != nil {
 			t.Fatal(err)
@@ -277,14 +281,14 @@ func TestOpenEquivalentToRankedWrappers(t *testing.T) {
 		return c
 	}
 
-	want, wantStats := rankedPrefix(open(), -1, 0)
+	want, wantStats := prefix(open(), -1, 0)
 	got, gotStats := openDrain(t, db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax"})
 	sameSequence(t, "ranked", got, want)
 	if gotStats != wantStats {
 		t.Errorf("ranked stats differ:\n open   %+v\n engine %+v", gotStats, wantStats)
 	}
 
-	top, topStats := rankedPrefix(open(), 4, 0)
+	top, topStats := prefix(open(), 4, 0)
 	gotTop, gotTopStats := openDrain(t, db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 4})
 	sameSequence(t, "ranked/K", gotTop, top)
 	if gotTopStats != topStats {
@@ -292,7 +296,7 @@ func TestOpenEquivalentToRankedWrappers(t *testing.T) {
 	}
 
 	tau := want[len(want)/2].Rank
-	thr, thrStats := rankedPrefix(open(), -1, tau)
+	thr, thrStats := prefix(open(), -1, tau)
 	gotThr, gotThrStats := openDrain(t, db, fd.Query{Mode: fd.ModeRanked, Rank: "fmax", RankTau: tau})
 	sameSequence(t, "ranked/RankTau", gotThr, thr)
 	if gotThrStats != thrStats {
@@ -312,27 +316,24 @@ func TestOpenEquivalentToApproxWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSets, wantStats, err := c.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantStats := prefix(c, -1, 0)
 	// Workers pinned to 1 so the arrival order matches the sequential
 	// engine cursor on any GOMAXPROCS.
 	q := fd.Query{Mode: fd.ModeApprox, Tau: 0.7, Options: fd.QueryOptions{Workers: 1}}
 	got, gotStats := openDrain(t, db, q)
-	sameSequence(t, "approx", got, unrankedResults(wantSets))
+	sameSequence(t, "approx", got, want)
 	if gotStats != wantStats {
 		t.Errorf("approx stats differ:\n open   %+v\n engine %+v", gotStats, wantStats)
 	}
 
-	open := func() *rank.Cursor {
+	open := func() fd.Results {
 		c, err := rank.NewCursor(context.Background(), db, qualify(t, amin, 0.6), rank.FMax{}, indexed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	wantRanked, wantRankedStats := rankedPrefix(open(), -1, 0)
+	wantRanked, wantRankedStats := prefix(open(), -1, 0)
 	qr := fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax"}
 	gotRanked, gotRankedStats := openDrain(t, db, qr)
 	sameSequence(t, "approx-ranked", gotRanked, wantRanked)
@@ -340,7 +341,7 @@ func TestOpenEquivalentToApproxWrappers(t *testing.T) {
 		t.Errorf("approx-ranked stats differ:\n open   %+v\n engine %+v", gotRankedStats, wantRankedStats)
 	}
 
-	top, _ := rankedPrefix(open(), 3, 0)
+	top, _ := prefix(open(), 3, 0)
 	qk := qr
 	qk.K = 3
 	gotTop, _ := openDrain(t, db, qk)
@@ -348,7 +349,7 @@ func TestOpenEquivalentToApproxWrappers(t *testing.T) {
 
 	if len(wantRanked) > 1 {
 		tau := wantRanked[len(wantRanked)/2].Rank
-		thr, _ := rankedPrefix(open(), -1, tau)
+		thr, _ := prefix(open(), -1, tau)
 		qt := qr
 		qt.RankTau = tau
 		gotThr, _ := openDrain(t, db, qt)
@@ -356,10 +357,10 @@ func TestOpenEquivalentToApproxWrappers(t *testing.T) {
 	}
 }
 
-// rankedPrefix pulls c until k results (k < 0: no bound) or the first
-// rank below tau, the way a K- or RankTau-bounded query stops, and
-// returns the results with the cursor's stats at that point.
-func rankedPrefix(c *rank.Cursor, k int, tau float64) ([]fd.Result, fd.Stats) {
+// prefix pulls c until k results (k < 0: no bound) or the first rank
+// below tau, the way a K- or RankTau-bounded query stops, and returns
+// the results with the cursor's stats at that point.
+func prefix(c fd.Results, k int, tau float64) ([]fd.Result, fd.Stats) {
 	defer c.Close()
 	var out []fd.Result
 	for k != 0 {
@@ -367,17 +368,8 @@ func rankedPrefix(c *rank.Cursor, k int, tau float64) ([]fd.Result, fd.Stats) {
 		if !ok || (tau > 0 && r.Rank < tau) {
 			break
 		}
-		out = append(out, fd.Result{Set: r.Set, Rank: r.Rank, Ranked: true})
+		out = append(out, r)
 		k--
 	}
 	return out, c.Stats()
-}
-
-// unrankedResults lifts an unranked engine sequence to Results.
-func unrankedResults(sets []*fd.TupleSet) []fd.Result {
-	out := make([]fd.Result, len(sets))
-	for i, s := range sets {
-		out[i] = fd.Result{Set: s}
-	}
-	return out
 }

@@ -215,24 +215,16 @@ func checkOracle(t *testing.T, db *relation.Database, tau float64) {
 	}
 }
 
-// setCursor is the shape of every unranked engine cursor.
-type setCursor interface {
-	Next() (*tupleset.Set, bool)
-	Err() error
-	Stats() fd.Stats
-	Close()
-}
-
-// drainCursor drains an engine cursor, as opened, to its result
-// multiset and final stats.
-func drainCursor[C setCursor](c C, err error) (map[string]int, fd.Stats, error) {
+// drainCursor drains a cursor, as opened, to its result multiset and
+// final stats.
+func drainCursor(c fd.Results, err error) (map[string]int, fd.Stats, error) {
 	if err != nil {
 		return nil, fd.Stats{}, err
 	}
 	defer c.Close()
 	got := map[string]int{}
-	for s, ok := c.Next(); ok; s, ok = c.Next() {
-		got[s.Key()]++
+	for r, ok := c.Next(); ok; r, ok = c.Next() {
+		got[r.Set.Key()]++
 	}
 	return got, c.Stats(), c.Err()
 }

@@ -58,16 +58,10 @@ func FuzzRankedOpen(f *testing.F) {
 						sim, _ := fd.SimByName(c.sim)
 						p = qualify(t, &approx.Amin{S: sim}, tau)
 					}
-					rc, err := rank.NewCursor(ctx, db, p, f, opts)
 					where := fmt.Sprintf("%s/%s%s join index %v", c.mode, rankName, c.sim, joinIndex)
-					if err != nil {
-						t.Fatalf("%s: %v", where, err)
-					}
+					rc, err := rank.NewCursor(ctx, db, p, f, opts)
 					var got map[string]int
-					got, ranks[i] = drainRanked(t, where, func() (*tupleset.Set, float64, bool) {
-						r, ok := rc.Next()
-						return r.Set, r.Rank, ok
-					}, rc.Err)
+					got, ranks[i] = drainRanked(t, where, rc, err)
 					sameMultiset(t, where, got, c.want)
 				}
 
@@ -77,15 +71,8 @@ func FuzzRankedOpen(f *testing.F) {
 				}
 				where := fmt.Sprintf("%s/%s%s fd.Open", c.mode, rankName, c.sim)
 				rs, err := fd.Open(ctx, db, q)
-				if err != nil {
-					t.Fatalf("%s: %v", where, err)
-				}
 				var got map[string]int
-				got, ranks[2] = drainRanked(t, where, func() (*tupleset.Set, float64, bool) {
-					r, ok := rs.Next()
-					return r.Set, r.Rank, ok
-				}, rs.Err)
-				rs.Close()
+				got, ranks[2] = drainRanked(t, where, rs, err)
 				sameMultiset(t, where, got, c.want)
 
 				if !slices.Equal(ranks[0], ranks[1]) || !slices.Equal(ranks[1], ranks[2]) {
@@ -97,21 +84,25 @@ func FuzzRankedOpen(f *testing.F) {
 	})
 }
 
-// drainRanked drains a ranked cursor through next, failing on an error
+// drainRanked drains a ranked cursor, as opened, failing on an error
 // or a rank above its predecessor, and returns the result multiset and
 // the rank sequence.
-func drainRanked(t *testing.T, where string, next func() (*tupleset.Set, float64, bool), errf func() error) (map[string]int, []float64) {
+func drainRanked(t *testing.T, where string, rs fd.Results, err error) (map[string]int, []float64) {
 	t.Helper()
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	defer rs.Close()
 	got := map[string]int{}
 	var ranks []float64
-	for s, r, ok := next(); ok; s, r, ok = next() {
-		if n := len(ranks); n > 0 && r > ranks[n-1] {
-			t.Fatalf("%s: rank %v after %v", where, r, ranks[n-1])
+	for r, ok := rs.Next(); ok; r, ok = rs.Next() {
+		if n := len(ranks); n > 0 && r.Rank > ranks[n-1] {
+			t.Fatalf("%s: rank %v after %v", where, r.Rank, ranks[n-1])
 		}
-		got[s.Key()]++
-		ranks = append(ranks, r)
+		got[r.Set.Key()]++
+		ranks = append(ranks, r.Rank)
 	}
-	if err := errf(); err != nil {
+	if err := rs.Err(); err != nil {
 		t.Fatalf("%s: %v", where, err)
 	}
 	return got, ranks
