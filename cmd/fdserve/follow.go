@@ -7,7 +7,9 @@ import (
 	"strconv"
 
 	fd "repro"
+	"repro/internal/relation"
 	"repro/internal/service"
+	"repro/internal/tupleset"
 )
 
 // handleFollow streams a follow session as newline-delimited JSON over
@@ -61,18 +63,34 @@ func (s *server) handleFollow(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 
-	// live tracks the stream's current result set: the set pointer for
-	// the subsumption check (Delta.Subsumes is universe-independent,
-	// so sets from different database versions compare directly) and
-	// the rendered notation retract lines identify results by.
+	// live tracks the stream's current result set: the set for the
+	// subsumption check (Delta.Subsumes is universe-independent, so sets
+	// from different database versions compare directly) and the
+	// database it is bound to, which renders the set notation a retract
+	// line identifies it by.
 	type liveEntry struct {
-		set      *fd.TupleSet
-		rendered string
+		set *fd.TupleSet
+		db  *relation.Database
 	}
 	var live []liveEntry
 
-	db, u := q.DB(), q.Universe()
-	attrs := u.AllAttributes()
+	// writeResult writes one "result" line rendered over u, and reports
+	// whether the stream may go on.
+	var line []byte
+	writeResult := func(u *tupleset.Universe, res service.Result) bool {
+		var err error
+		line = append(line[:0], `{"event":"result","result":`...)
+		if line, err = service.AppendResult(line, u, res); err != nil {
+			enc.Encode(map[string]any{"event": "error", "error": err.Error()})
+			return false
+		}
+		line = append(line, "}\n"...)
+		w.Write(line)
+		live = append(live, liveEntry{set: res.Set, db: u.DB})
+		return true
+	}
+
+	u := q.Universe()
 	for {
 		page, done, err := q.Next(256)
 		if err != nil {
@@ -80,9 +98,9 @@ func (s *server) handleFollow(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		for _, res := range page {
-			rj := renderResult(db, u, attrs, res)
-			enc.Encode(map[string]any{"event": "result", "result": rj})
-			live = append(live, liveEntry{set: res.Set, rendered: rj.Set})
+			if !writeResult(u, res) {
+				return
+			}
 		}
 		if done {
 			break
@@ -102,17 +120,16 @@ func (s *server) handleFollow(w http.ResponseWriter, r *http.Request) {
 			for _, le := range live {
 				if b.Delta.Subsumes(le.set) {
 					removed++
-					enc.Encode(map[string]any{"event": "retract", "set": le.rendered})
+					enc.Encode(map[string]any{"event": "retract", "set": le.set.Format(le.db)})
 					continue
 				}
 				kept = append(kept, le)
 			}
 			live = kept
-			battrs := b.U.AllAttributes()
 			for _, set := range b.Delta.Added {
-				rj := renderResult(b.DB, b.U, battrs, service.Result{Set: set})
-				enc.Encode(map[string]any{"event": "result", "result": rj})
-				live = append(live, liveEntry{set: set, rendered: rj.Set})
+				if !writeResult(b.U, service.Result{Set: set}) {
+					return
+				}
 			}
 			enc.Encode(map[string]any{"event": "delta",
 				"appends": appends, "added": len(b.Delta.Added), "removed": removed, "total": len(live)})

@@ -50,6 +50,7 @@ import (
 	"os/signal"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -59,7 +60,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/service"
 	"repro/internal/store"
-	"repro/internal/tupleset"
 	"repro/internal/workload"
 )
 
@@ -477,22 +477,6 @@ type createQueryResponse struct {
 	Cached bool   `json:"cached"`
 }
 
-type resultJSON struct {
-	// Set is the tuple-set notation of the paper's Table 2, e.g.
-	// "{c1, a2}".
-	Set  string   `json:"set"`
-	Rank *float64 `json:"rank,omitempty"`
-	// Values is the padded tuple over the database's full attribute
-	// universe; null values are JSON nulls.
-	Values map[string]*string `json:"values"`
-}
-
-type pageResponse struct {
-	Results []resultJSON `json:"results"`
-	Done    bool         `json:"done"`
-	Served  int          `json:"served"`
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -728,6 +712,10 @@ func (s *server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, q.Progress())
 }
 
+// pageBufs recycles page bodies across requests: a page is rendered
+// into one buffer and written with a single Write.
+var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 func (s *server) handleNext(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.svc.Query(r.PathValue("id"))
 	if !ok {
@@ -754,39 +742,20 @@ func (s *server) handleNext(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusGone, err)
 		return
 	}
-	db := q.DB()
-	u := q.Universe()
-	attrs := u.AllAttributes()
-	out := pageResponse{Results: make([]resultJSON, len(page)), Done: done, Served: q.Served()}
-	for i, res := range page {
-		out.Results[i] = renderResult(db, u, attrs, res)
+	buf := pageBufs.Get().(*[]byte)
+	defer pageBufs.Put(buf)
+	body, err := service.AppendPage((*buf)[:0], q.Universe(), page, done, q.Served())
+	*buf = body[:0]
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// renderResult renders one result over the database and universe it is
-// bound to — the session's own for base pages, the extended database's
-// for delta results arriving on a follow stream (whose sets reference
-// appended tuples the base universe cannot format).
-func renderResult(db *relation.Database, u *tupleset.Universe, attrs []relation.Attribute, res service.Result) resultJSON {
-	rj := resultJSON{
-		Set:    res.Set.Format(db),
-		Values: make(map[string]*string, len(attrs)),
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body); err != nil {
+		slog.Warn("write page", "error", err)
 	}
-	if res.Ranked {
-		rank := res.Rank
-		rj.Rank = &rank
-	}
-	padded := u.PadOver(res.Set, attrs)
-	for j, a := range padded.Attrs {
-		if padded.Values[j].IsNull() {
-			rj.Values[string(a)] = nil
-			continue
-		}
-		datum := padded.Values[j].Datum()
-		rj.Values[string(a)] = &datum
-	}
-	return rj
 }
 
 // handleTrace serves the span tree of a live or recently finished

@@ -10,6 +10,8 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
+	"strings"
 
 	fd "repro"
 )
@@ -82,7 +84,9 @@ func main() {
 	}
 }
 
-// drain opens q against db and collects the tuple sets.
+// drain opens q against db and collects the tuple sets, sorted by
+// their notation: the default Workers 0 runs the parallel executor on a
+// multi-core machine, whose arrival order varies from run to run.
 func drain(ctx context.Context, db *fd.Database, q fd.Query) ([]*fd.TupleSet, error) {
 	rs, err := fd.Open(ctx, db, q)
 	if err != nil {
@@ -93,6 +97,9 @@ func drain(ctx context.Context, db *fd.Database, q fd.Query) ([]*fd.TupleSet, er
 	for r, ok := rs.Next(); ok; r, ok = rs.Next() {
 		out = append(out, r.Set)
 	}
+	slices.SortFunc(out, func(a, b *fd.TupleSet) int {
+		return strings.Compare(fd.Format(db, a), fd.Format(db, b))
+	})
 	return out, rs.Err()
 }
 

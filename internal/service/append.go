@@ -211,7 +211,7 @@ func (s *Service) AppendRows(dbName, relName string, tuples []relation.Tuple) (D
 			fams[sub.fam] = d
 			added += len(d.Added)
 		}
-		sub.push(FollowBatch{Delta: d, DB: ne.db, U: ne.u})
+		sub.push(FollowBatch{Delta: d, U: ne.u})
 	}
 	s.met.syncCache(s.cache)
 	s.mu.Unlock()

@@ -1085,11 +1085,9 @@ func (q *Query) Spec() fd.Query { return q.spec }
 // under.
 func (q *Query) DatabaseName() string { return q.dbName }
 
-// DB returns the database the query runs against.
-func (q *Query) DB() *relation.Database { return q.db.db }
-
-// Universe returns the database's shared rendering universe, so
-// front ends pad results without rebuilding attribute layouts per page.
+// Universe returns the database's shared rendering universe (its DB is
+// the database the query runs against), so front ends pad results
+// without rebuilding attribute layouts per page.
 func (q *Query) Universe() *tupleset.Universe { return q.db.u }
 
 // FromCache reports whether the session serves from the result cache.

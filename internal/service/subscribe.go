@@ -4,23 +4,21 @@ import (
 	"sync"
 
 	"repro/internal/delta"
-	"repro/internal/relation"
 	"repro/internal/tupleset"
 )
 
 // FollowBatch is one append's delta as delivered to a follow
 // subscription: the family's delta (the new maximal result sets the
-// batch created, Delta.Added), plus the extended database and
-// rendering universe those sets are bound to — the subscriber's base
-// session still holds the pre-append database, whose universe cannot
-// render sets that reference appended tuples.
+// batch created, Delta.Added), plus the rendering universe of the
+// extended database (U.DB) those sets are bound to — the subscriber's
+// base session still holds the pre-append database, whose universe
+// cannot render sets that reference appended tuples.
 //
 // Retraction is implicit: an earlier result is no longer maximal when
 // Delta.Subsumes it. The check is universe-independent, so subscribers
 // test results from any earlier database version directly.
 type FollowBatch struct {
 	Delta *delta.Delta
-	DB    *relation.Database
 	U     *tupleset.Universe
 }
 

@@ -24,43 +24,43 @@ type Padded struct {
 	Codes  []int32              // aligned with Attrs; nil only for hand-built values
 }
 
-// padCodes fills the padded tuple of a join-consistent set s over the
-// global attribute universe, as dictionary codes. For every attribute
-// the value is the (unique, by join consistency) non-null code any
-// member carries for it, or NullCode when the only members mentioning
-// the attribute hold ⊥ there. A valid binding signature IS that vector,
-// so for signature-carrying sets this is a straight copy.
-func (u *Universe) padCodes(s *Set) []int32 {
+// PadCodesInto fills dst with the padded tuple of a join-consistent set
+// s over AllAttributes, as dictionary codes; dst must be exactly that
+// long and is overwritten. For every attribute the value is the
+// (unique, by join consistency) non-null code any member carries for
+// it, or NullCode when no member carries a non-null value there. A
+// valid binding signature IS that vector, so for signature-carrying
+// sets this is a straight copy. It allocates nothing, so renderers can
+// reuse one buffer across a page of results.
+func (u *Universe) PadCodesInto(s *Set, dst []int32) {
 	u.ensureLayout()
-	codes := make([]int32, len(u.allAttrs))
 	if u.sigReady(s, nil) {
-		for g := range codes {
+		for g := range dst {
 			// Zero bindings are unmentioned, negative bindings are ⊥
 			// tags; both pad to NullCode.
-			if b := s.binding[g]; b > relation.NullCode {
-				codes[g] = b
-			}
+			dst[g] = max(s.binding[g], relation.NullCode)
 		}
-		return codes
+		return
 	}
+	clear(dst)
 	for r, idx := range s.members {
 		if idx == none {
 			continue
 		}
 		for p, g := range u.proj[r] {
-			if codes[g] == relation.NullCode {
-				codes[g] = u.DB.Col(r, p)[idx]
+			if dst[g] == relation.NullCode {
+				dst[g] = u.DB.Col(r, p)[idx]
 			}
 		}
 	}
-	return codes
 }
 
 // Pad materialises the padded tuple of a join-consistent set s over the
 // sorted union of its members' schemas.
 func (u *Universe) Pad(s *Set) Padded {
 	u.ensureLayout()
-	codes := u.padCodes(s)
+	codes := make([]int32, len(u.allAttrs))
+	u.PadCodesInto(s, codes)
 	mentioned := make([]bool, len(u.allAttrs))
 	width := 0
 	for r, idx := range s.members {
@@ -97,7 +97,8 @@ func (u *Universe) Pad(s *Set) Padded {
 // over the global attribute list are directly comparable.
 func (u *Universe) PadOver(s *Set, attrs []relation.Attribute) Padded {
 	u.ensureLayout()
-	codes := u.padCodes(s)
+	codes := make([]int32, len(u.allAttrs))
+	u.PadCodesInto(s, codes)
 	out := Padded{
 		Attrs:  attrs,
 		Values: make([]relation.Value, len(attrs)),
