@@ -160,7 +160,7 @@ func (r *Relation) CheckTuple(t *Tuple) error {
 	if len(t.Values) != r.schema.Len() {
 		return fmt.Errorf("tuple has %d values, schema has %d attributes", len(t.Values), r.schema.Len())
 	}
-	if t.Prob < 0 || t.Prob > 1 {
+	if !(t.Prob >= 0 && t.Prob <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("tuple probability %v outside [0,1]", t.Prob)
 	}
 	return nil

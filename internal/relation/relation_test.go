@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -163,6 +164,9 @@ func TestRelationAppendTupleValidation(t *testing.T) {
 	}
 	if err := r.AppendTuple(Tuple{Values: []Value{V("1"), V("2")}, Prob: 2}); err == nil {
 		t.Error("probability > 1 accepted")
+	}
+	if err := r.AppendTuple(Tuple{Values: []Value{V("1"), V("2")}, Prob: math.NaN()}); err == nil {
+		t.Error("NaN probability accepted")
 	}
 	if err := r.AppendTuple(Tuple{Values: []Value{V("1"), V("2")}, Prob: 0.5, Imp: 3}); err != nil {
 		t.Error(err)

@@ -20,12 +20,10 @@ package relation
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 )
 
 // Snapshot format constants. The version is bumped on any incompatible
@@ -39,66 +37,39 @@ const (
 	secRelation uint16 = 2
 	secEnd      uint16 = 3
 
-	// maxSectionLen caps a section's declared payload length before any
-	// allocation happens, so a corrupt length field cannot demand an
-	// absurd buffer.
+	// maxSectionLen caps a section's declared payload length.
 	maxSectionLen = 1 << 30
 )
-
-// snapHeaderLen is the byte length of the fixed header: magic, version,
-// fingerprint, header CRC.
-const snapHeaderLen = 4 + 2 + 8 + 4
 
 // WriteSnapshot serialises the database in the versioned binary
 // snapshot format. It freezes the database (the snapshot is the
 // columnar mirror plus the metadata needed to rebuild the relations)
 // and embeds the content fingerprint, which ReadSnapshot re-verifies.
 func (db *Database) WriteSnapshot(w io.Writer) error {
-	fp := db.Fingerprint() // freezes and encodes
-
+	// A bufio.Writer keeps its first error and returns it from Flush,
+	// so the writes below need no checks of their own.
 	bw := bufio.NewWriter(w)
-	var hdr [snapHeaderLen]byte
-	copy(hdr[0:4], snapMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], snapVersion)
-	binary.LittleEndian.PutUint64(hdr[6:14], fp)
-	binary.LittleEndian.PutUint32(hdr[14:18], crc32.ChecksumIEEE(hdr[:14]))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
+	bw.Write(appendHeader(nil, snapMagic, snapVersion, db.Fingerprint())) // freezes and encodes
 
-	var buf bytes.Buffer
-	p := payloadWriter{&buf}
-	emit := func(id uint16) error {
-		var sh [10]byte
-		binary.LittleEndian.PutUint16(sh[0:2], id)
-		binary.LittleEndian.PutUint64(sh[2:10], uint64(buf.Len()))
-		if _, err := bw.Write(sh[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(buf.Bytes()); err != nil {
-			return err
-		}
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
-		if _, err := bw.Write(crc[:]); err != nil {
-			return err
-		}
-		buf.Reset()
-		return nil
+	var p payloadWriter
+	emit := func(id uint16) {
+		var frame [10]byte
+		binary.LittleEndian.PutUint16(frame[0:2], id)
+		binary.LittleEndian.PutUint64(frame[2:10], uint64(len(p.b)))
+		bw.Write(frame[:])
+		bw.Write(p.b)
+		bw.Write(binary.LittleEndian.AppendUint32(frame[:0], crc32.ChecksumIEEE(p.b)))
+		p.b = p.b[:0]
 	}
 
 	p.u32(uint32(len(db.rels)))
-	if err := emit(secMeta); err != nil {
-		return err
-	}
+	emit(secMeta)
 
 	p.u32(uint32(db.dict.Len()))
 	for c := int32(1); c <= int32(db.dict.Len()); c++ {
 		p.str(db.dict.Datum(c))
 	}
-	if err := emit(secDict); err != nil {
-		return err
-	}
+	emit(secDict)
 
 	for r, rel := range db.rels {
 		p.str(rel.Name())
@@ -123,14 +94,10 @@ func (db *Database) WriteSnapshot(w io.Writer) error {
 		for _, v := range db.probs[r] {
 			p.f64(v)
 		}
-		if err := emit(secRelation); err != nil {
-			return err
-		}
+		emit(secRelation)
 	}
 
-	if err := emit(secEnd); err != nil {
-		return err
-	}
+	emit(secEnd)
 	return bw.Flush()
 }
 
@@ -142,80 +109,10 @@ func (db *Database) WriteSnapshot(w io.Writer) error {
 // CSV export and Extend all work). The database comes back frozen; the
 // recomputed Fingerprint must equal the stored one or the load fails.
 func ReadSnapshot(r io.Reader) (*Database, error) {
-	br := bufio.NewReader(r)
-	fp, err := readSnapshotHeader(br)
+	db, fp, err := decodeSnapshot(r)
 	if err != nil {
 		return nil, err
 	}
-
-	// meta: relation count.
-	payload, err := readSection(br, secMeta)
-	if err != nil {
-		return nil, err
-	}
-	pr := payloadReader{b: payload}
-	relCount := int(pr.u32())
-	if pr.err != nil || relCount < 1 || relCount > 1<<20 || pr.remaining() != 0 {
-		return nil, fmt.Errorf("relation: snapshot meta section malformed")
-	}
-
-	// dict: the interned datums in code order.
-	payload, err = readSection(br, secDict)
-	if err != nil {
-		return nil, err
-	}
-	pr = payloadReader{b: payload}
-	dictLen := int(pr.u32())
-	// Every datum costs at least its 4-byte length prefix, so the count
-	// is bounded by the payload before any count-sized allocation.
-	if pr.err != nil || dictLen < 0 || dictLen*4 > pr.remaining() {
-		return nil, fmt.Errorf("relation: snapshot dictionary malformed")
-	}
-	dict := &Dict{codes: make(map[string]int32, dictLen), datums: make([]string, dictLen)}
-	for i := 0; i < dictLen; i++ {
-		s := pr.str()
-		dict.datums[i] = s
-		dict.codes[s] = int32(i + 1)
-	}
-	if pr.err != nil || pr.remaining() != 0 {
-		return nil, fmt.Errorf("relation: snapshot dictionary malformed")
-	}
-
-	rels := make([]*Relation, relCount)
-	cols := make([][][]int32, relCount)
-	imps := make([][]float64, relCount)
-	probs := make([][]float64, relCount)
-	for r := 0; r < relCount; r++ {
-		payload, err = readSection(br, secRelation)
-		if err != nil {
-			return nil, err
-		}
-		rel, relCols, imp, prob, err := parseRelationSection(payload, dict)
-		if err != nil {
-			return nil, fmt.Errorf("relation: snapshot relation %d: %w", r, err)
-		}
-		rels[r] = rel
-		cols[r] = relCols
-		imps[r] = imp
-		probs[r] = prob
-	}
-
-	payload, err = readSection(br, secEnd)
-	if err != nil {
-		return nil, err
-	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("relation: snapshot end marker carries payload")
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("relation: trailing data after snapshot end marker")
-	}
-
-	db, err := NewDatabase(rels...)
-	if err != nil {
-		return nil, fmt.Errorf("relation: snapshot: %w", err)
-	}
-	db.adoptEncoding(dict, cols, imps, probs)
 	if got := db.Fingerprint(); got != fp {
 		return nil, fmt.Errorf("relation: snapshot fingerprint mismatch: stored %016x, recomputed %016x", fp, got)
 	}
@@ -227,25 +124,96 @@ func ReadSnapshot(r io.Reader) (*Database, error) {
 // bind log files to the snapshot they extend without parsing the whole
 // snapshot.
 func ReadSnapshotFingerprint(r io.Reader) (uint64, error) {
-	return readSnapshotHeader(bufio.NewReader(r))
+	return readHeader(r, "snapshot", snapMagic, snapVersion)
 }
 
-func readSnapshotHeader(br *bufio.Reader) (uint64, error) {
-	var hdr [snapHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, fmt.Errorf("relation: reading snapshot header: %w", err)
+// decodeSnapshot parses a snapshot stream into its database and the
+// fingerprint its header stores, leaving the comparison of the two to
+// the caller.
+func decodeSnapshot(r io.Reader) (*Database, uint64, error) {
+	br := bufio.NewReader(r)
+	fp, err := ReadSnapshotFingerprint(br)
+	if err != nil {
+		return nil, 0, err
 	}
-	if string(hdr[0:4]) != snapMagic {
-		return 0, fmt.Errorf("relation: not a snapshot file (bad magic %q)", hdr[0:4])
+
+	// meta: relation count.
+	payload, err := readSection(br, secMeta)
+	if err != nil {
+		return nil, 0, err
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != snapVersion {
-		return 0, fmt.Errorf("relation: unsupported snapshot version %d (supported: %d)", v, snapVersion)
+	pr := payloadReader{b: payload}
+	relCount := int(pr.u32())
+	if pr.err != nil || relCount < 1 || relCount > 1<<20 || pr.remaining() != 0 {
+		return nil, 0, fmt.Errorf("relation: snapshot meta section malformed")
 	}
-	want := binary.LittleEndian.Uint32(hdr[14:18])
-	if got := crc32.ChecksumIEEE(hdr[:14]); got != want {
-		return 0, fmt.Errorf("relation: snapshot header checksum mismatch")
+
+	// dict: the interned datums in code order.
+	payload, err = readSection(br, secDict)
+	if err != nil {
+		return nil, 0, err
 	}
-	return binary.LittleEndian.Uint64(hdr[6:14]), nil
+	pr = payloadReader{b: payload}
+	dictLen := int(pr.u32())
+	// Every datum costs at least its 4-byte length prefix, so the count
+	// is bounded by the payload before any count-sized allocation.
+	if pr.err != nil || dictLen*4 > pr.remaining() {
+		return nil, 0, fmt.Errorf("relation: snapshot dictionary malformed")
+	}
+	dict := &Dict{codes: make(map[string]int32, dictLen), datums: make([]string, dictLen)}
+	for i := 0; i < dictLen; i++ {
+		s := pr.str()
+		dict.datums[i] = s
+		dict.codes[s] = int32(i + 1)
+		// A repeated datum would give one value two codes, and the
+		// engine joins on codes: equal values would stop joining.
+		if len(dict.codes) != i+1 && pr.err == nil {
+			return nil, 0, fmt.Errorf("relation: snapshot dictionary repeats datum %q", s)
+		}
+	}
+	if pr.err != nil || pr.remaining() != 0 {
+		return nil, 0, fmt.Errorf("relation: snapshot dictionary malformed")
+	}
+
+	// The per-relation slices grow as sections arrive, not from the
+	// declared count.
+	var (
+		rels        []*Relation
+		cols        [][][]int32
+		imps, probs [][]float64
+	)
+	for r := 0; r < relCount; r++ {
+		payload, err = readSection(br, secRelation)
+		if err != nil {
+			return nil, 0, err
+		}
+		rel, relCols, imp, prob, err := parseRelationSection(payload, dict)
+		if err != nil {
+			return nil, 0, fmt.Errorf("relation: snapshot relation %d: %w", r, err)
+		}
+		rels = append(rels, rel)
+		cols = append(cols, relCols)
+		imps = append(imps, imp)
+		probs = append(probs, prob)
+	}
+
+	payload, err = readSection(br, secEnd)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(payload) != 0 {
+		return nil, 0, fmt.Errorf("relation: snapshot end marker carries payload")
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, 0, fmt.Errorf("relation: trailing data after snapshot end marker")
+	}
+
+	db, err := NewDatabase(rels...)
+	if err != nil {
+		return nil, 0, fmt.Errorf("relation: snapshot: %w", err)
+	}
+	db.adoptEncoding(dict, cols, imps, probs)
+	return db, fp, nil
 }
 
 // readSection reads the next section, demands it carry the given id,
@@ -255,24 +223,12 @@ func readSection(br *bufio.Reader, wantID uint16) ([]byte, error) {
 	if _, err := io.ReadFull(br, sh[:]); err != nil {
 		return nil, fmt.Errorf("relation: snapshot truncated (reading section header): %w", err)
 	}
-	id := binary.LittleEndian.Uint16(sh[0:2])
-	if id != wantID {
+	if id := binary.LittleEndian.Uint16(sh[0:2]); id != wantID {
 		return nil, fmt.Errorf("relation: snapshot section order: got id %d, want %d", id, wantID)
 	}
-	n := binary.LittleEndian.Uint64(sh[2:10])
-	if n > maxSectionLen {
-		return nil, fmt.Errorf("relation: snapshot section %d declares %d bytes (cap %d)", id, n, maxSectionLen)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, fmt.Errorf("relation: snapshot truncated (section %d payload): %w", id, err)
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(br, crc[:]); err != nil {
-		return nil, fmt.Errorf("relation: snapshot truncated (section %d checksum): %w", id, err)
-	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crc[:]); got != want {
-		return nil, fmt.Errorf("relation: snapshot section %d checksum mismatch", id)
+	payload, err := readChecksummed(br, binary.LittleEndian.Uint64(sh[2:10]), maxSectionLen)
+	if err != nil {
+		return nil, fmt.Errorf("relation: snapshot section %d: %w", wantID, err)
 	}
 	return payload, nil
 }
@@ -367,6 +323,9 @@ func parseRelationSection(payload []byte, dict *Dict) (*Relation, [][]int32, []f
 			}
 		}
 		rel.tuples[i] = Tuple{Label: labels[i], Values: vals, Imp: imp[i], Prob: prob[i]}
+		if err := rel.CheckTuple(&rel.tuples[i]); err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("tuple %d: %w", i, err)
+		}
 	}
 	return rel, relCols, imp, prob, nil
 }
@@ -385,76 +344,4 @@ func (db *Database) adoptEncoding(dict *Dict, cols [][][]int32, imps, probs [][]
 		db.probs = probs
 		db.index = buildJoinIndex(cols)
 	})
-}
-
-// payloadWriter serialises primitive values into a section buffer.
-// Writes to a bytes.Buffer cannot fail, so it carries no error state.
-type payloadWriter struct{ buf *bytes.Buffer }
-
-func (p payloadWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	p.buf.Write(b[:])
-}
-
-func (p payloadWriter) i32(v int32) { p.u32(uint32(v)) }
-
-func (p payloadWriter) f64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	p.buf.Write(b[:])
-}
-
-func (p payloadWriter) str(s string) {
-	p.u32(uint32(len(s)))
-	p.buf.WriteString(s)
-}
-
-// payloadReader deserialises primitive values from a section payload,
-// latching the first error (all further reads return zero values).
-type payloadReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (p *payloadReader) remaining() int { return len(p.b) - p.off }
-
-func (p *payloadReader) fail() {
-	if p.err == nil {
-		p.err = fmt.Errorf("relation: snapshot payload truncated")
-	}
-}
-
-func (p *payloadReader) u32() uint32 {
-	if p.err != nil || p.remaining() < 4 {
-		p.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(p.b[p.off:])
-	p.off += 4
-	return v
-}
-
-func (p *payloadReader) i32() int32 { return int32(p.u32()) }
-
-func (p *payloadReader) f64() float64 {
-	if p.err != nil || p.remaining() < 8 {
-		p.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(p.b[p.off:]))
-	p.off += 8
-	return v
-}
-
-func (p *payloadReader) str() string {
-	n := int(p.u32())
-	if p.err != nil || n < 0 || p.remaining() < n {
-		p.fail()
-		return ""
-	}
-	s := string(p.b[p.off : p.off+n])
-	p.off += n
-	return s
 }

@@ -1,45 +1,15 @@
 package store
 
-// The append-only row log. A log file extends one specific snapshot:
-// its header records the snapshot's fingerprint, and each record is one
-// appended tuple, individually length-prefixed and CRC32-checksummed.
-//
-//	header  magic "FDLG" | version u16 | snapshot fingerprint u64 | crc32
-//	record  length u32 | payload | crc32(payload)
-//	payload relation lenstr | label lenstr | nvals u32 |
-//	        nvals × (null flag u8 [| datum lenstr]) | imp f64 | prob f64
-//
-// A torn or corrupt record — including a truncated tail from a crash
-// mid-append — fails the load loudly; recovery policy is to re-register
-// the database (or delete the log), never to silently drop rows.
+// The row-log files. Their bytes are relation's row-log format
+// (relation.AppendRowLog, relation.ReadRowLog); this file keeps the
+// file discipline around them: append, fsync, and roll a failed append
+// back.
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
 
 	"repro/internal/relation"
 )
-
-const (
-	logMagic     = "FDLG"
-	logVersion   = 1
-	logHeaderLen = 4 + 2 + 8 + 4
-
-	// maxLogRecordLen caps a record's declared length before allocation,
-	// mirroring the snapshot section cap.
-	maxLogRecordLen = 1 << 26
-)
-
-// logRecord is one replayable append.
-type logRecord struct {
-	rel   string
-	tuple relation.Tuple
-}
 
 // appendLog appends one record per tuple to the log at path, creating
 // the file (with a header binding it to fingerprint fp) when absent.
@@ -64,40 +34,11 @@ func appendLog(fsys FS, path string, fp uint64, relName string, tuples []relatio
 			_ = f.Truncate(start)
 		}
 	}()
-	bw := bufio.NewWriter(f)
-	if start == 0 {
-		var hdr [logHeaderLen]byte
-		copy(hdr[0:4], logMagic)
-		binary.LittleEndian.PutUint16(hdr[4:6], logVersion)
-		binary.LittleEndian.PutUint64(hdr[6:14], fp)
-		binary.LittleEndian.PutUint32(hdr[14:18], crc32.ChecksumIEEE(hdr[:14]))
-		if _, err = bw.Write(hdr[:]); err != nil {
-			return fmt.Errorf("store: appending log: %w", err)
-		}
+	buf, err := relation.AppendRowLog(nil, start == 0, fp, relName, tuples)
+	if err != nil {
+		return fmt.Errorf("store: appending log: %w", err)
 	}
-	var buf bytes.Buffer
-	for i := range tuples {
-		buf.Reset()
-		encodeLogPayload(&buf, relName, &tuples[i])
-		if buf.Len() > maxLogRecordLen {
-			err = fmt.Errorf("store: log record of %d bytes exceeds cap %d", buf.Len(), maxLogRecordLen)
-			return err
-		}
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(buf.Len()))
-		if _, err = bw.Write(n[:]); err != nil {
-			return fmt.Errorf("store: appending log: %w", err)
-		}
-		if _, err = bw.Write(buf.Bytes()); err != nil {
-			return fmt.Errorf("store: appending log: %w", err)
-		}
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
-		if _, err = bw.Write(crc[:]); err != nil {
-			return fmt.Errorf("store: appending log: %w", err)
-		}
-	}
-	if err = bw.Flush(); err != nil {
+	if _, err = f.Write(buf); err != nil {
 		return fmt.Errorf("store: appending log: %w", err)
 	}
 	if err = f.Sync(); err != nil {
@@ -106,40 +47,10 @@ func appendLog(fsys FS, path string, fp uint64, relName string, tuples []relatio
 	return nil
 }
 
-func encodeLogPayload(buf *bytes.Buffer, relName string, t *relation.Tuple) {
-	wstr := func(s string) {
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(s)))
-		buf.Write(n[:])
-		buf.WriteString(s)
-	}
-	w64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		buf.Write(b[:])
-	}
-	wstr(relName)
-	wstr(t.Label)
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(t.Values)))
-	buf.Write(n[:])
-	for _, v := range t.Values {
-		if v.IsNull() {
-			buf.WriteByte(0)
-			continue
-		}
-		buf.WriteByte(1)
-		wstr(v.Datum())
-	}
-	w64(math.Float64bits(t.Imp))
-	w64(math.Float64bits(t.Prob))
-}
-
 // readLog reads the row log at path, returning its records and the
 // fingerprint of the snapshot it extends. A missing or empty file
-// yields no records; any malformed byte — bad magic, unknown version,
-// checksum mismatch, or a truncated record — is a loud error.
-func readLog(fsys FS, path string) ([]logRecord, uint64, error) {
+// yields no records; any malformed byte is a loud error.
+func readLog(fsys FS, path string) ([]relation.RowRecord, uint64, error) {
 	f, err := fsys.Open(path)
 	if notExist(err) {
 		return nil, 0, nil
@@ -148,127 +59,5 @@ func readLog(fsys FS, path string) ([]logRecord, uint64, error) {
 		return nil, 0, fmt.Errorf("store: reading log: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-
-	var hdr [logHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, 0, nil // zero-length file: created but never written
-		}
-		return nil, 0, fmt.Errorf("store: log header truncated: %w", err)
-	}
-	if string(hdr[0:4]) != logMagic {
-		return nil, 0, fmt.Errorf("store: not a row log (bad magic %q)", hdr[0:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != logVersion {
-		return nil, 0, fmt.Errorf("store: unsupported row-log version %d (supported: %d)", v, logVersion)
-	}
-	if got, want := crc32.ChecksumIEEE(hdr[:14]), binary.LittleEndian.Uint32(hdr[14:18]); got != want {
-		return nil, 0, fmt.Errorf("store: row-log header checksum mismatch")
-	}
-	fp := binary.LittleEndian.Uint64(hdr[6:14])
-
-	var recs []logRecord
-	for i := 0; ; i++ {
-		var n [4]byte
-		if _, err := io.ReadFull(br, n[:]); err != nil {
-			if err == io.EOF {
-				return recs, fp, nil
-			}
-			return nil, 0, fmt.Errorf("store: log record %d truncated: %w", i, err)
-		}
-		size := binary.LittleEndian.Uint32(n[:])
-		if size > maxLogRecordLen {
-			return nil, 0, fmt.Errorf("store: log record %d declares %d bytes (cap %d)", i, size, maxLogRecordLen)
-		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, 0, fmt.Errorf("store: log record %d truncated: %w", i, err)
-		}
-		var crc [4]byte
-		if _, err := io.ReadFull(br, crc[:]); err != nil {
-			return nil, 0, fmt.Errorf("store: log record %d truncated: %w", i, err)
-		}
-		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crc[:]); got != want {
-			return nil, 0, fmt.Errorf("store: log record %d checksum mismatch", i)
-		}
-		rec, err := decodeLogPayload(payload)
-		if err != nil {
-			return nil, 0, fmt.Errorf("store: log record %d: %w", i, err)
-		}
-		recs = append(recs, rec)
-	}
-}
-
-func decodeLogPayload(payload []byte) (logRecord, error) {
-	off := 0
-	fail := fmt.Errorf("malformed payload")
-	ru32 := func() (uint32, bool) {
-		if len(payload)-off < 4 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(payload[off:])
-		off += 4
-		return v, true
-	}
-	rstr := func() (string, bool) {
-		n, ok := ru32()
-		if !ok || len(payload)-off < int(n) {
-			return "", false
-		}
-		s := string(payload[off : off+int(n)])
-		off += int(n)
-		return s, true
-	}
-	rf64 := func() (float64, bool) {
-		if len(payload)-off < 8 {
-			return 0, false
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-		off += 8
-		return v, true
-	}
-
-	var rec logRecord
-	var ok bool
-	if rec.rel, ok = rstr(); !ok {
-		return rec, fail
-	}
-	if rec.tuple.Label, ok = rstr(); !ok {
-		return rec, fail
-	}
-	nvals, ok := ru32()
-	if !ok || int(nvals) > len(payload) {
-		return rec, fail
-	}
-	rec.tuple.Values = make([]relation.Value, nvals)
-	for i := range rec.tuple.Values {
-		if len(payload)-off < 1 {
-			return rec, fail
-		}
-		flag := payload[off]
-		off++
-		switch flag {
-		case 0:
-			// stays ⊥
-		case 1:
-			s, ok := rstr()
-			if !ok {
-				return rec, fail
-			}
-			rec.tuple.Values[i] = relation.V(s)
-		default:
-			return rec, fmt.Errorf("unknown value flag %d", flag)
-		}
-	}
-	if rec.tuple.Imp, ok = rf64(); !ok {
-		return rec, fail
-	}
-	if rec.tuple.Prob, ok = rf64(); !ok {
-		return rec, fail
-	}
-	if off != len(payload) {
-		return rec, fmt.Errorf("trailing bytes in payload")
-	}
-	return rec, nil
+	return relation.ReadRowLog(f)
 }

@@ -310,28 +310,9 @@ func (s *Store) load(name string) (*relation.Database, bool, error) {
 		return nil, false, fmt.Errorf("store: load %q: row log extends snapshot %016x, found snapshot %016x",
 			name, fp, snapFP)
 	}
-	// Replay through Extend, the call that made the appends live: one
-	// batch per relation, its rows in log order. Each relation's
-	// fingerprint chain only sees its own rows, so regrouping an
-	// interleaved log keeps the fingerprint.
-	batches := make([][]relation.Tuple, db.NumRelations())
-	for i, rec := range recs {
-		idx, ok := db.RelationIndex(rec.rel)
-		if !ok {
-			return nil, false, fmt.Errorf("store: load %q: log record %d names unknown relation %q", name, i, rec.rel)
-		}
-		if err := db.Relation(idx).CheckTuple(&rec.tuple); err != nil {
-			return nil, false, fmt.Errorf("store: load %q: log record %d: %w", name, i, err)
-		}
-		batches[idx] = append(batches[idx], rec.tuple)
-	}
-	for idx, tuples := range batches {
-		if len(tuples) == 0 {
-			continue
-		}
-		if db, err = db.Extend(idx, tuples); err != nil {
-			return nil, false, fmt.Errorf("store: load %q: %w", name, err)
-		}
+	// Replay through Extend, the call that made the appends live.
+	if db, err = db.Replay(recs); err != nil {
+		return nil, false, fmt.Errorf("store: load %q: %w", name, err)
 	}
 	return db, true, nil
 }

@@ -245,6 +245,8 @@ func TestStoreLoadRejectsTruncatedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The row-log header: magic, version, fingerprint, crc32.
+	const logHeaderLen = 4 + 2 + 8 + 4
 	// A crash mid-append tears the tail: every proper prefix past the
 	// header must fail the load loudly, not silently drop rows.
 	for _, cut := range []int{len(raw) - 1, len(raw) - 5, logHeaderLen + 3} {
