@@ -6,21 +6,22 @@
 //
 //	fdbench                       # run everything
 //	fdbench -e E4,E5              # run selected experiments
-//	fdbench -list                 # list experiment ids and titles
+//	fdbench -list                 # list experiment ids
 //	fdbench -e E9 -json out.json  # also write machine-readable records
 //
 // -json writes a {"records": [...]} document with one trajectory record
 // per selected experiment that supports structured output (wall-clock,
 // core.Stats counters, allocation deltas). Committing the file as
 // BENCH_<workload>.json keeps the performance history diffable across
-// PRs.
+// PRs; `fdbench -e E12 -json BENCH_append.json` regenerates the
+// append-maintenance record.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/bench"
@@ -28,10 +29,9 @@ import (
 
 func main() {
 	var (
-		exps      = flag.String("e", "", "comma-separated experiment ids (default: all)")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		jsonPath  = flag.String("json", "", "write machine-readable trajectory records of the selected experiments to this file")
-		appendSel = flag.Bool("append", false, "run the append-maintenance benchmark (delta vs rebuild per append batch); shorthand for -e E12 -json BENCH_append.json")
+		exps     = flag.String("e", "", "comma-separated experiment ids (default: all)")
+		list     = flag.Bool("list", false, "list experiments and exit")
+		jsonPath = flag.String("json", "", "write machine-readable trajectory records of the selected experiments to this file")
 	)
 	flag.Parse()
 
@@ -47,53 +47,43 @@ func main() {
 	if *exps != "" {
 		ids = strings.Split(*exps, ",")
 	}
-	if *appendSel {
-		ids = []string{"E12"}
-		if *jsonPath == "" {
-			*jsonPath = "BENCH_append.json"
-		}
-	}
-	trajectories := bench.Trajectories()
-	var records []*bench.Record
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		exp, ok := registry[id]
+	recording := false
+	for i, id := range ids {
+		ids[i] = strings.TrimSpace(id)
+		exp, ok := registry[ids[i]]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "fdbench: unknown experiment %q (use -list)\n", id)
+			fmt.Fprintf(os.Stderr, "fdbench: unknown experiment %q (use -list)\n", ids[i])
 			os.Exit(2)
 		}
-		// With -json, experiments that support structured output run
-		// once through the combined runner, which renders the table
-		// and the record from the same measurements.
-		if traj, ok := trajectories[id]; ok && *jsonPath != "" {
-			table, rec, err := traj()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fdbench: %s failed: %v\n", id, err)
-				os.Exit(1)
+		recording = recording || exp.Records
+	}
+	if *jsonPath != "" && !recording {
+		var supported []string
+		for id, exp := range registry {
+			if exp.Records {
+				supported = append(supported, id)
 			}
-			fmt.Println(table.Markdown())
-			records = append(records, rec)
-			continue
 		}
-		table, err := exp()
+		slices.Sort(supported)
+		fmt.Fprintf(os.Stderr, "fdbench: none of the selected experiments has a trajectory (supported: %s)\n",
+			strings.Join(supported, ", "))
+		os.Exit(2)
+	}
+
+	var records []*bench.Record
+	for _, id := range ids {
+		table, rec, err := registry[id].Run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fdbench: %s failed: %v\n", id, err)
 			os.Exit(1)
 		}
 		fmt.Println(table.Markdown())
+		if rec != nil {
+			records = append(records, rec)
+		}
 	}
 	if *jsonPath == "" {
 		return
-	}
-	if len(records) == 0 {
-		supported := make([]string, 0, len(trajectories))
-		for id := range trajectories {
-			supported = append(supported, id)
-		}
-		sort.Strings(supported)
-		fmt.Fprintf(os.Stderr, "fdbench: none of the selected experiments has a trajectory (supported: %s)\n",
-			strings.Join(supported, ", "))
-		os.Exit(2)
 	}
 	f, err := os.Create(*jsonPath)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/relation"
+	"repro/internal/tupleset"
 )
 
 // runAppend is the -append mode: compute the base full disjunction,
@@ -46,13 +47,19 @@ func runAppend(db *fd.Database, spec string, stdout, stderr io.Writer) error {
 		tuples[i] = *batch.Tuple(i)
 	}
 
-	opts := core.Serving()
-	base, _, err := core.FullDisjunction(db, core.JCC, opts)
+	// The maintained list is the zero Query's: the exact family,
+	// unbounded and unranked, so its family's delta patches it.
+	p, opts := fd.Query{}.Family().Predicate(), core.Serving()
+	base, _, err := core.FullDisjunction(db, p, opts)
 	if err != nil {
 		return err
 	}
-	oldFP := db.Fingerprint()
-	ext, d, err := delta.Append(db, relIdx, tuples, opts)
+	oldFP, firstNew := db.Fingerprint(), db.Relation(relIdx).Len()
+	ext, err := db.Extend(relIdx, tuples)
+	if err != nil {
+		return err
+	}
+	d, err := delta.Compute(tupleset.NewUniverse(ext), p, relIdx, firstNew, opts)
 	if err != nil {
 		return err
 	}

@@ -23,8 +23,9 @@ type Plan struct {
 	// Query is the normalised spec the engine would execute.
 	Query Query `json:"query"`
 	// CacheKey is the result-cache key of the query over this database:
-	// the content fingerprint joined with the canonical spec, the exact
-	// key internal/service files cached result lists under.
+	// the content fingerprint (in %016x form) and the canonical spec
+	// (Query.Canonical), joined by "|" — the two parts internal/service
+	// files a drained result list by.
 	CacheKey string `json:"cache_key"`
 	// Database describes the relations and their dictionary encoding.
 	Database PlanDatabase `json:"database"`
@@ -209,7 +210,7 @@ func Explain(db *Database, q Query) (*Plan, error) {
 	p.Strategy.Execution = "sequential"
 	p.Strategy.Workers = 1
 	switch {
-	case n.Mode == ModeRanked || n.Mode == ModeApproxRanked:
+	case n.Mode.ranked():
 		p.Strategy.Reason = "ranked enumeration is inherently serial (the Fig 3 priority-queue order)"
 	case q.Options.Workers == 1:
 		p.Strategy.Reason = "one worker requested"

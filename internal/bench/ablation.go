@@ -74,23 +74,18 @@ func E8ApproxSweep() (*Table, error) {
 
 // E9Ablations measures the §7 engineering choices: the hash index, the
 // three Incomplete initialisation strategies, and block-based
-// execution.
-func E9Ablations() (*Table, error) {
-	return e9Table(nil)
-}
-
-// e9Table runs the E9 ablation ladder and the buffer-pool sweep,
-// rendering the markdown table. When rec is non-nil, the ladder's
-// measurements (wall-clock, counters, allocation deltas) are also
-// appended to it, so one run feeds both artifacts.
-func e9Table(rec *Record) (*Table, error) {
+// execution. One run renders the markdown table (ladder plus
+// buffer-pool sweep) and the ladder's trajectory record (wall-clock,
+// counters, allocation deltas).
+func E9Ablations() (*Table, *Record, error) {
 	db, err := e9DB()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	rec := newRecord("e9", "Section 7 ablations (chain workload)")
 	t := &Table{
 		ID:     "E9",
-		Title:  "Section 7 ablations (chain workload)",
+		Title:  rec.Title,
 		Header: []string{"variant", "ms", "JCC checks", "sig hits", "tuples scanned", "tuples skipped", "list scans", "page reads", "|FD|"},
 	}
 	var baseline int
@@ -106,17 +101,15 @@ func e9Table(rec *Record) (*Table, error) {
 			run, err = drain(db, open, 0, v.workers <= 1)
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sets, stats := run.sets, run.stats
 		if i == 0 {
 			baseline = len(sets)
 		} else if len(sets) != baseline {
-			return nil, fmt.Errorf("E9: variant %q changed the output: %d vs %d", v.name, len(sets), baseline)
+			return nil, nil, fmt.Errorf("E9: variant %q changed the output: %d vs %d", v.name, len(sets), baseline)
 		}
-		if rec != nil {
-			rec.Variants = append(rec.Variants, run.metric(v.name, d, mallocs, bytes, max(v.workers, 1)))
-		}
+		rec.Variants = append(rec.Variants, run.metric(v.name, d, mallocs, bytes, max(v.workers, 1)))
 		t.Rows = append(t.Rows, []string{
 			v.name,
 			msec(d),
@@ -144,7 +137,7 @@ func e9Table(rec *Record) (*Table, error) {
 			_, stats, err = core.FullDisjunction(db, core.JCC, opts)
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("+ buffer pool of %d/%d pages (hit rate %.0f%%)",
@@ -166,7 +159,7 @@ func e9Table(rec *Record) (*Table, error) {
 			"cut repeated work across per-relation passes; larger blocks divide the simulated page "+
 			"reads, and a buffer pool sized to the database turns repeated scans into hits (page "+
 			"reads = cold misses only). The output is identical for every variant.")
-	return t, nil
+	return t, rec, nil
 }
 
 // E10Outerjoin compares the Rajaraman–Ullman outerjoin sequence [2]

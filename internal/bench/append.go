@@ -78,20 +78,14 @@ func sortedSetKeys(sets []*tupleset.Set) []string {
 	return keys
 }
 
-// E12Append renders the append-maintenance benchmark table.
-func E12Append() (*Table, error) {
-	t, _, err := E12Both()
-	return t, err
-}
-
-// E12Both measures delta maintenance against rebuild-and-recompute on
+// E12Append measures delta maintenance against rebuild-and-recompute on
 // the E9 chain database across a fixed append sequence, rendering the
 // markdown table and the BENCH_append.json trajectory record from the
 // same run. Both variants maintain the full result list per append —
 // the incremental one by patching it with the batch's delta, the
 // rebuild one by enumerating the grown database from scratch — and the
 // harness fails if their final result multisets ever diverge.
-func E12Both() (*Table, *Record, error) {
+func E12Append() (*Table, *Record, error) {
 	opts := core.Options{UseIndex: true, UseJoinIndex: true}
 	batches, err := e12Batches()
 	if err != nil {

@@ -104,13 +104,13 @@ func (r familyRung) open(db *relation.Database, opts core.Options) func() (fd.Re
 	}
 }
 
-// E13Both is the counter gate of the approximate families: every rung
+// E13ApproxIndex is the counter gate of the approximate families: every rung
 // of approxRungs runs at Workers 1 with the full sweep and with the
 // join index (the τ-live, τ-similar candidates), and the two must
 // deliver the same results — the same multiset, and for a ranked rung
 // the same rank sequence. The record carries each run's counters and
 // work-unit delay.
-func E13Both() (*Table, *Record, error) {
+func E13ApproxIndex() (*Table, *Record, error) {
 	rec := newRecord("approx", "Approximate joins: sweep vs join index (cold-drain dirty-chain shapes)")
 	t := &Table{
 		ID:     "E13",
@@ -152,12 +152,12 @@ func E13Both() (*Table, *Record, error) {
 	return t, rec, nil
 }
 
-// E6Both runs E6 and the counter gate of the ranked family: each rung
-// of rankedRungs drains at Workers 1 under fd.Open's engine
-// configuration (both indexes), and the record carries its counters and
-// work-unit delay. The rungs are noted under E6's table.
-func E6Both() (*Table, *Record, error) {
-	t, err := E6TopK()
+// E6TopK runs E6's table (e6Table) and the counter gate of the ranked
+// family: each rung of rankedRungs drains at Workers 1 under fd.Open's
+// engine configuration (both indexes), and the record carries its
+// counters and work-unit delay. The rungs are noted under E6's table.
+func E6TopK() (*Table, *Record, error) {
+	t, err := e6Table()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -179,12 +179,6 @@ func E6Both() (*Table, *Record, error) {
 			run.delayWork, len(run.sets)))
 	}
 	return t, rec, nil
-}
-
-// E13ApproxIndex renders E13's table alone.
-func E13ApproxIndex() (*Table, error) {
-	t, _, err := E13Both()
-	return t, err
 }
 
 // sameResults reports whether two drains delivered the same result

@@ -74,26 +74,41 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// Experiment runs one experiment.
-type Experiment func() (*Table, error)
+// Experiment is one registered experiment.
+type Experiment struct {
+	// Run measures the experiment once, rendering its markdown table
+	// and, when Records, the trajectory record of the same run (so the
+	// two artifacts never disagree); the record is nil otherwise.
+	Run func() (*Table, *Record, error)
+	// Records reports whether Run returns a trajectory record.
+	Records bool
+}
 
 // Registry maps experiment ids to their runners.
 func Registry() map[string]Experiment {
 	return map[string]Experiment{
-		"E1":  E1Tourist,
-		"E2":  E2Trace,
-		"E3":  E3ApproxExample,
-		"E4":  E4TotalRuntime,
-		"E5":  E5TimeToK,
-		"E6":  E6TopK,
-		"E7":  E7Hardness,
-		"E8":  E8ApproxSweep,
-		"E9":  E9Ablations,
-		"E10": E10Outerjoin,
-		"E11": E11Threshold,
-		"E12": E12Append,
-		"E13": E13ApproxIndex,
+		"E1":  tableOnly(E1Tourist),
+		"E2":  tableOnly(E2Trace),
+		"E3":  tableOnly(E3ApproxExample),
+		"E4":  tableOnly(E4TotalRuntime),
+		"E5":  tableOnly(E5TimeToK),
+		"E6":  {E6TopK, true},
+		"E7":  tableOnly(E7Hardness),
+		"E8":  tableOnly(E8ApproxSweep),
+		"E9":  {E9Ablations, true},
+		"E10": tableOnly(E10Outerjoin),
+		"E11": tableOnly(E11Threshold),
+		"E12": {E12Append, true},
+		"E13": {E13ApproxIndex, true},
 	}
+}
+
+// tableOnly registers a runner without a structured form.
+func tableOnly(run func() (*Table, error)) Experiment {
+	return Experiment{Run: func() (*Table, *Record, error) {
+		t, err := run()
+		return t, nil, err
+	}}
 }
 
 // IDs returns the experiment ids in order.

@@ -91,8 +91,13 @@ func TestRegistryComplete(t *testing.T) {
 		t.Errorf("ordering wrong: %v", ids)
 	}
 	for _, id := range ids {
-		if Registry()[id] == nil {
+		exp := Registry()[id]
+		if exp.Run == nil {
 			t.Errorf("experiment %s missing", id)
+		}
+		// The four experiments with a committed BENCH_*.json record.
+		if want := slices.Contains([]string{"E6", "E9", "E12", "E13"}, id); exp.Records != want {
+			t.Errorf("experiment %s: Records = %v, want %v", id, exp.Records, want)
 		}
 	}
 }

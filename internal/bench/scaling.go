@@ -112,10 +112,10 @@ func E5TimeToK() (*Table, error) {
 	return t, nil
 }
 
-// E6TopK measures ranked retrieval (Thm 5.5): top-k via
+// e6Table measures ranked retrieval (Thm 5.5): top-k via
 // PriorityIncrementalFD vs computing the whole full disjunction and
 // sorting.
-func E6TopK() (*Table, error) {
+func e6Table() (*Table, error) {
 	db, err := workload.Star(workload.Config{
 		Relations: 5, TuplesPerRelation: 20, Domain: 4, NullRate: 0.05, ImpMax: 100, Seed: 13})
 	if err != nil {

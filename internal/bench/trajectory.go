@@ -188,19 +188,6 @@ func (run drained) metric(name string, wall time.Duration, mallocs, bytes uint64
 	return m
 }
 
-// Trajectories maps experiment ids to runners that produce the
-// rendered table AND the machine-readable record from one measured run
-// (so the two artifacts of one fdbench invocation never disagree).
-// Experiments without a structured form are simply absent.
-func Trajectories() map[string]func() (*Table, *Record, error) {
-	return map[string]func() (*Table, *Record, error){
-		"E6":  E6Both,
-		"E9":  E9Both,
-		"E12": E12Both,
-		"E13": E13Both,
-	}
-}
-
 // WriteRecords writes records as an indented JSON document
 // {"records": [...]}.
 func WriteRecords(w io.Writer, records []*Record) error {
@@ -223,20 +210,7 @@ func measure(fn func()) (time.Duration, uint64, uint64) {
 	return wall, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
-// E9Both measures the E9 ablation ladder once and renders both
-// artifacts from the same run: the markdown table (including the
-// buffer-pool sweep) and the structured trajectory record.
-func E9Both() (*Table, *Record, error) {
-	rec := newRecord("e9", "Section 7 ablations (chain workload)")
-	t, err := e9Table(rec)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, rec, nil
-}
-
-// e9DB builds the chain workload shared by E9Ablations and
-// E9Trajectory.
+// e9DB builds the chain workload of E9Ablations and E12Append.
 func e9DB() (*relation.Database, error) {
 	return workload.Chain(workload.Config{
 		Relations: 4, TuplesPerRelation: 28, Domain: 4, NullRate: 0.1, Seed: 23})

@@ -3,11 +3,9 @@ package service
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	fd "repro"
-	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/relation"
@@ -25,55 +23,23 @@ var ErrUnknownRelation = errors.New("unknown relation")
 // it into 500 rather than 400.
 var ErrStorage = errors.New("storage failure")
 
-// familyKey identifies one delta family: the exact full disjunction,
-// or one (τ, sim) approximate family. Every unbounded, unranked query
-// spec over a database maps to exactly one family, and one delta
-// enumeration per family patches every cached list and feeds every
-// subscription of that family.
-type familyKey struct {
-	mode fd.Mode
-	tau  float64
-	sim  string
-}
-
-// familyOf maps a query spec to its delta family. Only unbounded
-// exact and approx specs are patchable: a ranked order is a property
-// of the finished enumeration (a delta cannot splice it), and a K or
-// RankTau bound makes the cached list a prefix the delta algebra does
-// not describe.
-func familyOf(spec fd.Query) (familyKey, bool) {
-	if spec.K != 0 || spec.RankTau != 0 {
-		return familyKey{}, false
-	}
-	switch spec.Mode {
-	case "", fd.ModeExact:
-		return familyKey{mode: fd.ModeExact}, true
-	case fd.ModeApprox:
-		sim := spec.Sim
-		if sim == "" {
-			sim = "levenshtein"
-		}
-		return familyKey{mode: fd.ModeApprox, tau: spec.Tau, sim: sim}, true
-	}
-	return familyKey{}, false
+// maintainedFamily reports the predicate family whose append deltas
+// keep spec's drained result list current, and false when no delta
+// can: exactly the specs fd.Query.Validate admits Follow on, so the
+// cache keeps the lists a follow session could maintain. One delta
+// enumeration per family patches every such cached list and feeds
+// every subscription of that family.
+func maintainedFamily(spec fd.Query) (fd.Family, bool) {
+	spec.Follow = true
+	return spec.Family(), spec.Validate() == nil
 }
 
 // familyDelta enumerates the delta of one family over the extended
 // entry: the maximal sets of the new database whose relation-relIdx
-// member is an appended tuple.
-func familyDelta(ne *dbEntry, relIdx, firstNew int, fam familyKey) (*delta.Delta, error) {
-	p := core.JCC
-	if fam.mode == fd.ModeApprox {
-		s, err := fd.SimByName(fam.sim)
-		if err != nil {
-			return nil, err
-		}
-		if p, err = approx.Qualify(&approx.Amin{S: s}, fam.tau); err != nil {
-			return nil, err
-		}
-	}
-	// The delta runs use the one engine configuration fd.Open runs.
-	return delta.Compute(ne.u, p, relIdx, firstNew, core.Serving())
+// member is an appended tuple. The delta runs use the one engine
+// configuration fd.Open runs.
+func familyDelta(ne *dbEntry, relIdx, firstNew int, fam fd.Family) (*delta.Delta, error) {
+	return delta.Compute(ne.u, fam.Predicate(), relIdx, firstNew, core.Serving())
 }
 
 // AppendRows appends tuples to relation relName of the registered
@@ -113,11 +79,10 @@ func (s *Service) AppendRows(dbName, relName string, tuples []relation.Tuple) (D
 	// registered database is frozen, so Fingerprint here is a cache
 	// read.
 	oldFP := entry.db.Fingerprint()
-	oldPrefix := fmt.Sprintf("%016x|", oldFP)
-	fams := make(map[familyKey]*delta.Delta)
-	for _, ce := range s.cache.withPrefix(oldPrefix) {
-		if fam, ok := familyOf(ce.spec); ok {
-			fams[fam] = nil
+	fams := make(map[fd.Family]*delta.Delta)
+	for _, ce := range s.cache.withFingerprint(oldFP) {
+		if ce.maintainable {
+			fams[ce.family] = nil
 		}
 	}
 	for _, sub := range s.subs[dbName] {
@@ -170,7 +135,7 @@ func (s *Service) AppendRows(dbName, relName string, tuples []relation.Tuple) (D
 			// Leave the family's delta nil: its cache entries are dropped
 			// and its subscriptions closed below — degraded, never wrong.
 			s.cfg.Logger.Warn("delta enumeration failed; falling back to invalidation",
-				"db", dbName, "mode", string(fam.mode), "error", err)
+				"db", dbName, "sim", fam.Sim, "tau", fam.Tau, "error", err)
 			continue
 		}
 		fams[fam] = d
@@ -221,16 +186,12 @@ func (s *Service) AppendRows(dbName, relName string, tuples []relation.Tuple) (D
 	s.met.cachePatches.Add(int64(patched))
 	s.met.cacheEvictions.Add(int64(evicted))
 	s.met.appendLatency.Observe(time.Since(start).Seconds())
+	info := databaseInfo(dbName, ext)
 	s.cfg.Logger.Info("append applied incrementally",
 		"db", dbName, "relation", relName, "rows", len(tuples),
 		"delta_results", added, "cache_patched", patched,
-		"fingerprint", fmt.Sprintf("%016x", newFP))
-	return DatabaseInfo{
-		Name:        dbName,
-		Relations:   ext.NumRelations(),
-		Tuples:      ext.NumTuples(),
-		Fingerprint: fmt.Sprintf("%016x", newFP),
-	}, nil
+		"fingerprint", info.Fingerprint)
+	return info, nil
 }
 
 // patchCacheLocked rewrites the result-cache entries of the appended
@@ -241,9 +202,7 @@ func (s *Service) AppendRows(dbName, relName string, tuples []relation.Tuple) (D
 // under the old fingerprint survive untouched only when another
 // registered database still carries that content — the key is by
 // content, and those lists remain correct for it. Callers hold s.mu.
-func (s *Service) patchCacheLocked(dbName string, oldFP, newFP uint64, fams map[familyKey]*delta.Delta) (patched, evicted int) {
-	oldPrefix := fmt.Sprintf("%016x|", oldFP)
-	newPrefix := fmt.Sprintf("%016x|", newFP)
+func (s *Service) patchCacheLocked(dbName string, oldFP, newFP uint64, fams map[fd.Family]*delta.Delta) (patched, evicted int) {
 	shared := false
 	for _, e := range s.dbs {
 		if e.name != dbName && e.db.Fingerprint() == oldFP {
@@ -251,11 +210,10 @@ func (s *Service) patchCacheLocked(dbName string, oldFP, newFP uint64, fams map[
 			break
 		}
 	}
-	for _, ce := range s.cache.withPrefix(oldPrefix) {
-		fam, ok := familyOf(ce.spec)
+	for _, ce := range s.cache.withFingerprint(oldFP) {
 		var d *delta.Delta
-		if ok {
-			d = fams[fam]
+		if ce.maintainable {
+			d = fams[ce.family]
 		}
 		if d == nil {
 			if !shared {
@@ -264,8 +222,7 @@ func (s *Service) patchCacheLocked(dbName string, oldFP, newFP uint64, fams map[
 			continue
 		}
 		results, _ := delta.Patch(d, ce.results, resultSet, resultOf)
-		key := newPrefix + strings.TrimPrefix(ce.key, oldPrefix)
-		evicted += s.cache.put(key, ce.spec, results)
+		evicted += s.cache.put(cacheKey{newFP, ce.key.canonical}, ce.family, true, results)
 		if !shared {
 			s.cache.remove(ce.key)
 		}

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/store"
 	"repro/internal/store/faultfs"
+	"repro/internal/workload"
 )
 
 // scratchKeys enumerates db from scratch and returns the result
@@ -241,5 +244,111 @@ func TestAppendErrorClassification(t *testing.T) {
 	}
 	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("root cause lost: err = %v, want ErrInjected in the chain", err)
+	}
+}
+
+// TestFollowRuleIsCacheRule holds the one maintainability rule to both
+// of its uses: over every mode, K, RankTau and similarity, a spec is
+// valid with Follow set exactly when its drained cache entry survives
+// an append, and a surviving (patched) list is, as a set, what a fresh
+// drain of the extended database returns.
+func TestFollowRuleIsCacheRule(t *testing.T) {
+	dirty := func(seed int64) *relation.Database {
+		db, err := workload.DirtyChain(workload.DirtyConfig{
+			Config:    workload.Config{Relations: 3, TuplesPerRelation: 8, Domain: 3, ImpMax: 10, Seed: seed},
+			ErrorRate: 0.3, MaxEdits: 2, MinProb: 0.5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	var specs []fd.Query
+	for _, mode := range []fd.Mode{fd.ModeExact, fd.ModeRanked, fd.ModeApprox, fd.ModeApproxRanked} {
+		ranked := mode == fd.ModeRanked || mode == fd.ModeApproxRanked
+		approximate := mode == fd.ModeApprox || mode == fd.ModeApproxRanked
+		for _, k := range []int{0, 3} {
+			for _, rankTau := range []float64{0, 0.5} {
+				if rankTau != 0 && !ranked {
+					continue
+				}
+				for _, sim := range []string{"levenshtein", "exact"} {
+					q := fd.Query{Mode: mode, K: k, RankTau: rankTau}
+					if ranked {
+						q.Rank = "fmax"
+					}
+					if approximate {
+						q.Tau, q.Sim = 0.7, sim
+					} else if sim != "levenshtein" {
+						continue
+					}
+					specs = append(specs, q)
+				}
+			}
+		}
+	}
+
+	svc := New(Config{})
+	defer svc.Close()
+	db := dirty(17)
+	if _, err := svc.AddDatabase("d", db); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	before := make(map[string][]string)
+	for _, spec := range specs {
+		q, err := svc.StartQuery(ctx, "d", spec)
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		before[spec.Canonical()] = slices.Sorted(maps.Keys(keysOf(drain(t, q, 4))))
+	}
+	donor := dirty(18)
+	batch := []relation.Tuple{*donor.Relation(0).Tuple(0), *donor.Relation(0).Tuple(1)}
+	if _, err := svc.AppendRows("d", db.Relation(0).Name(), batch); err != nil {
+		t.Fatal(err)
+	}
+	ext, _ := svc.Database("d")
+
+	survivors, changed := 0, 0
+	for _, spec := range specs {
+		follow := spec
+		follow.Follow = true
+		maintainable := follow.Validate() == nil
+		q, err := svc.StartQuery(ctx, "d", spec)
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		if q.FromCache() != maintainable {
+			t.Fatalf("%+v: cache entry survived the append = %v, but Follow valid = %v",
+				spec, q.FromCache(), maintainable)
+		}
+		got := drain(t, q, 4)
+		if !maintainable {
+			continue
+		}
+		survivors++
+		rs, err := fd.Open(ctx, ext, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh []Result
+		for r, ok := rs.Next(); ok; r, ok = rs.Next() {
+			fresh = append(fresh, r)
+		}
+		if err := rs.Err(); err != nil {
+			t.Fatal(err)
+		}
+		g, w := slices.Sorted(maps.Keys(keysOf(got))), slices.Sorted(maps.Keys(keysOf(fresh)))
+		if !slices.Equal(g, w) {
+			t.Fatalf("%+v: patched list %v, fresh drain %v", spec, g, w)
+		}
+		if !slices.Equal(g, before[spec.Canonical()]) {
+			changed++
+		}
+	}
+	if survivors != 3 || changed != survivors {
+		t.Fatalf("%d specs survived the append and %d of them changed, want 3 and 3 (exact and both approx sims, unbounded)",
+			survivors, changed)
 	}
 }

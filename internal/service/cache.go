@@ -2,10 +2,18 @@ package service
 
 import (
 	"container/list"
-	"strings"
 
 	fd "repro"
 )
+
+// cacheKey files one drained result list: the content fingerprint of
+// the database it was drained over and the canonical query spec
+// (fd.Query.Canonical). fd.Explain renders the same two parts as
+// Plan.CacheKey.
+type cacheKey struct {
+	fp        uint64
+	canonical string
+}
 
 // resultCache is an LRU cache of fully-materialised result lists, keyed
 // by database fingerprint + canonical query spec. Only queries drained
@@ -25,18 +33,18 @@ type resultCache struct {
 	maxBytes int64
 	total    int64      // approximate bytes across all entries
 	ll       *list.List // front = most recently used
-	entries  map[string]*list.Element
+	entries  map[cacheKey]*list.Element
 }
 
 type cacheEntry struct {
-	key     string
+	key     cacheKey
 	results []Result
 	bytes   int64
-	// spec is the query spec the list was drained under; the append
-	// path uses it to tell which delta family (exact, or one (τ, sim)
-	// approximate family) can patch the entry across a fingerprint
-	// transition.
-	spec fd.Query
+	// family is the predicate family whose append delta patches the
+	// list across a fingerprint transition; meaningful only when
+	// maintainable (fd.Query.Validate admits Follow on the spec).
+	family       fd.Family
+	maintainable bool
 }
 
 func newResultCache(capacity int, maxBytes int64) *resultCache {
@@ -44,13 +52,13 @@ func newResultCache(capacity int, maxBytes int64) *resultCache {
 		capacity: capacity,
 		maxBytes: maxBytes,
 		ll:       list.New(),
-		entries:  make(map[string]*list.Element),
+		entries:  make(map[cacheKey]*list.Element),
 	}
 }
 
 // get returns the cached result list for key, marking it most recently
 // used.
-func (c *resultCache) get(key string) ([]Result, bool) {
+func (c *resultCache) get(key cacheKey) ([]Result, bool) {
 	el, ok := c.entries[key]
 	if !ok {
 		return nil, false
@@ -59,10 +67,11 @@ func (c *resultCache) get(key string) ([]Result, bool) {
 	return el.Value.(*cacheEntry).results, true
 }
 
-// put inserts (or refreshes) the result list for key, then evicts least
-// recently used entries until both the entry-count and byte bounds
-// hold, returning how many entries were evicted.
-func (c *resultCache) put(key string, spec fd.Query, results []Result) int {
+// put inserts (or refreshes) the result list for key, recording
+// whether appends can maintain it and under which family, then evicts
+// least recently used entries until both the entry-count and byte
+// bounds hold, returning how many entries were evicted.
+func (c *resultCache) put(key cacheKey, family fd.Family, maintainable bool, results []Result) int {
 	if c.capacity <= 0 {
 		return 0
 	}
@@ -71,9 +80,10 @@ func (c *resultCache) put(key string, spec fd.Query, results []Result) int {
 		c.ll.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
 		c.total += bytes - e.bytes
-		e.results, e.bytes, e.spec = results, bytes, spec
+		e.results, e.bytes, e.family, e.maintainable = results, bytes, family, maintainable
 	} else {
-		el := c.ll.PushFront(&cacheEntry{key: key, results: results, bytes: bytes, spec: spec})
+		el := c.ll.PushFront(&cacheEntry{key: key, results: results, bytes: bytes,
+			family: family, maintainable: maintainable})
 		c.entries[key] = el
 		c.total += bytes
 	}
@@ -90,13 +100,13 @@ func (c *resultCache) put(key string, spec fd.Query, results []Result) int {
 	return evicted
 }
 
-// withPrefix snapshots the entries whose key starts with prefix (the
-// fingerprint half of a cache key), without promoting them. The append
-// path iterates the snapshot while removing and re-inserting entries.
-func (c *resultCache) withPrefix(prefix string) []*cacheEntry {
+// withFingerprint snapshots the entries drained over content
+// fingerprint fp, without promoting them. The append path iterates the
+// snapshot while removing and re-inserting entries.
+func (c *resultCache) withFingerprint(fp uint64) []*cacheEntry {
 	var out []*cacheEntry
 	for key, el := range c.entries {
-		if strings.HasPrefix(key, prefix) {
+		if key.fp == fp {
 			out = append(out, el.Value.(*cacheEntry))
 		}
 	}
@@ -105,7 +115,7 @@ func (c *resultCache) withPrefix(prefix string) []*cacheEntry {
 
 // remove drops the entry for key, adjusting the byte accounting;
 // reports whether an entry was present.
-func (c *resultCache) remove(key string) bool {
+func (c *resultCache) remove(key cacheKey) bool {
 	el, ok := c.entries[key]
 	if !ok {
 		return false
@@ -120,7 +130,7 @@ func (c *resultCache) remove(key string) bool {
 // peek reports whether key is cached, without promoting it — the
 // prediction probe of Service.Explain must not disturb the LRU order
 // an actual query would see.
-func (c *resultCache) peek(key string) bool {
+func (c *resultCache) peek(key cacheKey) bool {
 	_, ok := c.entries[key]
 	return ok
 }

@@ -365,6 +365,17 @@ type DatabaseInfo struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
+// databaseInfo describes db registered under name. db is frozen, so
+// its fingerprint is a cached read.
+func databaseInfo(name string, db *relation.Database) DatabaseInfo {
+	return DatabaseInfo{
+		Name:        name,
+		Relations:   db.NumRelations(),
+		Tuples:      db.NumTuples(),
+		Fingerprint: fmt.Sprintf("%016x", db.Fingerprint()),
+	}
+}
+
 // AddDatabase registers db under name, freezing it (queries and cached
 // results assume immutable content; to change a registered database,
 // append through AppendRows, or DropDatabase it, build or Extend a new
@@ -419,12 +430,7 @@ func (s *Service) addDatabase(name string, db *relation.Database, persist bool) 
 			return DatabaseInfo{}, fmt.Errorf("service: persisting database %q: %w", name, err)
 		}
 	}
-	return DatabaseInfo{
-		Name:        name,
-		Relations:   db.NumRelations(),
-		Tuples:      db.NumTuples(),
-		Fingerprint: fmt.Sprintf("%016x", fp),
-	}, nil
+	return databaseInfo(name, db), nil
 }
 
 // DropDatabase removes the registered database of that name, deleting
@@ -545,13 +551,7 @@ func (s *Service) ListDatabases() []DatabaseInfo {
 	s.mu.Unlock()
 	infos := make([]DatabaseInfo, len(entries))
 	for i, e := range entries {
-		// Fingerprint is cached on the frozen database; no recompute.
-		infos[i] = DatabaseInfo{
-			Name:        e.name,
-			Relations:   e.db.NumRelations(),
-			Tuples:      e.db.NumTuples(),
-			Fingerprint: fmt.Sprintf("%016x", e.db.Fingerprint()),
-		}
+		infos[i] = databaseInfo(e.name, e.db)
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
@@ -600,7 +600,7 @@ func (s *Service) Explain(dbName string, spec fd.Query) (*ExplainReport, error) 
 		return nil, err
 	}
 	s.mu.Lock()
-	hit := s.cache.peek(plan.CacheKey)
+	hit := s.cache.peek(cacheKey{entry.db.Fingerprint(), spec.Canonical()})
 	s.mu.Unlock()
 	return &ExplainReport{Plan: plan, CacheHitPredicted: hit}, nil
 }
@@ -642,7 +642,7 @@ func (s *Service) StartQuery(ctx context.Context, dbName string, spec fd.Query) 
 	}
 	// A registered database is frozen and never changes content (an
 	// append registers a new entry), so its fingerprint is a cache read.
-	key := fmt.Sprintf("%016x|%s", entry.db.Fingerprint(), spec.Canonical())
+	key := cacheKey{entry.db.Fingerprint(), spec.Canonical()}
 	s.seq++
 	id := fmt.Sprintf("q%d", s.seq)
 	qctx, cancel := context.WithCancel(ctx)
@@ -884,7 +884,7 @@ type Query struct {
 	svc    *Service
 	spec   fd.Query
 	dbName string
-	key    string
+	key    cacheKey
 	db     *dbEntry
 	// cancel releases the session's derived context, aborting any
 	// in-flight enumeration step; called on Close, eviction and
@@ -1207,7 +1207,8 @@ func (q *Query) Next(k int) ([]Result, bool, error) {
 	if s := q.svc; err == nil && !q.uncacheable {
 		s.mu.Lock()
 		if !s.closed {
-			s.met.cacheEvictions.Add(int64(s.cache.put(q.key, q.spec, q.gathered)))
+			fam, ok := maintainedFamily(q.spec)
+			s.met.cacheEvictions.Add(int64(s.cache.put(q.key, fam, ok, q.gathered)))
 			s.met.syncCache(s.cache)
 		}
 		s.mu.Unlock()

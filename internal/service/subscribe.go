@@ -3,6 +3,7 @@ package service
 import (
 	"sync"
 
+	fd "repro"
 	"repro/internal/delta"
 	"repro/internal/tupleset"
 )
@@ -29,7 +30,7 @@ type FollowBatch struct {
 // observe every append landing.
 type subscription struct {
 	id  string
-	fam familyKey
+	fam fd.Family
 
 	mu     sync.Mutex
 	queue  []FollowBatch
@@ -39,7 +40,7 @@ type subscription struct {
 	ch chan struct{}
 }
 
-func newSubscription(id string, fam familyKey) *subscription {
+func newSubscription(id string, fam fd.Family) *subscription {
 	return &subscription{id: id, fam: fam, ch: make(chan struct{}, 1)}
 }
 
@@ -107,14 +108,10 @@ func (q *Query) FollowBatches() ([]FollowBatch, bool) {
 }
 
 // registerFollowLocked attaches a follow subscription for q; callers
-// hold s.mu and have validated the spec (Validate admits Follow only
-// on specs familyOf accepts).
+// hold s.mu and have validated the spec, so it is maintainable
+// (fd.Query.Validate admits Follow on no other).
 func (s *Service) registerFollowLocked(q *Query) {
-	fam, ok := familyOf(q.spec)
-	if !ok {
-		return
-	}
-	q.sub = newSubscription(q.id, fam)
+	q.sub = newSubscription(q.id, q.spec.Family())
 	if s.subs == nil {
 		s.subs = make(map[string]map[string]*subscription)
 	}

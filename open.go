@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rank"
@@ -109,21 +108,15 @@ func Open(ctx context.Context, db *Database, q Query) (Results, error) {
 		}
 	}
 
-	// The mode picks the join predicate — JCC, or A(T) ≥ τ under Amin
-	// over the query's similarity — and whether results are ranked.
+	// The query's family picks the join predicate, its mode whether
+	// results are ranked.
 	var (
-		p    = core.JCC
+		p    = n.Family().Predicate()
 		base Results
 		err  error
 	)
-	if n.Mode == ModeApprox || n.Mode == ModeApproxRanked {
-		s, _ := SimByName(n.Sim) // resolved by Validate
-		if p, err = approx.Qualify(&approx.Amin{S: s}, n.Tau); err != nil {
-			return nil, err
-		}
-	}
 	switch {
-	case n.Mode == ModeRanked || n.Mode == ModeApproxRanked:
+	case n.Mode.ranked():
 		f, _ := RankByName(n.Rank) // resolved by Validate
 		base, err = rank.NewCursor(ctx, db, p, f, opts)
 	case workers > 1:

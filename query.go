@@ -31,6 +31,13 @@ const (
 	ModeApproxRanked Mode = "approx-ranked"
 )
 
+// ranked reports whether m enumerates in rank order (Fig 3).
+func (m Mode) ranked() bool { return m == ModeRanked || m == ModeApproxRanked }
+
+// approximate reports whether m enumerates an (A,τ)-approximate full
+// disjunction (Section 6).
+func (m Mode) approximate() bool { return m == ModeApprox || m == ModeApproxRanked }
+
 // QueryOptions carries the execution options of a Query. Workers
 // travels in the Query's JSON encoding and participates in its
 // canonical form (it can change the emission order, which a cached
@@ -151,10 +158,10 @@ func (q Query) normalize() Query {
 	if q.Mode == "" {
 		q.Mode = ModeExact
 	}
-	if (q.Mode == ModeApprox || q.Mode == ModeApproxRanked) && q.Sim == "" {
+	if q.Mode.approximate() && q.Sim == "" {
 		q.Sim = "levenshtein"
 	}
-	if q.Mode == ModeRanked || q.Mode == ModeApproxRanked {
+	if q.Mode.ranked() {
 		// Workers is ignored on the inherently sequential paths; zero it
 		// so spellings that cannot differ share one canonical key.
 		q.Options.Workers = 0
@@ -172,8 +179,7 @@ func (q Query) normalize() Query {
 // opening the cursor.
 func (q Query) ParallelWorkers() int {
 	n := q.normalize()
-	switch n.Mode {
-	case ModeRanked, ModeApproxRanked:
+	if n.Mode.ranked() {
 		return 1
 	}
 	w := n.Options.Workers
@@ -190,19 +196,12 @@ func (q Query) ParallelWorkers() int {
 // exists: unknown modes, names that do not resolve, thresholds outside
 // their domain, parameters that their mode would silently ignore.
 func (q Query) Validate() error {
-	ranked, approxMode := false, false
 	switch q.Mode {
-	case "", ModeExact:
-	case ModeRanked:
-		ranked = true
-	case ModeApprox:
-		approxMode = true
-	case ModeApproxRanked:
-		ranked, approxMode = true, true
+	case "", ModeExact, ModeRanked, ModeApprox, ModeApproxRanked:
 	default:
 		return fmt.Errorf("fd: unknown query mode %q", q.Mode)
 	}
-	if ranked {
+	if q.Mode.ranked() {
 		if _, err := RankByName(q.Rank); err != nil {
 			return err
 		}
@@ -214,8 +213,8 @@ func (q Query) Validate() error {
 			return fmt.Errorf("fd: rank threshold %v given for non-ranked mode %q", q.RankTau, q.Mode)
 		}
 	}
-	if approxMode {
-		if q.Tau <= 0 || q.Tau > 1 {
+	if q.Mode.approximate() {
+		if !(q.Tau > 0 && q.Tau <= 1) { // also refuses NaN
 			return fmt.Errorf("fd: approx threshold %v outside (0,1]", q.Tau)
 		}
 		if _, err := SimByName(q.Sim); err != nil {
@@ -232,21 +231,76 @@ func (q Query) Validate() error {
 	if q.K < 0 {
 		return fmt.Errorf("fd: negative k %d", q.K)
 	}
-	if q.RankTau < 0 {
+	if !(q.RankTau >= 0) { // also refuses NaN
 		return fmt.Errorf("fd: negative rank threshold %v", q.RankTau)
 	}
 	if q.Options.Workers < 0 {
 		return fmt.Errorf("fd: negative workers %d", q.Options.Workers)
 	}
-	if q.Follow {
-		if ranked {
+	if q.Follow && !q.maintainable() {
+		if q.Mode.ranked() {
 			return fmt.Errorf("fd: follow subscription for ranked mode %q (rank order is a property of a finished enumeration)", q.Mode)
 		}
-		if q.K != 0 || q.RankTau != 0 {
-			return fmt.Errorf("fd: follow subscription with a result bound (k=%d, rank_tau=%v)", q.K, q.RankTau)
-		}
+		return fmt.Errorf("fd: follow subscription with a result bound (k=%d, rank_tau=%v)", q.K, q.RankTau)
 	}
 	return nil
+}
+
+// maintainable reports whether q's result list can be kept current
+// across an append by its family's delta (internal/delta): only an
+// unranked, unbounded enumeration can. A rank order is a property of a
+// finished enumeration, which a delta cannot splice, and a K or
+// RankTau bound makes the list a prefix the delta algebra does not
+// describe. It is the one maintainability rule: Validate admits Follow
+// exactly under it, and a result cache keeps exactly these lists
+// across appends.
+func (q Query) maintainable() bool {
+	return !q.Mode.ranked() && q.K == 0 && q.RankTau == 0
+}
+
+// Family is the join-predicate family a Query enumerates. The zero
+// value is the exact family: the full disjunction under join
+// consistency and connectivity (JCC). An approximate family carries
+// its normalised similarity name and threshold: AFD(R, Amin, τ), whose
+// predicate A(T) ≥ τ replaces JCC and changes nothing else (Section 6,
+// Figs 5–6). A ranked mode enumerates the same family as its unranked
+// twin, in rank order. Family is comparable, so it keys per-family
+// state such as one append's delta.
+type Family struct {
+	// Sim is the similarity name of an approximate family
+	// ("levenshtein" or "exact"); empty for the exact family.
+	Sim string
+	// Tau is the approximate-join threshold, in (0,1]; 0 for the exact
+	// family.
+	Tau float64
+}
+
+// Family returns the predicate family q enumerates.
+func (q Query) Family() Family {
+	n := q.normalize()
+	if !n.Mode.approximate() {
+		return Family{}
+	}
+	return Family{Sim: n.Sim, Tau: n.Tau}
+}
+
+// Predicate returns the family's join predicate: core.JCC for the
+// exact family, A(T) ≥ τ under Amin over the similarity otherwise. It
+// is nil only for a family no valid Query has (an unknown similarity,
+// or a threshold outside (0,1]).
+func (f Family) Predicate() core.Predicate {
+	if f == (Family{}) {
+		return core.JCC
+	}
+	s, err := SimByName(f.Sim)
+	if err != nil {
+		return nil
+	}
+	p, err := approx.Qualify(&approx.Amin{S: s}, f.Tau)
+	if err != nil {
+		return nil
+	}
+	return p
 }
 
 // Canonical renders every result-affecting field of the (normalised)

@@ -2,9 +2,12 @@ package fd
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // randomQuery draws a valid query uniformly over the spec space.
@@ -160,5 +163,49 @@ func TestQueryCanonicalForm(t *testing.T) {
 	want := "fdq4|mode=exact|rank=|k=0|tau=0|ranktau=0|sim=|wrk=0"
 	if got != want {
 		t.Errorf("Canonical() = %q, want %q", got, want)
+	}
+}
+
+// TestQueryValidateRefusesNaN: a NaN threshold passes every ordered
+// comparison, so Validate must refuse it explicitly — under an approx
+// τ of NaN no set would qualify, and a NaN family would not even equal
+// itself.
+func TestQueryValidateRefusesNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, q := range []Query{
+		{Mode: ModeApprox, Tau: nan},
+		{Mode: ModeApproxRanked, Tau: nan, Rank: "fmax"},
+		{Mode: ModeRanked, Rank: "fmax", RankTau: nan},
+	} {
+		if err := q.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", q)
+		}
+	}
+}
+
+// TestQueryFamily: the family is the predicate alone — a ranked mode
+// shares its unranked twin's, the similarity default is resolved, and
+// K, RankTau and Workers do not enter it.
+func TestQueryFamily(t *testing.T) {
+	lev := Family{Sim: "levenshtein", Tau: 0.5}
+	for _, c := range []struct {
+		q    Query
+		want Family
+	}{
+		{Query{}, Family{}},
+		{Query{Mode: ModeRanked, Rank: "fmax", K: 3}, Family{}},
+		{Query{Mode: ModeApprox, Tau: 0.5}, lev},
+		{Query{Mode: ModeApproxRanked, Tau: 0.5, Sim: "levenshtein", Rank: "pairsum", RankTau: 1}, lev},
+		{Query{Mode: ModeApprox, Tau: 0.5, Sim: "exact", Options: QueryOptions{Workers: 3}}, Family{Sim: "exact", Tau: 0.5}},
+	} {
+		if got := c.q.Family(); got != c.want {
+			t.Errorf("%+v: family %+v, want %+v", c.q, got, c.want)
+		}
+	}
+	if (Query{}).Family().Predicate() != core.JCC {
+		t.Error("the exact family's predicate is not core.JCC")
+	}
+	if p := (Family{Sim: "nope", Tau: 0.5}).Predicate(); p != nil {
+		t.Errorf("unknown similarity: predicate %v, want nil", p)
 	}
 }
