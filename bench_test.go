@@ -291,7 +291,7 @@ func BenchmarkUnionJCC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u.UnionJCC(sets[i%len(sets)], sets[(i*13+1)%len(sets)])
+		u.UnionJCC(sets[i%len(sets)], sets[(i*13+1)%len(sets)], nil)
 	}
 }
 
@@ -337,7 +337,7 @@ func BenchmarkJCCWithTuple(b *testing.B) {
 	})
 	b.Run("signature", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			u.JCCWithTuple(big, refs[i%len(refs)])
+			u.JCCWithTuple(big, refs[i%len(refs)], nil)
 		}
 	})
 	b.Run("pairwise", func(b *testing.B) {
@@ -408,13 +408,13 @@ func BenchmarkSubstrates(b *testing.B) {
 	b.Run("UnionJCC", func(b *testing.B) {
 		other := sets[len(sets)/2]
 		for i := 0; i < b.N; i++ {
-			u.UnionJCC(big, other)
+			u.UnionJCC(big, other, nil)
 		}
 	})
 	b.Run("MaximalSubsetWith", func(b *testing.B) {
 		tb := fd.Ref{Rel: int32(db.NumRelations() - 1), Idx: 0}
 		for i := 0; i < b.N; i++ {
-			u.MaximalSubsetWith(big, tb)
+			u.MaximalSubsetWith(big, tb, nil)
 		}
 	})
 	b.Run("Key", func(b *testing.B) {

@@ -100,15 +100,6 @@ func TestPublicAPITopKAndThreshold(t *testing.T) {
 	if len(thr) != 1 {
 		t.Errorf("threshold 4 returned %d results", len(thr))
 	}
-	// Ranking functions exposed by the facade.
-	for _, f := range []fd.RankFunc{fd.FMax(), fd.PairSum(), fd.PaperTriple()} {
-		if f.C() < 1 {
-			t.Errorf("%s should be c-determined", f.Name())
-		}
-	}
-	if fd.FSum().C() != 0 {
-		t.Error("FSum must not be c-determined")
-	}
 }
 
 func TestPublicAPIApprox(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 // Scanner builds the scanner of an (A, τ) enumeration over the
 // relations minRel..n-1 of u's database, accounting into stats. With
 // opts.UseJoinIndex it derives the candidate source of the join-index
-// walks from A and its Sim (core.NewCandidateScanner argues why the
-// walks stay exhaustive):
+// walks from A and its Sim (core.Candidates argues why the walks stay
+// exhaustive):
 //
 //   - Amin and Aprod drop the tuples t with A({t}) < τ, and probe the
 //     postings of a member's code under ExactSim, or of every code of
@@ -43,7 +43,7 @@ func (q qualifier) Scanner(u *tupleset.Universe, opts core.Options, minRel int, 
 	if opts.UseJoinIndex {
 		c.Live = liveTuples(u, a, tau)
 	}
-	return core.NewCandidateScanner(db, opts, minRel, stats, c)
+	return core.NewScanner(db, opts, minRel, stats, c)
 }
 
 // liveTuples marks, per relation, the tuples t with A({t}) ≥ τ: the

@@ -61,9 +61,10 @@ func simDBs(t *testing.T, rng *rand.Rand, rounds int) []*relation.Database {
 
 // randomQualifying grows a random connected set with A ≥ τ over the
 // relations [minRel, n) from one random live tuple, adding random
-// tuples that keep it qualifying; nil when no tuple of the scope is
-// live.
-func randomQualifying(u *tupleset.Universe, rng *rand.Rand, a Join, tau float64, minRel int) *tupleset.Set {
+// tuples that keep it qualifying (the predicate's Extends test, on w);
+// nil when no tuple of the scope is live.
+func randomQualifying(w *core.Walk, rng *rand.Rand, minRel int) *tupleset.Set {
+	u := w.U
 	var scope []relation.Ref
 	u.DB.ForEachRef(func(ref relation.Ref) bool {
 		if int(ref.Rel) >= minRel {
@@ -76,12 +77,12 @@ func randomQualifying(u *tupleset.Universe, rng *rand.Rand, a Join, tau float64,
 	for _, ref := range scope {
 		switch {
 		case T == nil:
-			if s := u.Singleton(ref); a.Score(u, s) >= tau {
+			if s := u.Singleton(ref); w.P.Qualifies(u, s) {
 				T = s
 			}
 		case rng.Intn(3) > 0:
-			if ext := (qualifier{a, tau}).extension(u, T, ref, &core.Stats{}); ext != nil {
-				T = ext
+			if w.P.Extends(w, T, ref) {
+				T.Add(ref)
 			}
 		}
 	}
@@ -108,10 +109,12 @@ func TestSimCandidatesExhaustive(t *testing.T) {
 				for seed := 0; seed < n; seed++ {
 					for _, minRel := range []int{0, seed} {
 						var stats core.Stats
-						sc := qualifier{a, tau}.Scanner(u, core.Options{UseJoinIndex: true}, minRel, &stats)
+						q := qualifier{a, tau}
+						w := core.NewWalk(u, q, core.Options{}, 0, &stats)
+						sc := q.Scanner(u, core.Options{UseJoinIndex: true}, minRel, &stats)
 						prefix := sc.Prefix()
 						for trial := 0; trial < 4; trial++ {
-							T := randomQualifying(u, rng, a, tau, minRel)
+							T := randomQualifying(w, rng, minRel)
 							if T == nil {
 								continue
 							}
@@ -122,7 +125,7 @@ func TestSimCandidatesExhaustive(t *testing.T) {
 								if T.Has(tb) {
 									return true
 								}
-								if (qualifier{a, tau}).extension(u, T, tb, &stats) != nil {
+								if w.P.Extends(w, T, tb) {
 									checked["extension"]++
 									if int(tb.Rel) >= minRel && !ext[tb] || int(tb.Rel) < minRel && !ext0[tb] {
 										t.Fatalf("%s: T ∪ {%s} qualifies but tb was not visited", where, db.Label(tb))

@@ -47,23 +47,18 @@ func (q qualifier) Admit(w *core.Walk, s *tupleset.Set) bool {
 	return q.a.Score(w.U, s) >= q.tau
 }
 
-// Extend implements the starred lines 2–6: extend T maximally under
-// A(T ∪ {tg}) ≥ τ. With the join index each sweep visits the live
-// τ-similar candidates of the current members; a tuple reachable only
-// through a member added mid-sweep becomes a candidate in the next
-// sweep, so the fixpoint is still maximal.
-func (q qualifier) Extend(w *core.Walk, T *tupleset.Set) *tupleset.Set {
-	for changed := true; changed; {
-		changed = false
-		w.Scan.ForEachExtension(T, func(ref relation.Ref) bool {
-			if ext := q.extension(w.U, T, ref, w.Stats); ext != nil {
-				T = ext
-				changed = true
-			}
-			return true
-		})
+// Extends implements the starred test of lines 2–6: ref lies on a
+// relation T lacks, is connected to T, and A(T ∪ {ref}) ≥ τ. The union
+// is scored on a pooled temporary, so T is left unchanged.
+func (q qualifier) Extends(w *core.Walk, T *tupleset.Set, ref relation.Ref) bool {
+	if T.HasRelation(int(ref.Rel)) || !w.U.ConnectedWith(T, ref) {
+		return false
 	}
-	return T
+	w.Stats.JCCChecks++
+	ext := T.Clone().Add(ref)
+	ok := q.a.Score(w.U, ext) >= q.tau
+	w.U.ReleaseSet(ext)
+	return ok
 }
 
 // Subsets implements the starred line 8: every maximal qualifying
@@ -73,32 +68,6 @@ func (q qualifier) Subsets(w *core.Walk, T *tupleset.Set, tb relation.Ref, keep 
 		w.Stats.JCCChecks++
 		keep(tPrime)
 	}
-}
-
-// Extends reports whether a tuple prefix visits extends T to a
-// qualifying set, stopping at the first such tuple.
-func (q qualifier) Extends(w *core.Walk, prefix *core.Scanner, T *tupleset.Set) bool {
-	extended := false
-	prefix.ForEachExtension(T, func(ref relation.Ref) bool {
-		extended = q.extension(w.U, T, ref, w.Stats) != nil
-		return !extended
-	})
-	return extended
-}
-
-// extension returns T ∪ {ref} when ref lies on a relation T lacks, is
-// connected to T, and the union qualifies (A ≥ τ) — the starred test
-// of lines 2–6 — and nil otherwise.
-func (q qualifier) extension(u *tupleset.Universe, T *tupleset.Set, ref relation.Ref, stats *core.Stats) *tupleset.Set {
-	if T.HasRelation(int(ref.Rel)) || !u.ConnectedWith(T, ref) {
-		return nil
-	}
-	ext := T.Clone().Add(ref)
-	stats.JCCChecks++
-	if q.a.Score(u, ext) >= q.tau {
-		return ext
-	}
-	return nil
 }
 
 // Merge implements the starred line-14 merge: S ∪ t when the union is

@@ -95,7 +95,7 @@ func enumerateSeed(u *tupleset.Universe, seed int, stats *Stats) []*tupleset.Set
 					return true
 				}
 				stats.JCCChecks++
-				if u.JCCWithTuple(T, ref) {
+				if u.JCCWithTuple(T, ref, nil) {
 					T.Add(ref)
 					changed = true
 				}
@@ -107,7 +107,7 @@ func enumerateSeed(u *tupleset.Universe, seed int, stats *Stats) []*tupleset.Set
 			if T.Has(tb) {
 				return true
 			}
-			tPrime := u.MaximalSubsetWith(T, tb)
+			tPrime := u.MaximalSubsetWith(T, tb, nil)
 			stats.JCCChecks++
 			if !tPrime.HasRelation(seed) {
 				return true
@@ -119,7 +119,7 @@ func enumerateSeed(u *tupleset.Universe, seed int, stats *Stats) []*tupleset.Set
 			}
 			for k, s := range incomplete {
 				stats.JCCChecks++
-				if u.UnionJCC(s, tPrime) {
+				if u.UnionJCC(s, tPrime, nil) {
 					incomplete[k] = u.Union(s, tPrime)
 					return true
 				}

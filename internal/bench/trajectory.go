@@ -97,17 +97,13 @@ type drained struct {
 	// inter-result delay profile of the drain.
 	phases map[string]float64
 	delays obs.DelaySummary
-	// delayWork is the largest engine work (workUnits) between
+	// delayWork is the largest engine work (core.Stats.Work) between
 	// consecutive results, from cursor construction on: the
 	// deterministic, work-unit form of the delay. Only sequential
 	// drains record it; a parallel cursor's interleaving of tasks is
 	// not repeatable.
 	delayWork int64
 }
-
-// workUnits is the engine work measure of the delay: the same sum as
-// perfbench's core.delay_work_max.
-func workUnits(s core.Stats) int64 { return s.JCCChecks + s.ListScans + s.TuplesScanned }
 
 // drain runs one counter-gated rung under an execution trace: "init"
 // (open), "enumerate" (the Next loop, stopped after k results when
@@ -132,7 +128,7 @@ func drain(db *relation.Database, open func() (fd.Results, error), k int, sequen
 	delay := obs.NewDelay(0)
 	sp = root.Start("enumerate")
 	last := time.Now()
-	prevWork := workUnits(c.Stats())
+	prevWork := c.Stats().Work()
 	for k == 0 || len(run.sets) < k {
 		r, ok := c.Next()
 		if !ok {
@@ -142,7 +138,7 @@ func drain(db *relation.Database, open func() (fd.Results, error), k int, sequen
 		delay.Observe(now.Sub(last))
 		last = now
 		if sequential {
-			w := workUnits(c.Stats())
+			w := c.Stats().Work()
 			run.delayWork = max(run.delayWork, w-prevWork)
 			prevWork = w
 		}

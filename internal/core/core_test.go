@@ -412,3 +412,19 @@ func TestEnumeratorErrors(t *testing.T) {
 		t.Error("seed set without seed-relation tuple accepted")
 	}
 }
+
+// TestStatsWork pins the work measure to its three counters: no other
+// counter moves it, and it adds up over Stats.Add.
+func TestStatsWork(t *testing.T) {
+	a := Stats{Iterations: 2, Emitted: 2, JCCChecks: 3, TuplesScanned: 7, ListScans: 5, PageReads: 11,
+		IndexProbes: 13, TuplesSkipped: 17, SigHits: 19, SigRebuilds: 23, MaxResident: 29}
+	if got := a.Work(); got != 15 {
+		t.Errorf("Work() = %d, want 3+5+7 = 15", got)
+	}
+	b := Stats{JCCChecks: 1, ListScans: 2, TuplesScanned: 4}
+	sum := a
+	sum.Add(b)
+	if got := sum.Work(); got != a.Work()+b.Work() {
+		t.Errorf("Work of a sum = %d, want %d", got, a.Work()+b.Work())
+	}
+}

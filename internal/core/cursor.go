@@ -24,10 +24,10 @@ type Result struct {
 // walks a task list in order, in the caller's goroutine, producing one
 // owned result per Next call. For the restart strategy the list is
 // built from Layout(db, 1) — one full-window task per pass, the same
-// []Task shape NewTaskCursor runs on its worker pool. The suspended state is explicit (the current
-// task's enumerator and, for the seeded strategies, the store of
-// previously printed results), so a cursor holds no goroutine and
-// abandoning one with Close leaks nothing.
+// []Task shape NewTaskCursor runs on its worker pool. The suspended
+// state is explicit (the current task's enumerator and, for the seeded
+// strategies, the store of previously printed results), so a cursor
+// holds no goroutine and abandoning one with Close leaks nothing.
 //
 // A Cursor is not safe for concurrent use; wrap it (as internal/service
 // does) when several goroutines share one enumeration.
@@ -36,7 +36,11 @@ type Cursor struct {
 	tasks []Task
 	next  int            // index of the next task to open
 	e     TaskEnumerator // the in-flight task's enumeration
-	owns  func(*tupleset.Set) bool
+	// printed, under the seeded strategies only, holds every delivered
+	// result, and pass is the in-flight task's pass: a result a printed
+	// set contains is suppressed (§7).
+	printed *CompleteStore
+	pass    int
 	// total accumulates the counters of finished tasks (plus the work
 	// of the seeded strategies' printed filter); the counters of the
 	// in-flight task live in e until foldTask.
@@ -74,24 +78,14 @@ func NewCursor(ctx context.Context, db *relation.Database, p Predicate, opts Opt
 	if p != JCC {
 		return nil, fmt.Errorf("core: the %s strategy runs under the exact join predicate only", opts.Strategy)
 	}
-	printed := NewCompleteStore(u, true)
+	c.printed = NewCompleteStore(u, true)
 	for _, m := range Layout(db, 1) {
-		pass := m.Pass
 		c.tasks = append(c.tasks, Task{
 			Label: m.Label,
 			Open: func() (TaskEnumerator, error) {
-				init := seedInit(u, pass, opts, printed, &c.total)
-				return NewSeededEnumerator(u, JCC, pass, opts, init, pass)
-			},
-			// The printed filter: a result subsumed by a previously
-			// printed set is suppressed (§7).
-			Owns: func(t *tupleset.Set) bool {
-				anchor, _ := t.Member(pass)
-				if printed.ContainsSuperset(t, anchor, &c.total) {
-					return false
-				}
-				printed.Add(t)
-				return true
+				c.pass = m.Pass
+				init := seedInit(u, m.Pass, opts, c.printed, &c.total)
+				return NewSeededEnumerator(u, JCC, m.Pass, opts, init, m.Pass)
 			},
 		})
 	}
@@ -123,15 +117,19 @@ func (c *Cursor) Next() (Result, bool) {
 				c.err = err
 				return Result{}, false
 			}
-			c.e, c.owns = e, task.Owns
+			c.e = e
 		}
 		t, ok := c.e.Next()
 		if !ok {
 			c.foldTask()
 			continue
 		}
-		if c.owns != nil && !c.owns(t) {
-			continue
+		if c.printed != nil {
+			anchor, _ := t.Member(c.pass)
+			if c.printed.ContainsSuperset(t, anchor, &c.total) {
+				continue
+			}
+			c.printed.Add(t)
 		}
 		c.total.Emitted++
 		return Result{Set: t}, true

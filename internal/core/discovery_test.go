@@ -52,7 +52,7 @@ func randomJCC(u *tupleset.Universe, rng *rand.Rand, minRel int) *tupleset.Set {
 	rng.Shuffle(len(scope), func(i, j int) { scope[i], scope[j] = scope[j], scope[i] })
 	T := u.Singleton(scope[0])
 	for _, ref := range scope[1:] {
-		if rng.Intn(2) == 0 && !T.HasRelation(int(ref.Rel)) && u.JCCWithTuple(T, ref) {
+		if rng.Intn(2) == 0 && !T.HasRelation(int(ref.Rel)) && u.JCCWithTuple(T, ref, nil) {
 			T.Add(ref)
 		}
 	}
@@ -75,7 +75,7 @@ func TestDiscoveryCandidatesExhaustive(t *testing.T) {
 		for seed := 0; seed < n; seed++ {
 			for _, minRel := range []int{0, seed} {
 				var stats Stats
-				sc := NewScanner(db, Options{UseJoinIndex: true}, minRel, &stats)
+				sc := NewScanner(db, Options{UseJoinIndex: true}, minRel, &stats, Candidates{})
 				for trial := 0; trial < 6; trial++ {
 					T := randomJCC(u, rng, minRel)
 					visited := map[relation.Ref]bool{}

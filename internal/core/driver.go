@@ -80,7 +80,7 @@ func projectSuffix(u *tupleset.Universe, s *tupleset.Set, i int) *tupleset.Set {
 // (the loop of GETNEXTRESULT lines 2–6 restricted to the suffix).
 func extendSuffix(u *tupleset.Universe, s *tupleset.Set, i int, opts Options, stats *Stats) {
 	w := NewWalk(u, JCC, opts, i, stats)
-	JCC.Extend(w, s)
+	extend(w, s)
 	w.flush()
 }
 

@@ -123,7 +123,12 @@ func (e *Enumerator) Next() (*tupleset.Set, bool) {
 // scope, stopping at the first tuple that keeps the union qualifying.
 func (e *Enumerator) extendsIntoPrefix(result *tupleset.Set) bool {
 	defer e.w.flush()
-	return e.w.P.Extends(e.w, e.prefix, result)
+	extended := false
+	e.prefix.ForEachExtension(result, func(ref relation.Ref) bool {
+		extended = e.w.P.Extends(e.w, result, ref)
+		return !extended
+	})
+	return extended
 }
 
 // All drains the enumeration and returns every tuple set of FDi(R).
@@ -155,7 +160,7 @@ type Pool interface {
 // result and returned; newly discovered candidate subsets land in pool.
 //
 //	lines 2–6: maximally extend T with tuples tg such that T ∪ {tg}
-//	  qualifies (Predicate.Extend);
+//	  qualifies (extend, over Predicate.Extends);
 //	lines 7–18: for every remaining tuple tb, form the maximal
 //	  qualifying subsets T' of T∪{tb} containing tb (Predicate.Subsets;
 //	  one for JCC, footnote 3); if T' has a tuple of the seed relation
@@ -184,7 +189,7 @@ func GetNextResult(w *Walk, seed int, T *tupleset.Set, pool Pool, complete *Comp
 // there. With the full window [0, Len) this is GETNEXTRESULT verbatim.
 func getNextResult(w *Walk, seed int, lo, hi int32, T *tupleset.Set, pool Pool, complete *CompleteStore) *tupleset.Set {
 	defer w.flush()
-	T = w.P.Extend(w, T) // lines 2–6
+	extend(w, T) // lines 2–6
 	stats := w.Stats
 	keep := func(tPrime *tupleset.Set) bool {
 		anchor, hasSeed := tPrime.Member(seed)
@@ -207,4 +212,25 @@ func getNextResult(w *Walk, seed int, lo, hi int32, T *tupleset.Set, pool Pool, 
 		return true
 	})
 	return T
+}
+
+// extend runs lines 2–6 on w.Scan: it extends T in place to a maximal
+// qualifying set, adding each visited tuple tg with T ∪ {tg}
+// qualifying (Predicate.Extends). Each sweep adds at least one tuple
+// or terminates; a result has at most n tuples, so there are at most
+// n+1 sweeps (cost O(s·n), Theorem 4.8). With the join index each
+// sweep visits only the candidates of the current members; a tuple
+// reachable only through a member added mid-sweep becomes a candidate
+// in the next sweep, so the fixpoint is still maximal.
+func extend(w *Walk, T *tupleset.Set) {
+	for changed := true; changed; {
+		changed = false
+		w.Scan.ForEachExtension(T, func(ref relation.Ref) bool {
+			if !T.Has(ref) && w.P.Extends(w, T, ref) {
+				T.Add(ref)
+				changed = true
+			}
+			return true
+		})
+	}
 }

@@ -129,39 +129,13 @@ type Scanner struct {
 // Candidates is the candidate source of a Scanner's join-index walks.
 // Its zero value is the exact one: a member probes the equi-join
 // posting index with its own code, and every tuple is live.
-type Candidates struct {
-	// Postings, when non-nil, replaces the equi-join index: it returns
-	// the ascending tuple indices of column (rel, pos) a member whose
-	// code on the paired column is code may join.
-	Postings PostingSource
-	// Live, when non-nil, marks per relation the tuples that may lie
-	// in a qualifying set; the walks drop every other tuple before
-	// counting or scoring it.
-	Live [][]bool
-}
-
-// PostingSource maps a probe — a column and the code of the probing
-// member on the paired column — to the tuples of that column it may
-// match. *relation.JoinIndex is the exact source.
-type PostingSource interface {
-	Postings(rel, pos int, code int32) []int32
-}
-
-// NewScanner builds a scanner over db driven by the scan knobs of opts
-// (block size, buffer pool, join index), restricted to relations
-// minRel..n-1, accounting into stats. Its join-index walks visit the
-// equi-match candidates of JCC (ForEachExtension, ForEachDiscovery).
-func NewScanner(db *relation.Database, opts Options, minRel int, stats *Stats) *Scanner {
-	return NewCandidateScanner(db, opts, minRel, stats, Candidates{})
-}
-
-// NewCandidateScanner is NewScanner with the join-index walks widened
-// to the candidates c yields: the scanner of an approximate join,
-// whose qualifying predicate A(S) ≥ τ admits pairs that never
-// equi-match (its Scanner derives c from the Join and its Sim).
-// The walks stay exhaustive for every approximate join whose source
-// keeps three facts, which ForEachDiscovery's argument then uses in
-// place of join consistency:
+//
+// An approximate join, whose qualifying predicate A(S) ≥ τ admits
+// pairs that never equi-match, widens the walks through its source
+// (approx derives it from the Join and its Sim). The walks stay
+// exhaustive for every approximate join whose source keeps three
+// facts, which ForEachDiscovery's argument then uses in place of join
+// consistency:
 //
 //   - Live drops only tuples t with A({t}) < τ. Monotonicity of an
 //     acceptable join (approx.Join, property ii) gives A(S) ≤ A({t})
@@ -182,7 +156,30 @@ func NewScanner(db *relation.Database, opts Options, minRel int, stats *Stats) *
 // has a member neighbour in it, a connected pair of a qualifying set,
 // and is therefore a live posting candidate of that member. T' = {tb}
 // is the singleton case (ii) of ForEachDiscovery, unchanged.
-func NewCandidateScanner(db *relation.Database, opts Options, minRel int, stats *Stats, c Candidates) *Scanner {
+type Candidates struct {
+	// Postings, when non-nil, replaces the equi-join index: it returns
+	// the ascending tuple indices of column (rel, pos) a member whose
+	// code on the paired column is code may join.
+	Postings PostingSource
+	// Live, when non-nil, marks per relation the tuples that may lie
+	// in a qualifying set; the walks drop every other tuple before
+	// counting or scoring it.
+	Live [][]bool
+}
+
+// PostingSource maps a probe — a column and the code of the probing
+// member on the paired column — to the tuples of that column it may
+// match. *relation.JoinIndex is the exact source.
+type PostingSource interface {
+	Postings(rel, pos int, code int32) []int32
+}
+
+// NewScanner builds a scanner over db driven by the scan knobs of opts
+// (block size, buffer pool, join index), restricted to relations
+// minRel..n-1, accounting into stats. Its join-index walks
+// (ForEachExtension, ForEachDiscovery) visit the candidates c yields:
+// the equi-match candidates of JCC for the zero Candidates.
+func NewScanner(db *relation.Database, opts Options, minRel int, stats *Stats, c Candidates) *Scanner {
 	return &Scanner{db: db, block: opts.blockSize(), minRel: minRel, maxRel: db.NumRelations(),
 		stats: stats, pool: opts.Pool, useJoinIndex: opts.UseJoinIndex, cands: c}
 }
@@ -245,7 +242,7 @@ func (sc *Scanner) scopeTuples() int64 {
 // every member, so it must equi-match (non-null code equality) some
 // member of T on the first shared attribute position of an adjacent
 // relation pair — exactly what the posting index returns. Under an
-// approximate join the same holds with NewCandidateScanner's source.
+// approximate join the same holds with its Candidates source.
 func (sc *Scanner) ForEachExtension(T *tupleset.Set, fn func(relation.Ref) bool) {
 	if !sc.useJoinIndex {
 		sc.ForEach(fn)
@@ -282,7 +279,7 @@ func (sc *Scanner) ForEachExtension(T *tupleset.Set, fn func(relation.Ref) bool)
 // order match a walk that visits it; only the work counters differ.
 // Under an approximate join, "join consistent" reads "a connected pair
 // of a qualifying set" and "posting candidate" a live candidate of the
-// scanner's source; NewCandidateScanner argues both.
+// scanner's source; Candidates argues both.
 func (sc *Scanner) ForEachDiscovery(T *tupleset.Set, fn func(relation.Ref) bool) {
 	if !sc.useJoinIndex {
 		sc.ForEach(fn)

@@ -39,13 +39,6 @@ type Task struct {
 	// goroutine; everything it touches must be shareable (a frozen
 	// database, a Universe) or task-local.
 	Open func() (TaskEnumerator, error)
-	// Owns, when non-nil, reports whether the task delivers a result
-	// it produced; nil delivers everything. The pass tasks of Layout
-	// need none, their outputs being disjoint. Owns sees each produced
-	// result once, in production order, so a task list only the
-	// sequential Cursor runs may keep state in it (the seeded
-	// strategies' printed filter).
-	Owns func(*tupleset.Set) bool
 	// Label names the task in observability output ("pass 2",
 	// "pass 0 block 1/4"…). Optional.
 	Label string
@@ -79,9 +72,9 @@ type TaskObserver func(TaskSpan)
 //
 // Arrival order is whatever the interleaving produced — run-to-run
 // nondeterministic — but the delivered set is exactly the union of the
-// task outputs that pass each task's Owns filter. Per-worker counters accumulate in task-local
-// Stats and are folded under a lock once per finished task, never on
-// the per-result path.
+// task outputs. Per-worker counters accumulate in task-local Stats and
+// are folded under a lock once per finished task, never on the
+// per-result path.
 //
 // A ParallelCursor is not safe for concurrent use by multiple
 // consumers. Unlike the sequential cursors it holds goroutines while
@@ -156,9 +149,6 @@ func NewTaskCursor(ctx context.Context, tasks []Task, workers int, obs TaskObser
 			r, ok := e.Next()
 			if !ok {
 				return nil
-			}
-			if t.Owns != nil && !t.Owns(r) {
-				continue
 			}
 			select {
 			case c.out <- r:

@@ -8,18 +8,22 @@ import (
 // Predicate is the join predicate GETNEXTRESULT is parameterised by:
 // JCC(T) for the exact full disjunction (Figs 1–3), or A(T) ≥ τ for an
 // approximate join (APPROXINCREMENTALFD, Figs 5–6, whose starred lines
-// change nothing else; approx.Qualify builds it). It supplies every
-// step that reads the predicate, each called at most once per
-// GETNEXTRESULT phase or per discovered tuple, so the enumerators,
-// cursors, Fig 3 queues and deltas run on one body for both joins.
+// change nothing else; approx.Qualify builds it). It answers the
+// starred tests only — the per-tuple extension test, the subsets of
+// line 8, the merge and the seed tests — each called at most once per
+// tuple or set. Package core owns every loop around them: the lines
+// 2–6 extension fixpoint and the lines 7–18 discovery walk of
+// getNextResult, the prefix walk of a pass enumerator and the suffix
+// extension of the projected strategy, so the enumerators, cursors,
+// Fig 3 queues and deltas run on one body for both joins.
 //
 // A Predicate value is immutable and shared by every task of an
 // enumeration; per-enumeration state lives in the Walk its steps get.
 type Predicate interface {
 	// Scanner builds the scanner of one enumeration over the relations
 	// minRel..n-1 of u's database, with the scan knobs of opts,
-	// counting into stats: NewScanner for JCC, the candidate source of
-	// the approximate join otherwise (NewCandidateScanner).
+	// counting into stats: the equi-join candidates for JCC, the
+	// candidate source of the approximate join otherwise.
 	Scanner(u *tupleset.Universe, opts Options, minRel int, stats *Stats) *Scanner
 	// Lists builds the Incomplete pool and the Complete store of one
 	// enumeration with seed relation seed.
@@ -28,18 +32,16 @@ type Predicate interface {
 	// enters Incomplete (Fig 1 line 3; Fig 5 admits {t} with
 	// A({t}) ≥ τ only).
 	Admit(w *Walk, s *tupleset.Set) bool
-	// Extend runs lines 2–6: it extends T to a maximal qualifying set
-	// over the candidates of w.Scan and returns it (T itself, extended
-	// in place, or a replacement).
-	Extend(w *Walk, T *tupleset.Set) *tupleset.Set
+	// Extends is the test of line 3 for one tuple: it reports whether
+	// T ∪ {ref} qualifies, for a connected T that does not hold ref,
+	// and leaves T unchanged. The extension fixpoint and the prefix
+	// walk call it once per visited tuple.
+	Extends(w *Walk, T *tupleset.Set, ref relation.Ref) bool
 	// Subsets runs line 8 for one tuple tb: it calls keep with every
 	// maximal qualifying subset T' of T ∪ {tb} that contains tb (one for
 	// JCC, footnote 3). keep reports whether it retained T'; a T' keep
 	// rejected may be recycled by the predicate.
 	Subsets(w *Walk, T *tupleset.Set, tb relation.Ref, keep func(*tupleset.Set) bool)
-	// Extends reports whether a tuple prefix visits extends T to a
-	// qualifying set: the prefix walk of a pass enumerator.
-	Extends(w *Walk, prefix *Scanner, T *tupleset.Set) bool
 	// Merge returns S ∪ T when the union qualifies: the merge of lines
 	// 14–15 and of Fig 3 lines 5–8.
 	Merge(u *tupleset.Universe, s, t *tupleset.Set, stats *Stats) (*tupleset.Set, bool)
@@ -60,11 +62,13 @@ type Incomplete interface {
 	Snapshot() []*tupleset.Set
 }
 
-// Walk is the working state a Predicate's steps share within one
-// enumeration: the universe, the scanner, the counters, a signature
-// counter block that GETNEXTRESULT flushes into Stats after every
-// iteration, and the exact predicate's recycled T′ buffer. A Walk
-// belongs to one goroutine.
+// Walk is the working state of one enumeration: the universe, the
+// scanner, the counters, a signature counter block that GETNEXTRESULT
+// flushes into Stats after every iteration, and the exact predicate's
+// recycled T′ buffer. The loops of package core — the extension
+// fixpoint, the discovery walk and a pass's prefix walk — run on it
+// and hand it to every Predicate test they call. A Walk belongs to one
+// goroutine.
 type Walk struct {
 	U     *tupleset.Universe
 	P     Predicate
@@ -94,7 +98,7 @@ var JCC Predicate = jcc{}
 type jcc struct{}
 
 func (jcc) Scanner(u *tupleset.Universe, opts Options, minRel int, stats *Stats) *Scanner {
-	return NewScanner(u.DB, opts, minRel, stats)
+	return NewScanner(u.DB, opts, minRel, stats, Candidates{})
 }
 
 func (jcc) Lists(u *tupleset.Universe, seed int, opts Options) (Incomplete, *CompleteStore) {
@@ -103,28 +107,10 @@ func (jcc) Lists(u *tupleset.Universe, seed int, opts Options) (Incomplete, *Com
 
 func (jcc) Admit(*Walk, *tupleset.Set) bool { return true }
 
-// Extend is lines 2–6: each sweep adds at least one tuple or
-// terminates; a result has at most n tuples, so there are at most n+1
-// sweeps (cost O(s·n), Theorem 4.8). With the join index, each sweep
-// visits only equi-match candidates of the current members; a tuple
-// reachable only through a member added mid-sweep becomes a candidate
-// in the next sweep, so the fixpoint is still a maximal JCC set.
-func (jcc) Extend(w *Walk, T *tupleset.Set) *tupleset.Set {
-	for changed := true; changed; {
-		changed = false
-		w.Scan.ForEachExtension(T, func(ref relation.Ref) bool {
-			if T.Has(ref) {
-				return true
-			}
-			w.Stats.JCCChecks++
-			if w.U.JCCWithTupleCounted(T, ref, &w.sig) {
-				T.Add(ref)
-				changed = true
-			}
-			return true
-		})
-	}
-	return T
+// Extends counts one JCC check per visited tuple.
+func (jcc) Extends(w *Walk, T *tupleset.Set, ref relation.Ref) bool {
+	w.Stats.JCCChecks++
+	return w.U.JCCWithTuple(T, ref, &w.sig)
 }
 
 // Subsets forms the maximal JCC subset T' of T ∪ {tb} containing tb
@@ -142,22 +128,11 @@ func (jcc) Subsets(w *Walk, T *tupleset.Set, tb relation.Ref, keep func(*tuplese
 	}
 }
 
-// Extends stops at the first tuple that keeps the union JCC.
-func (jcc) Extends(w *Walk, prefix *Scanner, T *tupleset.Set) bool {
-	extended := false
-	prefix.ForEachExtension(T, func(ref relation.Ref) bool {
-		w.Stats.JCCChecks++
-		extended = w.U.JCCWithTupleCounted(T, ref, &w.sig)
-		return !extended
-	})
-	return extended
-}
-
 func (jcc) Merge(u *tupleset.Universe, s, t *tupleset.Set, stats *Stats) (*tupleset.Set, bool) {
 	stats.JCCChecks++
 	var sig tupleset.SigCounters
 	defer stats.AddSig(&sig)
-	if u.UnionJCCCounted(s, t, &sig) {
+	if u.UnionJCC(s, t, &sig) {
 		return u.Union(s, t), true
 	}
 	return nil, false

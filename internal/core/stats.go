@@ -52,6 +52,12 @@ type Stats struct {
 	MaxResident int
 }
 
+// Work is the engine work measure of the delay guarantee: JCC checks,
+// list scans and scanned tuples, the three counters every step of
+// GETNEXTRESULT advances. The largest Work between consecutive results
+// is a drain's delay in work units (core.delay_work_max).
+func (s Stats) Work() int64 { return s.JCCChecks + s.ListScans + s.TuplesScanned }
+
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
 	s.Iterations += other.Iterations
@@ -117,8 +123,7 @@ func (s Stats) Map() map[string]int64 {
 }
 
 // AddSig folds a tupleset signature counter block into s. Callers that
-// evaluate the Counted predicate variants with a local counter block
-// flush it here.
+// pass a local counter block to the tupleset tests flush it here.
 func (s *Stats) AddSig(c *tupleset.SigCounters) {
 	s.SigHits += c.Hits
 	s.SigRebuilds += c.Rebuilds

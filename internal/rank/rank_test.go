@@ -56,7 +56,7 @@ func TestFMaxAndFSum(t *testing.T) {
 	if got := (FSum{}).Rank(u, s); got != 5 {
 		t.Errorf("fsum = %v, want 5", got)
 	}
-	if (FMax{}).C() != 1 || (FSum{}).C() != 0 {
+	if (FMax{}).C() != 1 || (FSum{}).C() != 0 || PairSum().C() != 2 || PaperTriple().C() != 3 {
 		t.Error("determinacy bounds wrong")
 	}
 	if Validate(FMax{}) != nil {

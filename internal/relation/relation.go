@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 )
@@ -138,8 +139,7 @@ func (r *Relation) Append(label string, vals map[Attribute]Value) error {
 	return nil
 }
 
-// AppendTuple adds a fully specified tuple. The number of values must
-// match the schema width and Prob must lie in [0, 1].
+// AppendTuple adds a fully specified tuple that passes CheckTuple.
 func (r *Relation) AppendTuple(t Tuple) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -154,11 +154,16 @@ func (r *Relation) AppendTuple(t Tuple) error {
 }
 
 // CheckTuple reports whether t may be appended to the relation: its
-// value count must match the schema width and Prob must lie in [0, 1].
-// AppendTuple and Database.Extend apply the same check.
+// value count must match the schema width, Imp must be finite (a NaN
+// or infinite importance has no place in a rank order) and Prob must
+// lie in [0, 1]. AppendTuple, Database.Extend, ReadCSV, ReadSnapshot
+// and row-log replay apply the same check.
 func (r *Relation) CheckTuple(t *Tuple) error {
 	if len(t.Values) != r.schema.Len() {
 		return fmt.Errorf("tuple has %d values, schema has %d attributes", len(t.Values), r.schema.Len())
+	}
+	if math.IsNaN(t.Imp) || math.IsInf(t.Imp, 0) {
+		return fmt.Errorf("tuple importance %v is not finite", t.Imp)
 	}
 	if !(t.Prob >= 0 && t.Prob <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("tuple probability %v outside [0,1]", t.Prob)

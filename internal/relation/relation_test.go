@@ -168,6 +168,11 @@ func TestRelationAppendTupleValidation(t *testing.T) {
 	if err := r.AppendTuple(Tuple{Values: []Value{V("1"), V("2")}, Prob: math.NaN()}); err == nil {
 		t.Error("NaN probability accepted")
 	}
+	for _, imp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := r.AppendTuple(Tuple{Values: []Value{V("1"), V("2")}, Prob: 1, Imp: imp}); err == nil {
+			t.Errorf("importance %v accepted", imp)
+		}
+	}
 	if err := r.AppendTuple(Tuple{Values: []Value{V("1"), V("2")}, Prob: 0.5, Imp: 3}); err != nil {
 		t.Error(err)
 	}
@@ -363,5 +368,17 @@ func TestReadCSVValidation(t *testing.T) {
 	}
 	if !r.Tuple(0).Values[0].IsNull() || !r.Tuple(0).Values[1].IsNull() {
 		t.Error("null decoding failed")
+	}
+}
+
+// TestReadCSVRefusesNonFiniteImp checks that a #imp cell strconv
+// parses to NaN or ±Inf fails the load with an error naming its row.
+func TestReadCSVRefusesNonFiniteImp(t *testing.T) {
+	for _, imp := range []string{"NaN", "Inf", "+Inf", "-Inf", "infinity"} {
+		in := "#label,#imp,A\nok,4,x\nbad," + imp + ",y\n"
+		_, err := ReadCSV("R", strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "row 3") || !strings.Contains(err.Error(), "importance") {
+			t.Errorf("#imp %s: ReadCSV = %v, want an importance error naming row 3", imp, err)
+		}
 	}
 }

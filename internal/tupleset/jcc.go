@@ -15,21 +15,16 @@ import (
 // are compared against the set-wide attribute bindings. Stale
 // signatures are rebuilt lazily; conflicted sets (not pairwise
 // consistent, so no signature can describe them) fall back to the
-// pairwise oracle, which is always exact.
-func (u *Universe) ConsistentWith(s *Set, ref relation.Ref) bool {
-	return u.consistentWith(s, ref, nil)
-}
-
-func (u *Universe) consistentWith(s *Set, ref relation.Ref, ctr *SigCounters) bool {
+// pairwise oracle, which is always exact. ctr, when non-nil, counts
+// signature hits and rebuilds.
+func (u *Universe) ConsistentWith(s *Set, ref relation.Ref, ctr *SigCounters) bool {
 	if idx := s.members[ref.Rel]; idx != none {
 		return idx == ref.Idx
 	}
 	// Common case first, without the function-call detour of sigReady:
 	// sets on the enumeration hot path are built by Add and stay valid.
 	if s.sig == sigValid || u.sigReady(s, ctr) {
-		if ctr != nil {
-			ctr.Hits++
-		}
+		ctr.hit()
 		return u.bindingConsistent(s, ref)
 	}
 	return u.OracleConsistentWith(s, ref)
@@ -72,14 +67,10 @@ func (u *Universe) ConnectedWith(s *Set, ref relation.Ref) bool {
 
 // JCCWithTuple reports whether s ∪ {ref} is join consistent and
 // connected, assuming s is connected. This is the predicate of line 3
-// of GETNEXTRESULT (Fig 2).
-func (u *Universe) JCCWithTuple(s *Set, ref relation.Ref) bool {
-	return u.JCCWithTupleCounted(s, ref, nil)
-}
-
-// JCCWithTupleCounted is JCCWithTuple with signature instrumentation.
-func (u *Universe) JCCWithTupleCounted(s *Set, ref relation.Ref, ctr *SigCounters) bool {
-	return u.ConnectedWith(s, ref) && u.consistentWith(s, ref, ctr)
+// of GETNEXTRESULT (Fig 2). ctr, when non-nil, counts signature hits
+// and rebuilds.
+func (u *Universe) JCCWithTuple(s *Set, ref relation.Ref, ctr *SigCounters) bool {
+	return u.ConnectedWith(s, ref) && u.ConsistentWith(s, ref, ctr)
 }
 
 // Connected performs the full connectivity check of Section 2: the
@@ -127,18 +118,12 @@ func (u *Universe) JCC(s *Set) bool {
 //     relations (so the union of two connected subgraphs is connected).
 //
 // With valid signatures on both sides this is a single merge of the two
-// binding vectors plus a bitmask adjacency test.
-func (u *Universe) UnionJCC(a, b *Set) bool {
-	return u.UnionJCCCounted(a, b, nil)
-}
-
-// UnionJCCCounted is UnionJCC with signature instrumentation.
-func (u *Universe) UnionJCCCounted(a, b *Set, ctr *SigCounters) bool {
+// binding vectors plus a bitmask adjacency test. ctr, when non-nil,
+// counts signature hits and rebuilds.
+func (u *Universe) UnionJCC(a, b *Set, ctr *SigCounters) bool {
 	if (a.sig == sigValid || u.sigReady(a, ctr)) &&
 		(b.sig == sigValid || u.sigReady(b, ctr)) {
-		if ctr != nil {
-			ctr.Hits++
-		}
+		ctr.hit()
 		return u.UnionJCCValid(a, b)
 	}
 	return u.OracleUnionJCC(a, b)
@@ -269,14 +254,9 @@ func (u *Universe) UnionInto(dst, b *Set) {
 // discard it may hand it back with ReleaseSet. When s has a valid
 // signature and tb is consistent with the whole set (an O(arity)
 // binding probe), step 1 removes nothing and the answer is a single
-// bitset component walk.
-func (u *Universe) MaximalSubsetWith(s *Set, tb relation.Ref) *Set {
-	return u.MaximalSubsetWithCounted(s, tb, nil)
-}
-
-// MaximalSubsetWithCounted is MaximalSubsetWith with signature
-// instrumentation.
-func (u *Universe) MaximalSubsetWithCounted(s *Set, tb relation.Ref, ctr *SigCounters) *Set {
+// bitset component walk. ctr, when non-nil, counts signature hits and
+// rebuilds.
+func (u *Universe) MaximalSubsetWith(s *Set, tb relation.Ref, ctr *SigCounters) *Set {
 	out := u.NewSet()
 	u.MaximalSubsetInto(out, s, tb, ctr)
 	return out

@@ -108,10 +108,10 @@ func TestJCCTouristExamples(t *testing.T) {
 	if !u.JCC(c1s2) {
 		t.Error("{c1,s2} must be JCC")
 	}
-	if u.JCCWithTuple(c1s2, refs["a2"]) {
+	if u.JCCWithTuple(c1s2, refs["a2"], nil) {
 		t.Error("{c1,s2} must not join a2 (null City in s2)")
 	}
-	if u.ConsistentWith(c1s2, refs["a2"]) {
+	if u.ConsistentWith(c1s2, refs["a2"], nil) {
 		t.Error("a2 inconsistent with s2 on City")
 	}
 	// {c1, a2, s1} is the natural-join tuple set of Table 2.
@@ -121,7 +121,7 @@ func TestJCCTouristExamples(t *testing.T) {
 	}
 	// Two tuples of one relation are never a valid set.
 	bad := u.NewSet().Add(refs["c1"])
-	if u.ConsistentWith(bad, refs["c2"]) {
+	if u.ConsistentWith(bad, refs["c2"], nil) {
 		t.Error("c2 must be inconsistent with {c1} (same relation)")
 	}
 	// Empty set is not JCC and not connected.
@@ -154,7 +154,7 @@ func TestMaximalSubsetWithTouristTrace(t *testing.T) {
 		{"s2", "{c1, s2}"},
 	}
 	for _, c := range cases {
-		got := u.MaximalSubsetWith(T, refs[c.tb]).Format(db)
+		got := u.MaximalSubsetWith(T, refs[c.tb], nil).Format(db)
 		if got != c.want {
 			t.Errorf("MaximalSubsetWith(T, %s) = %s, want %s", c.tb, got, c.want)
 		}
@@ -178,12 +178,12 @@ func TestMaximalSubsetDropsDisconnected(t *testing.T) {
 	// tb = z1 conflicts with y0 on C and replaces z0; x0 stays connected
 	// through... nothing: y0 is dropped (inconsistent), so x0 must drop
 	// too (R0 not adjacent to R2).
-	got := u.MaximalSubsetWith(T, relation.Ref{Rel: 2, Idx: 1})
+	got := u.MaximalSubsetWith(T, relation.Ref{Rel: 2, Idx: 1}, nil)
 	if got.Format(db) != "{z1}" {
 		t.Errorf("got %s, want {z1}", got.Format(db))
 	}
 	// tb already a member: identity.
-	same := u.MaximalSubsetWith(T, relation.Ref{Rel: 1, Idx: 0})
+	same := u.MaximalSubsetWith(T, relation.Ref{Rel: 1, Idx: 0}, nil)
 	if !same.Equal(T) {
 		t.Errorf("got %s, want T itself", same.Format(db))
 	}
@@ -196,7 +196,7 @@ func TestUnionJCC(t *testing.T) {
 
 	a := u.FromRefs(refs["c1"], refs["a2"])
 	b := u.FromRefs(refs["c1"], refs["s1"])
-	if !u.UnionJCC(a, b) {
+	if !u.UnionJCC(a, b, nil) {
 		t.Error("{c1,a2} ∪ {c1,s1} must be JCC")
 	}
 	un := u.Union(a, b)
@@ -205,13 +205,13 @@ func TestUnionJCC(t *testing.T) {
 	}
 	// Conflicting members of one relation.
 	c := u.FromRefs(refs["c2"], refs["s3"])
-	if u.UnionJCC(a, c) {
+	if u.UnionJCC(a, c, nil) {
 		t.Error("sets with different Climates tuples must not merge")
 	}
 	// Join-inconsistent across sets: {c1,s2} (null City) with {a2}.
 	d := u.FromRefs(refs["c1"], refs["s2"])
 	e := u.FromRefs(refs["a2"], refs["c1"])
-	if u.UnionJCC(d, e) {
+	if u.UnionJCC(d, e, nil) {
 		t.Error("s2 and a2 are join inconsistent (null City)")
 	}
 }
@@ -245,7 +245,7 @@ func TestUnionJCCMatchesFullCheck(t *testing.T) {
 			s := u.NewSet()
 			// Random greedy growth.
 			db.ForEachRef(func(ref relation.Ref) bool {
-				if rng.Intn(2) == 0 && u.JCCWithTuple(s, ref) {
+				if rng.Intn(2) == 0 && u.JCCWithTuple(s, ref, nil) {
 					s.Add(ref)
 				}
 				return true
@@ -257,7 +257,7 @@ func TestUnionJCCMatchesFullCheck(t *testing.T) {
 	}
 	for trial := 0; trial < 300; trial++ {
 		a, b := randomJCC(), randomJCC()
-		got := u.UnionJCC(a, b)
+		got := u.UnionJCC(a, b, nil)
 		// Reference: build union unless relation conflict, then full JCC.
 		conflict := false
 		for r := 0; r < db.NumRelations(); r++ {
@@ -312,13 +312,13 @@ func TestMaximalSubsetProperties(t *testing.T) {
 		db.ForEachRef(func(ref relation.Ref) bool {
 			take := gi < len(grow) && grow[gi]
 			gi++
-			if take && !T.Has(ref) && u.JCCWithTuple(T, ref) {
+			if take && !T.Has(ref) && u.JCCWithTuple(T, ref, nil) {
 				T.Add(ref)
 			}
 			return true
 		})
 		tb := refAt(tbK)
-		tp := u.MaximalSubsetWith(T, tb)
+		tp := u.MaximalSubsetWith(T, tb, nil)
 		if !tp.Has(tb) {
 			return false
 		}
@@ -336,7 +336,7 @@ func TestMaximalSubsetProperties(t *testing.T) {
 			if tp.Has(ref) || tp.HasRelation(int(ref.Rel)) {
 				continue
 			}
-			if u.JCCWithTuple(tp, ref) {
+			if u.JCCWithTuple(tp, ref, nil) {
 				return false
 			}
 		}

@@ -117,7 +117,7 @@ func Open(ctx context.Context, db *Database, q Query) (Results, error) {
 	)
 	switch {
 	case n.Mode.ranked():
-		f, _ := RankByName(n.Rank) // resolved by Validate
+		f, _ := rankByName(n.Rank) // resolved by Validate
 		base, err = rank.NewCursor(ctx, db, p, f, opts)
 	case workers > 1:
 		base, err = core.NewParallelCursor(ctx, db, p, opts, workers)

@@ -367,7 +367,7 @@ func TestPropertySignatureOracles(t *testing.T) {
 				// valid signatures, the enumerator's steady state.
 				s := u.Singleton(randRef())
 				for tries := 0; tries < 8; tries++ {
-					if ref := randRef(); u.JCCWithTuple(s, ref) {
+					if ref := randRef(); u.JCCWithTuple(s, ref, nil) {
 						s.Add(ref)
 					}
 				}
@@ -396,11 +396,11 @@ func TestPropertySignatureOracles(t *testing.T) {
 			for _, s := range sets {
 				for trial := 0; trial < 12; trial++ {
 					ref := randRef()
-					if got, want := u.ConsistentWith(s, ref), u.OracleConsistentWith(s, ref); got != want {
+					if got, want := u.ConsistentWith(s, ref, nil), u.OracleConsistentWith(s, ref); got != want {
 						t.Fatalf("%s seed %d: ConsistentWith(%s, %v) = %v, oracle %v",
 							name, seed, s.Format(db), ref, got, want)
 					}
-					got := u.MaximalSubsetWith(s, ref)
+					got := u.MaximalSubsetWith(s, ref, nil)
 					want := u.OracleMaximalSubsetWith(s, ref)
 					if !got.Equal(want) {
 						t.Fatalf("%s seed %d: MaximalSubsetWith(%s, %v) = %s, oracle %s",
@@ -414,7 +414,7 @@ func TestPropertySignatureOracles(t *testing.T) {
 					if a.Empty() || b.Empty() {
 						continue
 					}
-					if got, want := u.UnionJCC(a, b), u.OracleUnionJCC(a, b); got != want {
+					if got, want := u.UnionJCC(a, b, nil), u.OracleUnionJCC(a, b); got != want {
 						t.Fatalf("%s seed %d: UnionJCC(%s, %s) = %v, oracle %v",
 							name, seed, a.Format(db), b.Format(db), got, want)
 					}

@@ -86,9 +86,9 @@ func (o QueryOptions) engine() core.Options {
 	return opts
 }
 
-// RankByName resolves a ranking-function name of a Query: "fmax",
+// rankByName resolves a ranking-function name of a Query: "fmax",
 // "pairsum" or "triple".
-func RankByName(name string) (RankFunc, error) {
+func rankByName(name string) (rank.Func, error) {
 	switch name {
 	case "fmax":
 		return rank.FMax{}, nil
@@ -101,9 +101,9 @@ func RankByName(name string) (RankFunc, error) {
 	}
 }
 
-// SimByName resolves a similarity name of a Query: "levenshtein"
+// simByName resolves a similarity name of a Query: "levenshtein"
 // (the default when empty) or "exact".
-func SimByName(name string) (Sim, error) {
+func simByName(name string) (approx.Sim, error) {
 	switch name {
 	case "", "levenshtein":
 		return approx.LevenshteinSim{}, nil
@@ -202,7 +202,7 @@ func (q Query) Validate() error {
 		return fmt.Errorf("fd: unknown query mode %q", q.Mode)
 	}
 	if q.Mode.ranked() {
-		if _, err := RankByName(q.Rank); err != nil {
+		if _, err := rankByName(q.Rank); err != nil {
 			return err
 		}
 	} else {
@@ -217,7 +217,7 @@ func (q Query) Validate() error {
 		if !(q.Tau > 0 && q.Tau <= 1) { // also refuses NaN
 			return fmt.Errorf("fd: approx threshold %v outside (0,1]", q.Tau)
 		}
-		if _, err := SimByName(q.Sim); err != nil {
+		if _, err := simByName(q.Sim); err != nil {
 			return err
 		}
 	} else {
@@ -292,7 +292,7 @@ func (f Family) Predicate() core.Predicate {
 	if f == (Family{}) {
 		return core.JCC
 	}
-	s, err := SimByName(f.Sim)
+	s, err := simByName(f.Sim)
 	if err != nil {
 		return nil
 	}

@@ -37,26 +37,24 @@ func FuzzRankedOpen(f *testing.F) {
 		cases := []struct {
 			mode fd.Mode
 			sim  string
+			s    approx.Sim
 			want map[string]int
 		}{
-			{fd.ModeRanked, "", countSets(naive.FullDisjunction(db))},
-			{fd.ModeApproxRanked, "exact", approxOracle(approx.ExactSim{})},
-			{fd.ModeApproxRanked, "levenshtein", approxOracle(approx.LevenshteinSim{})},
+			{fd.ModeRanked, "", nil, countSets(naive.FullDisjunction(db))},
+			{fd.ModeApproxRanked, "exact", approx.ExactSim{}, approxOracle(approx.ExactSim{})},
+			{fd.ModeApproxRanked, "levenshtein", approx.LevenshteinSim{}, approxOracle(approx.LevenshteinSim{})},
 		}
+		ranking := map[string]rank.Func{"fmax": rank.FMax{}, "pairsum": rank.PairSum()}
 		ctx := context.Background()
 		for _, c := range cases {
 			for _, rankName := range []string{"fmax", "pairsum"} {
-				f, err := fd.RankByName(rankName)
-				if err != nil {
-					t.Fatal(err)
-				}
+				f := ranking[rankName]
 				var ranks [3][]float64
 				for i, joinIndex := range []bool{false, true} {
 					opts := core.Options{UseIndex: true, UseJoinIndex: joinIndex}
 					p := core.JCC
 					if c.mode == fd.ModeApproxRanked {
-						sim, _ := fd.SimByName(c.sim)
-						p = qualify(t, &approx.Amin{S: sim}, tau)
+						p = qualify(t, &approx.Amin{S: c.s}, tau)
 					}
 					where := fmt.Sprintf("%s/%s%s join index %v", c.mode, rankName, c.sim, joinIndex)
 					rc, err := rank.NewCursor(ctx, db, p, f, opts)
