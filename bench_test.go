@@ -467,17 +467,5 @@ func BenchmarkObsOverhead(b *testing.B) {
 			}
 			_ = spans.Load()
 		})
-		// The introspected case attaches the full live-progress surface
-		// (delay tracker + progress counters, the fdserve session
-		// configuration): a few atomics and one clock read per result.
-		b.Run(fmt.Sprintf("introspected/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				q := base
-				q.Options.Delay = fd.NewDelay(0)
-				q.Options.Progress = &fd.Progress{}
-				drain(b, q)
-			}
-		})
 	}
 }

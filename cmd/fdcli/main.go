@@ -42,6 +42,7 @@ import (
 	"time"
 
 	fd "repro"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -185,10 +186,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	var prog *fd.Progress
+	// With -progress the drain loop below keeps prog current; without
+	// it the nil progress no-ops each call.
+	var prog *obs.Progress
 	if *progress {
-		prog = &fd.Progress{}
-		q.Options.Progress = prog
+		prog = &obs.Progress{}
+		if w := q.ParallelWorkers(); w > 1 {
+			// The parallel path runs the partitioned layout; count its
+			// tasks through the observer chain.
+			prog.SetTasksTotal(len(core.Layout(db, w)))
+			inner := q.Options.TaskObserver
+			q.Options.TaskObserver = func(ts fd.TaskSpan) {
+				prog.TaskDone()
+				if inner != nil {
+					inner(ts)
+				}
+			}
+		}
 		ticker := time.NewTicker(200 * time.Millisecond)
 		done := make(chan struct{})
 		defer func() {
@@ -209,12 +223,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 
+	prog.SetPhase(obs.PhaseOpen)
 	openSpan := tr.Root().Start("open")
 	rs, err := fd.Open(ctx, db, q)
 	if err != nil {
 		return err
 	}
 	defer rs.Close()
+	prog.SetPhase(obs.PhaseEnumerate)
 	openSpan.SetStats(rs.Stats().Map())
 	openSpan.End()
 	last := rs.Stats()
@@ -227,11 +243,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if !ok {
 			break
 		}
+		if prog != nil {
+			prog.AddEmitted(1)
+			prog.SetScanned(int64(rs.Stats().TuplesScanned))
+		}
 		results = append(results, r.Set)
 		if r.Ranked {
 			ranks = append(ranks, r.Rank)
 		}
 	}
+	prog.SetScanned(int64(rs.Stats().TuplesScanned))
+	prog.SetPhase(obs.PhaseDone)
 	if err := rs.Err(); err != nil {
 		return err
 	}
@@ -279,7 +301,7 @@ func printTable(w io.Writer, db *fd.Database, results []*fd.TupleSet, ranks []fl
 }
 
 // progressLine renders one -progress status line from a live snapshot.
-func progressLine(p *fd.Progress) string {
+func progressLine(p *obs.Progress) string {
 	d := p.Snapshot()
 	line := fmt.Sprintf("progress: phase=%s results=%d scanned=%d",
 		d.Phase, d.ResultsEmitted, d.TuplesScanned)

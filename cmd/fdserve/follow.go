@@ -38,9 +38,8 @@ import (
 // timeout (10 minutes); clients reconnect by opening a fresh follow
 // query — the base drain then serves from the patched result cache.
 func (s *server) handleFollow(w http.ResponseWriter, r *http.Request) {
-	q, ok := s.svc.Query(r.PathValue("id"))
+	q, ok := s.query(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown query %q", r.PathValue("id")))
 		return
 	}
 	if !q.IsFollow() {

@@ -391,11 +391,35 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return false
 }
 
-// writeOverloaded maps service.ErrOverloaded to 503 + Retry-After: the
-// request was shed unprocessed and the client should back off briefly.
-func writeOverloaded(w http.ResponseWriter, err error) {
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, err)
+// writeServiceError answers a failed service call with the status of
+// its error class: an unknown database or relation is 404, a name
+// already registered 409, a shed request 503 + Retry-After (it was not
+// processed; the client should back off briefly), a store failure 500
+// (the server's fault, not the client's), anything else 400.
+func writeServiceError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	switch {
+	case errors.Is(err, service.ErrUnknownDatabase), errors.Is(err, service.ErrUnknownRelation):
+		status = http.StatusNotFound
+	case errors.Is(err, service.ErrDatabaseExists):
+		status = http.StatusConflict
+	case errors.Is(err, service.ErrOverloaded):
+		w.Header().Set("Retry-After", "1")
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, service.ErrStorage):
+		status = http.StatusInternalServerError
+	}
+	writeError(w, status, err)
+}
+
+// query looks up the session the request's {id} names, answering 404
+// itself when there is none; the caller just returns on false.
+func (s *server) query(w http.ResponseWriter, r *http.Request) (*service.Query, bool) {
+	q, ok := s.svc.Query(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown query %q", r.PathValue("id")))
+	}
+	return q, ok
 }
 
 // --- request/response shapes -------------------------------------------
@@ -510,7 +534,7 @@ func (s *server) handleCreateDatabase(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.svc.AddDatabase(req.Name, db)
 	if err != nil {
-		writeError(w, http.StatusConflict, err)
+		writeServiceError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
@@ -626,17 +650,8 @@ func (s *server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Classify on the returned error, not the pre-check above: the
 		// database can be dropped between the schema lookup and the
-		// append, and a durable-log failure after retry exhaustion is
-		// the server's fault, not the client's.
-		switch {
-		case errors.Is(err, service.ErrUnknownDatabase),
-			errors.Is(err, service.ErrUnknownRelation):
-			writeError(w, http.StatusNotFound, err)
-		case errors.Is(err, service.ErrStorage):
-			writeError(w, http.StatusInternalServerError, err)
-		default:
-			writeError(w, http.StatusBadRequest, err)
-		}
+		// append.
+		writeServiceError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -644,14 +659,9 @@ func (s *server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleDropDatabase(w http.ResponseWriter, r *http.Request) {
 	if err := s.svc.DropDatabase(r.PathValue("name")); err != nil {
-		// An unknown name is the caller's mistake; anything else is an
-		// operational failure (e.g. the persisted files could not be
-		// deleted — the registration is then still intact).
-		if errors.Is(err, service.ErrUnknownDatabase) {
-			writeError(w, http.StatusNotFound, err)
-		} else {
-			writeError(w, http.StatusInternalServerError, err)
-		}
+		// A failed file deletion is a 500 that leaves the registration
+		// intact.
+		writeServiceError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -664,14 +674,7 @@ func (s *server) handleCreateQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	q, err := s.svc.StartQuery(s.ctx, req.Database, req.Query)
 	if err != nil {
-		switch {
-		case errors.Is(err, service.ErrUnknownDatabase):
-			writeError(w, http.StatusNotFound, err)
-		case errors.Is(err, service.ErrOverloaded):
-			writeOverloaded(w, err)
-		default:
-			writeError(w, http.StatusBadRequest, err)
-		}
+		writeServiceError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, createQueryResponse{ID: q.ID(), Cached: q.FromCache()})
@@ -689,11 +692,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := s.svc.Explain(req.Database, req.Query)
 	if err != nil {
-		if errors.Is(err, service.ErrUnknownDatabase) {
-			writeError(w, http.StatusNotFound, err)
-		} else {
-			writeError(w, http.StatusBadRequest, err)
-		}
+		writeServiceError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
@@ -704,9 +703,8 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // It reads atomics only — a progress poll never waits on the page
 // currently computing.
 func (s *server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	q, ok := s.svc.Query(r.PathValue("id"))
+	q, ok := s.query(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown query %q", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, q.Progress())
@@ -717,9 +715,8 @@ func (s *server) handleProgress(w http.ResponseWriter, r *http.Request) {
 var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 func (s *server) handleNext(w http.ResponseWriter, r *http.Request) {
-	q, ok := s.svc.Query(r.PathValue("id"))
+	q, ok := s.query(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown query %q", r.PathValue("id")))
 		return
 	}
 	k := 10
@@ -736,7 +733,7 @@ func (s *server) handleNext(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, service.ErrOverloaded) {
 			// Shed, not dead: the session is untouched and the identical
 			// Next may be retried.
-			writeOverloaded(w, err)
+			writeServiceError(w, err)
 			return
 		}
 		writeError(w, http.StatusGone, err)
@@ -773,9 +770,8 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleDeleteQuery(w http.ResponseWriter, r *http.Request) {
-	q, ok := s.svc.Query(r.PathValue("id"))
+	q, ok := s.query(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown query %q", r.PathValue("id")))
 		return
 	}
 	q.Close()

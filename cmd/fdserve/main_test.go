@@ -269,6 +269,8 @@ func TestServeErrors(t *testing.T) {
 	ts, _ := startServer(t)
 
 	call(t, "POST", ts.URL+"/databases", map[string]any{"name": "x"}, http.StatusBadRequest, nil)
+	call(t, "POST", ts.URL+"/databases", map[string]any{"name": "", "workload": chainSpec},
+		http.StatusBadRequest, nil)
 	call(t, "POST", ts.URL+"/databases",
 		map[string]any{"name": "x", "workload": map[string]any{"kind": "nope"}},
 		http.StatusBadRequest, nil)

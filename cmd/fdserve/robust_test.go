@@ -17,6 +17,8 @@ import (
 
 	fd "repro"
 	"repro/internal/service"
+	"repro/internal/store"
+	"repro/internal/store/faultfs"
 )
 
 // rawCall posts a raw (possibly invalid) body and returns the response.
@@ -241,5 +243,40 @@ func TestOverloadSheds503(t *testing.T) {
 	resp := rawCall(t, "GET", ts.URL+"/queries/"+ids[0]+"/next?k=4", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("Next after load: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestStorageFaultAnswers500: a registration whose snapshot save keeps
+// failing is the server's fault — 500, not 409 — and the name stays
+// unregistered; a drop whose file deletion fails is a 500 too.
+func TestStorageFaultAnswers500(t *testing.T) {
+	fsys := faultfs.New()
+	st, err := store.OpenFS("data", fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service.New(service.Config{Store: st,
+		Sleep: func(time.Duration) { fsys.ArmAfter(1, faultfs.FailOp) }})
+	ts := httptest.NewServer(newMux(context.Background(), svc))
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Close()
+	})
+	create := map[string]any{"name": "w", "workload": chainSpec}
+
+	fsys.ArmAfter(1, faultfs.FailOp)
+	call(t, "POST", ts.URL+"/databases", create, http.StatusInternalServerError, nil)
+	var list listDatabasesResponse
+	call(t, "GET", ts.URL+"/databases", nil, http.StatusOK, &list)
+	if len(list.Databases) != 0 {
+		t.Fatalf("a failed registration is listed: %+v", list.Databases)
+	}
+
+	call(t, "POST", ts.URL+"/databases", create, http.StatusCreated, nil)
+	fsys.ArmAfter(1, faultfs.FailOp)
+	call(t, "DELETE", ts.URL+"/databases/w", nil, http.StatusInternalServerError, nil)
+	call(t, "GET", ts.URL+"/databases", nil, http.StatusOK, &list)
+	if len(list.Databases) != 1 {
+		t.Fatalf("a failed drop unregistered the database: %+v", list.Databases)
 	}
 }

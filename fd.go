@@ -49,7 +49,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/tupleset"
 )
@@ -90,23 +89,7 @@ type (
 	// TaskObserver receives a TaskSpan per finished parallel task; set
 	// it via QueryOptions.TaskObserver to trace parallel execution.
 	TaskObserver = core.TaskObserver
-	// Delay tracks inter-result gaps — the measured form of the paper's
-	// polynomial-delay guarantee. Attach one via QueryOptions.Delay and
-	// snapshot it any time (see NewDelay).
-	Delay = obs.Delay
-	// DelaySummary is a point-in-time view of a Delay tracker.
-	DelaySummary = obs.DelaySummary
-	// Progress holds the atomic live counters of a running enumeration.
-	// Attach one via QueryOptions.Progress and snapshot it mid-flight
-	// from any goroutine.
-	Progress = obs.Progress
-	// ProgressData is a point-in-time view of a Progress.
-	ProgressData = obs.ProgressData
 )
-
-// NewDelay creates a delay tracker keeping the last ring inter-result
-// gaps (≤0 selects a default window).
-func NewDelay(ring int) *Delay { return obs.NewDelay(ring) }
 
 // Null is the null value ⊥.
 var Null = relation.Null

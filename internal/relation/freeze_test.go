@@ -1,6 +1,8 @@
 package relation_test
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -66,5 +68,33 @@ func TestFreezeImpliedByQuery(t *testing.T) {
 	db.JoinConsistent(relation.Ref{Rel: 0, Idx: 0}, relation.Ref{Rel: 1, Idx: 0})
 	if !db.Frozen() {
 		t.Fatal("first query did not freeze the database")
+	}
+}
+
+// TestMutateTupleChecks: a mutation that leaves the tuple failing
+// CheckTuple (here a NaN importance, with a value edited in the same
+// call) panics with the check's message and leaves the tuple as it was.
+func TestMutateTupleChecks(t *testing.T) {
+	db := freezeDB(t)
+	rel := db.Relation(0)
+	before := *rel.Tuple(0)
+	before.Values = append([]relation.Value(nil), before.Values...)
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("MutateTuple to a NaN importance did not panic")
+			}
+			if !strings.Contains(r.(string), "importance") {
+				t.Fatalf("unexpected panic: %v", r)
+			}
+		}()
+		rel.MutateTuple(0, func(tp *relation.Tuple) {
+			tp.Values[0] = relation.V("changed")
+			tp.Imp = math.NaN()
+		})
+	}()
+	if got := *rel.Tuple(0); !reflect.DeepEqual(got, before) {
+		t.Fatalf("failed mutation left tuple %+v, want %+v", got, before)
 	}
 }

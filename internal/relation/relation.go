@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -108,14 +109,22 @@ func (r *Relation) freeze() {
 // a write through a retained *Tuple would be silently ignored by every
 // predicate. The freeze check and the write happen under one lock, so
 // a mutation racing the first query either lands before the mirror is
-// encoded or panics.
+// encoded or panics. A mutation that leaves the tuple failing
+// CheckTuple is undone, Values included, and panics with the check's
+// message.
 func (r *Relation) MutateTuple(i int, fn func(*Tuple)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.frozen {
 		panic(fmt.Sprintf("relation %s: tuple mutation after the database froze", r.name))
 	}
+	old := r.tuples[i]
+	old.Values = slices.Clone(old.Values)
 	fn(&r.tuples[i])
+	if err := r.CheckTuple(&r.tuples[i]); err != nil {
+		r.tuples[i] = old
+		panic(fmt.Sprintf("relation %s: tuple %d: %v", r.name, i, err))
+	}
 }
 
 // Append adds a tuple given as an attribute→value map. Attributes

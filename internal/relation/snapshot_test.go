@@ -154,13 +154,13 @@ func TestReadSnapshotFingerprint(t *testing.T) {
 }
 
 // TestSnapshotRefusesNonFiniteImp writes a snapshot whose imps column
-// holds a NaN or an infinity (the writer does not check; the tuple is
-// mutated before the database freezes) and checks that it fails to
-// load with an error naming the tuple.
+// holds a NaN or an infinity (the writer does not check; the field is
+// written directly, past MutateTuple's check) and checks that it fails
+// to load with an error naming the tuple.
 func TestSnapshotRefusesNonFiniteImp(t *testing.T) {
 	for _, imp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		db := snapshotTestDatabase(t)
-		db.Relation(1).MutateTuple(1, func(tp *Tuple) { tp.Imp = imp })
+		db.Relation(1).tuples[1].Imp = imp
 		_, err := ReadSnapshot(bytes.NewReader(writeSnapshotBytes(t, db)))
 		if err == nil || !strings.Contains(err.Error(), "tuple 1") || !strings.Contains(err.Error(), "importance") {
 			t.Errorf("imp %v: ReadSnapshot = %v, want an importance error naming tuple 1", imp, err)

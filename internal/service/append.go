@@ -17,10 +17,11 @@ import (
 // ErrUnknownDatabase.
 var ErrUnknownRelation = errors.New("unknown relation")
 
-// ErrStorage marks appends whose durable log write failed after retry
-// exhaustion: the rows were NOT applied (memory and disk still agree),
-// but the failure is operational, not the client's — front ends turn
-// it into 500 rather than 400.
+// ErrStorage marks registrations, appends and drops whose store
+// operation failed (after retry exhaustion, where retried): the change
+// was NOT applied (memory and disk still agree), but the failure is
+// operational, not the client's — front ends turn it into 500 rather
+// than 400.
 var ErrStorage = errors.New("storage failure")
 
 // maintainedFamily reports the predicate family whose append deltas

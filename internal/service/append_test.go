@@ -228,9 +228,8 @@ func TestAppendErrorClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc2 := New(Config{
-		Store:        st,
-		RetryBackoff: time.Millisecond,
-		Sleep:        func(time.Duration) { fsys.ArmAfter(1, faultfs.FailOp) },
+		Store: st,
+		Sleep: func(time.Duration) { fsys.ArmAfter(1, faultfs.FailOp) },
 	})
 	defer svc2.Close()
 	db2 := testDB(t, "chain", 9)

@@ -6,10 +6,13 @@ import (
 	"errors"
 	"log/slog"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	fd "repro"
+	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 // TestDelaySLOBreach proves the watchdog path: a 1ns SLO makes every
@@ -219,5 +222,155 @@ func TestSessionProgress(t *testing.T) {
 	}
 	if got := q2.Progress().Phase; got != "done" {
 		t.Errorf("drained cached session phase %q, want done", got)
+	}
+}
+
+// TestSessionDelaySumsToWallTime is the delay-tracker property: the
+// inter-result gaps a drained session observes telescope — one gap per
+// result, summing to at most the wall time from StartQuery to the last
+// page. Checked for each cursor family a session can page.
+func TestSessionDelaySumsToWallTime(t *testing.T) {
+	chain := testDB(t, "chain", 41)
+	dirty, err := workload.DirtyChain(workload.DirtyConfig{
+		Config:    workload.Config{Relations: 3, TuplesPerRelation: 8, Domain: 3, Seed: 23},
+		ErrorRate: 0.3, MaxEdits: 2, MinProb: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{CacheCapacity: -1, EngineWorkers: 4})
+	defer svc.Close()
+	for name, db := range map[string]*relation.Database{"chain": chain, "dirty": dirty} {
+		if _, err := svc.AddDatabase(name, db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name, db string
+		q        fd.Query
+	}{
+		{"exact", "chain", fd.Query{Mode: fd.ModeExact, Options: fd.QueryOptions{Workers: 1}}},
+		{"exact-parallel", "chain", fd.Query{Mode: fd.ModeExact, Options: fd.QueryOptions{Workers: 4}}},
+		{"ranked", "chain", fd.Query{Mode: fd.ModeRanked, Rank: "fmax", K: 20}},
+		{"approx", "dirty", fd.Query{Mode: fd.ModeApprox, Tau: 0.6, Options: fd.QueryOptions{Workers: 1}}},
+		{"approx-ranked", "dirty", fd.Query{Mode: fd.ModeApproxRanked, Tau: 0.6, Rank: "fmax", K: 10}},
+	}
+	for _, c := range cases {
+		start := time.Now()
+		q, err := svc.StartQuery(context.Background(), c.db, c.q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		results := len(drain(t, q, 3))
+		wall := time.Since(start)
+		if results == 0 {
+			t.Fatalf("%s: no results to observe", c.name)
+		}
+		s := q.Progress().Delay
+		if s.Count != int64(results) {
+			t.Errorf("%s: %d delay observations for %d results", c.name, s.Count, results)
+		}
+		// The gaps are anchored at Open's return, so their sum can never
+		// exceed the StartQuery-to-drain wall time.
+		wallMs := float64(wall.Microseconds()) / 1e3
+		if s.SumMillis > wallMs+1 {
+			t.Errorf("%s: delay sum %.3fms exceeds wall time %.3fms", c.name, s.SumMillis, wallMs)
+		}
+		if s.SumMillis < 0 || s.MaxMillis > wallMs+1 {
+			t.Errorf("%s: implausible summary %+v for wall %.3fms", c.name, s, wallMs)
+		}
+	}
+}
+
+// TestSessionProgressConcurrentWithNext: progress reports taken
+// concurrently with the paging loop are race-free and monotone, and
+// the final report accounts for every result served and every
+// partitioned task of the plan.
+func TestSessionProgressConcurrentWithNext(t *testing.T) {
+	db := testDB(t, "chain", 41)
+	for _, workers := range []int{1, 4} {
+		svc := New(Config{CacheCapacity: -1, EngineWorkers: workers})
+		defer svc.Close()
+		if _, err := svc.AddDatabase("w", db); err != nil {
+			t.Fatal(err)
+		}
+		spec := fd.Query{Mode: fd.ModeExact, Options: fd.QueryOptions{Workers: workers}}
+		plan, err := fd.Explain(db, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := svc.StartQuery(context.Background(), "w", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var lastEmitted, lastTasks int64
+			for {
+				s := q.Progress()
+				if s.ResultsEmitted < lastEmitted || s.TasksDone < lastTasks {
+					t.Errorf("workers=%d: progress went backwards: %+v after emitted=%d tasks=%d",
+						workers, s, lastEmitted, lastTasks)
+					return
+				}
+				lastEmitted, lastTasks = s.ResultsEmitted, s.TasksDone
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+		results := len(drain(t, q, 3))
+		close(stop)
+		wg.Wait()
+
+		s := q.Progress()
+		if s.Phase != "done" {
+			t.Errorf("workers=%d: final phase %q, want done", workers, s.Phase)
+		}
+		if s.ResultsEmitted != int64(results) || q.Served() != results {
+			t.Errorf("workers=%d: ResultsEmitted=%d Served=%d, %d results paged",
+				workers, s.ResultsEmitted, q.Served(), results)
+		}
+		if s.TuplesScanned == 0 {
+			t.Errorf("workers=%d: TuplesScanned stayed zero", workers)
+		}
+		if workers > 1 {
+			if s.TasksTotal != int64(len(plan.Strategy.Tasks)) || s.TasksDone != s.TasksTotal {
+				t.Errorf("workers=%d: tasks %d/%d, plan promised %d",
+					workers, s.TasksDone, s.TasksTotal, len(plan.Strategy.Tasks))
+			}
+		} else if s.TasksTotal != 0 {
+			t.Errorf("workers=1: TasksTotal=%d for an unpartitioned run", s.TasksTotal)
+		}
+	}
+}
+
+// TestSessionProgressEarlyClose: a session closed before exhaustion
+// still reaches the done phase, so pollers never hang on "enumerate".
+func TestSessionProgressEarlyClose(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	if _, err := svc.AddDatabase("w", testDB(t, "chain", 41)); err != nil {
+		t.Fatal(err)
+	}
+	q, err := svc.StartQuery(context.Background(), "w", fd.Query{Mode: fd.ModeExact,
+		Options: fd.QueryOptions{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if page, _, err := q.Next(1); err != nil || len(page) != 1 {
+		t.Fatalf("first page: %d results, err %v", len(page), err)
+	}
+	if got := q.Progress().Phase; got != "enumerate" {
+		t.Fatalf("mid-drain phase %q, want enumerate", got)
+	}
+	q.Close()
+	if got := q.Progress().Phase; got != "done" {
+		t.Errorf("post-Close phase %q, want done", got)
 	}
 }

@@ -101,9 +101,8 @@ func TestAppendRowsRetriesTransientFaults(t *testing.T) {
 	}
 	var slept []time.Duration
 	svc := New(Config{
-		Store:        st,
-		RetryBackoff: 7 * time.Millisecond,
-		Sleep:        func(d time.Duration) { slept = append(slept, d) },
+		Store: st,
+		Sleep: func(d time.Duration) { slept = append(slept, d) },
 	})
 	defer svc.Close()
 	db := testDB(t, "chain", 1)
@@ -128,8 +127,8 @@ func TestAppendRowsRetriesTransientFaults(t *testing.T) {
 	if got := svc.Stats().StoreRetries; got != 1 {
 		t.Fatalf("StoreRetries = %d, want 1", got)
 	}
-	if len(slept) != 1 || slept[0] != 7*time.Millisecond {
-		t.Fatalf("backoff sleeps = %v, want [7ms]", slept)
+	if len(slept) != 1 || slept[0] != 10*time.Millisecond {
+		t.Fatalf("backoff sleeps = %v, want [10ms]", slept)
 	}
 
 	// A persistent fault: re-arm inside Sleep so every attempt fails on
@@ -145,8 +144,8 @@ func TestAppendRowsRetriesTransientFaults(t *testing.T) {
 	if _, err := svc.AppendRows("d", relName, appendBatch(db, "r2")); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("AppendRows under persistent faults: err = %v, want ErrInjected", err)
 	}
-	if len(slept) != 2 || slept[0] != 7*time.Millisecond || slept[1] != 14*time.Millisecond {
-		t.Fatalf("backoff sleeps = %v, want [7ms 14ms]", slept)
+	if len(slept) != 2 || slept[0] != 10*time.Millisecond || slept[1] != 20*time.Millisecond {
+		t.Fatalf("backoff sleeps = %v, want [10ms 20ms]", slept)
 	}
 	if got := svc.Stats().StoreRetries; got != 3 {
 		t.Fatalf("StoreRetries = %d, want 3 (1 + 2 from the failed append)", got)
@@ -256,5 +255,46 @@ func TestNoGoroutineLeakUnderFaults(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestStorageFaultRegistration: a snapshot save that keeps failing
+// surfaces wrapped in ErrStorage (root cause kept) and leaves the name
+// unregistered; a failing snapshot delete surfaces the same way and
+// keeps the registration.
+func TestStorageFaultRegistration(t *testing.T) {
+	fsys := faultfs.New()
+	st, err := store.OpenFS("data", fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{Store: st, Sleep: func(time.Duration) { fsys.ArmAfter(1, faultfs.FailOp) }})
+	defer svc.Close()
+	db := testDB(t, "chain", 3)
+
+	fsys.ArmAfter(1, faultfs.FailOp)
+	_, err = svc.AddDatabase("w", db)
+	if !errors.Is(err, ErrStorage) || !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("AddDatabase under persistent faults: err = %v, want ErrStorage wrapping ErrInjected", err)
+	}
+	if _, ok := svc.Database("w"); ok {
+		t.Fatal("a failed registration left the name registered")
+	}
+
+	// The name stayed free: with the disk healthy the registration
+	// lands, and a second one is a conflict, not a storage failure.
+	if _, err := svc.AddDatabase("w", db); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.AddDatabase("w", db); !errors.Is(err, ErrDatabaseExists) || errors.Is(err, ErrStorage) {
+		t.Fatalf("duplicate registration: err = %v, want ErrDatabaseExists", err)
+	}
+
+	fsys.ArmAfter(1, faultfs.FailOp)
+	if err := svc.DropDatabase("w"); !errors.Is(err, ErrStorage) {
+		t.Fatalf("DropDatabase under a fault: err = %v, want ErrStorage", err)
+	}
+	if _, ok := svc.Database("w"); !ok {
+		t.Fatal("a failed drop unregistered the database")
 	}
 }

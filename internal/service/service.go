@@ -80,15 +80,6 @@ type Config struct {
 	// front end turns it into 503 + Retry-After). 0 waits forever —
 	// the pre-timeout behaviour; negative sheds immediately.
 	AdmissionTimeout time.Duration
-	// RetryAttempts is the total number of tries a transient store
-	// failure gets during persistence (AddDatabase, AppendRows, the
-	// recovery compaction); 0 selects 3, negative disables retrying.
-	// Permanent failures — fingerprint mismatch, missing files — are
-	// never retried.
-	RetryAttempts int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// attempt and capped at 8× the base; 0 selects 10ms.
-	RetryBackoff time.Duration
 	// Now supplies the clock, for tests; nil selects time.Now.
 	Now func() time.Time
 	// Sleep suspends between retries, for tests; nil selects time.Sleep.
@@ -133,15 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPageSize <= 0 {
 		c.MaxPageSize = 1024
-	}
-	if c.RetryAttempts == 0 {
-		c.RetryAttempts = 3
-	}
-	if c.RetryAttempts < 0 {
-		c.RetryAttempts = 1
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 10 * time.Millisecond
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -205,6 +187,10 @@ type QuarantineInfo struct {
 // front ends use it to tell "no such database" (404) apart from an
 // operational failure.
 var ErrUnknownDatabase = errors.New("unknown database")
+
+// ErrDatabaseExists marks registrations under a name that is already
+// registered; front ends turn it into 409.
+var ErrDatabaseExists = errors.New("database already registered")
 
 // ErrOverloaded marks requests shed because every worker slot stayed
 // busy for the whole AdmissionTimeout; front ends turn it into 503 +
@@ -331,23 +317,31 @@ func (s *Service) shed() error {
 
 func (s *Service) release() { <-s.sem }
 
-// retryStore runs one persistence operation with capped exponential
-// backoff: transient failures (a flaky disk, a full-but-recovering
-// volume) get up to RetryAttempts tries, while permanent failures —
-// a snapshot fingerprint mismatch, files that no longer exist — fail
-// immediately, since retrying cannot change them.
+// Store retry policy: a transient failure gets retryAttempts tries in
+// all, the first retry after retryBackoff, doubling per retry up to 8×.
+const (
+	retryAttempts = 3
+	retryBackoff  = 10 * time.Millisecond
+)
+
+// retryStore runs one persistence operation (AddDatabase, AppendRows,
+// the recovery compaction) with capped exponential backoff: transient
+// failures (a flaky disk, a full-but-recovering volume) are retried,
+// while permanent failures — a snapshot fingerprint mismatch, files
+// that no longer exist — fail immediately, since retrying cannot
+// change them.
 func (s *Service) retryStore(op func() error) error {
-	backoff := s.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 1; ; attempt++ {
 		err := op()
-		if err == nil || attempt >= s.cfg.RetryAttempts || !retryable(err) {
+		if err == nil || attempt >= retryAttempts || !retryable(err) {
 			return err
 		}
 		s.met.storeRetries.Inc()
 		s.cfg.Logger.Warn("retrying store operation",
 			"attempt", attempt, "backoff", backoff, "error", err)
 		s.cfg.Sleep(backoff)
-		if backoff < s.cfg.RetryBackoff<<3 {
+		if backoff < retryBackoff<<3 {
 			backoff *= 2
 		}
 	}
@@ -401,7 +395,7 @@ func (s *Service) addDatabase(name string, db *relation.Database, persist bool) 
 			return fmt.Errorf("service: closed")
 		}
 		if _, ok := s.dbs[name]; ok {
-			return fmt.Errorf("service: database %q already registered", name)
+			return fmt.Errorf("service: %w: %q", ErrDatabaseExists, name)
 		}
 		return nil
 	}
@@ -427,7 +421,7 @@ func (s *Service) addDatabase(name string, db *relation.Database, persist bool) 
 			s.mu.Lock()
 			delete(s.dbs, name)
 			s.mu.Unlock()
-			return DatabaseInfo{}, fmt.Errorf("service: persisting database %q: %w", name, err)
+			return DatabaseInfo{}, fmt.Errorf("service: persisting database %q: %w: %w", name, ErrStorage, err)
 		}
 	}
 	return databaseInfo(name, db), nil
@@ -450,7 +444,7 @@ func (s *Service) DropDatabase(name string) error {
 	s.mu.Unlock()
 	if s.cfg.Store != nil {
 		if err := s.cfg.Store.Delete(name); err != nil {
-			return err
+			return fmt.Errorf("service: deleting database %q: %w: %w", name, ErrStorage, err)
 		}
 	}
 	s.mu.Lock()
@@ -694,8 +688,10 @@ func (s *Service) StartQuery(ctx context.Context, dbName string, spec fd.Query) 
 	// Parallel tasks report completion spans from worker goroutines;
 	// attach them under the page span being computed (or the root, for
 	// tasks outliving their page) without taking the session lock —
-	// Close holds it while waiting for those very workers.
+	// Close holds it while waiting for those very workers. Each finished
+	// task also counts in the session's progress.
 	run.Options.TaskObserver = func(ts fd.TaskSpan) {
+		q.progress.TaskDone()
 		sp := q.pageSpan.Load()
 		if sp == nil {
 			sp = q.trace.Root()
@@ -703,10 +699,6 @@ func (s *Service) StartQuery(ctx context.Context, dbName string, spec fd.Query) 
 		sp.Record("task", ts.Start, ts.End.Sub(ts.Start), ts.Stats.Map(),
 			"label", ts.Label)
 	}
-	// Live introspection: fd.Open keeps the progress counters current
-	// and routes every inter-result gap through the delay tracker (whose
-	// sink feeds the metrics histogram and the SLO watchdog).
-	run.Options.Progress, run.Options.Delay = q.progress, q.delay
 
 	adStart := s.cfg.Now()
 	if err := s.acquire(); err != nil {
@@ -715,6 +707,11 @@ func (s *Service) StartQuery(ctx context.Context, dbName string, spec fd.Query) 
 		return nil, err
 	}
 	q.trace.Root().Record("admission", adStart, s.cfg.Now().Sub(adStart), nil)
+	q.progress.SetPhase(obs.PhaseOpen)
+	if grantedWorkers > 1 {
+		// The parallel path runs the partitioned layout.
+		q.progress.SetTasksTotal(len(core.Layout(entry.db, grantedWorkers)))
+	}
 	oStart := s.cfg.Now()
 	cur, err := fd.Open(qctx, entry.db, run)
 	s.release()
@@ -723,6 +720,10 @@ func (s *Service) StartQuery(ctx context.Context, dbName string, spec fd.Query) 
 		cancel()
 		return nil, err
 	}
+	// The first delay gap starts at Open's return: it measures the wait
+	// for the first result, the lead term of the delay guarantee.
+	q.lastResult = time.Now()
+	q.progress.SetPhase(obs.PhaseEnumerate)
 	// The open span carries the cursor's construction-time counters
 	// (ranked modes pay their preprocessing inside Open); page spans
 	// then carry telescoping deltas, so the trace's span stats sum to
@@ -909,11 +910,13 @@ type Query struct {
 	// the session lock — shut holds it while Close waits for those
 	// very workers.
 	pageSpan atomic.Pointer[obs.Span]
-	// progress and delay are the session's live-introspection trackers:
-	// progress carries the atomic counters GET /queries/{id}/progress
-	// reads mid-flight, delay the inter-result gaps feeding
-	// fd_result_delay_seconds and the delay-SLO watchdog. Both are set
-	// once at StartQuery, before the session is published.
+	// progress and delay are the session's live-introspection trackers,
+	// written by StartQuery and the page loop of Next: progress carries
+	// the atomic counters GET /queries/{id}/progress reads mid-flight
+	// (its emitted count is the number of results served), delay the
+	// inter-result gaps feeding fd_result_delay_seconds and the
+	// delay-SLO watchdog. Both are set once at StartQuery, before the
+	// session is published.
 	progress *obs.Progress
 	delay    *obs.Delay
 	// delayHist and results are the pre-resolved fd_result_delay_seconds
@@ -944,9 +947,11 @@ type Query struct {
 	// carry the telescoping difference from it, so the trace's span
 	// stats sum to the final counters.
 	lastStats fd.Stats
-	served    int
-	done      bool
-	closed    bool
+	// lastResult is when the previous result was produced (Open's
+	// return before the first), the start of the next delay gap.
+	lastResult time.Time
+	done       bool
+	closed     bool
 }
 
 // mode names the session's evaluation mode for metric labels (the
@@ -985,6 +990,7 @@ func (q *Query) end(span *obs.Span) {
 		// clears only after the Close).
 		q.cur.Close()
 		stats := q.cur.Stats()
+		q.progress.SetScanned(int64(stats.TuplesScanned))
 		q.pageSpan.Store(nil)
 		span.SetStats(stats.Sub(q.lastStats).Map())
 		span.End()
@@ -1015,7 +1021,7 @@ func (q *Query) logSlow() {
 	q.svc.met.slowQueries.Inc()
 	q.svc.cfg.Logger.Warn("slow query",
 		"id", q.id, "db", q.dbName, "mode", q.mode(),
-		"duration", dur, "served", q.served,
+		"duration", dur, "served", q.Served(),
 		"delay_max_ms", d.MaxMillis, "delay_p99_ms", d.P99Millis,
 		"trace", q.trace.Snapshot().Summary())
 }
@@ -1097,11 +1103,7 @@ func (q *Query) FromCache() bool { return q.fromCache }
 func (q *Query) Trace() *obs.TraceData { return q.trace.Snapshot() }
 
 // Served returns how many results the session has handed out.
-func (q *Query) Served() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.served
-}
+func (q *Query) Served() int { return int(q.progress.Snapshot().ResultsEmitted) }
 
 func (q *Query) touch(now time.Time) { q.lastUsed.Store(now.UnixNano()) }
 
@@ -1128,14 +1130,11 @@ func (q *Query) Next(k int) ([]Result, bool, error) {
 
 	if q.fromCache {
 		pStart := q.svc.cfg.Now()
-		end := q.served + k
-		if end > len(q.cached) {
-			end = len(q.cached)
-		}
-		out := q.cached[q.served:end]
-		q.served = end
+		served := q.Served()
+		end := min(served+k, len(q.cached))
+		out := q.cached[served:end]
 		q.progress.AddEmitted(int64(len(out)))
-		done := q.served == len(q.cached)
+		done := end == len(q.cached)
 		if done && !q.done {
 			// No cursor holds the derived context, but its cancel func
 			// stays registered on the parent until called — end releases
@@ -1174,6 +1173,11 @@ func (q *Query) Next(k int) ([]Result, bool, error) {
 		if !ok {
 			break
 		}
+		now := time.Now()
+		q.delay.Observe(now.Sub(q.lastResult))
+		q.lastResult = now
+		q.progress.AddEmitted(1)
+		q.progress.SetScanned(int64(q.cur.Stats().TuplesScanned))
 		out = append(out, r)
 		if !q.uncacheable {
 			q.gathered = append(q.gathered, r)
@@ -1186,7 +1190,6 @@ func (q *Query) Next(k int) ([]Result, bool, error) {
 		}
 	}
 	q.svc.release()
-	q.served += len(out)
 
 	if len(out) == k {
 		stats := q.cur.Stats()

@@ -3,10 +3,8 @@ package fd
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/rank"
 )
 
@@ -15,7 +13,7 @@ import (
 type Result = core.Result
 
 // Every engine cursor is a Results as it stands; Open wraps one only
-// for the K/RankTau bounds and the progress/delay observer.
+// for the K/RankTau bounds.
 var (
 	_ Results = (*core.Cursor)(nil)
 	_ Results = (*core.ParallelCursor)(nil)
@@ -90,24 +88,6 @@ func Open(ctx context.Context, db *Database, q Query) (Results, error) {
 	// QueryOptions.Workers).
 	workers := q.ParallelWorkers()
 
-	prog, delay := q.Options.Progress, q.Options.Delay
-	if prog != nil {
-		prog.SetPhase(obs.PhaseOpen)
-		if workers > 1 {
-			// The parallel paths run the partitioned layout; publish its
-			// task count and count completions through the observer chain
-			// (one atomic add per finished task).
-			prog.SetTasksTotal(len(core.Layout(db, workers)))
-			inner := opts.TaskObserver
-			opts.TaskObserver = func(ts TaskSpan) {
-				prog.TaskDone()
-				if inner != nil {
-					inner(ts)
-				}
-			}
-		}
-	}
-
 	// The query's family picks the join predicate, its mode whether
 	// results are ranked.
 	var (
@@ -130,11 +110,6 @@ func Open(ctx context.Context, db *Database, q Query) (Results, error) {
 
 	if n.K > 0 || n.RankTau > 0 {
 		base = &boundedResults{Results: base, remaining: n.K, rankTau: n.RankTau}
-	}
-	if prog != nil || delay != nil {
-		// Outermost wrapper: the observed sequence is exactly what the
-		// caller receives, after the K/RankTau bounds.
-		base = newObservedResults(base, prog, delay)
 	}
 	return base, nil
 }
@@ -179,59 +154,4 @@ func (b *boundedResults) Next() (Result, bool) {
 func (b *boundedResults) stop() {
 	b.done = true
 	b.Results.Close()
-}
-
-// observedResults layers live introspection over a cursor: it records
-// the inter-result gap of every Next into a Delay tracker and keeps a
-// Progress current (results emitted, tuples scanned, phase). Open adds
-// it only when a tracker is attached, so the uninstrumented path pays
-// nothing; instrumented, the per-result cost is one clock read, one
-// Stats snapshot and a few atomic stores — never per scanned tuple.
-type observedResults struct {
-	Results
-	prog  *obs.Progress
-	delay *obs.Delay
-	last  time.Time
-	done  bool
-}
-
-func newObservedResults(base Results, prog *obs.Progress, delay *obs.Delay) *observedResults {
-	// The first gap is anchored here, at Open's return: it measures the
-	// wait for the first result, the lead term of the delay guarantee.
-	prog.SetPhase(obs.PhaseEnumerate)
-	return &observedResults{Results: base, prog: prog, delay: delay, last: time.Now()}
-}
-
-func (o *observedResults) Next() (Result, bool) {
-	r, ok := o.Results.Next()
-	if !ok {
-		o.finish()
-		return r, false
-	}
-	if o.delay != nil {
-		now := time.Now()
-		o.delay.Observe(now.Sub(o.last))
-		o.last = now
-	}
-	if o.prog != nil {
-		o.prog.AddEmitted(1)
-		o.prog.SetScanned(int64(o.Results.Stats().TuplesScanned))
-	}
-	return r, true
-}
-
-func (o *observedResults) Close() {
-	o.Results.Close()
-	o.finish()
-}
-
-func (o *observedResults) finish() {
-	if o.done {
-		return
-	}
-	o.done = true
-	if o.prog != nil {
-		o.prog.SetScanned(int64(o.Results.Stats().TuplesScanned))
-		o.prog.SetPhase(obs.PhaseDone)
-	}
 }

@@ -41,8 +41,8 @@ func (m Mode) approximate() bool { return m == ModeApprox || m == ModeApproxRank
 // QueryOptions carries the execution options of a Query. Workers
 // travels in the Query's JSON encoding and participates in its
 // canonical form (it can change the emission order, which a cached
-// result list replays); TaskObserver, Delay and Progress are
-// process-local observers that do neither.
+// result list replays); TaskObserver is a process-local observer that
+// does neither.
 //
 // There is no engine configuration to choose: Open always runs with
 // the §7 hash index over the Complete and Incomplete lists and the
@@ -66,16 +66,6 @@ type QueryOptions struct {
 	// service layer uses to attach per-task spans to a query trace.
 	// Runtime-only: never serialised, never keyed.
 	TaskObserver TaskObserver `json:"-"`
-	// Delay, when non-nil, receives the gap between consecutive results
-	// of the opened cursor — the measured form of the paper's
-	// polynomial-delay guarantee. Runtime-only like TaskObserver; it
-	// observes whichever path runs.
-	Delay *Delay `json:"-"`
-	// Progress, when non-nil, is kept current with the enumeration's
-	// live counters (phase, task completion, tuples scanned, results
-	// emitted); any goroutine may snapshot it mid-flight. Runtime-only
-	// like Delay.
-	Progress *Progress `json:"-"`
 }
 
 // engine renders the options as core.Options: the serving
@@ -166,7 +156,7 @@ func (q Query) normalize() Query {
 		// so spellings that cannot differ share one canonical key.
 		q.Options.Workers = 0
 	}
-	// Workers is the only option of the spec: the observers are
+	// Workers is the only option of the spec: the task observer is
 	// runtime-only and the index fields ignored.
 	q.Options = QueryOptions{Workers: q.Options.Workers}
 	return q
@@ -309,8 +299,8 @@ func (f Family) Predicate() core.Predicate {
 // caches together with a database content fingerprint: Workers is
 // included because it may change the emission order a cached list
 // replays, the mode parameters because they change the result sequence
-// itself. Runtime-only options (TaskObserver, Delay, Progress) and the
-// ignored index fields affect neither and are excluded.
+// itself. The runtime-only TaskObserver and the ignored index fields
+// affect neither and are excluded.
 func (q Query) Canonical() string {
 	n := q.normalize()
 	return fmt.Sprintf("fdq4|mode=%s|rank=%s|k=%d|tau=%g|ranktau=%g|sim=%s|wrk=%d",

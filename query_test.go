@@ -68,7 +68,7 @@ func TestQueryCanonicalNormalisation(t *testing.T) {
 	same := [][2]Query{
 		{{}, {Mode: ModeExact}},
 		{{Mode: ModeApprox, Tau: 0.5}, {Mode: ModeApprox, Tau: 0.5, Sim: "levenshtein"}},
-		{{Mode: ModeExact, Options: QueryOptions{Delay: NewDelay(4)}}, {Mode: ModeExact}},
+		{{Mode: ModeExact, Options: QueryOptions{TaskObserver: func(TaskSpan) {}}}, {Mode: ModeExact}},
 		// Workers is meaningless on paths that always run sequentially,
 		// so it must not fragment their cache keys.
 		{{Mode: ModeRanked, Rank: "fmax", Options: QueryOptions{Workers: 4}}, {Mode: ModeRanked, Rank: "fmax"}},

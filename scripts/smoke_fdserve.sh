@@ -185,6 +185,19 @@ for opts in '{"strategy":"seeded"}' '{"use_index":false}'; do
 done
 echo "explain: join index engaged by default; removed engine options rejected"
 
+# Registration errors are told apart: an empty name is the client's
+# mistake (400), a name already registered a conflict (409).
+for tc in '400 ' '409 w'; do
+  want="${tc% *}" name="${tc#* }"
+  code="$(curl -sS -o /dev/null -w '%{http_code}' -X POST "$base/databases" \
+    -d "{\"name\":\"$name\",\"workload\":{\"kind\":\"chain\",\"relations\":2,\"tuples\":2,\"domain\":2}}")"
+  if [ "$code" != "$want" ]; then
+    echo "FAIL: registering name \"$name\" answered $code, want $want" >&2
+    exit 1
+  fi
+done
+echo "registration errors: empty name 400, duplicate 409"
+
 # Progress polled mid-page must be well-formed and monotone in
 # results_emitted across pages, ending in phase "done".
 iqid="$(curl -fsS -X POST "$base/queries" \
