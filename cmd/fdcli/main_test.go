@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -317,5 +318,28 @@ func TestRunProgress(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "{c1, a1}") {
 		t.Errorf("-progress suppressed results:\n%s", out.String())
+	}
+}
+
+// TestRunRankOverflow: a rank that overflows to +Inf (PairSum of two
+// #imp 1e308 tuples) fails the run, so fdcli exits 1 naming the set.
+func TestRunRankOverflow(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	for _, label := range []string{"a1", "b1"} {
+		path := filepath.Join(dir, "R"+label+".csv")
+		if err := os.WriteFile(path, []byte("#label,#imp,A\n"+label+",1e308,x\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	var out bytes.Buffer
+	err := run(context.Background(), append([]string{"-rank", "pairsum", "-k", "3"}, paths...), &out, &out)
+	var re *fd.RankError
+	if !errors.As(err, &re) || re.Set != "{a1, b1}" {
+		t.Fatalf("run: %v, want a RankError naming {a1, b1}", err)
+	}
+	if strings.Contains(out.String(), "{a1, b1}") {
+		t.Errorf("the overflowing result was printed:\n%s", out.String())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -466,5 +467,38 @@ func TestServeIndexDefaults(t *testing.T) {
 	call(t, "GET", ts.URL+"/stats", nil, http.StatusOK, &stats)
 	if stats.Engine.IndexProbes == 0 {
 		t.Fatal("options-free query ran unindexed: no join-index probes recorded")
+	}
+}
+
+// TestServeRankOverflow: a ranked query whose rank overflows to +Inf
+// (PairSum of two #imp 1e308 tuples) fails at create with the open
+// error status and a message naming the set, instead of a page the
+// renderer cannot write.
+func TestServeRankOverflow(t *testing.T) {
+	ts, _ := startServer(t)
+	rel := func(name, label string) map[string]any {
+		return map[string]any{"name": name, "attributes": []string{"A"},
+			"tuples": []map[string]any{{"label": label, "imp": 1e308, "values": []string{"x"}}}}
+	}
+	call(t, "POST", ts.URL+"/databases", map[string]any{
+		"name": "huge", "relations": []map[string]any{rel("R", "a1"), rel("S", "b1")},
+	}, http.StatusCreated, nil)
+	body, err := json.Marshal(map[string]any{"database": "huge", "mode": "ranked", "rank": "pairsum", "k": 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/queries", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "{a1, b1}") {
+		t.Fatalf("create: status %d error %q, want 400 naming {a1, b1}", resp.StatusCode, e.Error)
 	}
 }

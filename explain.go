@@ -187,7 +187,7 @@ func Explain(db *Database, q Query) (*Plan, error) {
 	if workers > 1 {
 		layout := core.Layout(db, workers)
 		if workers > len(layout) {
-			// The worker pool never exceeds the task count.
+			// No more tasks run at once than there are tasks.
 			workers = len(layout)
 		}
 		p.Strategy.Execution = "parallel"

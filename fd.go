@@ -49,6 +49,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/rank"
 	"repro/internal/relation"
 	"repro/internal/tupleset"
 )
@@ -89,6 +90,10 @@ type (
 	// TaskObserver receives a TaskSpan per finished parallel task; set
 	// it via QueryOptions.TaskObserver to trace parallel execution.
 	TaskObserver = core.TaskObserver
+	// RankError is the error of a ranked query that meets a tuple set
+	// whose rank is NaN or ±Inf: Open fails with it, or Next when the
+	// set is first ranked there.
+	RankError = rank.RankError
 )
 
 // Null is the null value ⊥.

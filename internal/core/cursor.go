@@ -24,7 +24,7 @@ type Result struct {
 // walks a task list in order, in the caller's goroutine, producing one
 // owned result per Next call. For the restart strategy the list is
 // built from Layout(db, 1) — one full-window task per pass, the same
-// []Task shape NewTaskCursor runs on its worker pool. The suspended
+// []Task shape NewTaskCursor runs in parallel. The suspended
 // state is explicit (the current task's enumerator and, for the seeded
 // strategies, the store of previously printed results), so a cursor
 // holds no goroutine and abandoning one with Close leaks nothing.

@@ -35,30 +35,19 @@ func (m TaskMeta) Seeds() int { return m.SeedHi - m.SeedLo }
 
 // Layout computes the task partition a parallel enumeration runs
 // with, for the exact and the approximate passes alike: one task per
-// per-relation pass and, when workers exceed the number of relations,
-// per anchor window of the pass relation (never smaller than
-// minTaskSeeds, see the package comment in parallel.go). Relations
-// without tuples contribute no task — they seed no pass and anchor no
-// results.
+// per-relation pass at one worker and, at more, one task per worker
+// for every pass — the pass relation cut into that many anchor windows,
+// never smaller than minTaskSeeds (see the package comment in
+// parallel.go). Relations without tuples contribute no task — they
+// seed no pass and anchor no results.
 func Layout(db *relation.Database, workers int) []TaskMeta {
-	n := db.NumRelations()
-	blocksPerPass := 1
-	if n > 0 && workers > n {
-		blocksPerPass = (workers + n - 1) / n
-	}
 	var layout []TaskMeta
-	for pass := 0; pass < n; pass++ {
+	for pass := 0; pass < db.NumRelations(); pass++ {
 		length := db.Relation(pass).Len()
 		if length == 0 {
 			continue
 		}
-		blocks := blocksPerPass
-		if most := length / minTaskSeeds; blocks > most {
-			blocks = most
-		}
-		if blocks < 1 {
-			blocks = 1
-		}
+		blocks := max(min(workers, length/minTaskSeeds), 1)
 		for b := 0; b < blocks; b++ {
 			label := fmt.Sprintf("pass %d", pass)
 			if blocks > 1 {

@@ -83,7 +83,8 @@ type Options struct {
 	Strategy InitStrategy
 	// TaskObserver, when non-nil, receives a TaskSpan each time a
 	// parallel enumeration task finishes (label, wall-clock extent,
-	// and the task's folded counters). Called from worker goroutines.
+	// and the task's folded counters). Called from the helper
+	// goroutines and from the goroutine calling Next or Close.
 	// Unlike Pool it is compatible with parallel execution — it exists
 	// to observe it — and is ignored on the sequential path.
 	TaskObserver TaskObserver

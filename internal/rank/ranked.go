@@ -3,6 +3,7 @@ package rank
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -48,7 +49,9 @@ type Cursor struct {
 // scans honour opts on the one scanner of p that every Fig 3
 // extraction shares. Cancelling ctx aborts the preprocessing between
 // queue merges and makes a later Next fail within one queue extraction
-// with Err() == ctx.Err(). A nil ctx means context.Background().
+// with Err() == ctx.Err(). A nil ctx means context.Background(). A
+// queued set or a result whose rank is NaN or ±Inf fails the open or
+// that Next with a *RankError.
 func NewCursor(ctx context.Context, db *relation.Database, p core.Predicate, f Func, opts core.Options) (*Cursor, error) {
 	if err := Validate(f); err != nil {
 		return nil, err
@@ -104,7 +107,34 @@ func (c *Cursor) init() error {
 		for _, s := range mergeFixpoint(c.u, p, perSeed[i], &c.stats) {
 			q.Push(s)
 		}
+		for _, it := range q.h {
+			if err := finiteRank(c.u, it.set, it.rank); err != nil {
+				return err
+			}
+		}
 		c.queues[i] = q
+	}
+	return nil
+}
+
+// RankError reports a tuple set whose rank is NaN or ±Inf — a rank
+// function can overflow on finite importances (PairSum of two near the
+// float64 maximum) — which neither a rank order nor a JSON page can
+// carry.
+type RankError struct {
+	// Set is the tuple set, formatted as in the paper's tables.
+	Set  string
+	Rank float64
+}
+
+func (e *RankError) Error() string {
+	return fmt.Sprintf("rank: %s has rank %v, not a finite number", e.Set, e.Rank)
+}
+
+// finiteRank returns a *RankError when r, the rank of s, is not finite.
+func finiteRank(u *tupleset.Universe, s *tupleset.Set, r float64) error {
+	if math.IsNaN(r) || math.IsInf(r, 0) {
+		return &RankError{Set: s.Format(u.DB), Rank: r}
 	}
 	return nil
 }
@@ -209,9 +239,14 @@ func (c *Cursor) Next() (core.Result, bool) {
 		if c.complete.ContainsSuperset(result, anchor, &c.stats) {
 			continue // line 17: already printed via another queue
 		}
+		r := c.f.Rank(c.u, result)
+		if err := finiteRank(c.u, result, r); err != nil {
+			c.err = err
+			return core.Result{}, false
+		}
 		c.complete.Add(result)
 		c.stats.Emitted++
-		return core.Result{Set: result, Rank: c.f.Rank(c.u, result), Ranked: true}, true
+		return core.Result{Set: result, Rank: r, Ranked: true}, true
 	}
 }
 

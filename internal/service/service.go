@@ -685,7 +685,8 @@ func (s *Service) StartQuery(ctx context.Context, dbName string, spec fd.Query) 
 		q.engineSlots = granted - 1
 		grantedWorkers = granted
 	}
-	// Parallel tasks report completion spans from worker goroutines;
+	// Parallel tasks report completion spans from helper goroutines
+	// and from the paging goroutine, which runs tasks too;
 	// attach them under the page span being computed (or the root, for
 	// tasks outliving their page) without taking the session lock —
 	// Close holds it while waiting for those very workers. Each finished

@@ -380,9 +380,25 @@ func (s *Set) Format(db *relation.Database) string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// SortSets orders sets deterministically by their Format rendering.
+// SortSets orders sets deterministically by their Format rendering,
+// formatting each set once.
 func SortSets(db *relation.Database, sets []*Set) {
-	sort.Slice(sets, func(i, j int) bool {
-		return sets[i].Format(db) < sets[j].Format(db)
-	})
+	keys := make([]string, len(sets))
+	for i, s := range sets {
+		keys[i] = s.Format(db)
+	}
+	sort.Sort(byFormat{keys, sets})
+}
+
+// byFormat sorts sets by their precomputed Format keys.
+type byFormat struct {
+	keys []string
+	sets []*Set
+}
+
+func (b byFormat) Len() int           { return len(b.keys) }
+func (b byFormat) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byFormat) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.sets[i], b.sets[j] = b.sets[j], b.sets[i]
 }

@@ -24,9 +24,10 @@ var (
 // result per Next call with explicit suspended state. Sequential
 // cursors (Workers 1, the ranked modes) hold no goroutines and can
 // simply be dropped; a parallel cursor (Workers ≠ 1 on the
-// parallelisable paths) holds its worker pool while live, and Close —
-// or cancelling ctx, or draining it — stops every worker within one
-// enumeration step, so a Closed cursor leaks nothing either way.
+// parallelisable paths) holds its helper goroutines from its first
+// Next while live, and Close — or cancelling ctx, or draining it —
+// stops every helper within one enumeration step, so a Closed cursor
+// leaks nothing either way.
 //
 // A Results cursor is not safe for concurrent use; wrap it (as
 // internal/service does) when several goroutines share one

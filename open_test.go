@@ -2,10 +2,13 @@ package fd_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	fd "repro"
@@ -372,4 +375,28 @@ func prefix(c fd.Results, k int, tau float64) ([]fd.Result, fd.Stats) {
 		k--
 	}
 	return out, c.Stats()
+}
+
+// TestOpenRankOverflow: PairSum adds importances without a bound, so
+// two joined tuples of #imp 1e308 rank +Inf. The ranked open fails with
+// a RankError naming the set, instead of serving a rank no order or
+// page can carry.
+func TestOpenRankOverflow(t *testing.T) {
+	var rels []*fd.Relation
+	for _, label := range []string{"a1", "b1"} {
+		rel, err := fd.ReadCSV("R"+label, strings.NewReader("#label,#imp,A\n"+label+",1e308,x\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels = append(rels, rel)
+	}
+	db, err := fd.NewDatabase(rels...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = fd.Open(context.Background(), db, fd.Query{Mode: fd.ModeRanked, Rank: "pairsum", K: 3})
+	var re *fd.RankError
+	if !errors.As(err, &re) || re.Set != "{a1, b1}" || !math.IsInf(re.Rank, 1) {
+		t.Fatalf("Open: %v, want a RankError naming {a1, b1} at +Inf", err)
+	}
 }
