@@ -37,6 +37,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -235,13 +236,15 @@ func newServer(ctx context.Context, svc *service.Service, maxBody int64) *server
 		maxBody = defaultMaxBody
 	}
 	// Logging defaults to off: the discard logger drops every record,
-	// so tests composing handlers directly configure nothing. The panic
-	// counter lives in the service's registry, resolved once here with
-	// its help text.
+	// so tests composing handlers directly configure nothing. The HTTP
+	// layer's metrics live in the service's registry, resolved once here
+	// with their help text.
 	return &server{ctx: ctx, svc: svc, maxBody: maxBody,
 		log: slog.New(slog.DiscardHandler),
 		panicsRecovered: svc.Metrics().Counter("fd_panics_recovered_total",
-			"Handler panics recovered by the HTTP middleware.")}
+			"Handler panics recovered by the HTTP middleware."),
+		uploadDecode: svc.Metrics().Histogram("fd_upload_decode_seconds",
+			"Decode-and-build time of an uploaded POST /databases body, before registration.")}
 }
 
 // routes builds the raw route table; handler wraps it with the
@@ -361,6 +364,9 @@ type server struct {
 	// registry: handler panics recovered by withRecovery, surfaced also
 	// as panics_recovered in GET /stats.
 	panicsRecovered *obs.Counter
+	// uploadDecode is fd_upload_decode_seconds: the time from a read
+	// POST /databases body of the relations form to its built database.
+	uploadDecode *obs.Histogram
 }
 
 // decodeBody decodes the request body as exactly one JSON value into v
@@ -389,6 +395,29 @@ func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	}
 	writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 	return false
+}
+
+// readBody reads the whole request body under the body size cap,
+// writing the HTTP error (413 for an oversized body, 400 for a failed
+// read) itself; the caller just returns on false.
+func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= s.maxBody {
+		// One allocation: ReadFrom wants MinRead spare bytes to read EOF.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if err == nil {
+		return buf.Bytes(), true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+		return nil, false
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
+	return nil, false
 }
 
 // writeServiceError answers a failed service call with the status of
@@ -440,52 +469,6 @@ type workloadSpec struct {
 	ErrorRate     float64 `json:"error_rate"`      // dirty kind
 }
 
-// tupleSpec is one uploaded row; a null JSON value is ⊥. Imp defaults
-// to 1 when omitted or zero; Prob defaults to 1 when omitted.
-type tupleSpec struct {
-	Label  string    `json:"label"`
-	Values []*string `json:"values"`
-	Imp    float64   `json:"imp"`
-	Prob   *float64  `json:"prob"`
-}
-
-// tuple decodes an uploaded row whose values name attrs, in that order
-// (each an attribute of schema): Imp 0 becomes 1, a missing Prob
-// becomes 1, each value is placed at its attribute's schema position
-// (the schema sorts attributes), and a null value stays ⊥.
-func (ts tupleSpec) tuple(schema *relation.Schema, attrs []relation.Attribute) (relation.Tuple, error) {
-	if len(ts.Values) != len(attrs) {
-		return relation.Tuple{}, fmt.Errorf("%d values for %d attributes", len(ts.Values), len(attrs))
-	}
-	t := relation.Tuple{Label: ts.Label, Imp: ts.Imp, Prob: 1, Values: make([]relation.Value, schema.Len())}
-	if t.Imp == 0 {
-		t.Imp = 1
-	}
-	if ts.Prob != nil {
-		t.Prob = *ts.Prob
-	}
-	for j, v := range ts.Values {
-		if v != nil {
-			pos, _ := schema.Position(attrs[j])
-			t.Values[pos] = relation.V(*v)
-		}
-	}
-	return t, nil
-}
-
-type relationSpec struct {
-	Name       string      `json:"name"`
-	Attributes []string    `json:"attributes"`
-	Tuples     []tupleSpec `json:"tuples"`
-}
-
-type createDatabaseRequest struct {
-	Name string `json:"name"`
-	// Exactly one of Workload and Relations must be set.
-	Workload  *workloadSpec  `json:"workload,omitempty"`
-	Relations []relationSpec `json:"relations,omitempty"`
-}
-
 // createQueryRequest is the database name plus the fd.Query JSON
 // encoding, embedded verbatim — the wire format IS the library spec,
 // so anything expressible through fd.Open (including approx-ranked
@@ -508,31 +491,24 @@ type errorResponse struct {
 // --- handlers ----------------------------------------------------------
 
 func (s *server) handleCreateDatabase(w http.ResponseWriter, r *http.Request) {
-	var req createDatabaseRequest
-	if !s.decodeBody(w, r, &req) {
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
-	var (
-		db  *relation.Database
-		err error
-	)
-	switch {
-	case req.Workload != nil && req.Relations != nil:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("set either workload or relations, not both"))
-		return
-	case req.Workload != nil:
-		db, err = buildWorkload(*req.Workload)
-	case req.Relations != nil:
-		db, err = buildUploaded(req.Relations)
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing workload or relations"))
-		return
-	}
+	start := time.Now()
+	req, err := readCreateBody(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	info, err := s.svc.AddDatabase(req.Name, db)
+	db := req.db
+	if req.workload == nil {
+		s.uploadDecode.Observe(time.Since(start).Seconds())
+	} else if db, err = buildWorkload(*req.workload); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	info, err := s.svc.AddDatabase(req.name, db)
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -552,35 +528,6 @@ func buildWorkload(spec workloadSpec) (*relation.Database, error) {
 	return workload.Generate(spec.Kind, cfg, spec.ExtraEdgeProb, spec.ErrorRate)
 }
 
-func buildUploaded(specs []relationSpec) (*relation.Database, error) {
-	rels := make([]*relation.Relation, 0, len(specs))
-	for _, rs := range specs {
-		attrs := make([]relation.Attribute, len(rs.Attributes))
-		for i, a := range rs.Attributes {
-			attrs[i] = relation.Attribute(a)
-		}
-		schema, err := relation.NewSchema(attrs...)
-		if err != nil {
-			return nil, fmt.Errorf("relation %s: %w", rs.Name, err)
-		}
-		rel, err := relation.NewRelation(rs.Name, schema)
-		if err != nil {
-			return nil, err
-		}
-		for i, ts := range rs.Tuples {
-			t, err := ts.tuple(schema, attrs)
-			if err != nil {
-				return nil, fmt.Errorf("relation %s tuple %d: %w", rs.Name, i, err)
-			}
-			if err := rel.AppendTuple(t); err != nil {
-				return nil, fmt.Errorf("relation %s tuple %d: %w", rs.Name, i, err)
-			}
-		}
-		rels = append(rels, rel)
-	}
-	return relation.NewDatabase(rels...)
-}
-
 // listDatabasesResponse is the GET /databases body: the registered
 // databases plus any quarantined by recovery, so an operator sees
 // casualties in the same place as survivors.
@@ -596,20 +543,20 @@ func (s *server) handleListDatabases(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// appendRowsRequest appends tuples to one relation of a registered
-// database. Attributes, when given, name the order of each tuple's
-// values (any subset order of the relation's schema); when omitted the
-// values must follow the schema's sorted attribute order.
-type appendRowsRequest struct {
-	Relation   string      `json:"relation"`
-	Attributes []string    `json:"attributes,omitempty"`
-	Tuples     []tupleSpec `json:"tuples"`
-}
-
+// handleAppendRows appends the tuples of the body to one relation of
+// a registered database. The body's attributes, when given, name the
+// order of each tuple's values (any subset of the relation's schema,
+// each at most once); when omitted the values follow the schema's
+// sorted attribute order.
 func (s *server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var req appendRowsRequest
-	if !s.decodeBody(w, r, &req) {
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	req, err := readRowsBody(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	db, ok := s.svc.Database(name)
@@ -617,36 +564,17 @@ func (s *server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown database %q", name))
 		return
 	}
-	relIdx, ok := db.RelationIndex(req.Relation)
+	relIdx, ok := db.RelationIndex(req.relation)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("database %q has no relation %q", name, req.Relation))
+		writeError(w, http.StatusNotFound, fmt.Errorf("database %q has no relation %q", name, req.relation))
 		return
 	}
-	schema := db.Relation(relIdx).Schema()
-	attrs := make([]relation.Attribute, 0, schema.Len())
-	if req.Attributes == nil {
-		attrs = append(attrs, schema.Attributes()...)
-	} else {
-		for _, a := range req.Attributes {
-			attr := relation.Attribute(a)
-			if !schema.Has(attr) {
-				writeError(w, http.StatusBadRequest,
-					fmt.Errorf("relation %q has no attribute %q", req.Relation, a))
-				return
-			}
-			attrs = append(attrs, attr)
-		}
+	tuples, err := req.build(db.Relation(relIdx).Schema())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
-	tuples := make([]relation.Tuple, 0, len(req.Tuples))
-	for i, ts := range req.Tuples {
-		t, err := ts.tuple(schema, attrs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("tuple %d: %w", i, err))
-			return
-		}
-		tuples = append(tuples, t)
-	}
-	info, err := s.svc.AppendRows(name, req.Relation, tuples)
+	info, err := s.svc.AppendRows(name, req.relation, tuples)
 	if err != nil {
 		// Classify on the returned error, not the pre-check above: the
 		// database can be dropped between the schema lookup and the
